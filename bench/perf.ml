@@ -262,9 +262,10 @@ let sketch_suite ~smoke ~trials =
     Protocol.all;
 
   (* The per-child encoding build the nested-protocol loops bottom out in
-     (cascade re-walks it per level, the retry ladder per rung, each party
-     once): one row for the computing path, one for a cache hit. The hit
-     row's mw_per_op is the cache's allocation saving per child. *)
+     (once per cascade level in the same walk, per rung of the retry
+     ladder, each party once): one row for the computing path, one for a
+     cache hit. The encoder is staged once, as a build pass stages it. The
+     hit row's mw_per_op is the cache's allocation saving per child. *)
   (let module Encoding = Ssr_core.Encoding in
    let module Enc_cache = Ssr_core.Enc_cache in
    let cfg = { Encoding.child_cells = 64; child_k = 3; hash_bits = 16; seed } in
@@ -274,7 +275,8 @@ let sketch_suite ~smoke ~trials =
      (fun (mode, enabled) ->
        Enc_cache.set_enabled enabled;
        Enc_cache.clear ();
-       let op () = Encoding.encode cfg child in
+       let encode = Encoding.encode cfg in
+       let op () = encode child in
        let ns = measure ~trials op in
        let mw = minor_words_per_op op in
        push

@@ -3,6 +3,7 @@ module Bits = Ssr_util.Bits
 module Prng = Ssr_util.Prng
 module Buf = Ssr_util.Buf
 module Codec = Ssr_util.Codec
+module Par = Ssr_util.Par
 module Hashing = Ssr_util.Hashing
 module Iblt = Ssr_sketch.Iblt
 module Comm = Ssr_setrecon.Comm
@@ -43,12 +44,12 @@ let outer_params ~seed ~k ~key_len ~diff_bound i : Iblt.params =
 
 let stream_fp_tag = 0xF19C
 
-(* One chunked pass per level and per side, so at most one encoding chunk
-   is live at a time. Bob builds his level-1 table (with a fingerprint ->
-   positions index that maps negatives back to his children) before the
-   decode; every higher-level table, T* and his digest are built only once
-   the loop reaches them, so a failed level-1 decode costs one walk of his
-   stream. Levels >= 2 decode [alice_i - bob_i + db - da]: Bob deletes
+(* Alice builds every level table, T* and her digest in one walk of her
+   stream. Bob walks his at most twice: first for his level-1 table, a
+   fingerprint -> positions index that maps negatives back to his children,
+   and his digest; then, only once level 1 has decoded, for every
+   higher-level table and T*. So a failed level-1 decode costs one walk of
+   his stream. Levels >= 2 decode [alice_i - bob_i + db - da]: Bob deletes
    everything he can account for (XOR cancels, and add-then-delete of a
    shared child nets a zero count). The 8-byte guard carries
    [Parent.stream_hash], verified incrementally from the delta.
@@ -81,19 +82,24 @@ let run_stream ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~u ~h ~k ~(alice : Paren
            0x55)
     else None
   in
-  let build ?(sink = fun _ -> ()) (st : Parent.stream) prm encode =
-    let table = Iblt.create prm in
-    Parent.stream_iter_encoded st ~encode ~sink:(fun keys ->
-        sink keys;
-        Iblt.add_all table keys);
-    table
+  let encoders = Array.map Encoding.encode cfgs in
+  let direct = Direct.encode direct_cfg in
+  (* Empty level tables from level [from] up (index = level), and T*. *)
+  let fresh_tables ~from =
+    ( Array.mapi (fun i prm -> if i < from then None else Option.map Iblt.create prm) outers,
+      Option.map Iblt.create star_prm )
+  in
+  let land_chunk (tables, star) kids =
+    Array.iteri
+      (fun i -> Option.iter (fun tbl -> Iblt.add_all tbl (Par.map_array encoders.(i) kids)))
+      tables;
+    Option.iter (fun tbl -> Iblt.add_all tbl (Par.map_array direct kids)) star
   in
   (* ---- Alice: build and send every level table (one message). ---- *)
-  let alice_tables =
-    Array.mapi (fun i -> Option.map (fun prm -> build alice prm (Encoding.encode cfgs.(i)))) outers
+  let alice_tables, alice_star = fresh_tables ~from:1 in
+  let alice_digest =
+    Parent.stream_pass ~seed alice (fun _ kids -> land_chunk (alice_tables, alice_star) kids)
   in
-  let alice_star = Option.map (fun prm -> build alice prm (Direct.encode direct_cfg)) star_prm in
-  let alice_digest = Parent.stream_hash ~seed alice in
   let hash_bytes = Bytes.create 8 in
   Buf.set_int_le hash_bytes 0 alice_digest;
   let body = function None -> Bytes.empty | Some tbl -> Iblt.body_bytes tbl in
@@ -125,16 +131,17 @@ let run_stream ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~u ~h ~k ~(alice : Paren
      allow. ---- *)
   let fp_of = Hashing.hash_bytes (Hashing.make ~seed ~tag:stream_fp_tag) in
   let fp_tbl : (int, int list) Hashtbl.t = Hashtbl.create (2 * bob.Parent.length) in
-  let base = ref 0 in
-  let bob_l1 =
-    build bob (Option.get outers.(1)) (Encoding.encode cfgs.(1)) ~sink:(fun keys ->
+  let bob_l1 = Iblt.create (Option.get outers.(1)) in
+  let bob_digest =
+    Parent.stream_pass ~seed bob (fun base kids ->
+        let keys = Par.map_array encoders.(1) kids in
         Array.iteri
           (fun j key ->
             let f = fp_of key in
             let prev = Option.value (Hashtbl.find_opt fp_tbl f) ~default:[] in
-            Hashtbl.replace fp_tbl f ((!base + j) :: prev))
+            Hashtbl.replace fp_tbl f ((base + j) :: prev))
           keys;
-        base := !base + Array.length keys)
+        Iblt.add_all bob_l1 keys)
   in
   match Iblt.decode (Iblt.subtract (Option.get alice_tables.(1)) bob_l1) with
   | Error `Peel_stuck -> Error `Decode_failure
@@ -144,7 +151,7 @@ let run_stream ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~u ~h ~k ~(alice : Paren
       List.find_map
         (fun i ->
           let c = bob.Parent.child i in
-          if Bytes.equal (Encoding.encode cfgs.(1) c) neg then Some c else None)
+          if Bytes.equal (encoders.(1) c) neg then Some c else None)
         (List.rev candidates)
     in
     let db = List.filter_map child_of_neg negatives in
@@ -162,10 +169,14 @@ let run_stream ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~u ~h ~k ~(alice : Paren
           per_level.(slot) <- per_level.(slot) + 1
         end
       in
+      (* Bob's second walk: every table above level 1, and T*. *)
+      let bob_tables, bob_star = fresh_tables ~from:2 in
+      if t >= 2 || use_star then
+        ignore (Parent.stream_pass ~seed bob (fun _ kids -> land_chunk (bob_tables, bob_star) kids));
       (* Alice's still-unrecovered children at a level >= 2 or at T*: her
          table minus Bob's, with everything Bob can account for deleted. *)
-      let leftovers alice_tbl prm encode =
-        let table = Iblt.subtract alice_tbl (build bob prm encode) in
+      let leftovers alice_tbl bob_tbl encode =
+        let table = Iblt.subtract alice_tbl bob_tbl in
         Iblt.add_all table (Array.of_list (List.map encode db));
         Iblt.delete_all table (Array.of_list (List.map encode !da));
         Iblt.decode table
@@ -179,20 +190,20 @@ let run_stream ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~u ~h ~k ~(alice : Paren
       in
       try_level 1 positives;
       for i = 2 to t do
-        match leftovers (Option.get alice_tables.(i)) (Option.get outers.(i)) (Encoding.encode cfgs.(i)) with
+        match leftovers (Option.get alice_tables.(i)) (Option.get bob_tables.(i)) encoders.(i) with
         | Error `Peel_stuck -> () (* recovered at a later level or T* *)
         | Ok { positives; negatives = _ } -> try_level i positives
       done;
       (* T*: direct encodings as the final backstop. *)
-      (match (alice_star, star_prm) with
-      | Some star, Some prm -> (
-        match leftovers star prm (Direct.encode direct_cfg) with
+      (match (alice_star, bob_star) with
+      | Some star, Some bob_star -> (
+        match leftovers star bob_star direct with
         | Error `Peel_stuck -> ()
         | Ok { positives; negatives = _ } ->
           List.iter (fun key -> Option.iter (add_da t) (Direct.decode direct_cfg key)) positives)
       | _ -> ());
       let delta : Parent.delta = { a_only = !da; b_only = db } in
-      if Parent.delta_digest ~seed ~base:(Parent.stream_hash ~seed bob) delta = alice_digest then
+      if Parent.delta_digest ~seed ~base:bob_digest delta = alice_digest then
         Ok
           {
             delta;

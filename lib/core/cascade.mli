@@ -46,14 +46,15 @@ val run_stream :
   alice:Parent.stream -> bob:Parent.stream -> (outcome, [ `Decode_failure ]) result
 (** One attempt threaded through a caller-supplied recorder (for retry
     drivers and transports); the outcome's stats are cumulative for [comm].
-    The only build path: every level is built by a chunked pass over the
+    The only build path: the levels are built by chunked passes over the
     {!Parent.stream} views ({!Parent.stream_of_t} for materialized parents)
     in bounded memory, the 8-byte guard carries {!Parent.stream_hash}, and
-    the result is the O(d) delta. Bob builds his level-1 table before the
-    decode and each higher-level table, T* and his digest only when
-    recovery reaches them, so a failed level-1 decode walks his stream
-    once. [enc_seed] (default: [seed]) salts only the per-level
-    child-encoding configs: a retry driver that pins it across attempts
+    the result is the O(d) delta. Alice builds every level table, T* and
+    her digest in one walk. Bob builds his level-1 table, fingerprint
+    index and digest in one walk before the decode, and every higher-level
+    table and T* in a second walk only once level 1 has decoded, so a
+    failed level-1 decode walks his stream once. [enc_seed] (default:
+    [seed]) salts only the per-level child-encoding configs: a retry driver that pins it across attempts
     re-derives identical child encodings, so the {!Enc_cache} carries the
     per-level encoding sweeps between escalation rungs. Outer and T* tables
     stay salted by the per-attempt [seed]. *)

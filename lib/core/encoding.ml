@@ -17,43 +17,43 @@ let child_params cfg : Iblt.params =
     seed = Ssr_util.Prng.derive ~seed:cfg.seed ~tag:child_seed_tag;
   }
 
-let child_table_raw cfg child =
-  let t = Iblt.create (child_params cfg) in
-  Iset.iter (fun x -> Iblt.insert_int t x) child;
-  t
-
-let child_hash cfg child =
+let child_hash cfg =
   if cfg.hash_bits < 1 || cfg.hash_bits > 62 then invalid_arg "Encoding: hash_bits out of range";
-  let full =
-    Hashing.hash_bytes (Hashing.make ~seed:cfg.seed ~tag:child_hash_tag) (Iset.canonical_bytes child)
-  in
-  Hashing.truncate_bits full ~bits:cfg.hash_bits
+  let fn = Hashing.make ~seed:cfg.seed ~tag:child_hash_tag in
+  fun child -> Hashing.truncate_bits (Iset.digest fn child) ~bits:cfg.hash_bits
 
 let hash_len cfg = Bits.ceil_div cfg.hash_bits 8
 
 let key_length cfg = Iblt.body_length (child_params cfg) + hash_len cfg
 
-let encode_fresh cfg child =
-  let body = Iblt.body_bytes (child_table_raw cfg child) in
-  let h = child_hash cfg child in
-  let hl = hash_len cfg in
-  let out = Bytes.create (Bytes.length body + hl) in
-  Bytes.blit body 0 out 0 (Bytes.length body);
-  for i = 0 to hl - 1 do
-    Bytes.set out (Bytes.length body + i) (Char.chr ((h lsr (8 * i)) land 0xFF))
-  done;
-  out
-
 let cache_kind = 0
 
-let encode cfg child =
-  Enc_cache.find_or_add ~kind:cache_kind ~cells:cfg.child_cells ~k:cfg.child_k
-    ~bits:cfg.hash_bits ~seed:cfg.seed ~child (fun () -> encode_fresh cfg child)
+(* Staged: [encode cfg] derives the child-table parameters and the child
+   hash function once, so a build pass that applies it to every child pays
+   for them once per pass. *)
+let encode cfg =
+  let prm = child_params cfg and hash = child_hash cfg and hl = hash_len cfg in
+  let encode_fresh child =
+    let t = Iblt.create prm in
+    Iset.iter (fun x -> Iblt.insert_int t x) child;
+    let body = Iblt.body_bytes t in
+    let h = hash child in
+    let out = Bytes.create (Bytes.length body + hl) in
+    Bytes.blit body 0 out 0 (Bytes.length body);
+    for i = 0 to hl - 1 do
+      Bytes.set out (Bytes.length body + i) (Char.chr ((h lsr (8 * i)) land 0xFF))
+    done;
+    out
+  in
+  fun child ->
+    Enc_cache.find_or_add ~kind:cache_kind ~cells:cfg.child_cells ~k:cfg.child_k
+      ~bits:cfg.hash_bits ~seed:cfg.seed ~child (fun () -> encode_fresh child)
 
 (* Re-derive the child table from the (possibly cached) encoding: a hit
    turns the per-element hashing of a rebuild into one buffer copy. The
    body bytes are the table's exact memory layout, so this is bit-identical
-   to [child_table_raw] whether or not the cache served the key. *)
+   to inserting the child's elements into a fresh table whether or not the
+   cache served the key. *)
 let child_table cfg child =
   let key = encode cfg child in
   Iblt.of_body_bytes (child_params cfg) (Bytes.sub key 0 (Iblt.body_length (child_params cfg)))

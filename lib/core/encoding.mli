@@ -21,13 +21,16 @@ val child_table : config -> Ssr_util.Iset.t -> Ssr_sketch.Iblt.t
 (** The child IBLT: the child's elements inserted as 8-byte keys. *)
 
 val child_hash : config -> Ssr_util.Iset.t -> int
-(** The truncated pairwise-style hash of the child's canonical form. *)
+(** The truncated pairwise-style hash of the child's canonical form.
+    [child_hash cfg] derives the hash function once, for many children. *)
 
 val key_length : config -> int
 (** Width in bytes of a serialized encoding. *)
 
 val encode : config -> Ssr_util.Iset.t -> Bytes.t
-(** [child IBLT body || child hash], of width [key_length]. *)
+(** [child IBLT body || child hash], of width [key_length]. [encode cfg]
+    derives the child-table parameters and the child hash function once:
+    a build pass applies it to every child. *)
 
 val decode : config -> Bytes.t -> Ssr_sketch.Iblt.t * int
 (** Parse an encoding back into its table and hash. Raises

@@ -2,6 +2,7 @@ module Bits = Ssr_util.Bits
 module Prng = Ssr_util.Prng
 module Buf = Ssr_util.Buf
 module Codec = Ssr_util.Codec
+module Par = Ssr_util.Par
 module Hashing = Ssr_util.Hashing
 module Iblt = Ssr_sketch.Iblt
 module Comm = Ssr_setrecon.Comm
@@ -26,10 +27,11 @@ type outcome = { delta : Parent.delta; differing_pairs : int; stats : Comm.stats
    child positions without rescanning the stream. *)
 let stream_fp_tag = 0xF19B
 
-(* The 8-byte guard is the order-independent [Parent.stream_hash] digest,
-   which Bob verifies incrementally from the recovered delta. Both sides
-   hold one encoding chunk plus O(s) fingerprints at a time, never the
-   parent itself. [enc_seed] (default: the run seed) salts the
+(* Each party walks its stream once: the pass builds its outer table (and
+   Bob's fingerprint index) and its [Parent.stream_hash] guard together.
+   Bob verifies Alice's guard incrementally from the recovered delta. Both
+   sides hold one chunk plus O(s) fingerprints at a time, never the parent
+   itself. [enc_seed] (default: the run seed) salts the
    child-encoding config only; outer tables stay salted by the per-attempt
    run seed. Resilient pins it to the base seed so escalation rungs
    re-derive identical child-encoding configs and the encoding cache
@@ -46,9 +48,11 @@ let run_stream ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~k ~(alice : Parent.stre
       seed = Prng.derive ~seed ~tag:0x07E5;
     }
   in
+  let encode = Encoding.encode cfg in
   let outer = Iblt.create outer_prm in
-  Parent.stream_iter_encoded alice ~encode:(Encoding.encode cfg) ~sink:(Iblt.add_all outer);
-  let alice_digest = Parent.stream_hash ~seed alice in
+  let alice_digest =
+    Parent.stream_pass ~seed alice (fun _ kids -> Iblt.add_all outer (Par.map_array encode kids))
+  in
   let hash_bytes = Bytes.create 8 in
   Buf.set_int_le hash_bytes 0 alice_digest;
   let payload = Bytes.cat (Iblt.body_bytes outer) hash_bytes in
@@ -65,24 +69,23 @@ let run_stream ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~k ~(alice : Parent.stre
   match parsed with
   | None -> Error `Decode_failure
   | Some (outer, alice_digest) -> (
-  (* Bob: same chunked build, plus a fingerprint -> positions index so a
-     differing key maps back to his child (verified by re-encoding it — a
-     cache hit) instead of a linear rescan. *)
-  let fp_fn = Hashing.make ~seed ~tag:stream_fp_tag in
-  let fp_of = Hashing.hash_bytes fp_fn in
+  (* Bob: same pass, plus a fingerprint -> positions index so a differing
+     key maps back to his child (verified by re-encoding it — a cache hit)
+     instead of a linear rescan. *)
+  let fp_of = Hashing.hash_bytes (Hashing.make ~seed ~tag:stream_fp_tag) in
   let fp_tbl : (int, int list) Hashtbl.t = Hashtbl.create (2 * bob.Parent.length) in
   let bob_outer = Iblt.create outer_prm in
-  let base = ref 0 in
-  Parent.stream_iter_encoded bob ~encode:(Encoding.encode cfg)
-    ~sink:(fun keys ->
-      Array.iteri
-        (fun j key ->
-          let f = fp_of key in
-          let prev = Option.value (Hashtbl.find_opt fp_tbl f) ~default:[] in
-          Hashtbl.replace fp_tbl f ((!base + j) :: prev))
-        keys;
-      Iblt.add_all bob_outer keys;
-      base := !base + Array.length keys);
+  let bob_digest =
+    Parent.stream_pass ~seed bob (fun base kids ->
+        let keys = Par.map_array encode kids in
+        Array.iteri
+          (fun j key ->
+            let f = fp_of key in
+            let prev = Option.value (Hashtbl.find_opt fp_tbl f) ~default:[] in
+            Hashtbl.replace fp_tbl f ((base + j) :: prev))
+          keys;
+        Iblt.add_all bob_outer keys)
+  in
   match Iblt.decode (Iblt.subtract outer bob_outer) with
   | Error `Peel_stuck -> Error `Decode_failure
   | Ok { positives; negatives } -> (
@@ -91,7 +94,7 @@ let run_stream ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~k ~(alice : Parent.stre
       List.find_map
         (fun i ->
           let c = bob.Parent.child i in
-          if Bytes.equal (Encoding.encode cfg c) neg then Some c else None)
+          if Bytes.equal (encode c) neg then Some c else None)
         (List.rev candidates)
     in
     let db = List.filter_map child_of_neg negatives in
@@ -111,7 +114,7 @@ let run_stream ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~k ~(alice : Parent.stre
       | None -> Error `Decode_failure
       | Some da ->
         let delta : Parent.delta = { a_only = da; b_only = db } in
-        if Parent.delta_digest ~seed ~base:(Parent.stream_hash ~seed bob) delta = alice_digest then
+        if Parent.delta_digest ~seed ~base:bob_digest delta = alice_digest then
           Ok { delta; differing_pairs = List.length positives; stats = Comm.stats comm }
         else Error `Decode_failure
     end)))

@@ -41,8 +41,9 @@ val run_stream :
     views ({!Parent.stream_of_t} for materialized parents) in bounded
     memory — one encoding chunk at a time, plus O(s) child fingerprints
     that map peeled keys back to Bob's children — the 8-byte guard carries
-    {!Parent.stream_hash}, and the result is the O(d) delta. Bob computes
-    his digest only once the outer decode has succeeded.
+    {!Parent.stream_hash}, and the result is the O(d) delta. Each party
+    walks its stream once per attempt: the pass that builds its outer
+    table (and Bob's fingerprint index) also yields its digest.
     [enc_seed] (default: [seed]) salts only the child-encoding config, so a
     retry driver that pins it across attempts re-derives identical child
     encodings and the {!Enc_cache} carries that work between rungs; outer

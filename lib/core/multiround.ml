@@ -20,11 +20,9 @@ let content_hash_tag = 0x39A2
    difference with its match is at most h. *)
 let default_child_shape : L0.shape = { levels = 14; reps = 2; buckets = 64; threshold = 8 }
 
-let child_hash ~seed child =
-  Hashing.hash_bytes (Hashing.make ~seed ~tag:child_hash_tag) (Iset.canonical_bytes child)
+let child_hash ~seed = Iset.digest (Hashing.make ~seed ~tag:child_hash_tag)
 
-let content_hash ~seed child =
-  Hashing.hash_bytes (Hashing.make ~seed ~tag:content_hash_tag) (Iset.canonical_bytes child)
+let content_hash ~seed child = Iset.digest (Hashing.make ~seed ~tag:content_hash_tag) child
 
 type outcome = {
   delta : Parent.delta;
@@ -33,17 +31,23 @@ type outcome = {
   stats : Comm.stats;
 }
 
-(* Hash -> position index built in one pass over a stream (O(s) ints, never
-   the children themselves); collisions among one party's own children are
-   a 1/poly failure we simply report. *)
+(* Hash -> position index (O(s) ints, never the children themselves) and
+   the party's [Parent.stream_hash], from one walk of its stream.
+   Collisions among one party's own children are a 1/poly failure we
+   simply report. *)
 let hash_index ~seed (st : Parent.stream) =
   let tbl = Hashtbl.create (2 * st.Parent.length) in
   let ok = ref true in
-  for i = 0 to st.Parent.length - 1 do
-    let h = child_hash ~seed (st.Parent.child i) in
-    if Hashtbl.mem tbl h then ok := false else Hashtbl.add tbl h i
-  done;
-  if !ok then Some tbl else None
+  let hash = child_hash ~seed in
+  let digest =
+    Parent.stream_pass ~seed st (fun base kids ->
+        Array.iteri
+          (fun j c ->
+            let h = hash c in
+            if Hashtbl.mem tbl h then ok := false else Hashtbl.add tbl h (base + j))
+          kids)
+  in
+  if !ok then Some (tbl, digest) else None
 
 (* The hash index holds positions instead of children, so only the
    O(d_hat) differing children are ever fetched. The round-1 guard carries
@@ -52,7 +56,7 @@ let run_stream ~comm ~seed ~d ~d_hat ~k ~shape ~primitive ~(alice : Parent.strea
     ~(bob : Parent.stream) =
   match (hash_index ~seed alice, hash_index ~seed bob) with
   | None, _ | _, None -> Error `Decode_failure
-  | Some alice_by_hash, Some bob_by_hash -> (
+  | Some (alice_by_hash, alice_digest), Some (bob_by_hash, bob_digest) -> (
     (* ---- Round 1 (A -> B): IBLT of Alice's child hashes. ---- *)
     let hash_prm : Iblt.params =
       {
@@ -64,7 +68,6 @@ let run_stream ~comm ~seed ~d ~d_hat ~k ~shape ~primitive ~(alice : Parent.strea
     in
     let ta = Iblt.create hash_prm in
     Hashtbl.iter (fun h _ -> Iblt.insert_int ta h) alice_by_hash;
-    let alice_digest = Parent.stream_hash ~seed alice in
     let hash_bytes = Bytes.create 8 in
     Buf.set_int_le hash_bytes 0 alice_digest;
     match
@@ -315,8 +318,7 @@ let run_stream ~comm ~seed ~d ~d_hat ~k ~shape ~primitive ~(alice : Parent.strea
           | None -> Error `Decode_failure
           | Some da ->
             let delta : Parent.delta = { a_only = da; b_only = bob_diff } in
-            if Parent.delta_digest ~seed ~base:(Parent.stream_hash ~seed bob) delta = alice_digest
-            then
+            if Parent.delta_digest ~seed ~base:bob_digest delta = alice_digest then
               Ok
                 {
                   delta;
@@ -345,7 +347,8 @@ let reconcile_unknown ~seed ?(k = 4) ?(estimator_shape = default_child_shape) ~a
   let comm = Comm.create () in
   (* Round 0 (B -> A): estimator over Bob's child hashes sizes the exchange. *)
   let bob_est = L0.create ~seed ~shape:L0.default_shape () in
-  List.iter (fun c -> L0.update bob_est L0.S1 (child_hash ~seed c)) (Parent.children bob);
+  let hash = child_hash ~seed in
+  List.iter (fun c -> L0.update bob_est L0.S1 (hash c)) (Parent.children bob);
   match Comm.xfer comm Comm.B_to_a ~label:"dhat-estimator" (L0.to_bytes bob_est) with
   | Error `Lost -> Error (`Decode_failure (Comm.stats comm))
   | Ok delivered -> (
@@ -353,7 +356,7 @@ let reconcile_unknown ~seed ?(k = 4) ?(estimator_shape = default_child_shape) ~a
     | None -> Error (`Decode_failure (Comm.stats comm))
     | Some bob_est -> (
       let alice_est = L0.create ~seed ~shape:L0.default_shape () in
-      List.iter (fun c -> L0.update alice_est L0.S2 (child_hash ~seed c)) (Parent.children alice);
+      List.iter (fun c -> L0.update alice_est L0.S2 (hash c)) (Parent.children alice);
       let est = L0.query (L0.merge bob_est alice_est) in
       let d_hat = max 2 est in
       (* The per-child estimators supply the element-level bounds, so d here

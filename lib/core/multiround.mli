@@ -60,5 +60,5 @@ val run_stream :
     The only build path, over {!Parent.stream} views ({!Parent.stream_of_t}
     for materialized parents): the hash index stores stream positions, so
     only the O(d_hat) differing children are ever fetched; the round-1
-    guard carries {!Parent.stream_hash}, which Bob computes only once the
-    hash difference has decoded; the result is the O(d) delta. *)
+    guard carries {!Parent.stream_hash}, which each party computes in the
+    same walk that builds its hash index; the result is the O(d) delta. *)

@@ -3,6 +3,7 @@ module Hashing = Ssr_util.Hashing
 module Prng = Ssr_util.Prng
 module Buf = Ssr_util.Buf
 module Codec = Ssr_util.Codec
+module Par = Ssr_util.Par
 module Iblt = Ssr_sketch.Iblt
 module L0 = Ssr_sketch.L0_estimator
 module Comm = Ssr_setrecon.Comm
@@ -14,12 +15,12 @@ type error = [ `Decode_failure of Comm.stats ]
 let child_id_tag = 0x4A1D
 
 (* 62-bit stand-in for a child set, used only to feed the estimator. *)
-let child_id ~seed child =
-  Hashing.hash_bytes (Hashing.make ~seed ~tag:child_id_tag) (Iset.canonical_bytes child)
+let child_id ~seed = Iset.digest (Hashing.make ~seed ~tag:child_id_tag)
 
 (* Direct encodings decode straight back to child sets, so Bob needs no
-   index at all: the peeled positives/negatives ARE the delta. The guard is
-   the order-independent [Parent.stream_hash], which Bob checks
+   index at all: the peeled positives/negatives ARE the delta. Each party
+   walks its stream once, building its table and its
+   [Parent.stream_hash] guard together; Bob checks Alice's guard
    incrementally from the delta. *)
 let run_stream ~comm ~seed ~d_hat ~u ~h ~k ~(alice : Parent.stream) ~(bob : Parent.stream) =
   let cfg : Direct.config = { u; h } in
@@ -31,9 +32,15 @@ let run_stream ~comm ~seed ~d_hat ~u ~h ~k ~(alice : Parent.stream) ~(bob : Pare
       seed;
     }
   in
-  let table = Iblt.create prm in
-  Parent.stream_iter_encoded alice ~encode:(Direct.encode cfg) ~sink:(Iblt.add_all table);
-  let alice_digest = Parent.stream_hash ~seed alice in
+  let build st =
+    let table = Iblt.create prm in
+    let digest =
+      Parent.stream_pass ~seed st (fun _ kids ->
+          Iblt.add_all table (Par.map_array (Direct.encode cfg) kids))
+    in
+    (table, digest)
+  in
+  let table, alice_digest = build alice in
   let hash_bytes = Bytes.create 8 in
   Buf.set_int_le hash_bytes 0 alice_digest;
   let payload = Bytes.cat (Iblt.body_bytes table) hash_bytes in
@@ -50,8 +57,7 @@ let run_stream ~comm ~seed ~d_hat ~u ~h ~k ~(alice : Parent.stream) ~(bob : Pare
   match parsed with
   | None -> Error `Decode_failure
   | Some (table, alice_digest) -> (
-  let bob_table = Iblt.create prm in
-  Parent.stream_iter_encoded bob ~encode:(Direct.encode cfg) ~sink:(Iblt.add_all bob_table);
+  let bob_table, bob_digest = build bob in
   match Iblt.decode (Iblt.subtract table bob_table) with
   | Error `Peel_stuck -> Error `Decode_failure
   | Ok { positives; negatives } -> (
@@ -67,7 +73,7 @@ let run_stream ~comm ~seed ~d_hat ~u ~h ~k ~(alice : Parent.stream) ~(bob : Pare
     match (decode_all positives, decode_all negatives) with
     | Some alice_only, Some bob_only ->
       let delta : Parent.delta = { a_only = alice_only; b_only = bob_only } in
-      if Parent.delta_digest ~seed ~base:(Parent.stream_hash ~seed bob) delta = alice_digest then
+      if Parent.delta_digest ~seed ~base:bob_digest delta = alice_digest then
         Ok { delta; stats = Comm.stats comm }
       else Error `Decode_failure
     | _ -> Error `Decode_failure)))
@@ -84,7 +90,8 @@ let reconcile_known ~seed ~d_hat ~u ~h ?(k = 4) ~alice ~bob () =
 let reconcile_unknown ~seed ~u ~h ?(k = 4) ?estimator_shape ~alice ~bob () =
   let comm = Comm.create () in
   let bob_est = L0.create ~seed ?shape:estimator_shape () in
-  List.iter (fun c -> L0.update bob_est L0.S1 (child_id ~seed c)) (Parent.children bob);
+  let id = child_id ~seed in
+  List.iter (fun c -> L0.update bob_est L0.S1 (id c)) (Parent.children bob);
   match Comm.xfer comm Comm.B_to_a ~label:"child-estimator" (L0.to_bytes bob_est) with
   | Error `Lost -> Error (`Decode_failure (Comm.stats comm))
   | Ok delivered -> (
@@ -92,7 +99,7 @@ let reconcile_unknown ~seed ~u ~h ?(k = 4) ?estimator_shape ~alice ~bob () =
     | None -> Error (`Decode_failure (Comm.stats comm))
     | Some bob_est -> (
       let alice_est = L0.create ~seed ?shape:estimator_shape () in
-      List.iter (fun c -> L0.update alice_est L0.S2 (child_id ~seed c)) (Parent.children alice);
+      List.iter (fun c -> L0.update alice_est L0.S2 (id c)) (Parent.children alice);
       let est = L0.query (L0.merge bob_est alice_est) in
       let d_hat = max 2 est in
       match

@@ -37,5 +37,6 @@ val run_stream :
     from the {!Parent.stream} views ({!Parent.stream_of_t} for materialized
     parents), the 8-byte guard carries {!Parent.stream_hash}, and the
     result is the O(d) delta (direct encodings decode straight back to
-    children, so no side index is needed). Bob walks his stream once for
-    the table and, only if the decode succeeds, once more for his digest. *)
+    children, so no side index is needed). Each party walks its stream
+    once per attempt: the pass that builds its table also yields its
+    digest. *)

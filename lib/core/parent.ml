@@ -153,21 +153,6 @@ let stream_max_child_size st =
   done;
   !h
 
-(* Chunked encode-and-land: children [base, base+chunk) are encoded under
-   the parallel pool (order-preserving) and handed to [sink] as one batch —
-   the Iblt.add_all path — so a build touches at most [chunk] encodings at
-   a time. XOR-linear sinks make the chunking bit-identical to a one-shot
-   whole-parent batch. *)
-let stream_iter_encoded ?(chunk = 4096) st ~encode ~sink =
-  let n = st.length in
-  let i = ref 0 in
-  while !i < n do
-    let len = min chunk (n - !i) in
-    let base = !i in
-    sink (Par.init len (fun j -> encode (st.child (base + j))));
-    i := !i + len
-  done
-
 (* Order-independent whole-parent digest: XOR of salted per-child hashes.
    The canonical [hash] needs the children in sorted order — impossible to
    produce from a stream without materializing — while XOR commutes, and
@@ -175,22 +160,40 @@ let stream_iter_encoded ?(chunk = 4096) st ~encode ~sink =
    Alice's recovered ones must land exactly on Alice's digest. *)
 let stream_hash_tag = 0x57A9
 
-let child_digest ~seed c =
-  Hashing.hash_bytes (Hashing.make ~seed ~tag:stream_hash_tag) (Iset.canonical_bytes c)
+let child_digest ~seed = Iset.digest (Hashing.make ~seed ~tag:stream_hash_tag)
 
-let stream_hash ~seed st =
+(* A build pass holds one chunk of children (and whatever its visitor
+   derives from them) at a time. *)
+let chunk = 4096
+
+(* Children [base, base+chunk) are fetched under the parallel pool
+   (order-preserving), folded into the digest, and handed to [visit] as one
+   batch. Visitors land them in XOR-linear sketches, so the chunking is
+   bit-identical to a one-shot whole-parent batch. *)
+let stream_pass ~seed st visit =
+  let digest = child_digest ~seed in
   let acc = ref 0 in
-  for i = 0 to st.length - 1 do
-    acc := !acc lxor child_digest ~seed (st.child i)
+  let base = ref 0 in
+  while !base < st.length do
+    let b = !base in
+    let kids = Par.init (min chunk (st.length - b)) (fun j -> st.child (b + j)) in
+    for j = 0 to Array.length kids - 1 do
+      acc := !acc lxor digest kids.(j)
+    done;
+    visit b kids;
+    base := b + Array.length kids
   done;
   !acc
+
+let stream_hash ~seed st = stream_pass ~seed st (fun _ _ -> ())
 
 type delta = { a_only : Iset.t list; b_only : Iset.t list }
 
 (* Bob's verification step: starting from his own digest, XOR out what only
    he has and XOR in what he recovered; the result must equal Alice's. *)
 let delta_digest ~seed ~base { a_only; b_only } =
-  let f = List.fold_left (fun acc c -> acc lxor child_digest ~seed c) in
+  let digest = child_digest ~seed in
+  let f = List.fold_left (fun acc c -> acc lxor digest c) in
   f (f base b_only) a_only
 
 let apply_delta t { a_only; b_only } =

@@ -99,19 +99,22 @@ val stream_total_elements : stream -> int
 val stream_max_child_size : stream -> int
 (** Largest child (h), by one folding pass. *)
 
-val stream_iter_encoded :
-  ?chunk:int -> stream -> encode:(Ssr_util.Iset.t -> Bytes.t) -> sink:(Bytes.t array -> unit) -> unit
-(** Encode the children in chunks of [chunk] (default 4096) under the
-    parallel pool and hand each batch to [sink] (typically
-    [Iblt.add_all table]); at most one chunk of encodings is live at a
-    time, and XOR-linearity makes the result bit-identical to a one-shot
-    batch over all children. *)
+val stream_pass : seed:int64 -> stream -> (int -> Ssr_util.Iset.t array -> unit) -> int
+(** [stream_pass ~seed st visit] is the one walk of [st] that a party
+    makes per attempt. It fetches the children in chunks of 4096 under the
+    parallel pool, calls [visit base kids] on each chunk in order ([kids.(j)]
+    is child [base + j]), and returns [stream_hash ~seed st], computed in
+    the same walk. At most one chunk of children is live at a time, plus
+    whatever [visit] keeps. A visitor that lands the children in
+    XOR-linear sketches (IBLTs) builds exactly what one whole-parent batch
+    would, whatever the chunking. *)
 
 val stream_hash : seed:int64 -> stream -> int
 (** Order-independent whole-parent digest: XOR of the salted 62-bit
     {!child_digest} of every child. It is the 8-byte guard of every nested
     protocol's transcript: unlike {!hash} it needs no sorted children, and
-    Bob can update it incrementally from a recovered delta. *)
+    Bob can update it incrementally from a recovered delta. [stream_pass]
+    with a visitor that does nothing. *)
 
 val child_digest : seed:int64 -> Ssr_util.Iset.t -> int
 (** One child's term of {!stream_hash}. *)

@@ -22,8 +22,7 @@ type error = [ `Decode_failure of Comm.stats ]
 
 let set_hash_tag = 0x5E7A
 
-let set_hash ~seed s =
-  Hashing.hash_bytes (Hashing.make ~seed ~tag:set_hash_tag) (Iset.canonical_bytes s)
+let set_hash ~seed s = Iset.digest (Hashing.make ~seed ~tag:set_hash_tag) s
 
 let iblt_params ~seed ~d ~k : Iblt.params =
   { cells = Iblt.recommended_cells ~k ~diff_bound:d; k; key_len = 8; seed }

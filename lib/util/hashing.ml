@@ -29,62 +29,14 @@ let to_range f m x =
   if m <= 0 then invalid_arg "Hashing.to_range: empty range";
   reduce64 (hash_int64 f (Int64.of_int x)) m
 
-(* One chained-mix pass over the bytes; finalizers below turn the digest
-   into the exported hash values without touching the data again. *)
-let digest64 { key } b =
-  let len = Bytes.length b in
-  let words = len / 8 in
-  let acc = ref (Int64.logxor key (Int64.of_int len)) in
-  for w = 0 to words - 1 do
-    acc := Prng.mix64 (Int64.logxor !acc (Bytes.get_int64_le b (w * 8)))
-  done;
-  let tail = ref 0L in
-  for i = words * 8 to len - 1 do
-    tail := Int64.logor (Int64.shift_left !tail 8) (Int64.of_int (Char.code (Bytes.unsafe_get b i)))
-  done;
-  if len mod 8 <> 0 then acc := Prng.mix64 (Int64.logxor !acc !tail);
-  !acc
-
-(* Same digest chain as [digest64], written out in full: the compiler does
-   not inline across the call (no flambda), and the boxed [int64] return
-   costs ~50% extra on 8-byte keys — the dominant key width. *)
-let hash_bytes { key } b =
-  let len = Bytes.length b in
-  let words = len / 8 in
-  let acc = ref (Int64.logxor key (Int64.of_int len)) in
-  for w = 0 to words - 1 do
-    acc := Prng.mix64 (Int64.logxor !acc (Bytes.get_int64_le b (w * 8)))
-  done;
-  let tail = ref 0L in
-  for i = words * 8 to len - 1 do
-    tail := Int64.logor (Int64.shift_left !tail 8) (Int64.of_int (Char.code (Bytes.unsafe_get b i)))
-  done;
-  if len mod 8 <> 0 then acc := Prng.mix64 (Int64.logxor !acc !tail);
-  Int64.to_int (Int64.shift_right_logical (Prng.mix64 (Int64.add !acc key)) 2)
-
-let hash_bytes_to_range f m b =
-  if m <= 0 then invalid_arg "Hashing.hash_bytes_to_range: empty range";
-  reduce64 (Prng.mix64 (Int64.add (digest64 f b) f.key)) m
-
-(* Odd constant separating the two finalizer lanes; the data pass is
-   shared, only the finish differs. From here on the hot path stays on
-   native ints: every [int64] crossing a function boundary is boxed, so
-   finalizing and consuming lanes as native 63-bit ints keeps the IBLT
-   per-element schedule allocation-free. *)
-let lane2 = 0x2545F4914F6CDD1D
-
-let hash_bytes_pair f b =
-  let d = Int64.to_int (digest64 f b) in
-  let nk = Int64.to_int f.key in
-  (Prng.mix_int (d + nk), Prng.mix_int (d lxor (nk + lane2)))
-
-(* [hash_bytes_pair] with the digest chain written out again and the lanes
-   delivered through an out-parameter: the tuple return above allocates,
-   and so does every [int64] that crosses a function boundary — so this
-   variant also inlines the word loads (a bounds-checked primitive, not
-   the stdlib wrapper) and the SplitMix64 finalizer ([Prng.mix64] verbatim;
-   local [int64] lets stay unboxed). Net: one IBLT insert allocates
-   nothing at all. Lane values are bit-identical to [hash_bytes_pair]. *)
+(* Byte strings hash by one chained SplitMix64 pass over their 8-byte
+   little-endian words (a partial tail word is packed big-end first), and
+   every exported byte hash finishes that one digest differently. OCaml
+   boxes each [int64] that crosses a function boundary, and without
+   flambda it does not inline functions this size on its own: so the step
+   and the pass below are forced inline, their [int64]s stay unboxed, and
+   none of the byte hashes allocates. The word load is the bounds-checked
+   primitive, not the stdlib wrapper. *)
 external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 
 let swap64 v =
@@ -99,18 +51,19 @@ let swap64 v =
     (shift_left (logand v 0x00FF00FF00FF00FFL) 8)
     (shift_right_logical (logand v 0xFF00FF00FF00FF00L) 8)
 
-let hash_bytes_into { key } b out =
+(* [Prng.mix64] verbatim. *)
+let[@inline] mix z =
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+let[@inline] digest key b =
   let len = Bytes.length b in
   let words = len / 8 in
-  let big = Sys.big_endian in
   let acc = ref (Int64.logxor key (Int64.of_int len)) in
   for w = 0 to words - 1 do
     let data = bytes_get64 b (w * 8) in
-    let data = if big then swap64 data else data in
-    let z = Int64.logxor !acc data in
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-    acc := Int64.logxor z (Int64.shift_right_logical z 31)
+    acc := mix (Int64.logxor !acc (if Sys.big_endian then swap64 data else data))
   done;
   if len mod 8 <> 0 then begin
     let tail = ref 0L in
@@ -118,15 +71,42 @@ let hash_bytes_into { key } b out =
       tail :=
         Int64.logor (Int64.shift_left !tail 8) (Int64.of_int (Char.code (Bytes.unsafe_get b i)))
     done;
-    let z = Int64.logxor !acc !tail in
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-    acc := Int64.logxor z (Int64.shift_right_logical z 31)
+    acc := mix (Int64.logxor !acc !tail)
   end;
-  let d = Int64.to_int !acc in
+  !acc
+
+let[@inline] finish key acc = Int64.to_int (Int64.shift_right_logical (mix (Int64.add acc key)) 2)
+
+let hash_bytes { key } b = finish key (digest key b)
+
+(* The same digest over the words [Int64.of_int a.(i)]: exactly the pass
+   [hash_bytes] makes over their little-endian encoding, which is 8 bytes
+   per element with no tail. *)
+let hash_ints { key } a =
+  let acc = ref (Int64.logxor key (Int64.of_int (8 * Array.length a))) in
+  for i = 0 to Array.length a - 1 do
+    acc := mix (Int64.logxor !acc (Int64.of_int a.(i)))
+  done;
+  finish key !acc
+
+(* Odd constant separating the two finalizer lanes; the data pass is
+   shared, only the finish differs. The lanes leave as native 63-bit ints,
+   so the IBLT per-element schedule that consumes them stays
+   allocation-free. *)
+let lane2 = 0x2545F4914F6CDD1D
+
+let[@inline] lanes_into key acc out =
+  let d = Int64.to_int acc in
   let nk = Int64.to_int key in
   out.(0) <- Prng.mix_int (d + nk);
   out.(1) <- Prng.mix_int (d lxor (nk + lane2))
+
+let hash_bytes_into { key } b out = lanes_into key (digest key b) out
+
+let hash_bytes_pair f b =
+  let out = [| 0; 0 |] in
+  hash_bytes_into f b out;
+  (out.(0), out.(1))
 
 (* Lanes of the little-endian [len]-byte encoding of [x] (zero padded),
    computed without materializing the bytes: the first 8-byte word of that
@@ -135,26 +115,12 @@ let hash_bytes_into { key } b out =
    encoded buffer; this is the IBLT integer fast path's way of skipping
    the scratch-buffer round trip. Requires [len >= 8]. *)
 let hash_int_bytes_into { key } x ~len out =
-  let z = Int64.logxor (Int64.logxor key (Int64.of_int len)) (Int64.of_int x) in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let acc = ref (Int64.logxor z (Int64.shift_right_logical z 31)) in
+  let acc = ref (mix (Int64.logxor (Int64.logxor key (Int64.of_int len)) (Int64.of_int x))) in
   for _ = 2 to len / 8 do
-    let z = !acc in
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-    acc := Int64.logxor z (Int64.shift_right_logical z 31)
+    acc := mix !acc
   done;
-  if len mod 8 <> 0 then begin
-    let z = !acc in
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-    acc := Int64.logxor z (Int64.shift_right_logical z 31)
-  end;
-  let d = Int64.to_int !acc in
-  let nk = Int64.to_int key in
-  out.(0) <- Prng.mix_int (d + nk);
-  out.(1) <- Prng.mix_int (d lxor (nk + lane2))
+  if len mod 8 <> 0 then acc := mix !acc;
+  lanes_into key !acc out
 
 let mix_pair h1 h2 = Prng.mix_int (h1 lxor (h2 * lane2)) land ((1 lsl 62) - 1)
 

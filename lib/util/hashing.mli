@@ -31,10 +31,12 @@ val to_range : fn -> int -> int -> int
 
 val hash_bytes : fn -> Bytes.t -> int
 (** Hash a byte string to a non-negative 62-bit integer (a 64-bit chained
-    mix over 8-byte words). *)
+    mix over 8-byte words). Allocates nothing, at any key length. *)
 
-val hash_bytes_to_range : fn -> int -> Bytes.t -> int
-(** Compose {!hash_bytes} with reduction into [\[0, m)]. *)
+val hash_ints : fn -> int array -> int
+(** [hash_ints f a] is [hash_bytes f b] where [b] is the 8-byte
+    little-endian encoding of each [a.(i)] in turn, computed without
+    building [b]: allocates nothing. *)
 
 val hash_bytes_pair : fn -> Bytes.t -> int * int
 (** Two independent-looking native-int (63-bit) hashes from a single pass
@@ -47,8 +49,8 @@ val hash_bytes_pair : fn -> Bytes.t -> int * int
 val hash_bytes_into : fn -> Bytes.t -> int array -> unit
 (** {!hash_bytes_pair} delivered through an out-parameter: lane 1 lands in
     [out.(0)] and lane 2 in [out.(1)] ([out] must have length [>= 2]).
-    The pair return of {!hash_bytes_pair} allocates 3 words per call; the
-    IBLT insert/delete/peel paths use this instead so one sketch update
+    The pair return of {!hash_bytes_pair} allocates; the IBLT
+    insert/delete/peel paths use this instead so one sketch update
     allocates nothing at all. Lane values are bit-identical to
     {!hash_bytes_pair}. *)
 

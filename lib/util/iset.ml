@@ -127,6 +127,8 @@ let canonical_bytes t =
   Array.iteri (fun i x -> Buf.set_int_le out (i * 8) x) t;
   out
 
+let digest fn t = Hashing.hash_ints fn t
+
 let random_subset rng ~universe ~size =
   if size > universe then invalid_arg "Iset.random_subset: size > universe";
   if size = 0 then empty

@@ -61,6 +61,11 @@ val canonical_bytes : t -> Bytes.t
 (** Fixed 8-bytes-per-element little-endian encoding of the sorted elements;
     the canonical serialization used for hashing child sets. *)
 
+val digest : Hashing.fn -> t -> int
+(** [digest f c] is [Hashing.hash_bytes f (canonical_bytes c)], computed
+    without building the bytes: allocates nothing. How child sets are
+    hashed. *)
+
 val random_subset : Prng.t -> universe:int -> size:int -> t
 (** Uniform random subset of [\[0, universe)] with exactly [size] elements
     (reservoir-free, via partial Fisher–Yates). Requires

@@ -534,20 +534,22 @@ let test_ioi_ten_thousand_children () =
     Alcotest.(check int) "a_only count" (List.length a_ref) (List.length delta.Parent.a_only);
     Alcotest.(check int) "b_only count" (List.length b_ref) (List.length delta.Parent.b_only)
 
+(* A view of [p] that counts the children read from it. *)
+let counted_stream p =
+  let inner = Parent.stream_of_t p in
+  let calls = Atomic.make 0 in
+  ({ inner with Parent.child = (fun i -> Atomic.incr calls; inner.Parent.child i) }, calls)
+
 (* A failed level-1 (or round-1) decode must cost Bob at most one walk of
-   his stream: his digest, and cascade's higher-level tables and T*, are
-   built only once recovery reaches them. This is what keeps the failed
-   rungs of an unknown-d ladder cheap. *)
+   his stream: cascade's higher-level tables and T* are built only once
+   recovery reaches them. This is what keeps the failed rungs of an
+   unknown-d ladder cheap. *)
 let test_failed_attempt_walks_bob_once kind () =
   let rng = Prng.create ~seed in
   let s = 60 in
   let bob = Parent.random rng ~universe:u ~children:s ~child_size:10 in
   let alice, _ = Parent.perturb rng ~universe:u ~edits:60 bob in
-  let inner = Parent.stream_of_t bob in
-  let calls = Atomic.make 0 in
-  let counted =
-    { inner with Parent.child = (fun i -> Atomic.incr calls; inner.Parent.child i) }
-  in
+  let counted, calls = counted_stream bob in
   match
     Protocol.run_known_stream kind ~comm:(Comm.create ()) ~seed ~enc_seed:None ~d:8 ~u ~h
       ~alice:(Parent.stream_of_t alice) ~bob:counted
@@ -556,6 +558,34 @@ let test_failed_attempt_walks_bob_once kind () =
   | Error `Decode_failure ->
     let n = Atomic.get calls in
     Alcotest.(check bool) (Printf.sprintf "Bob's stream read %d times for s = %d" n s) true (n <= s)
+
+(* A successful attempt reads each party's stream once: the pass that
+   builds a party's sketch also yields its guard digest, and afterwards
+   only the O(d) differing children are fetched by position. Cascade's Bob
+   makes one more pass, for his tables above level 1. *)
+let test_success_walks_each_party_once kind () =
+  let rng = Prng.create ~seed in
+  let edits = 4 in
+  let d = 2 * edits in
+  let bob = Parent.random rng ~universe:u ~children:200 ~child_size:10 in
+  let alice, _ = Parent.perturb rng ~universe:u ~edits bob in
+  let alice_st, alice_calls = counted_stream alice and bob_st, bob_calls = counted_stream bob in
+  match
+    Protocol.run_known_stream kind ~comm:(Comm.create ()) ~seed ~enc_seed:None ~d ~u ~h
+      ~alice:alice_st ~bob:bob_st
+  with
+  | Error `Decode_failure -> Alcotest.fail "s = 200 with 4 edits failed to decode"
+  | Ok _ ->
+    let bob_walks = if kind = Protocol.Cascade then 2 else 1 in
+    let check who calls ~walks s =
+      let n = Atomic.get calls in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s's stream read %d times for s = %d, d = %d" who n s d)
+        true
+        (n <= (walks * s) + (2 * d))
+    in
+    check "Alice" alice_calls ~walks:1 (Parent.cardinal alice);
+    check "Bob" bob_calls ~walks:bob_walks (Parent.cardinal bob)
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
@@ -573,6 +603,7 @@ let protocol_cases kind =
     Alcotest.test_case "single edit" `Quick (single_edit_test kind);
     Alcotest.test_case "unknown d" `Quick (unknown_d_test kind);
     Alcotest.test_case "failed attempt walks Bob once" `Quick (test_failed_attempt_walks_bob_once kind);
+    Alcotest.test_case "success walks each party once" `Quick (test_success_walks_each_party_once kind);
   ]
 
 let () =

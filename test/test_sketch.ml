@@ -958,6 +958,27 @@ let test_insert_int_zero_alloc () =
             0.0 dw)
         [ true; false ])
 
+(* The child hashes behind every nested encoding, fingerprint and guard
+   are advertised allocation-free too: a 4 KiB byte key (3078 minor words
+   when each word's mix boxed its [int64]) and a 24-element child hashed
+   in place (181 words when it went through [Iset.canonical_bytes]). *)
+let test_child_hashing_zero_alloc () =
+  let f = Ssr_util.Hashing.make ~seed ~tag:0x4B in
+  let key = Bytes.init 4096 (fun i -> Char.chr (i land 0xFF)) in
+  let child = Iset.of_list (List.init 24 (fun i -> (i * 1_000_003) + 7)) in
+  let words f =
+    ignore (Sys.opaque_identity (f ()));
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  Alcotest.(check (float 0.0)) "hash_bytes, 4 KiB key" 0.0
+    (words (fun () -> Ssr_util.Hashing.hash_bytes f key));
+  Alcotest.(check (float 0.0)) "Iset.digest, 24 elements" 0.0 (words (fun () -> Iset.digest f child));
+  let lanes = [| 0; 0 |] in
+  Alcotest.(check (float 0.0)) "hash_bytes_into, 4 KiB key" 0.0
+    (words (fun () -> Ssr_util.Hashing.hash_bytes_into f key lanes))
+
 (* Residual serialization at a narrow width roundtrips through the
    width-aware parser back to the same table bytes. *)
 let test_residual_narrow_width_roundtrip () =
@@ -1151,6 +1172,7 @@ let () =
             test_delete_then_insert_restores_bytes;
           Alcotest.test_case "copy does not alias" `Quick test_copy_does_not_alias;
           Alcotest.test_case "insert_int allocates nothing" `Quick test_insert_int_zero_alloc;
+          Alcotest.test_case "child hashing allocates nothing" `Quick test_child_hashing_zero_alloc;
           Alcotest.test_case "residual narrow width" `Quick test_residual_narrow_width_roundtrip;
         ] );
       ( "failure-injection",

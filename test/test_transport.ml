@@ -977,8 +977,13 @@ let test_rateless_strategy_replay () =
 (* Feed parsers a tiny body whose length/count fields declare something
    enormous: the parse must return an error without allocating anything
    sized from the hostile field. The allocation bound is generous (64 KiB)
-   against hostile fields declaring hundreds of MiB. *)
+   against hostile fields declaring hundreds of MiB. [Gc.allocated_bytes]
+   counts the minor heap only as of the last minor collection, so one that
+   fell inside the window would charge it with everything allocated since
+   the previous one: collecting first makes the reading this window's
+   own. *)
 let assert_bounded_alloc ~name f =
+  Gc.minor ();
   let before = Gc.allocated_bytes () in
   let r = f () in
   let after = Gc.allocated_bytes () in

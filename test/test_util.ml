@@ -326,6 +326,46 @@ let test_hash_empty_bytes () =
   Alcotest.(check bool) "nonnegative" true (h >= 0);
   Alcotest.(check int) "deterministic" h (Hashing.hash_bytes f Bytes.empty)
 
+(* [hash_bytes] values from before its data pass was rewritten to stay
+   unboxed. They reach the wire through the child hashes of every nested
+   encoding, so a changed value is a changed transcript. Keys cover every
+   tail length and one 4 KiB key. *)
+let golden_fn = Hashing.make ~seed:0x601DE17L ~tag:0x4B
+
+let golden_key n = Bytes.init n (fun i -> Char.chr (((i * 151) + 29) land 0xFF))
+
+let hash_bytes_golden =
+  [
+    (0, 316558656531324662); (1, 4234749282532545659); (2, 682249021679927972);
+    (3, 2501679767371335388); (4, 1706992804894288305); (5, 1935921611216536237);
+    (6, 76736879332667200); (7, 4516322930349027837); (8, 3777244522967442750);
+    (9, 897126509491353598); (10, 1683858050554071703); (11, 480751730513815770);
+    (12, 1484540597125027692); (13, 547071267044141373); (14, 3095843596936585561);
+    (15, 3873111373412436703); (16, 2379896696770506316); (17, 4401106995683873945);
+    (4096, 2516578781125262490);
+  ]
+
+let test_hash_bytes_golden () =
+  List.iter
+    (fun (n, expect) ->
+      Alcotest.(check int) (Printf.sprintf "%d-byte key" n) expect
+        (Hashing.hash_bytes golden_fn (golden_key n)))
+    hash_bytes_golden
+
+(* The IBLT position/checksum lanes, same keys and provenance. *)
+let test_hash_bytes_pair_golden () =
+  List.iter
+    (fun (n, l1, l2) ->
+      Alcotest.(check (pair int int)) (Printf.sprintf "%d-byte key" n) (l1, l2)
+        (Hashing.hash_bytes_pair golden_fn (golden_key n)))
+    [
+      (0, 3114765179952896533, -2060005882011914108);
+      (5, -3548374439223923026, -832853005022644255);
+      (8, -2356651794067581233, 1969210582463008327);
+      (17, 354070001563665484, 1007724252785537016);
+      (4096, -371661399917458495, 1563879917166420334);
+    ]
+
 let test_buf_get_int_overflow_detected () =
   (* 0x7FFFFFFFFFFFFFFF needs 64 value bits: not representable as a native
      63-bit int, so reading it back must fail loudly. *)
@@ -387,6 +427,22 @@ let prop_canonical_bytes_injective =
     (QCheck.pair iset_arb iset_arb) (fun (a, b) ->
       Iset.equal a b = Bytes.equal (Iset.canonical_bytes a) (Iset.canonical_bytes b))
 
+(* Elements up to [max_int] exercise the sign-extension of the encoding's
+   top word; the empty set hashes the empty key. *)
+let prop_digest_is_hash_of_canonical_bytes =
+  let wide =
+    QCheck.Gen.(
+      map Iset.of_list
+        (list_size (int_bound 40)
+           (oneof [ int_bound 1000; map (fun k -> max_int - k) (int_bound 1000); map (fun x -> x land max_int) int ])))
+  in
+  QCheck.Test.make ~name:"digest = hash_bytes of canonical_bytes" ~count:300
+    (QCheck.pair (QCheck.make ~print:(Format.asprintf "%a" Iset.pp) wide) QCheck.int64)
+    (fun (c, fseed) ->
+      let f = Hashing.make ~seed:fseed ~tag:0x57A9 in
+      Iset.digest f c = Hashing.hash_bytes f (Iset.canonical_bytes c)
+      && Iset.digest f Iset.empty = Hashing.hash_bytes f Bytes.empty)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -395,6 +451,7 @@ let qcheck_tests =
       prop_union_inter_cardinality;
       prop_apply_diff_recovers;
       prop_canonical_bytes_injective;
+      prop_digest_is_hash_of_canonical_bytes;
     ]
 
 let () =
@@ -435,6 +492,8 @@ let () =
           Alcotest.test_case "bytes collision-free sample" `Quick test_hash_bytes_collision_free_sample;
           Alcotest.test_case "bytes length matters" `Quick test_hash_bytes_length_matters;
           Alcotest.test_case "truncate_bits" `Quick test_truncate_bits;
+          Alcotest.test_case "hash_bytes golden values" `Quick test_hash_bytes_golden;
+          Alcotest.test_case "hash_bytes_pair golden lanes" `Quick test_hash_bytes_pair_golden;
         ] );
       ( "iset",
         [
