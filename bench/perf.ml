@@ -252,8 +252,8 @@ let sketch_suite ~smoke ~trials =
         Protocol.reconcile_known kind ~seed:(Prng.derive ~seed ~tag:0xE2E) ~d ~u ~h ~alice ~bob ()
       in
       let ns = measure ~trials ~batch_ns:5e7 op in
-      (* Minor-words per whole-protocol run: encoding-cache wins show up
-         here as allocation drops, not just time. *)
+      (* Minor-words per whole-protocol run: encoding wins show up here as
+         allocation drops, not just time. *)
       let mw = minor_words_per_op ~reps:8 op in
       push
         (latency_fields "sos_protocol" ~ns
@@ -261,29 +261,26 @@ let sketch_suite ~smoke ~trials =
              ("edits", I edits); ("domains", I (Par.available ())); ("mw_per_op", F mw) ]))
     Protocol.all;
 
-  (* The per-child encoding build the nested-protocol loops bottom out in
-     (once per cascade level in the same walk, per rung of the retry
-     ladder, each party once): one row for the computing path, one for a
-     cache hit. The encoder is staged once, as a build pass stages it. The
-     hit row's mw_per_op is the cache's allocation saving per child. *)
+  (* The per-child encoding the nested-protocol passes bottom out in (once
+     per cascade level in the same walk, each party once): one row for the
+     fold, which re-fills one reused key buffer as every single attempt
+     does, and one for a hit in a request's memo, as a later rung of
+     Resilient's ladder finds it. The encoders are staged once, as a pass
+     stages them. *)
   (let module Encoding = Ssr_core.Encoding in
-   let module Enc_cache = Ssr_core.Enc_cache in
    let cfg = { Encoding.child_cells = 64; child_k = 3; hash_bits = 16; seed } in
    let child = Iset.random_subset rng ~universe:(1 lsl 30) ~size:24 in
-   let was_enabled = Enc_cache.is_enabled () in
+   let memo = Ssr_core.Enc_cache.create () in
    List.iter
-     (fun (mode, enabled) ->
-       Enc_cache.set_enabled enabled;
-       Enc_cache.clear ();
-       let encode = Encoding.encode cfg in
+     (fun (mode, encode) ->
        let op () = encode child in
+       ignore (op ());
        let ns = measure ~trials op in
        let mw = minor_words_per_op op in
        push
          (ops_fields "child_encode" ~ns
             [ ("cells", I 64); ("child_size", I 24); ("mode", S mode); ("mw_per_op", F mw) ]))
-     [ ("compute", false); ("cache_hit", true) ];
-   Enc_cache.set_enabled was_enabled);
+     [ ("fold", Encoding.encoder cfg); ("memo_hit", Encoding.encoder ~memo cfg) ]);
   List.rev !results
 
 (* ------------------------------------------------------------------ *)

@@ -305,9 +305,8 @@ let sos_cmd =
    sets are never materialized (children are re-derived from seed +
    position on every walk), so this scales to millions of elements in
    bounded memory. The reported delta is the O(d) child difference. *)
-let run_dataset seed family children edits no_cache kind =
+let run_dataset seed family children edits kind =
   let module Datasets = Ssr_apps.Datasets in
-  let module Enc_cache = Ssr_core.Enc_cache in
   let bob_inst =
     match family with
     | `Graph -> Datasets.graph ~seed ~nodes:children ~avg_degree:4
@@ -319,27 +318,17 @@ let run_dataset seed family children edits no_cache kind =
   let alice = alice_inst.Datasets.stream and bob = bob_inst.Datasets.stream in
   let u = alice_inst.Datasets.universe and h = alice_inst.Datasets.max_child_size in
   let d = 2 * edits in
-  Printf.printf "dataset: s=%d children, n=%d elements, %d edits (d bound %d), protocol %s%s\n"
+  Printf.printf "dataset: s=%d children, n=%d elements, %d edits (d bound %d), protocol %s\n"
     bob.Parent.length
     (Parent.stream_total_elements bob)
-    edits d (Protocol.name kind)
-    (if no_cache then ", cache off" else "");
-  let was_enabled = Ssr_core.Enc_cache.is_enabled () in
-  Enc_cache.set_enabled (not no_cache);
-  Enc_cache.clear ();
+    edits d (Protocol.name kind);
   let comm = Comm.create () in
   start_wall ();
-  let result =
-    Protocol.run_known_stream kind ~comm ~seed ~enc_seed:None ~d ~u ~h ~alice ~bob
-  in
-  Enc_cache.set_enabled was_enabled;
-  match result with
+  match Protocol.run_known_stream kind ~comm ~seed ~enc_seed:None ~d ~u ~h ~alice ~bob with
   | Ok { Protocol.delta; stats } ->
-    let cs = Enc_cache.stats () in
-    Printf.printf "delta: %d alice-only / %d bob-only children; cache %d hits / %d misses\n"
+    Printf.printf "delta: %d alice-only / %d bob-only children\n"
       (List.length delta.Parent.a_only)
-      (List.length delta.Parent.b_only)
-      cs.Ssr_core.Enc_cache.hits cs.Ssr_core.Enc_cache.misses;
+      (List.length delta.Parent.b_only);
     report ~true_d:d ~label:(Protocol.name kind)
       ~ok:(List.length delta.Parent.a_only = List.length delta.Parent.b_only)
       stats
@@ -361,17 +350,10 @@ let dataset_cmd =
   let edits =
     Arg.(value & opt int 16 & info [ "edits" ] ~doc:"Element edits between the parents.")
   in
-  let no_cache =
-    Arg.(value & flag
-         & info [ "no-cache" ]
-             ~doc:"Disable the child-encoding cache (transcripts are byte-identical either \
-                   way; only wall time changes).")
-  in
   Cmd.v
     (Cmd.info "dataset"
        ~doc:"Streaming reconciliation over seeded million-element workload generators")
-    (with_obs
-       Term.(const run_dataset $ seed_term $ family $ children $ edits $ no_cache $ protocol_term))
+    (with_obs Term.(const run_dataset $ seed_term $ family $ children $ edits $ protocol_term))
 
 (* ---- db ---- *)
 

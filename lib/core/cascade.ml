@@ -3,8 +3,6 @@ module Bits = Ssr_util.Bits
 module Prng = Ssr_util.Prng
 module Buf = Ssr_util.Buf
 module Codec = Ssr_util.Codec
-module Par = Ssr_util.Par
-module Hashing = Ssr_util.Hashing
 module Iblt = Ssr_sketch.Iblt
 module Comm = Ssr_setrecon.Comm
 
@@ -42,21 +40,22 @@ let outer_params ~seed ~k ~key_len ~diff_bound i : Iblt.params =
     seed = Prng.derive ~seed ~tag:(0x07E0 + i);
   }
 
-let stream_fp_tag = 0xF19C
-
 (* Alice builds every level table, T* and her digest in one walk of her
-   stream. Bob walks his at most twice: first for his level-1 table, a
-   fingerprint -> positions index that maps negatives back to his children,
-   and his digest; then, only once level 1 has decoded, for every
-   higher-level table and T*. So a failed level-1 decode costs one walk of
-   his stream. Levels >= 2 decode [alice_i - bob_i + db - da]: Bob deletes
-   everything he can account for (XOR cancels, and add-then-delete of a
-   shared child nets a zero count). The 8-byte guard carries
-   [Parent.stream_hash], verified incrementally from the delta.
+   stream. Bob walks his at most twice: first for his level-1 table, an
+   index from the child hash each level-1 key carries to his child
+   positions, which maps negatives back to his children, and his digest;
+   then, only once level 1 has decoded, for every higher-level table and
+   T*. So a failed level-1 decode costs one walk of his stream. Every pass
+   folds each child's encodings into the tables through one reused key
+   buffer per level. Levels >= 2 decode [alice_i - bob_i + db - da]: Bob
+   deletes everything he can account for (XOR cancels, and
+   add-then-delete of a shared child nets a zero count). The 8-byte guard
+   carries [Parent.stream_hash], verified incrementally from the delta.
    [enc_seed] (default: the run seed) salts the per-level child-encoding
    configs only; outer and star tables stay salted by the per-attempt run
-   seed. Resilient pins it so escalation rungs share cached encodings. *)
-let run_stream ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~u ~h ~k ~(alice : Parent.stream)
+   seed. Resilient pins it, and passes one [memo] for the whole request,
+   so escalation rungs share the level encodings. *)
+let run_stream ~comm ~seed ~enc_seed ~memo ~d ~d_hat ~s_bound ~u ~h ~k ~(alice : Parent.stream)
     ~(bob : Parent.stream) =
   let enc_seed = Option.value enc_seed ~default:seed in
   let t = num_levels ~d ~h in
@@ -82,18 +81,18 @@ let run_stream ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~u ~h ~k ~(alice : Paren
            0x55)
     else None
   in
-  let encoders = Array.map Encoding.encode cfgs in
-  let direct = Direct.encode direct_cfg in
+  (* One encoder per level, and one for T* too, serving every pass in turn. *)
+  let encoders = Array.map (Encoding.encoder ?memo) cfgs in
+  let direct = Direct.encoder direct_cfg in
+  let fold tbl encode kids = Array.iter (fun c -> Iblt.insert tbl (encode c)) kids in
   (* Empty level tables from level [from] up (index = level), and T*. *)
   let fresh_tables ~from =
     ( Array.mapi (fun i prm -> if i < from then None else Option.map Iblt.create prm) outers,
       Option.map Iblt.create star_prm )
   in
   let land_chunk (tables, star) kids =
-    Array.iteri
-      (fun i -> Option.iter (fun tbl -> Iblt.add_all tbl (Par.map_array encoders.(i) kids)))
-      tables;
-    Option.iter (fun tbl -> Iblt.add_all tbl (Par.map_array direct kids)) star
+    Array.iteri (fun i -> Option.iter (fun tbl -> fold tbl encoders.(i) kids)) tables;
+    Option.iter (fun tbl -> fold tbl direct kids) star
   in
   (* ---- Alice: build and send every level table (one message). ---- *)
   let alice_tables, alice_star = fresh_tables ~from:1 in
@@ -129,30 +128,27 @@ let run_stream ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~u ~h ~k ~(alice : Paren
   else begin
   (* ---- Bob: level 1 identifies D_B and recovers what the tiny tables
      allow. ---- *)
-  let fp_of = Hashing.hash_bytes (Hashing.make ~seed ~tag:stream_fp_tag) in
-  let fp_tbl : (int, int list) Hashtbl.t = Hashtbl.create (2 * bob.Parent.length) in
+  let hash_of_key = Encoding.hash_of_key cfgs.(1) in
+  let by_hash : (int, int) Hashtbl.t = Hashtbl.create (2 * bob.Parent.length) in
   let bob_l1 = Iblt.create (Option.get outers.(1)) in
   let bob_digest =
     Parent.stream_pass ~seed bob (fun base kids ->
-        let keys = Par.map_array encoders.(1) kids in
         Array.iteri
-          (fun j key ->
-            let f = fp_of key in
-            let prev = Option.value (Hashtbl.find_opt fp_tbl f) ~default:[] in
-            Hashtbl.replace fp_tbl f ((base + j) :: prev))
-          keys;
-        Iblt.add_all bob_l1 keys)
+          (fun j c ->
+            let key = encoders.(1) c in
+            Iblt.insert bob_l1 key;
+            Hashtbl.add by_hash (hash_of_key key) (base + j))
+          kids)
   in
   match Iblt.decode (Iblt.subtract (Option.get alice_tables.(1)) bob_l1) with
   | Error `Peel_stuck -> Error `Decode_failure
   | Ok { positives; negatives } -> (
     let child_of_neg neg =
-      let candidates = Option.value (Hashtbl.find_opt fp_tbl (fp_of neg)) ~default:[] in
       List.find_map
         (fun i ->
           let c = bob.Parent.child i in
           if Bytes.equal (encoders.(1) c) neg then Some c else None)
-        (List.rev candidates)
+        (List.rev (Hashtbl.find_all by_hash (hash_of_key neg)))
     in
     let db = List.filter_map child_of_neg negatives in
     if List.length db <> List.length negatives then Error `Decode_failure
@@ -177,16 +173,14 @@ let run_stream ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~u ~h ~k ~(alice : Paren
          table minus Bob's, with everything Bob can account for deleted. *)
       let leftovers alice_tbl bob_tbl encode =
         let table = Iblt.subtract alice_tbl bob_tbl in
-        Iblt.add_all table (Array.of_list (List.map encode db));
-        Iblt.delete_all table (Array.of_list (List.map encode !da));
+        List.iter (fun c -> Iblt.insert table (encode c)) db;
+        List.iter (fun c -> Iblt.delete table (encode c)) !da;
         Iblt.decode table
       in
+      (* Each level builds Bob's differing child tables at most once. *)
       let try_level i keys =
-        List.iter
-          (fun alice_key ->
-            Option.iter (add_da (i - 1))
-              (List.find_map (fun bob_child -> Encoding.try_recover cfgs.(i) ~alice_key ~bob_child) db))
-          keys
+        let recover = Encoding.pairing cfgs.(i) db in
+        List.iter (fun alice_key -> Option.iter (add_da (i - 1)) (recover alice_key)) keys
       in
       try_level 1 positives;
       for i = 2 to t do
@@ -221,7 +215,7 @@ let reconcile_known ~seed ~d ~u ~h ?d_hat ?s_bound ?(k = 3) ~alice ~bob () =
   let d_hat = match d_hat with Some dh -> dh | None -> min d s_bound in
   let comm = Comm.create () in
   match
-    run_stream ~comm ~seed ~enc_seed:None ~d ~d_hat ~s_bound ~u ~h ~k
+    run_stream ~comm ~seed ~enc_seed:None ~memo:None ~d ~d_hat ~s_bound ~u ~h ~k
       ~alice:(Parent.stream_of_t alice) ~bob:(Parent.stream_of_t bob)
   with
   | Ok o -> Ok o
@@ -236,4 +230,4 @@ let reconcile_unknown ~seed ~u ~h ?s_bound ?(k = 3) ?(max_d = 1 lsl 22) ~alice ~
     (fun ~attempt:_ ~d ->
       run_stream ~comm
         ~seed:(Prng.derive ~seed ~tag:(0xCC0 + Bits.ceil_log2 (d + 1)))
-        ~enc_seed:None ~d ~d_hat:(min d s_bound) ~s_bound ~u ~h ~k ~alice ~bob)
+        ~enc_seed:None ~memo:None ~d ~d_hat:(min d s_bound) ~s_bound ~u ~h ~k ~alice ~bob)

@@ -41,8 +41,8 @@ val reconcile_unknown :
 (** Corollary 3.8: repeated doubling on d; O(log d) rounds. *)
 
 val run_stream :
-  comm:Ssr_setrecon.Comm.t -> seed:int64 -> enc_seed:int64 option -> d:int -> d_hat:int ->
-  s_bound:int -> u:int -> h:int -> k:int ->
+  comm:Ssr_setrecon.Comm.t -> seed:int64 -> enc_seed:int64 option -> memo:Enc_cache.t option ->
+  d:int -> d_hat:int -> s_bound:int -> u:int -> h:int -> k:int ->
   alice:Parent.stream -> bob:Parent.stream -> (outcome, [ `Decode_failure ]) result
 (** One attempt threaded through a caller-supplied recorder (for retry
     drivers and transports); the outcome's stats are cumulative for [comm].
@@ -50,11 +50,16 @@ val run_stream :
     {!Parent.stream} views ({!Parent.stream_of_t} for materialized parents)
     in bounded memory, the 8-byte guard carries {!Parent.stream_hash}, and
     the result is the O(d) delta. Alice builds every level table, T* and
-    her digest in one walk. Bob builds his level-1 table, fingerprint
-    index and digest in one walk before the decode, and every higher-level
-    table and T* in a second walk only once level 1 has decoded, so a
-    failed level-1 decode walks his stream once. [enc_seed] (default:
-    [seed]) salts only the per-level child-encoding configs: a retry driver that pins it across attempts
-    re-derives identical child encodings, so the {!Enc_cache} carries the
-    per-level encoding sweeps between escalation rungs. Outer and T* tables
-    stay salted by the per-attempt [seed]. *)
+    her digest in one walk. Bob builds his level-1 table, his index of
+    child hashes and his digest in one walk before the decode, and every
+    higher-level table and T* in a second walk only once level 1 has
+    decoded, so a failed level-1 decode walks his stream once. Each pass
+    folds each child into every table it builds through one reused key
+    buffer per level ({!Encoding.encoder}, {!Direct.encoder}), and each
+    level builds Bob's differing child tables once ({!Encoding.pairing}).
+    [enc_seed] (default: [seed]) salts only the per-level child-encoding
+    configs; outer and T* tables stay salted by the per-attempt [seed]. A
+    retry driver that pins it across attempts re-derives identical child
+    encodings, and can pass one [memo] to all of them so that later
+    attempts reuse the level encodings of earlier ones
+    ([Resilient.reconcile_sos] does). Single attempts pass [None]. *)

@@ -29,40 +29,42 @@ let key_length cfg =
   check cfg;
   min (bitmap_length cfg) (list_length cfg)
 
-let encode_fresh cfg child =
-  check cfg;
+(* Write [child]'s encoding over the whole of [out]. *)
+let fill cfg mode child out =
   if Iset.cardinal child > cfg.h then invalid_arg "Direct.encode: child larger than h";
-  (match (Iset.is_empty child, Iset.is_empty child || (Iset.min_elt child >= 0 && Iset.max_elt child < cfg.u)) with
-  | _, true -> ()
-  | _, false -> invalid_arg "Direct.encode: element outside universe");
-  match mode cfg with
+  if not (Iset.is_empty child || (Iset.min_elt child >= 0 && Iset.max_elt child < cfg.u)) then
+    invalid_arg "Direct.encode: element outside universe";
+  match mode with
   | Bitmap ->
-    let out = Bytes.make (bitmap_length cfg) '\000' in
+    Bytes.fill out 0 (Bytes.length out) '\000';
     Iset.iter
       (fun x ->
         let byte = x / 8 and bit = x mod 8 in
         Bytes.set out byte (Char.chr (Char.code (Bytes.get out byte) lor (1 lsl bit))))
-      child;
-    out
+      child
   | Element_list ->
     let w = elt_width cfg in
-    let out = Bytes.make (list_length cfg) '\xFF' in
-    List.iteri
-      (fun slot x ->
-        for i = 0 to w - 1 do
-          Bytes.set out ((slot * w) + i) (Char.chr ((x lsr (8 * i)) land 0xFF))
-        done)
-      (Iset.to_list child);
-    out
-
-(* Direct encodings are seedless (pure functions of the child and the
-   (u, h) geometry), so cached entries survive across escalation rungs and
-   doubling attempts for free. *)
-let cache_kind = 1
+    Bytes.fill out 0 (Bytes.length out) '\xFF';
+    ignore
+      (Iset.fold
+         (fun x slot ->
+           for i = 0 to w - 1 do
+             Bytes.set out ((slot * w) + i) (Char.chr ((x lsr (8 * i)) land 0xFF))
+           done;
+           slot + 1)
+         child 0)
 
 let encode cfg child =
-  Enc_cache.find_or_add ~kind:cache_kind ~cells:cfg.u ~k:cfg.h ~bits:0 ~seed:0L ~child (fun () ->
-      encode_fresh cfg child)
+  let out = Bytes.create (key_length cfg) in
+  fill cfg (mode cfg) child out;
+  out
+
+let encoder cfg =
+  let mode = mode cfg in
+  let buf = Bytes.create (key_length cfg) in
+  fun child ->
+    fill cfg mode child buf;
+    buf
 
 let decode cfg bytes =
   check cfg;

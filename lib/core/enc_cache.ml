@@ -1,99 +1,48 @@
 module Iset = Ssr_util.Iset
 
-(* The key is the exact structural identity of an encoding: every input the
-   encoder consumes (sketch geometry, hash widths, seed, the child itself)
-   is part of it, so a hit can only ever return the bytes the encoder would
-   have produced — transparency holds by construction, with no fingerprint
-   collision to reason about. *)
-type key = {
-  kind : int;
-  cells : int;
-  k : int;
-  bits : int;
-  seed : int64;
-  child : Iset.t;
-}
+(* One encoder configuration: every input the encoder consumes besides the
+   child itself. Within a family the child alone keys an entry, so a hit
+   can only return the bytes the encoder would have produced. *)
+type config = { cells : int; k : int; bits : int; seed : int64 }
 
-module H = Hashtbl.Make (struct
-  type t = key
+type family = Bytes.t Iset.Tbl.t
 
-  let equal a b =
-    a.kind = b.kind && a.cells = b.cells && a.k = b.k && a.bits = b.bits
-    && Int64.equal a.seed b.seed
-    && Iset.equal a.child b.child
+(* A request holds a handful of families (one per cascade level and
+   doubling bound it reaches), so a list is the whole index. *)
+type t = { mutable families : (config * family) list }
 
-  let hash key =
-    let p = 0x100000001B3 in
-    let h = Iset.hash key.child in
-    let h = (h lxor key.kind) * p in
-    let h = (h lxor key.cells) * p in
-    let h = (h lxor key.k) * p in
-    let h = (h lxor key.bits) * p in
-    let h = (h lxor (Int64.to_int key.seed land max_int)) * p in
-    h land max_int
-end)
+let hits = Atomic.make 0
+let misses = Atomic.make 0
+let bytes = Atomic.make 0
 
-type stats = { hits : int; misses : int; entries : int; bytes : int }
+let create () = { families = [] }
 
-(* One process-global table behind a mutex: encodings are shared between the
-   two in-process parties, across cascade level sweeps and across Resilient
-   escalation rungs. Values are pure functions of their key, so cache state
-   can never change a result — only who computes it — which keeps protocol
-   transcripts byte-identical at any domain-pool size. *)
-let mutex = Mutex.create ()
-let table : Bytes.t H.t = H.create 4096
-let enabled = Atomic.make true
-let capacity = Atomic.make (256 * 1024 * 1024)
-let bytes_used = ref 0
-let hit_count = ref 0
-let miss_count = ref 0
+let family t ~cells ~k ~bits ~seed =
+  let cfg = { cells; k; bits; seed } in
+  match List.assoc_opt cfg t.families with
+  | Some f -> f
+  | None ->
+    let f = Iset.Tbl.create 1024 in
+    t.families <- (cfg, f) :: t.families;
+    f
 
-let locked f =
-  Mutex.lock mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
+let find_or_fill fam fill buf child =
+  match Iset.Tbl.find_opt fam child with
+  | Some v ->
+    Atomic.incr hits;
+    v
+  | None ->
+    Atomic.incr misses;
+    fill child buf;
+    Iset.Tbl.add fam child (Bytes.copy buf);
+    ignore (Atomic.fetch_and_add bytes (Bytes.length buf));
+    buf
 
-let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
+type stats = { hits : int; misses : int; bytes : int }
 
-let set_capacity_bytes n =
-  if n < 0 then invalid_arg "Enc_cache.set_capacity_bytes: negative capacity";
-  Atomic.set capacity n
+let stats () = { hits = Atomic.get hits; misses = Atomic.get misses; bytes = Atomic.get bytes }
 
 let clear () =
-  locked (fun () ->
-      H.reset table;
-      bytes_used := 0;
-      hit_count := 0;
-      miss_count := 0)
-
-let stats () =
-  locked (fun () ->
-      { hits = !hit_count; misses = !miss_count; entries = H.length table; bytes = !bytes_used })
-
-let find_or_add ~kind ~cells ~k ~bits ~seed ~child compute =
-  if not (Atomic.get enabled) then compute ()
-  else begin
-    let key = { kind; cells; k; bits; seed; child } in
-    match
-      locked (fun () ->
-          match H.find_opt table key with
-          | Some v ->
-            incr hit_count;
-            Some v
-          | None ->
-            incr miss_count;
-            None)
-    with
-    | Some v -> v
-    | None ->
-      (* Compute outside the lock so concurrent misses on distinct children
-         proceed in parallel; a racing duplicate compute yields identical
-         bytes, and first-writer-wins keeps the byte budget accurate. *)
-      let v = compute () in
-      locked (fun () ->
-          if not (H.mem table key) && !bytes_used + Bytes.length v <= Atomic.get capacity then begin
-            H.add table key v;
-            bytes_used := !bytes_used + Bytes.length v
-          end);
-      v
-  end
+  Atomic.set hits 0;
+  Atomic.set misses 0;
+  Atomic.set bytes 0

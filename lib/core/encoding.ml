@@ -1,7 +1,6 @@
 module Iset = Ssr_util.Iset
 module Hashing = Ssr_util.Hashing
 module Bits = Ssr_util.Bits
-module Buf = Ssr_util.Buf
 module Iblt = Ssr_sketch.Iblt
 
 type config = { child_cells : int; child_k : int; hash_bits : int; seed : int64 }
@@ -26,50 +25,63 @@ let hash_len cfg = Bits.ceil_div cfg.hash_bits 8
 
 let key_length cfg = Iblt.body_length (child_params cfg) + hash_len cfg
 
-let cache_kind = 0
-
-(* Staged: [encode cfg] derives the child-table parameters and the child
-   hash function once, so a build pass that applies it to every child pays
-   for them once per pass. *)
-let encode cfg =
-  let prm = child_params cfg and hash = child_hash cfg and hl = hash_len cfg in
-  let encode_fresh child =
-    let t = Iblt.create prm in
-    Iset.iter (fun x -> Iblt.insert_int t x) child;
-    let body = Iblt.body_bytes t in
-    let h = hash child in
-    let out = Bytes.create (Bytes.length body + hl) in
-    Bytes.blit body 0 out 0 (Bytes.length body);
-    for i = 0 to hl - 1 do
-      Bytes.set out (Bytes.length body + i) (Char.chr ((h lsr (8 * i)) land 0xFF))
-    done;
-    out
-  in
-  fun child ->
-    Enc_cache.find_or_add ~kind:cache_kind ~cells:cfg.child_cells ~k:cfg.child_k
-      ~bits:cfg.hash_bits ~seed:cfg.seed ~child (fun () -> encode_fresh child)
-
-(* Re-derive the child table from the (possibly cached) encoding: a hit
-   turns the per-element hashing of a rebuild into one buffer copy. The
-   body bytes are the table's exact memory layout, so this is bit-identical
-   to inserting the child's elements into a fresh table whether or not the
-   cache served the key. *)
 let child_table cfg child =
-  let key = encode cfg child in
-  Iblt.of_body_bytes (child_params cfg) (Bytes.sub key 0 (Iblt.body_length (child_params cfg)))
+  let t = Iblt.create (child_params cfg) in
+  Iset.iter (fun x -> Iblt.insert_int t x) child;
+  t
+
+(* Staged writer of [child table's packed store || child hash LE]:
+   [filler cfg table child buf] builds the child's table in [table]
+   (emptied first) and copies it into the body of [buf]. [filler cfg]
+   derives the hash function once; [filler cfg table] hoists the insert
+   closure, so each call after that allocates nothing. *)
+let filler cfg =
+  let hash = child_hash cfg and hl = hash_len cfg in
+  let body_len = Iblt.body_length (child_params cfg) in
+  fun table ->
+    let insert x = Iblt.insert_int table x in
+    fun child buf ->
+      Iblt.clear table;
+      Iset.iter insert child;
+      Iblt.blit_body table buf 0;
+      let h = hash child in
+      for i = 0 to hl - 1 do
+        Bytes.set buf (body_len + i) (Char.chr ((h lsr (8 * i)) land 0xFF))
+      done
+
+let encode cfg =
+  let fill = filler cfg and prm = child_params cfg and len = key_length cfg in
+  fun child ->
+    let buf = Bytes.create len in
+    fill (Iblt.create prm) child buf;
+    buf
+
+let encoder ?memo cfg =
+  let fill = filler cfg (Iblt.create (child_params cfg)) in
+  let buf = Bytes.create (key_length cfg) in
+  match memo with
+  | None ->
+    fun child ->
+      fill child buf;
+      buf
+  | Some m ->
+    Enc_cache.find_or_fill
+      (Enc_cache.family m ~cells:cfg.child_cells ~k:cfg.child_k ~bits:cfg.hash_bits ~seed:cfg.seed)
+      fill buf
+
+let hash_of_key cfg =
+  let len = key_length cfg and hl = hash_len cfg in
+  fun key ->
+    if Bytes.length key <> len then invalid_arg "Encoding.hash_of_key: wrong key length";
+    let h = ref 0 in
+    for i = len - 1 downto len - hl do
+      h := (!h lsl 8) lor Char.code (Bytes.get key i)
+    done;
+    !h
 
 let split_opt cfg key =
   if Bytes.length key <> key_length cfg then None
-  else begin
-    let body_len = Iblt.body_length (child_params cfg) in
-    let body = Bytes.sub key 0 body_len in
-    let hl = hash_len cfg in
-    let h = ref 0 in
-    for i = hl - 1 downto 0 do
-      h := (!h lsl 8) lor Char.code (Bytes.get key (body_len + i))
-    done;
-    Some (body, !h)
-  end
+  else Some (Bytes.sub key 0 (Iblt.body_length (child_params cfg)), hash_of_key cfg key)
 
 let split cfg key =
   match split_opt cfg key with
@@ -86,14 +98,9 @@ let decode cfg key =
   let body, h = split cfg key in
   (Iblt.of_body_bytes (child_params cfg) body, h)
 
-let hash_of_key cfg key = snd (split cfg key)
-
-let try_recover cfg ~alice_key ~bob_child =
-  (* Keys peeled out of an outer IBLT are untrusted bytes: parse totally. *)
-  match decode_opt cfg alice_key with
-  | None -> None
-  | Some (alice_table, alice_hash) ->
-  let diff = Iblt.subtract alice_table (child_table cfg bob_child) in
+(* The pairing step for one (parsed Alice key, Bob child) pair. *)
+let pair_parsed ~hash (alice_table, alice_hash) bob_child bob_table =
+  let diff = Iblt.subtract alice_table bob_table in
   match Iblt.decode_ints diff with
   | Error `Peel_stuck -> None
   | Ok (add, del) -> (
@@ -108,5 +115,19 @@ let try_recover cfg ~alice_key ~bob_child =
       if not applicable then None
       else begin
         let candidate = Iset.apply_diff bob_child ~add ~del in
-        if child_hash cfg candidate = alice_hash then Some candidate else None
+        if hash candidate = alice_hash then Some candidate else None
       end)
+
+(* Keys peeled out of an outer IBLT are untrusted bytes: parse totally. *)
+let try_recover cfg ~alice_key ~bob_child =
+  match decode_opt cfg alice_key with
+  | None -> None
+  | Some parsed -> pair_parsed ~hash:(child_hash cfg) parsed bob_child (child_table cfg bob_child)
+
+let pairing cfg bob_children =
+  let hash = child_hash cfg in
+  let bob = List.map (fun c -> (c, lazy (child_table cfg c))) bob_children in
+  fun alice_key ->
+    match decode_opt cfg alice_key with
+    | None -> None
+    | Some parsed -> List.find_map (fun (c, t) -> pair_parsed ~hash parsed c (Lazy.force t)) bob

@@ -32,19 +32,24 @@ val reconcile_unknown :
     verifies; O(log d) rounds, asymptotically the same communication. *)
 
 val run_stream :
-  comm:Ssr_setrecon.Comm.t -> seed:int64 -> enc_seed:int64 option -> d:int -> d_hat:int ->
-  s_bound:int -> k:int ->
+  comm:Ssr_setrecon.Comm.t -> seed:int64 -> enc_seed:int64 option -> memo:Enc_cache.t option ->
+  d:int -> d_hat:int -> s_bound:int -> k:int ->
   alice:Parent.stream -> bob:Parent.stream -> (outcome, [ `Decode_failure ]) result
 (** One attempt threaded through a caller-supplied recorder (for retry
     drivers and transports); the outcome's stats are cumulative for [comm].
     The only build path: sketches are built from the {!Parent.stream}
     views ({!Parent.stream_of_t} for materialized parents) in bounded
-    memory — one encoding chunk at a time, plus O(s) child fingerprints
-    that map peeled keys back to Bob's children — the 8-byte guard carries
+    memory — one chunk of children at a time, plus O(s) child hashes that
+    map peeled keys back to Bob's children — the 8-byte guard carries
     {!Parent.stream_hash}, and the result is the O(d) delta. Each party
-    walks its stream once per attempt: the pass that builds its outer
-    table (and Bob's fingerprint index) also yields its digest.
-    [enc_seed] (default: [seed]) salts only the child-encoding config, so a
-    retry driver that pins it across attempts re-derives identical child
-    encodings and the {!Enc_cache} carries that work between rungs; outer
-    tables stay salted by the per-attempt [seed]. *)
+    walks its stream once per attempt, folding each child's encoding into
+    its outer table through one reused key buffer ({!Encoding.encoder});
+    the same pass yields its digest and Bob's index, which is keyed by the
+    child hash each key already carries. Pairing builds each of Bob's
+    differing child tables once ({!Encoding.pairing}).
+    [enc_seed] (default: [seed]) salts only the child-encoding config;
+    outer tables stay salted by the per-attempt [seed]. A retry driver
+    that pins it across attempts re-derives identical child encodings, and
+    can pass one [memo] to all of them so that later attempts reuse the
+    encodings of earlier ones ([Resilient.reconcile_sos] does). Single
+    attempts pass [None]. *)

@@ -3,7 +3,6 @@ module Hashing = Ssr_util.Hashing
 module Prng = Ssr_util.Prng
 module Buf = Ssr_util.Buf
 module Codec = Ssr_util.Codec
-module Par = Ssr_util.Par
 module Iblt = Ssr_sketch.Iblt
 module L0 = Ssr_sketch.L0_estimator
 module Comm = Ssr_setrecon.Comm
@@ -19,9 +18,10 @@ let child_id ~seed = Iset.digest (Hashing.make ~seed ~tag:child_id_tag)
 
 (* Direct encodings decode straight back to child sets, so Bob needs no
    index at all: the peeled positives/negatives ARE the delta. Each party
-   walks its stream once, building its table and its
-   [Parent.stream_hash] guard together; Bob checks Alice's guard
-   incrementally from the delta. *)
+   walks its stream once, folding each child's encoding into its table
+   through one reused key buffer and building its [Parent.stream_hash]
+   guard in the same pass; Bob checks Alice's guard incrementally from the
+   delta. *)
 let run_stream ~comm ~seed ~d_hat ~u ~h ~k ~(alice : Parent.stream) ~(bob : Parent.stream) =
   let cfg : Direct.config = { u; h } in
   let prm : Iblt.params =
@@ -32,11 +32,12 @@ let run_stream ~comm ~seed ~d_hat ~u ~h ~k ~(alice : Parent.stream) ~(bob : Pare
       seed;
     }
   in
+  let encode = Direct.encoder cfg in
   let build st =
     let table = Iblt.create prm in
     let digest =
       Parent.stream_pass ~seed st (fun _ kids ->
-          Iblt.add_all table (Par.map_array (Direct.encode cfg) kids))
+          Array.iter (fun c -> Iblt.insert table (encode c)) kids)
     in
     (table, digest)
   in

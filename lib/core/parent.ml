@@ -107,13 +107,17 @@ let perturb rng ~universe ?max_child_size:cap ~edits t =
 
 let random rng ~universe ~children:s ~child_size =
   if child_size > universe then invalid_arg "Parent.random: child_size > universe";
+  let seen = Iset.Tbl.create (max 16 s) in
   let rec distinct acc remaining guard =
     if remaining = 0 then acc
     else if guard > 100 * s then failwith "Parent.random: cannot draw distinct children"
     else begin
       let c = Iset.random_subset rng ~universe ~size:child_size in
-      if List.exists (Iset.equal c) acc then distinct acc remaining (guard + 1)
-      else distinct (c :: acc) (remaining - 1) guard
+      if Iset.Tbl.mem seen c then distinct acc remaining (guard + 1)
+      else begin
+        Iset.Tbl.add seen c ();
+        distinct (c :: acc) (remaining - 1) guard
+      end
     end
   in
   of_children (distinct [] s 0)

@@ -18,13 +18,14 @@ type stream_outcome = { delta : Parent.delta; stats : Comm.stats }
 
 (* The one dispatch: each protocol's single (streaming) build path with its
    default tuning. *)
-let run_known_stream kind ~comm ~seed ~enc_seed ~d ~u ~h ~(alice : Parent.stream)
+let run_known_stream ?memo kind ~comm ~seed ~enc_seed ~d ~u ~h ~(alice : Parent.stream)
     ~(bob : Parent.stream) =
   let s_bound = max 2 bob.Parent.length in
   let d_hat = min d s_bound in
   match kind with
   | Naive ->
-    (* Direct encodings are seedless, so there is nothing to pin. *)
+    (* Direct encodings are seedless, so there is nothing to pin, and they
+       cost less to write than to look up, so nothing to memoize. *)
     Result.map
       (fun (o : Naive.outcome) -> { delta = o.Naive.delta; stats = o.Naive.stats })
       (Naive.run_stream ~comm ~seed ~d_hat ~u ~h ~k:4 ~alice ~bob)
@@ -32,11 +33,11 @@ let run_known_stream kind ~comm ~seed ~enc_seed ~d ~u ~h ~(alice : Parent.stream
     Result.map
       (fun (o : Iblt_of_iblts.outcome) ->
         { delta = o.Iblt_of_iblts.delta; stats = o.Iblt_of_iblts.stats })
-      (Iblt_of_iblts.run_stream ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~k:4 ~alice ~bob)
+      (Iblt_of_iblts.run_stream ~comm ~seed ~enc_seed ~memo ~d ~d_hat ~s_bound ~k:4 ~alice ~bob)
   | Cascade ->
     Result.map
       (fun (o : Cascade.outcome) -> { delta = o.Cascade.delta; stats = o.Cascade.stats })
-      (Cascade.run_stream ~comm ~seed ~enc_seed ~d ~d_hat ~s_bound ~u ~h ~k:3 ~alice ~bob)
+      (Cascade.run_stream ~comm ~seed ~enc_seed ~memo ~d ~d_hat ~s_bound ~u ~h ~k:3 ~alice ~bob)
   | Multiround ->
     (* Per-child tables are keyed by entry position, not reusable. *)
     Result.map
@@ -46,9 +47,9 @@ let run_known_stream kind ~comm ~seed ~enc_seed ~d ~u ~h ~(alice : Parent.stream
 
 let applied bob (o : stream_outcome) = { recovered = Parent.apply_delta bob o.delta; stats = o.stats }
 
-let run_known kind ~comm ~seed ~enc_seed ~d ~u ~h ~alice ~bob =
+let run_known ?memo kind ~comm ~seed ~enc_seed ~d ~u ~h ~alice ~bob =
   Result.map (applied bob)
-    (run_known_stream kind ~comm ~seed ~enc_seed ~d ~u ~h ~alice:(Parent.stream_of_t alice)
+    (run_known_stream ?memo kind ~comm ~seed ~enc_seed ~d ~u ~h ~alice:(Parent.stream_of_t alice)
        ~bob:(Parent.stream_of_t bob))
 
 let reconcile_known kind ~seed ~d ~u ~h ~alice ~bob () =

@@ -37,8 +37,8 @@ val reconcile_unknown :
 type stream_outcome = { delta : Parent.delta; stats : Ssr_setrecon.Comm.stats }
 
 val run_known_stream :
-  kind -> comm:Ssr_setrecon.Comm.t -> seed:int64 -> enc_seed:int64 option -> d:int -> u:int -> h:int ->
-  alice:Parent.stream -> bob:Parent.stream ->
+  ?memo:Enc_cache.t -> kind -> comm:Ssr_setrecon.Comm.t -> seed:int64 -> enc_seed:int64 option ->
+  d:int -> u:int -> h:int -> alice:Parent.stream -> bob:Parent.stream ->
   (stream_outcome, [ `Decode_failure ]) result
 (** One known-d attempt threaded through a caller-supplied recorder, with
     each protocol's default tuning: the single build path of every
@@ -47,14 +47,17 @@ val run_known_stream :
     {!Parent.stream_hash}, and the result is the O(d) delta Bob learned.
     The outcome's stats are cumulative for [comm]. [enc_seed] (default:
     [seed]) pins the child-encoding salt across attempts for the protocols
-    with seeded child encodings (Iblt_of_iblts, Cascade), letting the
-    {!Enc_cache} carry encoding work between escalation rungs; the other
-    protocols ignore it (Naive's direct encodings are seedless,
-    Multiround's per-child tables are position-keyed). *)
+    with seeded child encodings (Iblt_of_iblts, Cascade). A retry driver
+    that pins it can pass the same [memo] to every attempt of one request,
+    so later attempts reuse the child encodings of earlier ones; a single
+    attempt is cheaper without one. The other protocols ignore both
+    (Naive's direct encodings are seedless and cheaper to write than to
+    look up, Multiround's per-child tables are position-keyed). *)
 
 val run_known :
-  kind -> comm:Ssr_setrecon.Comm.t -> seed:int64 -> enc_seed:int64 option -> d:int -> u:int -> h:int ->
-  alice:Parent.t -> bob:Parent.t -> (outcome, [ `Decode_failure ]) result
+  ?memo:Enc_cache.t -> kind -> comm:Ssr_setrecon.Comm.t -> seed:int64 -> enc_seed:int64 option ->
+  d:int -> u:int -> h:int -> alice:Parent.t -> bob:Parent.t ->
+  (outcome, [ `Decode_failure ]) result
 (** {!run_known_stream} over {!Parent.stream_of_t} views, with the delta
     applied to [bob] ({!Parent.apply_delta}). The transport-aware driver
     (lib/transport's Resilient) uses this to run several attempts over one

@@ -115,12 +115,13 @@ let level2_config ~seed ~d ~d2 ~s_bound ~k =
   in
   { cfg1; parent_prm; seed }
 
+(* Each child's encoding is folded into the parent's table through one
+   reused key buffer. The encoder is made per call, because parents are
+   encoded concurrently under the parallel pool. *)
 let parent_table cfg parent =
-  (* Child encodings are pure; build them concurrently under a parallel
-     pool, then land the inserts in one batched sweep. *)
   let table = Iblt.create cfg.parent_prm in
-  Iblt.add_all table
-    (Array.of_list (Par.map_list (Encoding.encode cfg.cfg1) (Parent.children parent)));
+  let encode = Encoding.encoder cfg.cfg1 in
+  List.iter (fun c -> Iblt.insert table (encode c)) (Parent.children parent);
   table
 
 let parent_key_length cfg = Iblt.body_length cfg.parent_prm + 8
@@ -170,11 +171,12 @@ let try_recover_parent cfg ~alice_key ~bob_parent =
     let db = List.filter_map (fun neg -> Hashtbl.find_opt by_key neg) negatives in
     if List.length db <> List.length negatives then None
     else begin
+      let recover = Encoding.pairing cfg.cfg1 db in
       let rec recover_children keys acc =
         match keys with
         | [] -> Some acc
         | key :: rest -> (
-          match List.find_map (fun bc -> Encoding.try_recover cfg.cfg1 ~alice_key:key ~bob_child:bc) db with
+          match recover key with
           | Some child -> recover_children rest (child :: acc)
           | None -> None)
       in

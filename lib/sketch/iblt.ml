@@ -334,7 +334,9 @@ let apply_int t x sign =
 let insert_int t x = apply_int t x 1
 let delete_int t x = apply_int t x (-1)
 
-(* Batch application. Phase 1 hashes every key and records its schedule
+(* Batch application of integer keys and of 8-byte byte keys at the
+   default checksum width (every other key shape takes the serial loop).
+   Phase 1 hashes every key and records its schedule
    (k cell indices per key, plus each key's checksum); phase 2 radix-
    partitions the incidences by "supercell" — a power-of-two run of cells
    whose packed slice fits comfortably in L2 — and then applies each
@@ -499,19 +501,21 @@ let batch_apply t keys sign =
     Metrics.incr ~by:n (if sign >= 0 then m_inserts else m_deletes);
     let shift = bucket_shift t in
     let nbuckets = ((t.prm.cells - 1) lsr shift) + 1 in
-    if n <= batch_threshold || nbuckets <= 2 || t.prm.cells > batch_max_cells then
+    (* Only 8-byte keys at the default checksum width are bucketed: wider
+       keys, narrow checksums and the safe path measured no faster
+       bucketed than through the serial loop. *)
+    let fast = (not !safe_cells) && kl = 8 && t.check_bytes = 8 in
+    if (not fast) || n <= batch_threshold || nbuckets <= 2 || t.prm.cells > batch_max_cells then
       for j = 0 to n - 1 do
         apply_raw t keys.(j) sign
       done
     else begin
       let k = t.prm.k in
-      let fast = (not !safe_cells) && kl = 8 && t.check_bytes = 8 in
-      let stride = if fast then 4 else 3 in
       let bs = Domain.DLS.get batch_scratch_key in
       let c_max = if n < batch_chunk then n else batch_chunk in
       bs.s_pos <- ensure bs.s_pos (c_max * k);
       bs.s_cs <- ensure bs.s_cs c_max;
-      bs.s_rec <- ensure bs.s_rec (stride * c_max * k);
+      bs.s_rec <- ensure bs.s_rec (4 * c_max * k);
       bs.s_cnt <- ensure bs.s_cnt nbuckets;
       let pos = bs.s_pos and cs = bs.s_cs and rec_ = bs.s_rec and cnt = bs.s_cnt in
       let j0 = ref 0 in
@@ -530,67 +534,43 @@ let batch_apply t keys sign =
           done
         done;
         bucket_offsets cnt nbuckets;
-        if fast then begin
-          (* 8-byte keys ride the scatter as two native-int word halves,
-             in interleaved (cell, lo, hi, cs) records. *)
-          for j = 0 to c - 1 do
-            let kw = Buf.unsafe_get_int64_ne (Array.unsafe_get keys (base0 + j)) 0 in
-            let lo = Int64.to_int (Int64.logand kw 0xFFFFFFFFL) in
-            let hi = Int64.to_int (Int64.shift_right_logical kw 32) in
-            let ck = Array.unsafe_get cs j in
-            let base = j * k in
-            for i = 0 to k - 1 do
-              let cell = Array.unsafe_get pos (base + i) in
-              let b = cell lsr shift in
-              let slot = Array.unsafe_get cnt b in
-              let r = 4 * slot in
-              Array.unsafe_set rec_ r cell;
-              Array.unsafe_set rec_ (r + 1) lo;
-              Array.unsafe_set rec_ (r + 2) hi;
-              Array.unsafe_set rec_ (r + 3) ck;
-              Array.unsafe_set cnt b (slot + 1)
-            done
-          done;
-          let buf = t.buf and cb = t.cell_bytes in
-          for e = 0 to mc - 1 do
-            let r = 4 * e in
-            let base = Array.unsafe_get rec_ r * cb in
-            let kw =
-              Int64.logor
-                (Int64.shift_left (Int64.of_int (Array.unsafe_get rec_ (r + 2))) 32)
-                (Int64.of_int (Array.unsafe_get rec_ (r + 1)))
-            in
-            let cw = Int64.of_int (Array.unsafe_get rec_ (r + 3)) in
-            Buf.unsafe_set_int32_ne buf base
-              (Int32.of_int (Int32.to_int (Buf.unsafe_get_int32_ne buf base) + sign));
-            Buf.unsafe_set_int64_ne buf (base + 4)
-              (Int64.logxor (Buf.unsafe_get_int64_ne buf (base + 4)) kw);
-            Buf.unsafe_set_int64_ne buf (base + 12)
-              (Int64.logxor (Buf.unsafe_get_int64_ne buf (base + 12)) cw)
+        (* 8-byte keys ride the scatter as two native-int word halves, in
+           interleaved (cell, lo, hi, cs) records. *)
+        for j = 0 to c - 1 do
+          let kw = Buf.unsafe_get_int64_ne (Array.unsafe_get keys (base0 + j)) 0 in
+          let lo = Int64.to_int (Int64.logand kw 0xFFFFFFFFL) in
+          let hi = Int64.to_int (Int64.shift_right_logical kw 32) in
+          let ck = Array.unsafe_get cs j in
+          let base = j * k in
+          for i = 0 to k - 1 do
+            let cell = Array.unsafe_get pos (base + i) in
+            let b = cell lsr shift in
+            let slot = Array.unsafe_get cnt b in
+            let r = 4 * slot in
+            Array.unsafe_set rec_ r cell;
+            Array.unsafe_set rec_ (r + 1) lo;
+            Array.unsafe_set rec_ (r + 2) hi;
+            Array.unsafe_set rec_ (r + 3) ck;
+            Array.unsafe_set cnt b (slot + 1)
           done
-        end
-        else begin
-          (* Wide or narrow-checksum keys: scatter the key index and poke
-             through the generic cell update. *)
-          for j = 0 to c - 1 do
-            let ck = Array.unsafe_get cs j in
-            let base = j * k in
-            for i = 0 to k - 1 do
-              let cell = Array.unsafe_get pos (base + i) in
-              let b = cell lsr shift in
-              let slot = Array.unsafe_get cnt b in
-              let r = 3 * slot in
-              Array.unsafe_set rec_ r cell;
-              Array.unsafe_set rec_ (r + 1) (base0 + j);
-              Array.unsafe_set rec_ (r + 2) ck;
-              Array.unsafe_set cnt b (slot + 1)
-            done
-          done;
-          for e = 0 to mc - 1 do
-            let r = 3 * e in
-            poke t rec_.(r) keys.(rec_.(r + 1)) rec_.(r + 2) sign
-          done
-        end;
+        done;
+        let buf = t.buf and cb = t.cell_bytes in
+        for e = 0 to mc - 1 do
+          let r = 4 * e in
+          let base = Array.unsafe_get rec_ r * cb in
+          let kw =
+            Int64.logor
+              (Int64.shift_left (Int64.of_int (Array.unsafe_get rec_ (r + 2))) 32)
+              (Int64.of_int (Array.unsafe_get rec_ (r + 1)))
+          in
+          let cw = Int64.of_int (Array.unsafe_get rec_ (r + 3)) in
+          Buf.unsafe_set_int32_ne buf base
+            (Int32.of_int (Int32.to_int (Buf.unsafe_get_int32_ne buf base) + sign));
+          Buf.unsafe_set_int64_ne buf (base + 4)
+            (Int64.logxor (Buf.unsafe_get_int64_ne buf (base + 4)) kw);
+          Buf.unsafe_set_int64_ne buf (base + 12)
+            (Int64.logxor (Buf.unsafe_get_int64_ne buf (base + 12)) cw)
+        done;
         j0 := base0 + c
       done
     end
@@ -885,6 +865,10 @@ let body_length ?(check_bits = 62) prm =
 (* The packed store is already in wire order (every field little-endian),
    so serialization is a copy of the buffer. *)
 let body_bytes t = Bytes.copy t.buf
+
+let blit_body t dst pos = Bytes.blit t.buf 0 dst pos (Bytes.length t.buf)
+
+let clear t = Bytes.fill t.buf 0 (Bytes.length t.buf) '\000'
 
 let of_body_bytes_opt ?(check_bits = 62) prm body =
   (* Length is validated against the (cheap, arithmetic-only) normalized

@@ -88,11 +88,13 @@ val insert_int : t -> int -> unit
 val delete_int : t -> int -> unit
 
 val add_all : t -> Bytes.t array -> unit
-(** Batch {!insert}: hash every key first, then apply all cell updates in
-    one position-sorted sweep of the table, so the writes are
-    near-sequential instead of one random cache miss per cell. The
-    resulting table is bit-identical to inserting the keys one at a time
-    (cell updates commute), so transcripts are unaffected by batching. *)
+(** Batch {!insert}. For 8-byte keys at the default checksum width it
+    hashes every key first, then applies all cell updates in one
+    position-sorted sweep of the table, so the writes are near-sequential
+    instead of one random cache miss per cell; other key shapes go through
+    the serial loop, where the sweep measured no faster. The resulting
+    table is bit-identical to inserting the keys one at a time (cell
+    updates commute), so transcripts are unaffected by batching. *)
 
 val delete_all : t -> Bytes.t array -> unit
 (** Batch {!delete}; same contract as {!add_all}. *)
@@ -181,6 +183,15 @@ val body_bytes : t -> Bytes.t
     communication accounting and the representation used when child IBLTs
     become keys of an outer IBLT. The packed cell store is already in wire
     order, so this is a single copy of the buffer. *)
+
+val blit_body : t -> Bytes.t -> int -> unit
+(** [blit_body t dst pos] writes {!body_bytes} into [dst] at [pos] without
+    allocating: how a child table becomes the body of a reused key
+    buffer. *)
+
+val clear : t -> unit
+(** Reset every cell to zero, as {!create} left it: a pass that builds
+    one small table per child reuses one table. *)
 
 val of_body_bytes : ?check_bits:int -> params -> Bytes.t -> t
 (** Inverse of {!body_bytes} given the shared parameters (and checksum

@@ -8,6 +8,7 @@ module Set_recon = Ssr_setrecon.Set_recon
 module Rateless_recon = Ssr_setrecon.Rateless_recon
 module Protocol = Ssr_core.Protocol
 module Parent = Ssr_core.Parent
+module Enc_cache = Ssr_core.Enc_cache
 module Metrics = Ssr_obs.Metrics
 module Trace = Ssr_obs.Trace
 
@@ -425,15 +426,18 @@ let reconcile_sos ~link ~kind ~seed ~u ~h ?(initial_d = 4) ?(max_attempts = 5)
     ?(rehash_attempts = 2) ?attempt_deadline_us ?run_deadline_us ?backoff_us ~alice ~bob () =
   let ctx = mk_ctx ~link ~seed ?attempt_deadline_us ?run_deadline_us ?backoff_us () in
   let direct_payload = lazy (sos_direct_payload ~seed alice) in
+  (* The child-encoding salt is pinned to the base seed, so every rung of
+     the ladder whose bound gives the same child geometry (and the rehash
+     rung, which re-runs at the last tried bound) re-derives identical
+     child-encoding configs; only the outer tables get fresh per-attempt
+     salts. One memo for this request lets later rungs reuse the encodings
+     of earlier ones, and it is dropped when the request returns. *)
+  let memo = Enc_cache.create () in
   let run_attempt ~number ~d =
-    (* The child-encoding salt is pinned to the base seed: every rung of the
-       ladder (and the rehash rung, which re-runs at the last tried bound)
-       re-derives identical child-encoding configs, so the Enc_cache serves
-       the per-child encodings across attempts; only the outer tables get
-       fresh per-attempt salts. *)
     match
-      Protocol.run_known kind ~comm:ctx.comm ~seed:(Hashing.attempt_seed ~seed ~attempt:number)
-        ~enc_seed:(Some seed) ~d ~u ~h ~alice ~bob
+      Protocol.run_known ~memo kind ~comm:ctx.comm
+        ~seed:(Hashing.attempt_seed ~seed ~attempt:number) ~enc_seed:(Some seed) ~d ~u ~h ~alice
+        ~bob
     with
     | Ok (o : Protocol.outcome) -> Some o.Protocol.recovered
     | Error `Decode_failure -> None

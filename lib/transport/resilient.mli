@@ -137,7 +137,10 @@ val reconcile_sos :
     protocol needs them; [initial_d] defaults to 4. The rehash rung
     ([rehash_attempts], default 2) re-runs the protocol at the last tried
     bound under fresh per-attempt salts — the nested sketches re-derive
-    every hash schedule from [(seed, attempt)]. *)
+    every hash schedule from [(seed, attempt)]. The child-encoding salt
+    stays pinned to [seed], and every attempt of the call shares one
+    {!Ssr_core.Enc_cache} memo, made for the call and dropped when it
+    returns. *)
 
 (** Wire parsers of the direct-transfer payloads, exposed so the
     untrusted-size regression tests can feed them hostile byte strings

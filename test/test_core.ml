@@ -57,6 +57,36 @@ let test_parent_relaxed_cost () =
   Alcotest.(check int) "cost" 4 (Parent.relaxed_matching_cost a b);
   Alcotest.(check int) "identical" 0 (Parent.relaxed_matching_cost a a)
 
+(* [Parent.random] checks distinctness with a table instead of a list
+   scan; it must make the same draws and keep the same children, so every
+   seeded parent stays what it was. The reference is the list scan. A
+   universe of 7 with 2- or 3-element children forces repeated draws. *)
+let test_parent_random_matches_list_scan () =
+  let reference rng ~universe ~children:s ~child_size =
+    let rec distinct acc remaining guard =
+      if remaining = 0 then acc
+      else if guard > 100 * s then failwith "reference: cannot draw distinct children"
+      else begin
+        let c = Iset.random_subset rng ~universe ~size:child_size in
+        if List.exists (Iset.equal c) acc then distinct acc remaining (guard + 1)
+        else distinct (c :: acc) (remaining - 1) guard
+      end
+    in
+    Parent.of_children (distinct [] s 0)
+  in
+  List.iter
+    (fun (universe, children, child_size) ->
+      List.iter
+        (fun tag ->
+          let rseed = Prng.derive ~seed ~tag in
+          let got = Parent.random (Prng.create ~seed:rseed) ~universe ~children ~child_size in
+          let want = reference (Prng.create ~seed:rseed) ~universe ~children ~child_size in
+          Alcotest.(check bool)
+            (Printf.sprintf "u=%d s=%d size=%d tag=%d" universe children child_size tag)
+            true (Parent.equal got want))
+        [ 1; 2; 3 ])
+    [ (7, 20, 2); (7, 30, 3); (1 lsl 20, 200, 12) ]
+
 let test_parent_perturb_cost_bounded () =
   let rng = Prng.create ~seed in
   for trial = 1 to 20 do
@@ -616,6 +646,7 @@ let () =
           Alcotest.test_case "symmetric diff" `Quick test_parent_symmetric_diff;
           Alcotest.test_case "relaxed matching cost" `Quick test_parent_relaxed_cost;
           Alcotest.test_case "perturb cost bounded" `Quick test_parent_perturb_cost_bounded;
+          Alcotest.test_case "random = list-scan reference" `Quick test_parent_random_matches_list_scan;
         ] );
       ( "direct-encoding",
         [

@@ -104,6 +104,19 @@ let test_exceptions () =
 
 (* ---------- parallel == serial transcripts ---------- *)
 
+(* A network's whole wire transcript (delivery time + payload bytes of
+   every event, in order) as one string. *)
+let flatten_transcript network =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (e : Network.delivery) ->
+      Buffer.add_string b (string_of_int e.Network.delivered_us);
+      Buffer.add_char b ':';
+      Buffer.add_bytes b e.Network.bytes;
+      Buffer.add_char b '\n')
+    (Network.transcript network);
+  Buffer.contents b
+
 (* One protocol stack over the clean simulated network; returns the full
    wire transcript (delivery time + payload bytes of every event, in
    order) as one string. Any scheduling leak in the parallel hot paths
@@ -130,15 +143,7 @@ let transcript_of_stack ~nseed stack =
     match Resilient.reconcile_sos ~link ~kind ~seed:nseed ~u ~h:16 ~initial_d:8 ~alice ~bob () with
     | Ok (got, _) -> Alcotest.(check bool) "sos reconciled" true (Parent.equal got alice)
     | Error _ -> Alcotest.fail "sos reconciliation failed"));
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun (e : Network.delivery) ->
-      Buffer.add_string b (string_of_int e.Network.delivered_us);
-      Buffer.add_char b ':';
-      Buffer.add_bytes b e.Network.bytes;
-      Buffer.add_char b '\n')
-    (Network.transcript network);
-  Buffer.contents b
+  flatten_transcript network
 
 let stack_name = function
   | `Set -> "set"
@@ -159,44 +164,53 @@ let test_parallel_matches_serial_transcripts () =
         stacks)
     [ 0x11AL; 0x22BL; 0x33CL ]
 
-(* The child-encoding cache must be byte-transparent: a cached run of any
-   stack is the same wire transcript, bit for bit, as an uncached one —
-   at any pool size. The uncached reference runs serial; the cached runs
-   straddle pool sizes so a cache+pool interaction can't hide. *)
+(* A per-request encoding memo must be byte-transparent: three rungs of
+   one nested stack sharing a memo, as Resilient runs them (the bound
+   doubles, then the rehash rung repeats it; the encoding salt is pinned),
+   put the same bytes on the wire, bit for bit, as the same rungs without
+   one — at any pool size. The reference runs serial without a memo. *)
+module Comm = Ssr_setrecon.Comm
 module Enc_cache = Ssr_core.Enc_cache
 
-let with_cache enabled f =
-  let was = Enc_cache.is_enabled () in
-  Enc_cache.set_enabled enabled;
-  Enc_cache.clear ();
-  Fun.protect
-    ~finally:(fun () ->
-      Enc_cache.set_enabled was;
-      Enc_cache.clear ())
-    f
+let transcript_of_rungs ~nseed ~memo kind =
+  let clock = Clock.create () in
+  let network = Network.create ~clock (Network.config_with ~seed:nseed ()) in
+  let arq = Arq.create ~clock ~network ~seed:nseed () in
+  let rng = Prng.create ~seed:(Prng.derive ~seed:nseed ~tag:0x50) in
+  let u = 1 lsl 12 in
+  let bob = Parent.random rng ~universe:u ~children:8 ~child_size:12 in
+  let alice, _ = Parent.perturb rng ~universe:u ~edits:4 bob in
+  let memo = if memo then Some (Enc_cache.create ()) else None in
+  List.iteri
+    (fun attempt d ->
+      let comm = Comm.create () in
+      Comm.set_transport comm (Arq.transport arq);
+      ignore
+        (Protocol.run_known ?memo kind ~comm
+           ~seed:(Ssr_util.Hashing.attempt_seed ~seed:nseed ~attempt)
+           ~enc_seed:(Some nseed) ~d ~u ~h:16 ~alice ~bob))
+    [ 8; 16; 16 ];
+  flatten_transcript network
 
-let test_cached_transcripts_byte_identical () =
-  let stacks = `Set :: List.map (fun k -> `Sos k) Protocol.all in
+let test_memo_transcripts_byte_identical () =
+  let hits0 = (Enc_cache.stats ()).Enc_cache.hits in
   List.iter
     (fun nseed ->
       List.iter
-        (fun stack ->
-          let plain =
-            with_domains 1 (fun () -> with_cache false (fun () -> transcript_of_stack ~nseed stack))
-          in
+        (fun kind ->
+          let plain = with_domains 1 (fun () -> transcript_of_rungs ~nseed ~memo:false kind) in
           List.iter
-            (fun pool ->
-              let cached =
-                with_domains pool (fun () ->
-                    with_cache true (fun () -> transcript_of_stack ~nseed stack))
-              in
+            (fun (pool, memo) ->
+              let got = with_domains pool (fun () -> transcript_of_rungs ~nseed ~memo kind) in
               Alcotest.(check bool)
-                (Printf.sprintf "cached = uncached %s seed=0x%Lx pool=%d (%d bytes)"
-                   (stack_name stack) nseed pool (String.length plain))
-                true (String.equal plain cached))
-            [ 1; 4 ])
-        stacks)
-    [ 0x9A1L; 0x9B2L; 0x9C3L ]
+                (Printf.sprintf "%s = serial without memo, %s seed=0x%Lx pool=%d (%d bytes)"
+                   (if memo then "memo" else "no memo")
+                   (Protocol.name kind) nseed pool (String.length plain))
+                true (String.equal plain got))
+            [ (1, true); (4, true); (4, false) ])
+        Protocol.all)
+    [ 0x9A1L; 0x9B2L; 0x9C3L ];
+  Alcotest.(check bool) "the memo was hit" true ((Enc_cache.stats ()).Enc_cache.hits > hits0)
 
 (* The salted-rehash rung must be exactly as deterministic as the rest of
    the ladder: an adversarial family ground against the attempt-0 schedule
@@ -230,15 +244,7 @@ let transcript_of_adversarial_set ~nseed =
       (List.exists (fun (a : Resilient.attempt) -> a.Resilient.salvage && a.Resilient.ok)
          rep.Resilient.attempts)
   | Error _ -> Alcotest.fail "adversarial set reconciliation failed");
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun (e : Network.delivery) ->
-      Buffer.add_string b (string_of_int e.Network.delivered_us);
-      Buffer.add_char b ':';
-      Buffer.add_bytes b e.Network.bytes;
-      Buffer.add_char b '\n')
-    (Network.transcript network);
-  Buffer.contents b
+  flatten_transcript network
 
 let test_adversarial_salted_rehash_deterministic () =
   List.iter
@@ -292,15 +298,7 @@ let transcript_of_rateless_set ~nseed =
    with
   | Ok (got, _) -> Alcotest.(check bool) "rateless set reconciled" true (Iset.equal got alice)
   | Error _ -> Alcotest.fail "rateless set reconciliation failed");
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun (e : Network.delivery) ->
-      Buffer.add_string b (string_of_int e.Network.delivered_us);
-      Buffer.add_char b ':';
-      Buffer.add_bytes b e.Network.bytes;
-      Buffer.add_char b '\n')
-    (Network.transcript network);
-  Buffer.contents b
+  flatten_transcript network
 
 let test_rateless_stack_deterministic () =
   List.iter
@@ -329,8 +327,8 @@ let () =
         [
           Alcotest.test_case "parallel = serial transcripts (3 seeds x 5 stacks)" `Quick
             test_parallel_matches_serial_transcripts;
-          Alcotest.test_case "cache transparent (3 seeds x 5 stacks x 2 pools)" `Quick
-            test_cached_transcripts_byte_identical;
+          Alcotest.test_case "memo = no memo transcripts" `Quick
+            test_memo_transcripts_byte_identical;
           Alcotest.test_case "salted rehash deterministic (2 seeds)" `Quick
             test_adversarial_salted_rehash_deterministic;
           Alcotest.test_case "rateless cells parallel = serial (3 pool sizes)" `Quick

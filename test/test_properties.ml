@@ -127,6 +127,86 @@ let prop_encoding_deterministic_and_discriminating =
       let kb = Encoding.encode cfg b in
       Bytes.equal ka ka' && Iset.equal a b = Bytes.equal ka kb)
 
+(* The fold: each child's encoding written into one reused key buffer and
+   inserted at once lands exactly the table that inserting fresh encodings
+   in one batch does. The children include the empty set and repeats (so
+   a memo hits inside a pass); with a memo the list is folded twice, the
+   second pass served from the memo. Both cell paths are covered. *)
+let prop_folds_match_add_all =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (quad (int_range 6 140) (int_range 3 4) bool bool)
+        (pair bool (list_size (int_bound 12) (iset_gen 200))))
+  in
+  QCheck.Test.make ~name:"Encoding and Direct folds = add_all of fresh encodings" ~count:80
+    (QCheck.make gen) (fun ((cells, k, memo, safe), (bitmap, kids)) ->
+      let was_safe = Iblt.safe_cell_path () in
+      Fun.protect
+        ~finally:(fun () -> Iblt.set_safe_cell_path was_safe)
+        (fun () ->
+          Iblt.set_safe_cell_path safe;
+          let kids = Array.of_list ((Iset.empty :: kids) @ List.filteri (fun i _ -> i mod 3 = 0) kids) in
+          let table key_len = Iblt.create { cells = 40; k; key_len; seed = 21L } in
+          let same_as_batch key_len encode fold =
+            let batch = table key_len in
+            Iblt.add_all batch (Array.map encode kids);
+            let folded = table key_len in
+            fold folded;
+            Bytes.equal (Iblt.body_bytes batch) (Iblt.body_bytes folded)
+          in
+          let cfg : Encoding.config = { child_cells = cells; child_k = k; hash_bits = 30; seed = 19L } in
+          let encoder = Encoding.encoder ?memo:(if memo then Some (Ssr_core.Enc_cache.create ()) else None) cfg in
+          let passes = if memo then 2 else 1 in
+          let encoding_ok =
+            List.for_all
+              (fun _ ->
+                same_as_batch (Encoding.key_length cfg) (Encoding.encode cfg) (fun t ->
+                    Array.iter (fun c -> Iblt.insert t (encoder c)) kids))
+              (List.init passes Fun.id)
+          in
+          let dcfg : Direct.config = if bitmap then { u = 201; h = 200 } else { u = 1 lsl 20; h = 40 } in
+          let direct = Direct.encoder dcfg in
+          encoding_ok
+          && same_as_batch (Direct.key_length dcfg) (Direct.encode dcfg) (fun t ->
+                 Array.iter (fun c -> Iblt.insert t (direct c)) kids)))
+
+(* The pairing hoist: one staged [pairing] over Bob's differing children
+   answers every key as scanning them with [try_recover] does — keys of
+   nearby children, a child that pairs with none, and keys of the wrong
+   length or of garbage bytes. *)
+let prop_pairing_matches_scan =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (pair (int_range 6 40) (int_range 3 4))
+        (list_size (int_bound 6) (iset_gen 300))
+        (list_size (int_bound 6) (pair nat (list_size (int_bound 4) (int_bound 300)))))
+  in
+  QCheck.Test.make ~name:"pairing = per-pair try_recover scan" ~count:80 (QCheck.make gen)
+    (fun ((cells, k), bob, edits) ->
+      let cfg : Encoding.config = { child_cells = cells; child_k = k; hash_bits = 20; seed = 13L } in
+      let toggle c x = if Iset.mem x c then Iset.remove x c else Iset.add x c in
+      let edited (i, xs) =
+        let base = match bob with [] -> Iset.empty | _ -> List.nth bob (i mod List.length bob) in
+        List.fold_left toggle base xs
+      in
+      let len = Encoding.key_length cfg in
+      let far = Iset.of_list (List.init 80 (fun i -> 10_000 + i)) in
+      let keys =
+        List.map (fun e -> Encoding.encode cfg (edited e)) edits
+        @ [
+            Encoding.encode cfg far;
+            Bytes.make (len - 1) '\000';
+            Bytes.make (len + 1) '\000';
+            Bytes.make len '\xAB';
+          ]
+      in
+      let recover = Encoding.pairing cfg bob in
+      let scan key = List.find_map (fun c -> Encoding.try_recover cfg ~alice_key:key ~bob_child:c) bob in
+      List.for_all (fun key -> Option.equal Iset.equal (recover key) (scan key)) keys
+      && recover (Encoding.encode cfg far) = None)
+
 (* --- Parents --- *)
 
 let parent_gen =
@@ -276,6 +356,8 @@ let all_props =
     prop_direct_roundtrip;
     prop_direct_injective;
     prop_encoding_deterministic_and_discriminating;
+    prop_folds_match_add_all;
+    prop_pairing_matches_scan;
     prop_parent_relaxed_cost_symmetricish;
     prop_parent_hash_equal_iff;
     prop_multiset_pair_encoding_faithful;

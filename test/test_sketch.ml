@@ -979,6 +979,48 @@ let test_child_hashing_zero_alloc () =
   Alcotest.(check (float 0.0)) "hash_bytes_into, 4 KiB key" 0.0
     (words (fun () -> Ssr_util.Hashing.hash_bytes_into f key lanes))
 
+(* The nested protocols fold each child's encoding into the outer table
+   through one reused key buffer and child table. After a warm-up pass,
+   folding 1,000 children of up to 24 elements into an
+   iblt-of-iblts-shaped outer table (140-cell child tables, 2,807-byte
+   keys) allocates nothing, on either heap: a fresh key per child costs
+   about 1,057 major words, and at that rate the major collector runs
+   about once a request. *)
+let test_encoding_fold_alloc () =
+  let module Encoding = Ssr_core.Encoding in
+  let cfg : Encoding.config = { child_cells = 140; child_k = 4; hash_bits = 52; seed } in
+  let rng = Prng.create ~seed in
+  let kids =
+    Array.init 1000 (fun i -> Iset.random_subset rng ~universe:(1 lsl 30) ~size:(1 + (i mod 24)))
+  in
+  let was_safe = Iblt.safe_cell_path () in
+  Fun.protect
+    ~finally:(fun () -> Iblt.set_safe_cell_path was_safe)
+    (fun () ->
+      List.iter
+        (fun safe ->
+          Iblt.set_safe_cell_path safe;
+          let outer =
+            Iblt.create
+              (params ~cells:(Iblt.recommended_cells ~k:4 ~diff_bound:128)
+                 ~key_len:(Encoding.key_length cfg) ())
+          in
+          Alcotest.(check int) "key width" 2807 (Encoding.key_length cfg);
+          let encode = Encoding.encoder cfg in
+          let insert c = Iblt.insert outer (encode c) in
+          let fold () = Array.iter insert kids in
+          fold ();
+          Gc.minor ();
+          let major () = (Gc.quick_stat ()).Gc.major_words in
+          let major0 = major () in
+          let minor0 = Gc.minor_words () in
+          fold ();
+          let minor1 = Gc.minor_words () in
+          let major1 = major () in
+          Alcotest.(check (float 0.0)) (Printf.sprintf "safe=%b minor words" safe) 0.0 (minor1 -. minor0);
+          Alcotest.(check (float 0.0)) (Printf.sprintf "safe=%b major words" safe) 0.0 (major1 -. major0))
+        [ true; false ])
+
 (* Residual serialization at a narrow width roundtrips through the
    width-aware parser back to the same table bytes. *)
 let test_residual_narrow_width_roundtrip () =
@@ -1173,6 +1215,7 @@ let () =
           Alcotest.test_case "copy does not alias" `Quick test_copy_does_not_alias;
           Alcotest.test_case "insert_int allocates nothing" `Quick test_insert_int_zero_alloc;
           Alcotest.test_case "child hashing allocates nothing" `Quick test_child_hashing_zero_alloc;
+          Alcotest.test_case "encoding fold allocates nothing" `Quick test_encoding_fold_alloc;
           Alcotest.test_case "residual narrow width" `Quick test_residual_narrow_width_roundtrip;
         ] );
       ( "failure-injection",

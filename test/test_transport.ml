@@ -497,6 +497,44 @@ let test_resilient_sos_sweep () =
         [ true; false ])
     Protocol.all
 
+(* Resilient's encoding memo lives for one request: two identical
+   [reconcile_sos] calls see the same memo hits and misses. An entry that
+   outlived its request would turn misses of the second call into hits.
+   An undersized first bound and a lossy channel make each request take
+   several attempts, so the memo is shared across rungs inside a call. *)
+let test_resilient_memo_scoped () =
+  let module Enc_cache = Ssr_core.Enc_cache in
+  let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0x5C0) in
+  let universe = 1 lsl 18 in
+  let bob = Parent.random rng ~universe ~children:16 ~child_size:8 in
+  let alice, _ = Parent.perturb rng ~universe ~edits:12 bob in
+  let h = Parent.max_child_size alice + 3 in
+  List.iter
+    (fun kind ->
+      let run () =
+        let ch = Channel.create (Channel.config_with ~drop:0.2 ~seed:0x5C0FEL ()) in
+        let before = Enc_cache.stats () in
+        let result =
+          Resilient.reconcile_sos ~link:(Resilient.over_channel ch) ~kind ~seed ~u:universe ~h
+            ~initial_d:1 ~alice ~bob ()
+        in
+        let after = Enc_cache.stats () in
+        let rep =
+          match result with
+          | Ok (_, rep) -> rep
+          | Error (`Transport_failure rep | `Deadline_exceeded rep) -> rep
+        in
+        ( after.Enc_cache.hits - before.Enc_cache.hits,
+          after.Enc_cache.misses - before.Enc_cache.misses,
+          List.length rep.Resilient.attempts )
+      in
+      let ((hits, misses, attempts) as first) = run () in
+      let name = Protocol.name kind in
+      Alcotest.(check bool) (name ^ ": several attempts") true (attempts > 1);
+      Alcotest.(check bool) (name ^ ": memo hit and missed") true (hits > 0 && misses > 0);
+      Alcotest.(check (triple int int int)) (name ^ ": same counts on a repeat") first (run ()))
+    [ Protocol.Iblt_of_iblts; Protocol.Cascade ]
+
 let test_resilient_replay_by_seed () =
   (* Re-running a faulty reconciliation with the same channel seed replays
      the identical fault sequence — the debugging contract of the CLI's
@@ -1091,6 +1129,7 @@ let () =
           Alcotest.test_case "total loss is typed" `Quick test_resilient_total_loss_is_typed;
           Alcotest.test_case "sos sweep" `Slow test_resilient_sos_sweep;
           Alcotest.test_case "replay by seed" `Quick test_resilient_replay_by_seed;
+          Alcotest.test_case "memo scoped to one request" `Quick test_resilient_memo_scoped;
         ] );
       ( "clock",
         [
