@@ -185,10 +185,8 @@ let sketch_suite ~smoke ~trials =
      (ops_fields "iblt_insert" ~ns
         [ ("cells", I 65536); ("k", I 4); ("key_len", I 8); ("check_bits", I 16) ]));
 
-  (* Whole-table build: serial insert loop vs the batched sweep
-     ({!Iblt.add_all_ints}), at a size where the table outsizes L2. The
-     batch figure includes its whole pipeline (hash schedules, bucket
-     partition, apply). *)
+  (* Whole-table build through the serial insert loop, at a size where the
+     table outsizes L2. *)
   let build_shapes =
     if smoke then [ (65536, 65536) ] else [ (65536, 100_000); (262144, 1_000_000) ]
   in
@@ -203,18 +201,9 @@ let sketch_suite ~smoke ~trials =
             Array.iter (Iblt.insert_int t) xs;
             t)
       in
-      let ns_batch =
-        measure_with ~trials:build_trials ~reps:1 (fun () ->
-            let t = Iblt.create prm in
-            Iblt.add_all_ints t xs;
-            t)
-      in
       push
         (ops_fields "iblt_build" ~ns:(ns_loop /. float_of_int n)
-           [ ("cells", I cells); ("n", I n); ("method", S "loop") ]);
-      push
-        (ops_fields "iblt_build" ~ns:(ns_batch /. float_of_int n)
-           [ ("cells", I cells); ("n", I n); ("method", S "batch") ]))
+           [ ("cells", I cells); ("n", I n); ("method", S "loop") ]))
     build_shapes;
 
   (* Decode (peel) latency at the paper's ~2x cells-per-difference sizing. *)
@@ -500,6 +489,13 @@ let check_suite_baseline ~suite results =
             Printf.printf "  %-64s %12.4g %12.4g %6.2fx%s\n" id base now ratio
               (if flag then "  REGRESSION" else "")))
       results;
+    (* A baseline row this run did not produce (a removed measurement, or
+       a full-mode row on a smoke run) is listed, not failed. *)
+    let ran = List.map identity_of_fields results in
+    List.iter
+      (fun (id, base) ->
+        if not (List.mem id ran) then Printf.printf "  %-64s %12.4g %12s %7s\n" id base "-" "(not run)")
+      baseline;
     if !ok then Printf.printf "%s: baseline check OK (threshold 10%%)\n%!" suite
     else Printf.printf "%s: FAIL - medians regressed >10%% vs %s\n%!" suite path;
     !ok
@@ -509,11 +505,9 @@ let check_suite_baseline ~suite results =
 
 let run ~smoke =
   let trials = if smoke then 3 else 9 in
-  let safe = Iblt.safe_cell_path () in
-  Printf.printf "perf: %s mode, %d trials per point, monotonic clock%s\n%!"
+  Printf.printf "perf: %s mode, %d trials per point, monotonic clock\n%!"
     (if smoke then "smoke" else "full")
-    trials
-    (if safe then ", safe cell path" else "");
+    trials;
   let t0 = now_ns () in
   let sketch = sketch_suite ~smoke ~trials in
   write_json ~path:"BENCH_sketch.json" ~suite:"sketch" ~smoke sketch;
@@ -524,9 +518,5 @@ let run ~smoke =
   Printf.printf "perf: done in %.1f s\n" (elapsed_ns t0 /. 1e9);
   (* The exit-2 gate applies to smoke mode only: that is what CI runs, and
      the committed baselines are smoke medians from the same machine class.
-     Full-mode comparisons above are informational, and so are runs on the
-     safe byte-wise cell path (SSR_SAFE_CELLS=1): the baselines time the
-     word-wide path, and the safe path exists for correctness checking,
-     not speed. *)
-  if safe then Printf.printf "perf: safe cell path - regression gate informational only\n%!"
-  else if smoke && not (ok_sketch && ok_field) then exit 2
+     Full-mode comparisons above are informational. *)
+  if smoke && not (ok_sketch && ok_field) then exit 2

@@ -20,24 +20,6 @@ let d_residual = Metrics.dist "iblt.decode.residual"
 
 type params = { cells : int; k : int; key_len : int; seed : int64 }
 
-(* ---- Safe/unsafe cell path selection. ----
-
-   The packed cell store is updated either through unchecked native-endian
-   word accessors (fast, little-endian hosts only) or through a byte-wise
-   reference implementation using only checked [Bytes] operations. The two
-   are differentially tested for byte-identical tables; big-endian hosts
-   are pinned to the reference path because the unchecked accessors read
-   host order while every cell field is little-endian on the wire. *)
-
-let env_requests_safe =
-  match Sys.getenv_opt "SSR_SAFE_CELLS" with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | _ -> false
-
-let safe_cells = ref (Sys.big_endian || env_requests_safe)
-let safe_cell_path () = !safe_cells
-let set_safe_cell_path b = safe_cells := b || Sys.big_endian
-
 (* ---- Packed cell store. ----
 
    One buffer, one cell = one contiguous slice:
@@ -117,7 +99,7 @@ let recommended_cells ~k ~diff_bound =
   let base = max (2 * k) ((2 * diff_bound) + 12) in
   Bits.ceil_div base k * k
 
-(* ---- Cell field accessors (checked; cold paths and the safe hot path). ---- *)
+(* ---- Cell field accessors (checked; cold paths). ---- *)
 
 let get_count t c = Int32.to_int (Bytes.get_int32_le t.buf (c * t.cell_bytes))
 let set_count t c v = Bytes.set_int32_le t.buf (c * t.cell_bytes) (Int32.of_int v)
@@ -140,29 +122,52 @@ let xor_check t c cs =
   | _ ->
     Bytes.set_int64_le t.buf off (Int64.logxor (Bytes.get_int64_le t.buf off) (Int64.of_int cs))
 
-(* XOR [key] and [cs] into cell [c] and add [sign] to its count — the
-   reference implementation: checked accesses, explicit little-endian,
-   correct on any host. Differential tests pin the unsafe path to this. *)
-let poke_safe t c key cs sign =
-  let base = c * t.cell_bytes in
-  let kl = t.prm.key_len in
-  Bytes.set_int32_le t.buf base (Int32.add (Bytes.get_int32_le t.buf base) (Int32.of_int sign));
-  for i = 0 to kl - 1 do
-    Bytes.set t.buf (base + 4 + i)
-      (Char.chr (Char.code (Bytes.get t.buf (base + 4 + i)) lxor Char.code (Bytes.get key i)))
-  done;
-  xor_check t c cs
+(* ---- Unchecked little-endian accessors (hot paths). ----
 
-(* Same update through unchecked word accessors: the count and each whole
-   key word are single load-xor-store round trips. The key tail (when
+   [Buf]'s unchecked accessors read and write host order, while every
+   numeric cell field is little-endian on the wire. These swap on
+   big-endian hosts, as the stdlib's [Bytes.get_int64_le] does;
+   [Sys.big_endian] is a compile-time constant, so on little-endian hosts
+   each compiles to the bare load or store. They stay private to this
+   module: a non-external function called from another module boxes its
+   [int32]/[int64] result unless it is inlined, and the insert paths must
+   not allocate. *)
+
+external swap16 : int -> int = "%bswap16"
+external swap32 : int32 -> int32 = "%bswap_int32"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] get16_le b off =
+  if Sys.big_endian then swap16 (Buf.unsafe_get_int16_ne b off) else Buf.unsafe_get_int16_ne b off
+
+let[@inline] set16_le b off v =
+  if Sys.big_endian then Buf.unsafe_set_int16_ne b off (swap16 v)
+  else Buf.unsafe_set_int16_ne b off v
+
+let[@inline] get32_le b off =
+  if Sys.big_endian then swap32 (Buf.unsafe_get_int32_ne b off) else Buf.unsafe_get_int32_ne b off
+
+let[@inline] set32_le b off v =
+  if Sys.big_endian then Buf.unsafe_set_int32_ne b off (swap32 v)
+  else Buf.unsafe_set_int32_ne b off v
+
+let[@inline] get64_le b off =
+  if Sys.big_endian then swap64 (Buf.unsafe_get_int64_ne b off) else Buf.unsafe_get_int64_ne b off
+
+let[@inline] set64_le b off v =
+  if Sys.big_endian then Buf.unsafe_set_int64_ne b off (swap64 v)
+  else Buf.unsafe_set_int64_ne b off v
+
+(* XOR [key] and [cs] into cell [c] and add [sign] to its count: the count
+   and each whole key word are single load-xor-store round trips. Key words
+   XOR in host order, which commutes with byte order. The key tail (when
    [key_len] is not a multiple of 8) goes byte-wise — a word there would
-   clobber the adjacent checksum field. Little-endian hosts only. *)
-let poke_unsafe t c key cs sign =
+   clobber the adjacent checksum field. *)
+let poke t c key cs sign =
   let buf = t.buf in
   let base = c * t.cell_bytes in
   let kl = t.prm.key_len in
-  Buf.unsafe_set_int32_ne buf base
-    (Int32.of_int (Int32.to_int (Buf.unsafe_get_int32_ne buf base) + sign));
+  set32_le buf base (Int32.of_int (Int32.to_int (get32_le buf base) + sign));
   let words = kl / 8 in
   for w = 0 to words - 1 do
     let off = base + 4 + (w * 8) in
@@ -177,16 +182,9 @@ let poke_unsafe t c key cs sign =
   let off = base + 4 + kl in
   match t.check_bytes with
   | 1 -> Bytes.unsafe_set buf off (Char.unsafe_chr (Char.code (Bytes.unsafe_get buf off) lxor cs))
-  | 2 -> Buf.unsafe_set_int16_ne buf off (Buf.unsafe_get_int16_ne buf off lxor cs)
-  | 4 ->
-    Buf.unsafe_set_int32_ne buf off
-      (Int32.logxor (Buf.unsafe_get_int32_ne buf off) (Int32.of_int cs))
-  | _ ->
-    Buf.unsafe_set_int64_ne buf off
-      (Int64.logxor (Buf.unsafe_get_int64_ne buf off) (Int64.of_int cs))
-
-let poke t c key cs sign =
-  if !safe_cells then poke_safe t c key cs sign else poke_unsafe t c key cs sign
+  | 2 -> set16_le buf off (get16_le buf off lxor cs)
+  | 4 -> set32_le buf off (Int32.logxor (get32_le buf off) (Int32.of_int cs))
+  | _ -> set64_le buf off (Int64.logxor (get64_le buf off) (Int64.of_int cs))
 
 (* One hash pass per key: the native-int lanes (h1, h2) seed the position
    schedule — the state walks [s <- mix_int (s + h2)] from [s = h1] and
@@ -208,8 +206,10 @@ let poke t c key cs sign =
    trips on one contiguous slice, every int64 stays in a register, and the
    ubiquitous k = 4 case is unrolled so all four cells' positions are known
    before the first update — the out-of-order window then overlaps their
-   cache misses instead of serializing them behind the mix chain.
-   Little-endian unsafe path only.
+   cache misses instead of serializing them behind the mix chain. The key
+   word is a number — a byte key's first 8 bytes read little-endian, or
+   the integer key itself — so like the count and checksum it is stored
+   little-endian.
 
    The key word travels as two 32-bit native-int halves and is reassembled
    here: an [int64] crossing a function boundary is boxed (3 words per
@@ -230,45 +230,34 @@ let apply_words t ~h1 ~h2 ~kw_lo ~kw_hi ~cs sign =
     let b1 = (per_part + Hashing.reduce_fast s2 per_part) * cb in
     let b2 = ((2 * per_part) + Hashing.reduce_fast s3 per_part) * cb in
     let b3 = ((3 * per_part) + Hashing.reduce_fast s4 per_part) * cb in
-    Buf.unsafe_set_int32_ne buf b0
-      (Int32.of_int (Int32.to_int (Buf.unsafe_get_int32_ne buf b0) + sign));
-    Buf.unsafe_set_int64_ne buf (b0 + 4) (Int64.logxor (Buf.unsafe_get_int64_ne buf (b0 + 4)) kw);
-    Buf.unsafe_set_int64_ne buf (b0 + coff)
-      (Int64.logxor (Buf.unsafe_get_int64_ne buf (b0 + coff)) cw);
-    Buf.unsafe_set_int32_ne buf b1
-      (Int32.of_int (Int32.to_int (Buf.unsafe_get_int32_ne buf b1) + sign));
-    Buf.unsafe_set_int64_ne buf (b1 + 4) (Int64.logxor (Buf.unsafe_get_int64_ne buf (b1 + 4)) kw);
-    Buf.unsafe_set_int64_ne buf (b1 + coff)
-      (Int64.logxor (Buf.unsafe_get_int64_ne buf (b1 + coff)) cw);
-    Buf.unsafe_set_int32_ne buf b2
-      (Int32.of_int (Int32.to_int (Buf.unsafe_get_int32_ne buf b2) + sign));
-    Buf.unsafe_set_int64_ne buf (b2 + 4) (Int64.logxor (Buf.unsafe_get_int64_ne buf (b2 + 4)) kw);
-    Buf.unsafe_set_int64_ne buf (b2 + coff)
-      (Int64.logxor (Buf.unsafe_get_int64_ne buf (b2 + coff)) cw);
-    Buf.unsafe_set_int32_ne buf b3
-      (Int32.of_int (Int32.to_int (Buf.unsafe_get_int32_ne buf b3) + sign));
-    Buf.unsafe_set_int64_ne buf (b3 + 4) (Int64.logxor (Buf.unsafe_get_int64_ne buf (b3 + 4)) kw);
-    Buf.unsafe_set_int64_ne buf (b3 + coff)
-      (Int64.logxor (Buf.unsafe_get_int64_ne buf (b3 + coff)) cw)
+    set32_le buf b0 (Int32.of_int (Int32.to_int (get32_le buf b0) + sign));
+    set64_le buf (b0 + 4) (Int64.logxor (get64_le buf (b0 + 4)) kw);
+    set64_le buf (b0 + coff) (Int64.logxor (get64_le buf (b0 + coff)) cw);
+    set32_le buf b1 (Int32.of_int (Int32.to_int (get32_le buf b1) + sign));
+    set64_le buf (b1 + 4) (Int64.logxor (get64_le buf (b1 + 4)) kw);
+    set64_le buf (b1 + coff) (Int64.logxor (get64_le buf (b1 + coff)) cw);
+    set32_le buf b2 (Int32.of_int (Int32.to_int (get32_le buf b2) + sign));
+    set64_le buf (b2 + 4) (Int64.logxor (get64_le buf (b2 + 4)) kw);
+    set64_le buf (b2 + coff) (Int64.logxor (get64_le buf (b2 + coff)) cw);
+    set32_le buf b3 (Int32.of_int (Int32.to_int (get32_le buf b3) + sign));
+    set64_le buf (b3 + 4) (Int64.logxor (get64_le buf (b3 + 4)) kw);
+    set64_le buf (b3 + coff) (Int64.logxor (get64_le buf (b3 + coff)) cw)
   end
   else begin
     let s = ref h1 in
     for i = 0 to t.prm.k - 1 do
       s := Prng.mix_int (!s + h2);
       let base = ((i * per_part) + Hashing.reduce_fast !s per_part) * cb in
-      Buf.unsafe_set_int32_ne buf base
-        (Int32.of_int (Int32.to_int (Buf.unsafe_get_int32_ne buf base) + sign));
-      Buf.unsafe_set_int64_ne buf (base + 4)
-        (Int64.logxor (Buf.unsafe_get_int64_ne buf (base + 4)) kw);
-      Buf.unsafe_set_int64_ne buf (base + coff)
-        (Int64.logxor (Buf.unsafe_get_int64_ne buf (base + coff)) cw)
+      set32_le buf base (Int32.of_int (Int32.to_int (get32_le buf base) + sign));
+      set64_le buf (base + 4) (Int64.logxor (get64_le buf (base + 4)) kw);
+      set64_le buf (base + coff) (Int64.logxor (get64_le buf (base + coff)) cw)
     done
   end
 
 (* Add [sign] copies of [key] (sign is +1 or -1), given its hash pair. *)
 let apply_hashed t key ~h1 ~h2 ~cs sign =
-  if (not !safe_cells) && t.prm.key_len = 8 && t.check_bytes = 8 then begin
-    let kw = Buf.unsafe_get_int64_ne key 0 in
+  if t.prm.key_len = 8 && t.check_bytes = 8 then begin
+    let kw = get64_le key 0 in
     let kw_lo = Int64.to_int (Int64.logand kw 0xFFFFFFFFL) in
     let kw_hi = Int64.to_int (Int64.shift_right_logical kw 32) in
     apply_words t ~h1 ~h2 ~kw_lo ~kw_hi ~cs sign
@@ -298,8 +287,8 @@ let delete t key = apply t key (-1)
 (* Integer fast path: hash the value directly (the lanes of its
    little-endian encoding are computable without the bytes) and, on the
    word path, update cells straight from the value — no buffer is touched
-   at all. The safe/narrow-checksum fallback encodes into the table's
-   scratch key instead of allocating a fresh buffer per call. *)
+   at all. The narrow-checksum fallback encodes into the table's scratch
+   key instead of allocating a fresh buffer per call. *)
 let set_int_scratch t x =
   if t.prm.key_len < 8 then invalid_arg "Iblt: integer keys need key_len >= 8";
   if t.prm.key_len > 8 then Bytes.fill t.scratch 8 (t.prm.key_len - 8) '\000';
@@ -310,7 +299,7 @@ let apply_int_raw t x sign =
   Hashing.hash_int_bytes_into t.fn x ~len:kl t.lanes;
   let h1 = t.lanes.(0) and h2 = t.lanes.(1) in
   let cs = Hashing.mix_pair h1 h2 land t.check_mask in
-  if (not !safe_cells) && t.check_bytes = 8 then begin
+  if t.check_bytes = 8 then begin
     let kw = Int64.of_int x in
     let kw_lo = Int64.to_int (Int64.logand kw 0xFFFFFFFFL) in
     let kw_hi = Int64.to_int (Int64.shift_right_logical kw 32) in
@@ -334,247 +323,25 @@ let apply_int t x sign =
 let insert_int t x = apply_int t x 1
 let delete_int t x = apply_int t x (-1)
 
-(* Batch application of integer keys and of 8-byte byte keys at the
-   default checksum width (every other key shape takes the serial loop).
-   Phase 1 hashes every key and records its schedule
-   (k cell indices per key, plus each key's checksum); phase 2 radix-
-   partitions the incidences by "supercell" — a power-of-two run of cells
-   whose packed slice fits comfortably in L2 — and then applies each
-   bucket's updates back to back, so the random cell writes land in a
-   cache-resident region instead of missing across the whole table. Cell
-   updates commute (counts add, XOR fields XOR), so the result is
-   bit-identical to the serial loop while the miss cost per incidence
-   collapses. The phases run over fixed-size chunks of keys through
-   per-domain scratch that is grown once and reused across chunks and
-   calls: fresh memory is paid for at first touch, so O(n)-sized per-call
-   transients would cost far more than the misses they save. Below
-   [batch_threshold] keys, when the whole table already fits in cache, or
-   when the table is so large that a chunk's incidences no longer revisit
-   cache lines within a bucket (reuse per line scales with
-   [batch_chunk / cells]), the scaffolding costs more than the misses and
-   the batch degrades to the serial loop. *)
-
-let batch_threshold = 32
-
-(* Keys per chunk: bounds the scratch working set to a few MB. *)
-let batch_chunk = 65536
-
-(* Bucketing pays only while the apply pass still touches each cache line
-   of a bucket a few times per chunk; past [8 * batch_chunk] cells the
-   expected reuse drops under ~1.6 touches per line and the serial loop
-   wins again. *)
-let batch_max_cells = 8 * batch_chunk
-
-(* Largest power-of-two cell run whose packed bytes stay within ~256 KB. *)
-let bucket_shift t =
-  let s = ref 0 in
-  while (1 lsl (!s + 1)) * t.cell_bytes <= 262144 do incr s done;
-  !s
-
-(* Fill [pos] (k entries per key, starting at [j * k]) and [cs.(j)] from
-   the lanes currently in [t.lanes]. *)
-let schedule_of_lanes t pos cs j =
-  let h1 = t.lanes.(0) and h2 = t.lanes.(1) in
-  cs.(j) <- Hashing.mix_pair h1 h2 land t.check_mask;
-  let k = t.prm.k and per_part = t.per_part in
-  let s = ref h1 and base = j * k in
-  for i = 0 to k - 1 do
-    s := Prng.mix_int (!s + h2);
-    Array.unsafe_set pos (base + i) ((i * per_part) + Hashing.reduce_fast !s per_part)
-  done
-
-(* Bucket cursors from incidence counts: after this, [cnt.(b)] is the
-   start of bucket [b]'s slice and the scatter advances it to the end. *)
-let bucket_offsets cnt nbuckets =
-  let acc = ref 0 in
-  for b = 0 to nbuckets - 1 do
-    let d = Array.unsafe_get cnt b in
-    Array.unsafe_set cnt b !acc;
-    acc := !acc + d
-  done
-
-(* Reusable per-domain batch scratch (grown on demand, kept warm for the
-   next call). Domain-local so per-child batched builds under the domain
-   pool do not contend; a single table must not be batched from two
-   domains at once, which mutation already forbids. *)
-type batch_scratch = {
-  mutable s_pos : int array;  (* k cell indices per key in the chunk *)
-  mutable s_cs : int array;  (* checksum per key in the chunk *)
-  mutable s_rec : int array;  (* bucket-ordered interleaved incidence records *)
-  mutable s_cnt : int array;  (* per-bucket counts, then cursors *)
-}
-
-let batch_scratch_key =
-  Domain.DLS.new_key (fun () -> { s_pos = [||]; s_cs = [||]; s_rec = [||]; s_cnt = [||] })
-
-let ensure arr len = if Array.length arr >= len then arr else Array.make len 0
-
+(* Batch updates check every key up front, so a bad key array leaves the
+   table untouched, then apply the keys one at a time. *)
 let batch_apply_ints t xs sign =
   let n = Array.length xs in
-  if n = 0 then ()
-  else begin
-    if t.prm.key_len < 8 then invalid_arg "Iblt: integer keys need key_len >= 8";
-    Metrics.incr ~by:n (if sign >= 0 then m_inserts else m_deletes);
-    let shift = bucket_shift t in
-    let nbuckets = ((t.prm.cells - 1) lsr shift) + 1 in
-    if n <= batch_threshold || nbuckets <= 2 || t.prm.cells > batch_max_cells then
-      for j = 0 to n - 1 do
-        apply_int_raw t xs.(j) sign
-      done
-    else begin
-      let k = t.prm.k and kl = t.prm.key_len in
-      let bs = Domain.DLS.get batch_scratch_key in
-      let c_max = if n < batch_chunk then n else batch_chunk in
-      bs.s_pos <- ensure bs.s_pos (c_max * k);
-      bs.s_cs <- ensure bs.s_cs c_max;
-      bs.s_rec <- ensure bs.s_rec (3 * c_max * k);
-      bs.s_cnt <- ensure bs.s_cnt nbuckets;
-      let pos = bs.s_pos and cs = bs.s_cs and rec_ = bs.s_rec and cnt = bs.s_cnt in
-      let j0 = ref 0 in
-      while !j0 < n do
-        let c = if n - !j0 < batch_chunk then n - !j0 else batch_chunk in
-        let mc = c * k in
-        let base0 = !j0 in
-        Array.fill cnt 0 nbuckets 0;
-        for j = 0 to c - 1 do
-          Hashing.hash_int_bytes_into t.fn xs.(base0 + j) ~len:kl t.lanes;
-          schedule_of_lanes t pos cs j;
-          let base = j * k in
-          for i = 0 to k - 1 do
-            let b = Array.unsafe_get pos (base + i) lsr shift in
-            Array.unsafe_set cnt b (Array.unsafe_get cnt b + 1)
-          done
-        done;
-        bucket_offsets cnt nbuckets;
-        (* Scatter the chunk's incidences bucket-wise as interleaved
-           (cell, x, cs) records — one contiguous write stream per bucket,
-           read back sequentially by the apply pass. *)
-        for j = 0 to c - 1 do
-          let x = Array.unsafe_get xs (base0 + j) and ck = Array.unsafe_get cs j in
-          let base = j * k in
-          for i = 0 to k - 1 do
-            let cell = Array.unsafe_get pos (base + i) in
-            let b = cell lsr shift in
-            let slot = Array.unsafe_get cnt b in
-            let r = 3 * slot in
-            Array.unsafe_set rec_ r cell;
-            Array.unsafe_set rec_ (r + 1) x;
-            Array.unsafe_set rec_ (r + 2) ck;
-            Array.unsafe_set cnt b (slot + 1)
-          done
-        done;
-        if (not !safe_cells) && t.check_bytes = 8 then begin
-          let buf = t.buf and cb = t.cell_bytes in
-          let coff = 4 + kl in
-          for e = 0 to mc - 1 do
-            let r = 3 * e in
-            let base = Array.unsafe_get rec_ r * cb in
-            let kw = Int64.of_int (Array.unsafe_get rec_ (r + 1)) in
-            let cw = Int64.of_int (Array.unsafe_get rec_ (r + 2)) in
-            Buf.unsafe_set_int32_ne buf base
-              (Int32.of_int (Int32.to_int (Buf.unsafe_get_int32_ne buf base) + sign));
-            Buf.unsafe_set_int64_ne buf (base + 4)
-              (Int64.logxor (Buf.unsafe_get_int64_ne buf (base + 4)) kw);
-            Buf.unsafe_set_int64_ne buf (base + coff)
-              (Int64.logxor (Buf.unsafe_get_int64_ne buf (base + coff)) cw)
-          done
-        end
-        else
-          for e = 0 to mc - 1 do
-            let r = 3 * e in
-            set_int_scratch t rec_.(r + 1);
-            poke t rec_.(r) t.scratch rec_.(r + 2) sign
-          done;
-        j0 := base0 + c
-      done
-    end
-  end
+  if n > 0 && t.prm.key_len < 8 then invalid_arg "Iblt: integer keys need key_len >= 8";
+  Metrics.incr ~by:n (if sign >= 0 then m_inserts else m_deletes);
+  for j = 0 to n - 1 do
+    apply_int_raw t xs.(j) sign
+  done
 
 let batch_apply t keys sign =
   let n = Array.length keys in
-  let kl = t.prm.key_len in
-  if n = 0 then ()
-  else begin
-    for j = 0 to n - 1 do
-      if Bytes.length keys.(j) <> kl then invalid_arg "Iblt: key length mismatch"
-    done;
-    Metrics.incr ~by:n (if sign >= 0 then m_inserts else m_deletes);
-    let shift = bucket_shift t in
-    let nbuckets = ((t.prm.cells - 1) lsr shift) + 1 in
-    (* Only 8-byte keys at the default checksum width are bucketed: wider
-       keys, narrow checksums and the safe path measured no faster
-       bucketed than through the serial loop. *)
-    let fast = (not !safe_cells) && kl = 8 && t.check_bytes = 8 in
-    if (not fast) || n <= batch_threshold || nbuckets <= 2 || t.prm.cells > batch_max_cells then
-      for j = 0 to n - 1 do
-        apply_raw t keys.(j) sign
-      done
-    else begin
-      let k = t.prm.k in
-      let bs = Domain.DLS.get batch_scratch_key in
-      let c_max = if n < batch_chunk then n else batch_chunk in
-      bs.s_pos <- ensure bs.s_pos (c_max * k);
-      bs.s_cs <- ensure bs.s_cs c_max;
-      bs.s_rec <- ensure bs.s_rec (4 * c_max * k);
-      bs.s_cnt <- ensure bs.s_cnt nbuckets;
-      let pos = bs.s_pos and cs = bs.s_cs and rec_ = bs.s_rec and cnt = bs.s_cnt in
-      let j0 = ref 0 in
-      while !j0 < n do
-        let c = if n - !j0 < batch_chunk then n - !j0 else batch_chunk in
-        let mc = c * k in
-        let base0 = !j0 in
-        Array.fill cnt 0 nbuckets 0;
-        for j = 0 to c - 1 do
-          Hashing.hash_bytes_into t.fn keys.(base0 + j) t.lanes;
-          schedule_of_lanes t pos cs j;
-          let base = j * k in
-          for i = 0 to k - 1 do
-            let b = Array.unsafe_get pos (base + i) lsr shift in
-            Array.unsafe_set cnt b (Array.unsafe_get cnt b + 1)
-          done
-        done;
-        bucket_offsets cnt nbuckets;
-        (* 8-byte keys ride the scatter as two native-int word halves, in
-           interleaved (cell, lo, hi, cs) records. *)
-        for j = 0 to c - 1 do
-          let kw = Buf.unsafe_get_int64_ne (Array.unsafe_get keys (base0 + j)) 0 in
-          let lo = Int64.to_int (Int64.logand kw 0xFFFFFFFFL) in
-          let hi = Int64.to_int (Int64.shift_right_logical kw 32) in
-          let ck = Array.unsafe_get cs j in
-          let base = j * k in
-          for i = 0 to k - 1 do
-            let cell = Array.unsafe_get pos (base + i) in
-            let b = cell lsr shift in
-            let slot = Array.unsafe_get cnt b in
-            let r = 4 * slot in
-            Array.unsafe_set rec_ r cell;
-            Array.unsafe_set rec_ (r + 1) lo;
-            Array.unsafe_set rec_ (r + 2) hi;
-            Array.unsafe_set rec_ (r + 3) ck;
-            Array.unsafe_set cnt b (slot + 1)
-          done
-        done;
-        let buf = t.buf and cb = t.cell_bytes in
-        for e = 0 to mc - 1 do
-          let r = 4 * e in
-          let base = Array.unsafe_get rec_ r * cb in
-          let kw =
-            Int64.logor
-              (Int64.shift_left (Int64.of_int (Array.unsafe_get rec_ (r + 2))) 32)
-              (Int64.of_int (Array.unsafe_get rec_ (r + 1)))
-          in
-          let cw = Int64.of_int (Array.unsafe_get rec_ (r + 3)) in
-          Buf.unsafe_set_int32_ne buf base
-            (Int32.of_int (Int32.to_int (Buf.unsafe_get_int32_ne buf base) + sign));
-          Buf.unsafe_set_int64_ne buf (base + 4)
-            (Int64.logxor (Buf.unsafe_get_int64_ne buf (base + 4)) kw);
-          Buf.unsafe_set_int64_ne buf (base + 12)
-            (Int64.logxor (Buf.unsafe_get_int64_ne buf (base + 12)) cw)
-        done;
-        j0 := base0 + c
-      done
-    end
-  end
+  for j = 0 to n - 1 do
+    if Bytes.length keys.(j) <> t.prm.key_len then invalid_arg "Iblt: key length mismatch"
+  done;
+  Metrics.incr ~by:n (if sign >= 0 then m_inserts else m_deletes);
+  for j = 0 to n - 1 do
+    apply_raw t keys.(j) sign
+  done
 
 let add_all t keys = batch_apply t keys 1
 let delete_all t keys = batch_apply t keys (-1)

@@ -29,11 +29,9 @@
     cell's count (i32 LE), key XOR and checksum XOR (LE, width set by
     [check_bits]) are contiguous, so a cell visit touches one cache line
     and {!body_bytes} is a straight copy of the store. Cell updates run
-    word-wide through unchecked accessors on little-endian hosts, with a
-    checked byte-wise reference path selectable via {!set_safe_cell_path}
-    (or the [SSR_SAFE_CELLS] environment variable) and forced on
-    big-endian hosts; the two are differentially tested to produce
-    byte-identical tables. *)
+    word-wide through unchecked accessors that byte-swap on big-endian
+    hosts, so every host builds the same bytes; tests pin them to a
+    checked byte-wise reference. *)
 
 type params = {
   cells : int;  (** Total number of cells; rounded up to a multiple of [k]. *)
@@ -57,16 +55,6 @@ val create : ?check_bits:int -> params -> t
 val check_bits : t -> int
 (** The checksum width this table was created with. *)
 
-val safe_cell_path : unit -> bool
-(** Whether cell updates currently run on the checked byte-wise reference
-    implementation instead of the unchecked word-wide one. On by default
-    only on big-endian hosts or when [SSR_SAFE_CELLS] is set. *)
-
-val set_safe_cell_path : bool -> unit
-(** Select the cell-update implementation (for tests and benchmarks; the
-    two produce byte-identical tables). Forcing [false] on a big-endian
-    host is ignored — the word-wide path is little-endian only. *)
-
 val copy : t -> t
 (** Deep copy: shares no mutable state with the original. *)
 
@@ -88,23 +76,18 @@ val insert_int : t -> int -> unit
 val delete_int : t -> int -> unit
 
 val add_all : t -> Bytes.t array -> unit
-(** Batch {!insert}. For 8-byte keys at the default checksum width it
-    hashes every key first, then applies all cell updates in one
-    position-sorted sweep of the table, so the writes are near-sequential
-    instead of one random cache miss per cell; other key shapes go through
-    the serial loop, where the sweep measured no faster. The resulting
-    table is bit-identical to inserting the keys one at a time (cell
-    updates commute), so transcripts are unaffected by batching. *)
+(** {!insert} of every key, in order. Every key's length is checked
+    first, so a key of the wrong length raises [Invalid_argument] with
+    the table untouched. *)
 
 val delete_all : t -> Bytes.t array -> unit
-(** Batch {!delete}; same contract as {!add_all}. *)
+(** {!delete} of every key; same contract as {!add_all}. *)
 
 val add_all_ints : t -> int array -> unit
-(** Batch {!insert_int}: {!add_all} on little-endian-encoded integers
-    without materializing per-key buffers. *)
+(** {!insert_int} of every integer, in order. *)
 
 val delete_all_ints : t -> int array -> unit
-(** Batch {!delete_int}. *)
+(** {!delete_int} of every integer. *)
 
 val subtract : t -> t -> t
 (** [subtract a b] is the cell-wise difference: a table representing the

@@ -31,38 +31,7 @@ let level t x =
 
 let add t x = Iblt.insert_int t.strata.(level t x) x
 
-(* Batched {!add}: classify every element first, group by stratum, and
-   land each group in one batched table insert. Same tables as n serial
-   [add]s (cell updates commute). *)
-let add_all t xs =
-  let n = Array.length xs in
-  if n = 0 then ()
-  else begin
-    let nl = Array.length t.strata in
-    let lv = Array.make n 0 in
-    let cnt = Array.make nl 0 in
-    for i = 0 to n - 1 do
-      let l = level t xs.(i) in
-      lv.(i) <- l;
-      cnt.(l) <- cnt.(l) + 1
-    done;
-    let off = Array.make nl 0 in
-    let acc = ref 0 in
-    for l = 0 to nl - 1 do
-      off.(l) <- !acc;
-      acc := !acc + cnt.(l)
-    done;
-    let grouped = Array.make n 0 in
-    let cur = Array.copy off in
-    for i = 0 to n - 1 do
-      let l = lv.(i) in
-      grouped.(cur.(l)) <- xs.(i);
-      cur.(l) <- cur.(l) + 1
-    done;
-    for l = 0 to nl - 1 do
-      if cnt.(l) > 0 then Iblt.add_all_ints t.strata.(l) (Array.sub grouped off.(l) cnt.(l))
-    done
-  end
+let add_all t xs = Array.iter (add t) xs
 
 let estimate ~local ~remote =
   if Array.length local.strata <> Array.length remote.strata then

@@ -19,8 +19,7 @@ val add : t -> int -> unit
 (** Add one element of the local set. *)
 
 val add_all : t -> int array -> unit
-(** Batched {!add}: classify all elements, then one batched insert per
-    stratum; the resulting tables are identical to serial adds. *)
+(** {!add} of every element, in order. *)
 
 val estimate : local:t -> remote:t -> int
 (** One party's estimate of the set difference given the other's sketch.

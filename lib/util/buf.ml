@@ -53,9 +53,8 @@ let xor_key_into ~dst ~pos src =
 (* Native-endian unchecked word accessors. Declared as externals (here and
    in the interface) so call sites compile to single load/store
    instructions. Callers own two obligations: bounds, and — since these are
-   native-endian while every wire field is little-endian — only using them
-   on little-endian hardware (the sketch core forces its safe byte-wise
-   path when [Sys.big_endian]). *)
+   native-endian while every wire field is little-endian — byte-swapping
+   numbers on big-endian hardware. *)
 external unsafe_get_int16_ne : Bytes.t -> int -> int = "%caml_bytes_get16u"
 external unsafe_set_int16_ne : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
 external unsafe_get_int32_ne : Bytes.t -> int -> int32 = "%caml_bytes_get32u"

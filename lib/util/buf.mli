@@ -40,9 +40,9 @@ val xor_key_into : dst:Bytes.t -> pos:int -> Bytes.t -> unit
     Declared as externals so cross-module call sites compile to single
     load/store instructions — these back the IBLT packed-cell hot paths.
     No bounds checks, and the byte order is the host's: wire fields are
-    little-endian, so code that must be portable either restricts these to
-    little-endian hosts (the sketch core forces its safe byte-wise path on
-    [Sys.big_endian]) or swaps explicitly. *)
+    little-endian, so a caller that reads or writes a number through these
+    byte-swaps when [Sys.big_endian] (as the sketch core's cell updates
+    do). XOR of raw bytes needs no swap. *)
 
 external unsafe_get_int16_ne : Bytes.t -> int -> int = "%caml_bytes_get16u"
 external unsafe_set_int16_ne : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"

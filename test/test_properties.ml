@@ -131,45 +131,40 @@ let prop_encoding_deterministic_and_discriminating =
    inserted at once lands exactly the table that inserting fresh encodings
    in one batch does. The children include the empty set and repeats (so
    a memo hits inside a pass); with a memo the list is folded twice, the
-   second pass served from the memo. Both cell paths are covered. *)
+   second pass served from the memo. *)
 let prop_folds_match_add_all =
   let gen =
     QCheck.Gen.(
       pair
-        (quad (int_range 6 140) (int_range 3 4) bool bool)
+        (triple (int_range 6 140) (int_range 3 4) bool)
         (pair bool (list_size (int_bound 12) (iset_gen 200))))
   in
   QCheck.Test.make ~name:"Encoding and Direct folds = add_all of fresh encodings" ~count:80
-    (QCheck.make gen) (fun ((cells, k, memo, safe), (bitmap, kids)) ->
-      let was_safe = Iblt.safe_cell_path () in
-      Fun.protect
-        ~finally:(fun () -> Iblt.set_safe_cell_path was_safe)
-        (fun () ->
-          Iblt.set_safe_cell_path safe;
-          let kids = Array.of_list ((Iset.empty :: kids) @ List.filteri (fun i _ -> i mod 3 = 0) kids) in
-          let table key_len = Iblt.create { cells = 40; k; key_len; seed = 21L } in
-          let same_as_batch key_len encode fold =
-            let batch = table key_len in
-            Iblt.add_all batch (Array.map encode kids);
-            let folded = table key_len in
-            fold folded;
-            Bytes.equal (Iblt.body_bytes batch) (Iblt.body_bytes folded)
-          in
-          let cfg : Encoding.config = { child_cells = cells; child_k = k; hash_bits = 30; seed = 19L } in
-          let encoder = Encoding.encoder ?memo:(if memo then Some (Ssr_core.Enc_cache.create ()) else None) cfg in
-          let passes = if memo then 2 else 1 in
-          let encoding_ok =
-            List.for_all
-              (fun _ ->
-                same_as_batch (Encoding.key_length cfg) (Encoding.encode cfg) (fun t ->
-                    Array.iter (fun c -> Iblt.insert t (encoder c)) kids))
-              (List.init passes Fun.id)
-          in
-          let dcfg : Direct.config = if bitmap then { u = 201; h = 200 } else { u = 1 lsl 20; h = 40 } in
-          let direct = Direct.encoder dcfg in
-          encoding_ok
-          && same_as_batch (Direct.key_length dcfg) (Direct.encode dcfg) (fun t ->
-                 Array.iter (fun c -> Iblt.insert t (direct c)) kids)))
+    (QCheck.make gen) (fun ((cells, k, memo), (bitmap, kids)) ->
+      let kids = Array.of_list ((Iset.empty :: kids) @ List.filteri (fun i _ -> i mod 3 = 0) kids) in
+      let table key_len = Iblt.create { cells = 40; k; key_len; seed = 21L } in
+      let same_as_batch key_len encode fold =
+        let batch = table key_len in
+        Iblt.add_all batch (Array.map encode kids);
+        let folded = table key_len in
+        fold folded;
+        Bytes.equal (Iblt.body_bytes batch) (Iblt.body_bytes folded)
+      in
+      let cfg : Encoding.config = { child_cells = cells; child_k = k; hash_bits = 30; seed = 19L } in
+      let encoder = Encoding.encoder ?memo:(if memo then Some (Ssr_core.Enc_cache.create ()) else None) cfg in
+      let passes = if memo then 2 else 1 in
+      let encoding_ok =
+        List.for_all
+          (fun _ ->
+            same_as_batch (Encoding.key_length cfg) (Encoding.encode cfg) (fun t ->
+                Array.iter (fun c -> Iblt.insert t (encoder c)) kids))
+          (List.init passes Fun.id)
+      in
+      let dcfg : Direct.config = if bitmap then { u = 201; h = 200 } else { u = 1 lsl 20; h = 40 } in
+      let direct = Direct.encoder dcfg in
+      encoding_ok
+      && same_as_batch (Direct.key_length dcfg) (Direct.encode dcfg) (fun t ->
+             Array.iter (fun c -> Iblt.insert t (direct c)) kids))
 
 (* The pairing hoist: one staged [pairing] over Bob's differing children
    answers every key as scanning them with [try_recover] does — keys of

@@ -783,46 +783,116 @@ let test_checksum_widths () =
     true
     (!agreements >= 30)
 
-(* The checked byte-wise reference path and the unchecked word-wide path
-   must produce byte-identical tables on any op sequence; this is the
-   guard the unsafe accessors live behind. *)
-let test_safe_unsafe_identical () =
-  let was_safe = Iblt.safe_cell_path () in
-  Fun.protect
-    ~finally:(fun () -> Iblt.set_safe_cell_path was_safe)
-    (fun () ->
-      let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0x5AFE) in
-      List.iter
-        (fun (key_len, check_bits) ->
-          let prm : Iblt.params =
-            { cells = 96; k = 4; key_len; seed = Prng.derive ~seed ~tag:(0x5AFE00 + key_len) }
-          in
-          let run safe =
-            Iblt.set_safe_cell_path safe;
-            let t = Iblt.create ~check_bits prm in
-            let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0x5AFE1) in
-            for _ = 1 to 300 do
-              let x = Prng.int_below rng max_int in
-              if key_len >= 8 then
-                if Prng.bool rng then Iblt.insert_int t x else Iblt.delete_int t x
-              else begin
-                let key = random_key rng ~key_len in
-                if Prng.bool rng then Iblt.insert t key else Iblt.delete t key
-              end
-            done;
-            Iblt.add_all_ints t (Array.init 64 (fun i -> i * 977));
-            Iblt.body_bytes t
-          in
-          ignore rng;
-          let safe_body = run true and unsafe_body = run false in
-          Alcotest.(check bool)
-            (Printf.sprintf "key_len=%d check_bits=%d" key_len check_bits)
-            true
-            (Bytes.equal safe_body unsafe_body))
-        [ (8, 62); (8, 16); (12, 62); (17, 32); (20, 8) ])
+(* Byte-wise reference for the packed cell store: checked [Bytes]
+   operations with every numeric field explicitly little-endian, so it is
+   correct on any host. Positions and checksums are recomputed from the
+   public hashing primitives under the table's hash tag, and integer keys
+   are encoded to bytes first, so the table's word-wide and integer fast
+   paths must match it byte for byte. *)
+module Ref_cells = struct
+  module Hashing = Ssr_util.Hashing
 
-(* Batched inserts/deletes must be bit-identical to the serial loop across
-   the batch threshold, key widths and checksum widths. *)
+  type t = {
+    prm : Iblt.params;
+    check_bytes : int;
+    check_mask : int;
+    cell_bytes : int;
+    buf : Bytes.t;
+    fn : Hashing.fn;
+  }
+
+  let create ?(check_bits = 62) (prm : Iblt.params) =
+    let check_bytes = match check_bits with 8 -> 1 | 16 -> 2 | 32 -> 4 | _ -> 8 in
+    let cells = (max prm.k prm.cells + prm.k - 1) / prm.k * prm.k in
+    let cell_bytes = 4 + prm.key_len + check_bytes in
+    {
+      prm = { prm with cells };
+      check_bytes;
+      check_mask = (1 lsl check_bits) - 1;
+      cell_bytes;
+      buf = Bytes.make (cells * cell_bytes) '\000';
+      fn = Hashing.make ~seed:prm.seed ~tag:0x1B17;
+    }
+
+  let poke t c key cs sign =
+    let base = c * t.cell_bytes in
+    let kl = t.prm.key_len in
+    Bytes.set_int32_le t.buf base (Int32.add (Bytes.get_int32_le t.buf base) (Int32.of_int sign));
+    for i = 0 to kl - 1 do
+      Bytes.set t.buf (base + 4 + i)
+        (Char.chr (Char.code (Bytes.get t.buf (base + 4 + i)) lxor Char.code (Bytes.get key i)))
+    done;
+    let off = base + 4 + kl in
+    match t.check_bytes with
+    | 1 -> Bytes.set_uint8 t.buf off (Bytes.get_uint8 t.buf off lxor cs)
+    | 2 -> Bytes.set_uint16_le t.buf off (Bytes.get_uint16_le t.buf off lxor cs)
+    | 4 ->
+      Bytes.set_int32_le t.buf off (Int32.logxor (Bytes.get_int32_le t.buf off) (Int32.of_int cs))
+    | _ ->
+      Bytes.set_int64_le t.buf off (Int64.logxor (Bytes.get_int64_le t.buf off) (Int64.of_int cs))
+
+  let apply t key sign =
+    let h1, h2 = Hashing.hash_bytes_pair t.fn key in
+    let cs = Hashing.mix_pair h1 h2 land t.check_mask in
+    let per_part = t.prm.cells / t.prm.k in
+    let s = ref h1 in
+    for i = 0 to t.prm.k - 1 do
+      s := Prng.mix_int (!s + h2);
+      poke t ((i * per_part) + Hashing.reduce_fast !s per_part) key cs sign
+    done
+
+  let key_of_int t x =
+    let key = Bytes.make t.prm.key_len '\000' in
+    Bytes.set_int64_le key 0 (Int64.of_int x);
+    key
+
+  let insert t key = apply t key 1
+  let delete t key = apply t key (-1)
+  let insert_int t x = apply t (key_of_int t x) 1
+  let delete_int t x = apply t (key_of_int t x) (-1)
+  let body t = Bytes.copy t.buf
+end
+
+(* The table's word-wide cell updates must leave exactly the bytes of the
+   byte-wise reference on any op sequence: this is the guard the
+   unchecked accessors live behind. *)
+let test_safe_unsafe_identical () =
+  List.iter
+    (fun (key_len, check_bits) ->
+      let prm : Iblt.params =
+        { cells = 96; k = 4; key_len; seed = Prng.derive ~seed ~tag:(0x5AFE00 + key_len) }
+      in
+      let t = Iblt.create ~check_bits prm and r = Ref_cells.create ~check_bits prm in
+      let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0x5AFE1) in
+      for _ = 1 to 300 do
+        let x = Prng.int_below rng max_int in
+        if key_len >= 8 then
+          if Prng.bool rng then (Iblt.insert_int t x; Ref_cells.insert_int r x)
+          else (Iblt.delete_int t x; Ref_cells.delete_int r x)
+        else begin
+          let key = random_key rng ~key_len in
+          if Prng.bool rng then (Iblt.insert t key; Ref_cells.insert r key)
+          else (Iblt.delete t key; Ref_cells.delete r key)
+        end
+      done;
+      let xs = Array.init 64 (fun i -> i * 977) in
+      if key_len >= 8 then begin
+        Iblt.add_all_ints t xs;
+        Array.iter (Ref_cells.insert_int r) xs
+      end
+      else begin
+        let keys = Array.map (fun x -> Bytes.sub (int_key x) 0 key_len) xs in
+        Iblt.add_all t keys;
+        Array.iter (Ref_cells.insert r) keys
+      end;
+      Alcotest.(check bool)
+        (Printf.sprintf "key_len=%d check_bits=%d" key_len check_bits)
+        true
+        (Bytes.equal (Ref_cells.body r) (Iblt.body_bytes t)))
+    [ (5, 62); (8, 62); (8, 16); (12, 62); (16, 62); (17, 32); (20, 8) ]
+
+(* Batched inserts/deletes must leave the reference's bytes across key
+   widths, checksum widths and batch sizes. *)
 let test_batch_matches_serial () =
   List.iter
     (fun (cells, k, key_len, check_bits) ->
@@ -831,14 +901,17 @@ let test_batch_matches_serial () =
           let prm : Iblt.params =
             { cells; k; key_len; seed = Prng.derive ~seed ~tag:(0xBA7C + cells + n) }
           in
+          let same label r t =
+            Alcotest.(check bool)
+              (Printf.sprintf "%s cells=%d kl=%d cb=%d n=%d" label cells key_len check_bits n)
+              true
+              (Bytes.equal (Ref_cells.body r) (Iblt.body_bytes t))
+          in
           let xs = Array.init n (fun i -> (i * 0x9E3779B1) land max_int) in
-          let a = Iblt.create ~check_bits prm and b = Iblt.create ~check_bits prm in
-          Array.iter (Iblt.insert_int a) xs;
+          let a = Ref_cells.create ~check_bits prm and b = Iblt.create ~check_bits prm in
+          Array.iter (Ref_cells.insert_int a) xs;
           Iblt.add_all_ints b xs;
-          Alcotest.(check bool)
-            (Printf.sprintf "ints cells=%d kl=%d cb=%d n=%d" cells key_len check_bits n)
-            true
-            (Bytes.equal (Iblt.body_bytes a) (Iblt.body_bytes b));
+          same "ints" a b;
           let keys =
             Array.init n (fun i ->
                 let key = Bytes.make key_len '\000' in
@@ -846,67 +919,57 @@ let test_batch_matches_serial () =
                 if key_len > 8 then Bytes.set key (key_len - 1) (Char.chr (i land 0xFF));
                 key)
           in
-          let c = Iblt.create ~check_bits prm and d = Iblt.create ~check_bits prm in
-          Array.iter (Iblt.insert c) keys;
+          let c = Ref_cells.create ~check_bits prm and d = Iblt.create ~check_bits prm in
+          Array.iter (Ref_cells.insert c) keys;
           Iblt.add_all d keys;
-          Alcotest.(check bool)
-            (Printf.sprintf "bytes cells=%d kl=%d cb=%d n=%d" cells key_len check_bits n)
-            true
-            (Bytes.equal (Iblt.body_bytes c) (Iblt.body_bytes d));
-          Iblt.delete_all d keys;
+          same "bytes" c d;
+          let half parity =
+            Array.of_list (List.filteri (fun i _ -> i land 1 = parity) (Array.to_list keys))
+          in
+          Array.iter (Ref_cells.delete c) (half 1);
+          Iblt.delete_all d (half 1);
+          same "delete_all" c d;
+          Iblt.delete_all d (half 0);
           Alcotest.(check bool) "delete_all empties" true (Iblt.is_empty d))
         [ 5; 33; 600 ])
     [ (128, 4, 8, 62); (1024, 3, 12, 62); (512, 4, 8, 16); (300, 5, 20, 32) ]
 
 (* A [delete_int] of a never-inserted key followed by the matching
    [insert_int] must restore a byte-identical buffer at every checksum
-   width on both cell paths — the server's incremental maintenance relies
-   on exact cancellation when a removal lands before the insert it
-   reverses. Count is a two's-complement i32 add and key/checksum are XOR,
-   so any sign asymmetry (extension on the -1 count, checksum truncation
-   differing between paths) shows up as a byte diff here. *)
+   width — the server's incremental maintenance relies on exact
+   cancellation when a removal lands before the insert it reverses. Count
+   is a two's-complement i32 add and key/checksum are XOR, so any sign
+   asymmetry (extension on the -1 count, checksum truncation) shows up as
+   a byte diff here. *)
 let test_delete_then_insert_restores_bytes () =
-  let was_safe = Iblt.safe_cell_path () in
-  Fun.protect
-    ~finally:(fun () -> Iblt.set_safe_cell_path was_safe)
-    (fun () ->
+  List.iter
+    (fun check_bits ->
       List.iter
-        (fun safe ->
-          Iblt.set_safe_cell_path safe;
-          List.iter
-            (fun check_bits ->
-              List.iter
-                (fun key_len ->
-                  let prm : Iblt.params =
-                    {
-                      cells = 64;
-                      k = 4;
-                      key_len;
-                      seed = Prng.derive ~seed ~tag:(0xD1F0 + check_bits + key_len);
-                    }
-                  in
-                  let t = Iblt.create ~check_bits prm in
-                  List.iter (Iblt.insert_int t) [ 3; 1_000_003; max_int ];
-                  let before = Iblt.body_bytes t in
-                  let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0xD1F1) in
-                  for _ = 1 to 64 do
-                    let x = Prng.int_below rng max_int in
-                    Iblt.delete_int t x;
-                    Iblt.insert_int t x
-                  done;
-                  for i = 1 to 16 do
-                    let key = Bytes.make key_len '\000' in
-                    Buf.set_int_le key 0 ((i * 0x9E3779B1) land max_int);
-                    Iblt.delete t key;
-                    Iblt.insert t key
-                  done;
-                  Alcotest.(check bool)
-                    (Printf.sprintf "safe=%b check_bits=%d key_len=%d" safe check_bits key_len)
-                    true
-                    (Bytes.equal before (Iblt.body_bytes t)))
-                [ 8; 12 ])
-            [ 8; 16; 32; 62 ])
-        [ true; false ])
+        (fun key_len ->
+          let prm : Iblt.params =
+            { cells = 64; k = 4; key_len; seed = Prng.derive ~seed ~tag:(0xD1F0 + check_bits + key_len) }
+          in
+          let t = Iblt.create ~check_bits prm in
+          List.iter (Iblt.insert_int t) [ 3; 1_000_003; max_int ];
+          let before = Iblt.body_bytes t in
+          let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0xD1F1) in
+          for _ = 1 to 64 do
+            let x = Prng.int_below rng max_int in
+            Iblt.delete_int t x;
+            Iblt.insert_int t x
+          done;
+          for i = 1 to 16 do
+            let key = Bytes.make key_len '\000' in
+            Buf.set_int_le key 0 ((i * 0x9E3779B1) land max_int);
+            Iblt.delete t key;
+            Iblt.insert t key
+          done;
+          Alcotest.(check bool)
+            (Printf.sprintf "check_bits=%d key_len=%d" check_bits key_len)
+            true
+            (Bytes.equal before (Iblt.body_bytes t)))
+        [ 8; 12 ])
+    [ 8; 16; 32; 62 ]
 
 (* A copy must share no mutable state with the original: mutating either
    side afterwards cannot leak into the other. *)
@@ -934,29 +997,19 @@ let test_copy_does_not_alias () =
    minor-heap delta here is a regression even when it is too small to show
    up in timings. *)
 let test_insert_int_zero_alloc () =
-  let was_safe = Iblt.safe_cell_path () in
-  Fun.protect
-    ~finally:(fun () -> Iblt.set_safe_cell_path was_safe)
-    (fun () ->
-      List.iter
-        (fun safe ->
-          Iblt.set_safe_cell_path safe;
-          let t = Iblt.create (params ~cells:256 ()) in
-          (* Warm up so any one-time allocation is off the books. *)
-          for i = 1 to 64 do
-            Iblt.insert_int t i;
-            Iblt.delete_int t i
-          done;
-          let w0 = Gc.minor_words () in
-          for i = 1 to 1000 do
-            Iblt.insert_int t (i * 7919);
-            Iblt.delete_int t (i * 7919)
-          done;
-          let dw = Gc.minor_words () -. w0 in
-          Alcotest.(check (float 0.0))
-            (Printf.sprintf "safe=%b minor words" safe)
-            0.0 dw)
-        [ true; false ])
+  let t = Iblt.create (params ~cells:256 ()) in
+  (* Warm up so any one-time allocation is off the books. *)
+  for i = 1 to 64 do
+    Iblt.insert_int t i;
+    Iblt.delete_int t i
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 1 to 1000 do
+    Iblt.insert_int t (i * 7919);
+    Iblt.delete_int t (i * 7919)
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 dw
 
 (* The child hashes behind every nested encoding, fingerprint and guard
    are advertised allocation-free too: a 4 KiB byte key (3078 minor words
@@ -993,33 +1046,24 @@ let test_encoding_fold_alloc () =
   let kids =
     Array.init 1000 (fun i -> Iset.random_subset rng ~universe:(1 lsl 30) ~size:(1 + (i mod 24)))
   in
-  let was_safe = Iblt.safe_cell_path () in
-  Fun.protect
-    ~finally:(fun () -> Iblt.set_safe_cell_path was_safe)
-    (fun () ->
-      List.iter
-        (fun safe ->
-          Iblt.set_safe_cell_path safe;
-          let outer =
-            Iblt.create
-              (params ~cells:(Iblt.recommended_cells ~k:4 ~diff_bound:128)
-                 ~key_len:(Encoding.key_length cfg) ())
-          in
-          Alcotest.(check int) "key width" 2807 (Encoding.key_length cfg);
-          let encode = Encoding.encoder cfg in
-          let insert c = Iblt.insert outer (encode c) in
-          let fold () = Array.iter insert kids in
-          fold ();
-          Gc.minor ();
-          let major () = (Gc.quick_stat ()).Gc.major_words in
-          let major0 = major () in
-          let minor0 = Gc.minor_words () in
-          fold ();
-          let minor1 = Gc.minor_words () in
-          let major1 = major () in
-          Alcotest.(check (float 0.0)) (Printf.sprintf "safe=%b minor words" safe) 0.0 (minor1 -. minor0);
-          Alcotest.(check (float 0.0)) (Printf.sprintf "safe=%b major words" safe) 0.0 (major1 -. major0))
-        [ true; false ])
+  let outer =
+    Iblt.create
+      (params ~cells:(Iblt.recommended_cells ~k:4 ~diff_bound:128) ~key_len:(Encoding.key_length cfg) ())
+  in
+  Alcotest.(check int) "key width" 2807 (Encoding.key_length cfg);
+  let encode = Encoding.encoder cfg in
+  let insert c = Iblt.insert outer (encode c) in
+  let fold () = Array.iter insert kids in
+  fold ();
+  Gc.minor ();
+  let major () = (Gc.quick_stat ()).Gc.major_words in
+  let major0 = major () in
+  let minor0 = Gc.minor_words () in
+  fold ();
+  let minor1 = Gc.minor_words () in
+  let major1 = major () in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 (minor1 -. minor0);
+  Alcotest.(check (float 0.0)) "major words" 0.0 (major1 -. major0)
 
 (* Residual serialization at a narrow width roundtrips through the
    width-aware parser back to the same table bytes. *)
