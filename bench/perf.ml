@@ -250,26 +250,71 @@ let sketch_suite ~smoke ~trials =
              ("edits", I edits); ("domains", I (Par.available ())); ("mw_per_op", F mw) ]))
     Protocol.all;
 
-  (* The per-child encoding the nested-protocol passes bottom out in (once
-     per cascade level in the same walk, each party once): one row for the
-     fold, which re-fills one reused key buffer as every single attempt
-     does, and one for a hit in a request's memo, as a later rung of
-     Resilient's ladder finds it. The encoders are staged once, as a pass
-     stages them. *)
+  (* The per-child fold the nested-protocol passes bottom out in (once per
+     cascade level in the same walk, each party once): encode a chunk of
+     64 children four at a time into reused key buffers and insert each
+     group into an outer table. One row for the fold as every single
+     attempt runs it, and one for a pass served from a request's memo, as
+     a later rung of Resilient's ladder finds it. Figures are per child;
+     the folds are staged once, as a pass stages them. *)
   (let module Encoding = Ssr_core.Encoding in
    let cfg = { Encoding.child_cells = 64; child_k = 3; hash_bits = 16; seed } in
-   let child = Iset.random_subset rng ~universe:(1 lsl 30) ~size:24 in
+   let chunk = 64 in
+   let kids =
+     Array.init chunk (fun _ -> Iset.random_subset rng ~universe:(1 lsl 30) ~size:24)
+   in
+   let outer =
+     Iblt.create
+       { cells = Iblt.recommended_cells ~k:4 ~diff_bound:128; k = 4;
+         key_len = Encoding.key_length cfg; seed }
+   in
    let memo = Ssr_core.Enc_cache.create () in
    List.iter
-     (fun (mode, encode) ->
-       let op () = encode child in
-       ignore (op ());
-       let ns = measure ~trials op in
-       let mw = minor_words_per_op op in
+     (fun (mode, fold) ->
+       let op () = fold outer kids in
+       op ();
+       let per_child x = x /. float_of_int chunk in
+       let ns = per_child (measure ~trials op) in
+       let mw = per_child (minor_words_per_op ~reps:64 op) in
        push
          (ops_fields "child_encode" ~ns
-            [ ("cells", I 64); ("child_size", I 24); ("mode", S mode); ("mw_per_op", F mw) ]))
-     [ ("fold", Encoding.encoder cfg); ("memo_hit", Encoding.encoder ~memo cfg) ]);
+            [ ("cells", I 64); ("child_size", I 24); ("chunk", I chunk); ("mode", S mode);
+              ("mw_per_op", F mw) ]))
+     [ ("fold", Encoding.fold cfg); ("memo_hit", Encoding.fold ~memo cfg) ]);
+
+  (* The iblt-of-iblts outer insert at bulk_nested's shape (d = 64): a
+     268-cell table of 2,807-byte keys, each with ~21 nonzero words (the
+     measured mean), inserted through [add_all] so keys hash four at a
+     time and each cell update XORs only the nonzero words. Per key. *)
+  (let key_len = 2807 and nonzero = 21 and batch = 64 in
+   let prm : Iblt.params =
+     { cells = Iblt.recommended_cells ~k:4 ~diff_bound:128; k = 4; key_len; seed }
+   in
+   let t = Iblt.create prm in
+   let keys =
+     Array.init batch (fun _ ->
+         let key = Bytes.make key_len '\000' in
+         for _ = 1 to nonzero do
+           Bytes.set_int64_le key (8 * Prng.int_below rng (key_len / 8)) (Prng.next_int64 rng)
+         done;
+         key)
+   in
+   let op () = Iblt.add_all t keys in
+   let ns = measure ~trials op /. float_of_int batch in
+   let mw = minor_words_per_op op /. float_of_int batch in
+   push
+     (ops_fields "iblt_insert" ~ns
+        [ ("cells", I prm.cells); ("k", I 4); ("key_len", I key_len);
+          ("nonzero_words", I nonzero); ("mw_per_op", F mw) ]));
+
+  (* Frame CRC over one iblt-of-iblts payload at bulk_nested's shape
+     (268 cells x 2,819 bytes): every message pays it at both ends. *)
+  (let len = 268 * 2819 in
+   let buf = Bytes.init len (fun i -> Char.chr ((i * 131) land 0xFF)) in
+   let ns = measure ~trials (fun () -> Ssr_util.Crc32.digest buf) in
+   push
+     (ops_fields "crc32" ~ns
+        [ ("bytes", I len); ("mb_per_sec", F (float_of_int len /. ns *. 953.674)) ]));
   List.rev !results
 
 (* ------------------------------------------------------------------ *)

@@ -547,6 +547,17 @@ let parse_partition s =
 
 let us_of_ms ms = int_of_float (ms *. 1000.)
 
+(* A fault probability: a float in [0, 1]. A value outside, NaN included,
+   is a usage error naming its flag, not an exception from the transport
+   layer's own check. *)
+let rate_conv =
+  Arg.conv
+    ( (fun s ->
+        match float_of_string_opt s with
+        | Some r when r >= 0. && r <= 1. -> Ok r
+        | _ -> Error (`Msg (Printf.sprintf "expected a probability in [0, 1], got %S" s))),
+      Format.pp_print_float )
+
 let run_faulty seed fault_seed drop corrupt truncate duplicate max_attempts rehash_attempts stash
     rateless runs target kind unframed latency reorder partition deadline_ms =
   let module Channel = Ssr_transport.Channel in
@@ -685,17 +696,17 @@ let faulty_cmd =
              ~doc:"Seed of the channel's fault PRNG; reusing a printed seed replays the identical fault sequence.")
   in
   let drop =
-    Arg.(value & opt float 0.05 & info [ "drop-rate" ] ~doc:"Per-message drop probability.")
+    Arg.(value & opt rate_conv 0.05 & info [ "drop-rate" ] ~doc:"Per-message drop probability.")
   in
   let corrupt =
-    Arg.(value & opt float 0.05
+    Arg.(value & opt rate_conv 0.05
          & info [ "corrupt-rate" ] ~doc:"Per-message single-bit corruption probability.")
   in
   let truncate =
-    Arg.(value & opt float 0.0 & info [ "truncate-rate" ] ~doc:"Per-message truncation probability.")
+    Arg.(value & opt rate_conv 0.0 & info [ "truncate-rate" ] ~doc:"Per-message truncation probability.")
   in
   let duplicate =
-    Arg.(value & opt float 0.0
+    Arg.(value & opt rate_conv 0.0
          & info [ "duplicate-rate" ] ~doc:"Per-message duplication probability.")
   in
   let max_attempts =
@@ -741,8 +752,8 @@ let faulty_cmd =
     Arg.conv
       ( (fun s ->
           match parse_latency s with
-          | Some v -> Ok v
-          | None -> Error (`Msg "expected BASE or BASE:JITTER in milliseconds")),
+          | Some ((b, j) as v) when b >= 0. && j >= 0. -> Ok v
+          | _ -> Error (`Msg "expected BASE or BASE:JITTER in non-negative milliseconds")),
         fun fmt (b, j) -> Format.fprintf fmt "%g:%g" b j )
   in
   let latency =
@@ -752,7 +763,7 @@ let faulty_cmd =
                    milliseconds (seeded uniform jitter).")
   in
   let reorder =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some rate_conv) None
          & info [ "reorder" ]
              ~doc:"Simulated network: per-copy probability of an extra hold-back delay that \
                    reorders it behind later traffic.")

@@ -46,15 +46,16 @@ let outer_params ~seed ~k ~key_len ~diff_bound i : Iblt.params =
    positions, which maps negatives back to his children, and his digest;
    then, only once level 1 has decoded, for every higher-level table and
    T*. So a failed level-1 decode costs one walk of his stream. Every pass
-   folds each child's encodings into the tables through one reused key
-   buffer per level. Levels >= 2 decode [alice_i - bob_i + db - da]: Bob
-   deletes everything he can account for (XOR cancels, and
-   add-then-delete of a shared child nets a zero count). The 8-byte guard
-   carries [Parent.stream_hash], verified incrementally from the delta.
-   [enc_seed] (default: the run seed) salts the per-level child-encoding
-   configs only; outer and star tables stay salted by the per-attempt run
-   seed. Resilient pins it, and passes one [memo] for the whole request,
-   so escalation rungs share the level encodings. *)
+   folds each child's encodings into the tables four keys at a time,
+   through reused key buffers per level. Levels >= 2 decode
+   [alice_i - bob_i + db - da]: Bob deletes everything he can account for
+   (XOR cancels, and add-then-delete of a shared child nets a zero
+   count). The 8-byte guard carries [Parent.stream_hash], verified
+   incrementally from the delta. [enc_seed] (default: the run seed) salts
+   the per-level child-encoding configs only; outer and star tables stay
+   salted by the per-attempt run seed. Resilient pins it, and passes one
+   [memo] for the whole request, so escalation rungs share the level
+   encodings. *)
 let run_stream ~comm ~seed ~enc_seed ~memo ~d ~d_hat ~s_bound ~u ~h ~k ~(alice : Parent.stream)
     ~(bob : Parent.stream) =
   let enc_seed = Option.value enc_seed ~default:seed in
@@ -81,18 +82,17 @@ let run_stream ~comm ~seed ~enc_seed ~memo ~d ~d_hat ~s_bound ~u ~h ~k ~(alice :
            0x55)
     else None
   in
-  (* One encoder per level, and one for T* too, serving every pass in turn. *)
-  let encoders = Array.map (Encoding.encoder ?memo) cfgs in
-  let direct = Direct.encoder direct_cfg in
-  let fold tbl encode kids = Array.iter (fun c -> Iblt.insert tbl (encode c)) kids in
+  (* One fold per level, and one for T* too, serving every pass in turn. *)
+  let folds = Array.map (Encoding.fold ?memo) cfgs in
+  let direct_fold = Direct.fold direct_cfg in
   (* Empty level tables from level [from] up (index = level), and T*. *)
   let fresh_tables ~from =
     ( Array.mapi (fun i prm -> if i < from then None else Option.map Iblt.create prm) outers,
       Option.map Iblt.create star_prm )
   in
   let land_chunk (tables, star) kids =
-    Array.iteri (fun i -> Option.iter (fun tbl -> fold tbl encoders.(i) kids)) tables;
-    Option.iter (fun tbl -> fold tbl direct kids) star
+    Array.iteri (fun i -> Option.iter (fun tbl -> folds.(i) tbl kids)) tables;
+    Option.iter (fun tbl -> direct_fold tbl kids) star
   in
   (* ---- Alice: build and send every level table (one message). ---- *)
   let alice_tables, alice_star = fresh_tables ~from:1 in
@@ -128,26 +128,23 @@ let run_stream ~comm ~seed ~enc_seed ~memo ~d ~d_hat ~s_bound ~u ~h ~k ~(alice :
   else begin
   (* ---- Bob: level 1 identifies D_B and recovers what the tiny tables
      allow. ---- *)
-  let hash_of_key = Encoding.hash_of_key cfgs.(1) in
+  let child_hash = Encoding.child_hash cfgs.(1) in
   let by_hash : (int, int) Hashtbl.t = Hashtbl.create (2 * bob.Parent.length) in
   let bob_l1 = Iblt.create (Option.get outers.(1)) in
   let bob_digest =
     Parent.stream_pass ~seed bob (fun base kids ->
-        Array.iteri
-          (fun j c ->
-            let key = encoders.(1) c in
-            Iblt.insert bob_l1 key;
-            Hashtbl.add by_hash (hash_of_key key) (base + j))
-          kids)
+        folds.(1) bob_l1 kids;
+        Array.iteri (fun j c -> Hashtbl.add by_hash (child_hash c) (base + j)) kids)
   in
   match Iblt.decode (Iblt.subtract (Option.get alice_tables.(1)) bob_l1) with
   | Error `Peel_stuck -> Error `Decode_failure
   | Ok { positives; negatives } -> (
+    let encode = Encoding.encode cfgs.(1) and hash_of_key = Encoding.hash_of_key cfgs.(1) in
     let child_of_neg neg =
       List.find_map
         (fun i ->
           let c = bob.Parent.child i in
-          if Bytes.equal (encoders.(1) c) neg then Some c else None)
+          if Bytes.equal (encode c) neg then Some c else None)
         (List.rev (Hashtbl.find_all by_hash (hash_of_key neg)))
     in
     let db = List.filter_map child_of_neg negatives in
@@ -184,14 +181,15 @@ let run_stream ~comm ~seed ~enc_seed ~memo ~d ~d_hat ~s_bound ~u ~h ~k ~(alice :
       in
       try_level 1 positives;
       for i = 2 to t do
-        match leftovers (Option.get alice_tables.(i)) (Option.get bob_tables.(i)) encoders.(i) with
+        let encode = Encoding.encode cfgs.(i) in
+        match leftovers (Option.get alice_tables.(i)) (Option.get bob_tables.(i)) encode with
         | Error `Peel_stuck -> () (* recovered at a later level or T* *)
         | Ok { positives; negatives = _ } -> try_level i positives
       done;
       (* T*: direct encodings as the final backstop. *)
       (match (alice_star, bob_star) with
       | Some star, Some bob_star -> (
-        match leftovers star bob_star direct with
+        match leftovers star bob_star (Direct.encode direct_cfg) with
         | Error `Peel_stuck -> ()
         | Ok { positives; negatives = _ } ->
           List.iter (fun key -> Option.iter (add_da t) (Direct.decode direct_cfg key)) positives)

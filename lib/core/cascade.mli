@@ -54,9 +54,11 @@ val run_stream :
     child hashes and his digest in one walk before the decode, and every
     higher-level table and T* in a second walk only once level 1 has
     decoded, so a failed level-1 decode walks his stream once. Each pass
-    folds each child into every table it builds through one reused key
-    buffer per level ({!Encoding.encoder}, {!Direct.encoder}), and each
-    level builds Bob's differing child tables once ({!Encoding.pairing}).
+    folds each child into every table it builds, four keys at a time
+    through reused key buffers per level ({!Encoding.fold},
+    {!Direct.fold}); the O(d) re-insertions of known differing children
+    encode afresh ({!Encoding.encode}, {!Direct.encode}). Each level
+    builds Bob's differing child tables once ({!Encoding.pairing}).
     [enc_seed] (default: [seed]) salts only the per-level child-encoding
     configs; outer and T* tables stay salted by the per-attempt [seed]. A
     retry driver that pins it across attempts re-derives identical child

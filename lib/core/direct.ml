@@ -59,12 +59,11 @@ let encode cfg child =
   fill cfg (mode cfg) child out;
   out
 
-let encoder cfg =
+let fold cfg =
   let mode = mode cfg in
-  let buf = Bytes.create (key_length cfg) in
-  fun child ->
-    fill cfg mode child buf;
-    buf
+  Key_fold.make ~key_len:(key_length cfg) (fun buf child ->
+      fill cfg mode child buf;
+      buf)
 
 let decode cfg bytes =
   check cfg;

@@ -21,12 +21,13 @@ val encode : config -> Ssr_util.Iset.t -> Bytes.t
 (** The encoding, in a fresh buffer. Raises [Invalid_argument] if the
     child has more than [h] elements or an element outside [\[0, u)]. *)
 
-val encoder : config -> Ssr_util.Iset.t -> Bytes.t
-(** The fold's encoder, as {!Encoding.encoder}: [encoder cfg] allocates one
-    key buffer, and each application overwrites it with exactly
-    {!encode}'s bytes and returns it, for the caller to insert into its
-    table before the next application. Not reentrant. Direct encodings
-    cost less to write than to look up, so they take no memo. *)
+val fold : config -> Ssr_sketch.Iblt.t -> Ssr_util.Iset.t array -> unit
+(** The fold, as {!Encoding.fold}: [fold cfg] allocates four key buffers,
+    and each application [fold cfg table kids] writes every child's
+    {!encode} bytes into them, four at a time, and inserts each group
+    with [Iblt.add_all], allocating nothing. Not reentrant. Direct
+    encodings cost less to write than to look up, so they take no
+    memo. *)
 
 val decode : config -> Bytes.t -> Ssr_util.Iset.t option
 (** [None] when the bytes are not a valid encoding (corrupt keys peeled out

@@ -34,7 +34,8 @@ type family
 
 val family : t -> cells:int -> k:int -> bits:int -> seed:int64 -> family
 (** The entries for this child-table geometry, hash width and seed; made
-    empty on first use. An encoder looks its family up once per pass. *)
+    empty on first use. A fold looks its family up once, when it is
+    staged. *)
 
 val find_or_fill :
   family -> (Ssr_util.Iset.t -> Bytes.t -> unit) -> Bytes.t -> Ssr_util.Iset.t -> Bytes.t

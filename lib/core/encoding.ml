@@ -56,18 +56,18 @@ let encode cfg =
     fill (Iblt.create prm) child buf;
     buf
 
-let encoder ?memo cfg =
+let fold ?memo cfg =
   let fill = filler cfg (Iblt.create (child_params cfg)) in
-  let buf = Bytes.create (key_length cfg) in
-  match memo with
-  | None ->
-    fun child ->
-      fill child buf;
-      buf
-  | Some m ->
-    Enc_cache.find_or_fill
-      (Enc_cache.family m ~cells:cfg.child_cells ~k:cfg.child_k ~bits:cfg.hash_bits ~seed:cfg.seed)
-      fill buf
+  Key_fold.make ~key_len:(key_length cfg)
+    (match memo with
+     | None ->
+       fun buf child ->
+         fill child buf;
+         buf
+     | Some m ->
+       Enc_cache.find_or_fill
+         (Enc_cache.family m ~cells:cfg.child_cells ~k:cfg.child_k ~bits:cfg.hash_bits ~seed:cfg.seed)
+         fill)
 
 let hash_of_key cfg =
   let len = key_length cfg and hl = hash_len cfg in

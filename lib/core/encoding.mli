@@ -9,12 +9,13 @@
 
     {b Fold.} As in the paper, a party inserts each child's encoding into
     its outer table while it scans its children, so no encoding outlives
-    its insert. {!encoder} owns one key buffer and one child table for a
-    pass: each call re-fills the buffer with the child's encoding, the
-    caller inserts it, and the next call overwrites it. The buffer holds
-    exactly the bytes {!encode} returns, and counts add and XORs commute,
-    so the folded table is byte-identical to [Iblt.add_all] of the
-    encoded keys.
+    its insert. {!fold} owns four key buffers and one child table for a
+    pass: it fills the buffers with four children's encodings and inserts
+    the group with [Iblt.add_all], which hashes the four keys in one
+    interleaved pass, then overwrites them with the next four. The
+    buffers hold exactly the bytes {!encode} returns, and counts add and
+    XORs commute, so the folded table is byte-identical to
+    [Iblt.add_all] of the encoded keys.
 
     {b Pairing.} Bob recovers one of Alice's differing children by
     subtracting one of his own child tables from the table inside her key
@@ -48,18 +49,17 @@ val encode : config -> Ssr_util.Iset.t -> Bytes.t
     parameters and the child hash function once; the staged function is
     safe to call from several domains at once. *)
 
-val encoder : ?memo:Enc_cache.t -> config -> Ssr_util.Iset.t -> Bytes.t
-(** The fold's encoder. [encoder cfg] allocates one key buffer and one
-    child table; each application empties the table, inserts the child's
-    elements, copies the table's packed store and the child hash into the
-    buffer, and returns it, allocating nothing. The result holds exactly
-    {!encode}'s bytes until the next application overwrites it: insert it
-    into the outer table, then move on. Not reentrant: one pass, one
-    domain.
+val fold : ?memo:Enc_cache.t -> config -> Ssr_sketch.Iblt.t -> Ssr_util.Iset.t array -> unit
+(** The fold. [fold cfg] allocates four key buffers and one child table;
+    each application [fold cfg table kids] inserts every child's encoding
+    into [table], four at a time, allocating nothing: for each child it
+    empties the child table, inserts the child's elements and copies the
+    table's packed store and the child hash into a buffer. Not reentrant:
+    one pass, one domain.
 
     With [memo], a child already in the memo under this configuration
-    returns the memo's copy instead (read it, never write it), and a miss
-    fills the buffer and keeps one copy. *)
+    is inserted from the memo's copy (read, never written), and a miss
+    fills a buffer and keeps one copy. *)
 
 val decode : config -> Bytes.t -> Ssr_sketch.Iblt.t * int
 (** Parse an encoding back into its table and hash. Raises

@@ -22,7 +22,7 @@ let config ~seed ~d ~s_bound ~k : Encoding.config =
 type outcome = { delta : Parent.delta; differing_pairs : int; stats : Comm.stats }
 
 (* Each party walks its stream once, folding every child's encoding into
-   its outer table through one reused key buffer; the same pass yields its
+   its outer table four keys at a time; the same pass yields its
    [Parent.stream_hash] guard (and Bob's child index). Bob verifies
    Alice's guard incrementally from the recovered delta. Both sides hold
    one chunk plus O(s) child hashes at a time, never the parent itself.
@@ -42,13 +42,10 @@ let run_stream ~comm ~seed ~enc_seed ~memo ~d ~d_hat ~s_bound ~k ~(alice : Paren
       seed = Prng.derive ~seed ~tag:0x07E5;
     }
   in
-  (* One encoder serves both parties' passes, one after the other. *)
-  let encode = Encoding.encoder ?memo cfg in
+  (* One fold serves both parties' passes, one after the other. *)
+  let fold = Encoding.fold ?memo cfg in
   let outer = Iblt.create outer_prm in
-  let alice_digest =
-    Parent.stream_pass ~seed alice (fun _ kids ->
-        Array.iter (fun c -> Iblt.insert outer (encode c)) kids)
-  in
+  let alice_digest = Parent.stream_pass ~seed alice (fun _ kids -> fold outer kids) in
   let hash_bytes = Bytes.create 8 in
   Buf.set_int_le hash_bytes 0 alice_digest;
   let payload = Bytes.cat (Iblt.body_bytes outer) hash_bytes in
@@ -68,21 +65,18 @@ let run_stream ~comm ~seed ~enc_seed ~memo ~d ~d_hat ~s_bound ~k ~(alice : Paren
   (* Bob: the same fold, plus an index from the child hash each key carries
      to his child positions, so a differing key maps back to his child
      (confirmed byte for byte) instead of a linear rescan. *)
-  let hash_of_key = Encoding.hash_of_key cfg in
+  let child_hash = Encoding.child_hash cfg in
   let by_hash : (int, int) Hashtbl.t = Hashtbl.create (2 * bob.Parent.length) in
   let bob_outer = Iblt.create outer_prm in
   let bob_digest =
     Parent.stream_pass ~seed bob (fun base kids ->
-        Array.iteri
-          (fun j c ->
-            let key = encode c in
-            Iblt.insert bob_outer key;
-            Hashtbl.add by_hash (hash_of_key key) (base + j))
-          kids)
+        fold bob_outer kids;
+        Array.iteri (fun j c -> Hashtbl.add by_hash (child_hash c) (base + j)) kids)
   in
   match Iblt.decode (Iblt.subtract outer bob_outer) with
   | Error `Peel_stuck -> Error `Decode_failure
   | Ok { positives; negatives } -> (
+    let encode = Encoding.encode cfg and hash_of_key = Encoding.hash_of_key cfg in
     let child_of_neg neg =
       List.find_map
         (fun i ->

@@ -43,9 +43,10 @@ val run_stream :
     map peeled keys back to Bob's children — the 8-byte guard carries
     {!Parent.stream_hash}, and the result is the O(d) delta. Each party
     walks its stream once per attempt, folding each child's encoding into
-    its outer table through one reused key buffer ({!Encoding.encoder});
-    the same pass yields its digest and Bob's index, which is keyed by the
-    child hash each key already carries. Pairing builds each of Bob's
+    its outer table four keys at a time ({!Encoding.fold}); the same pass
+    yields its digest and Bob's index, which is keyed by each child's hash
+    ({!Encoding.child_hash}), the value every key carries in its hash
+    field. Pairing builds each of Bob's
     differing child tables once ({!Encoding.pairing}).
     [enc_seed] (default: [seed]) salts only the child-encoding config;
     outer tables stay salted by the per-attempt [seed]. A retry driver

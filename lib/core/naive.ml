@@ -19,7 +19,7 @@ let child_id ~seed = Iset.digest (Hashing.make ~seed ~tag:child_id_tag)
 (* Direct encodings decode straight back to child sets, so Bob needs no
    index at all: the peeled positives/negatives ARE the delta. Each party
    walks its stream once, folding each child's encoding into its table
-   through one reused key buffer and building its [Parent.stream_hash]
+   through reused key buffers and building its [Parent.stream_hash]
    guard in the same pass; Bob checks Alice's guard incrementally from the
    delta. *)
 let run_stream ~comm ~seed ~d_hat ~u ~h ~k ~(alice : Parent.stream) ~(bob : Parent.stream) =
@@ -32,13 +32,10 @@ let run_stream ~comm ~seed ~d_hat ~u ~h ~k ~(alice : Parent.stream) ~(bob : Pare
       seed;
     }
   in
-  let encode = Direct.encoder cfg in
+  let fold = Direct.fold cfg in
   let build st =
     let table = Iblt.create prm in
-    let digest =
-      Parent.stream_pass ~seed st (fun _ kids ->
-          Array.iter (fun c -> Iblt.insert table (encode c)) kids)
-    in
+    let digest = Parent.stream_pass ~seed st (fun _ kids -> fold table kids) in
     (table, digest)
   in
   let table, alice_digest = build alice in

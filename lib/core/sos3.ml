@@ -115,13 +115,12 @@ let level2_config ~seed ~d ~d2 ~s_bound ~k =
   in
   { cfg1; parent_prm; seed }
 
-(* Each child's encoding is folded into the parent's table through one
-   reused key buffer. The encoder is made per call, because parents are
-   encoded concurrently under the parallel pool. *)
+(* Each child's encoding is folded into the parent's table through reused
+   key buffers. The fold is made per call, because parents are encoded
+   concurrently under the parallel pool. *)
 let parent_table cfg parent =
   let table = Iblt.create cfg.parent_prm in
-  let encode = Encoding.encoder cfg.cfg1 in
-  List.iter (fun c -> Iblt.insert table (encode c)) (Parent.children parent);
+  Encoding.fold cfg.cfg1 table (Array.of_list (Parent.children parent));
   table
 
 let parent_key_length cfg = Iblt.body_length cfg.parent_prm + 8

@@ -41,7 +41,9 @@ let counter name =
         Hashtbl.add registry name (C r);
         r)
 
-let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c by)
+let add c by = ignore (Atomic.fetch_and_add c by)
+
+let incr ?(by = 1) c = add c by
 
 let gauge name =
   with_registry (fun () ->

@@ -38,8 +38,13 @@ val counter : string -> counter
     kind. *)
 
 val incr : ?by:int -> counter -> unit
-(** Add [by] (default 1) to the counter. O(1), non-allocating, atomic —
-    concurrent increments from multiple domains all land. *)
+(** Add [by] (default 1) to the counter. O(1), atomic — concurrent
+    increments from multiple domains all land. Non-allocating without
+    [~by]; a call that passes [~by] builds the option (2 minor words),
+    which a zero-allocation path avoids with {!add}. *)
+
+val add : counter -> int -> unit
+(** [add c n] is [incr ~by:n c] without the option: non-allocating. *)
 
 val gauge : string -> gauge
 

@@ -43,7 +43,8 @@ type t = {
   buf : Bytes.t; (* cells * cell_bytes, packed as above *)
   fn : Hashing.fn;
   scratch : Bytes.t; (* key_len bytes; integer fast path + decode probes *)
-  lanes : int array; (* 2 entries; hash-lane out-parameter, never escapes *)
+  lanes : int array; (* 8 entries; hash-lane out-parameter, never escapes *)
+  nz : int array; (* key_len / 8 entries; one update's nonzero-word offsets *)
 }
 
 let params t = t.prm
@@ -82,7 +83,8 @@ let create ?(check_bits = 62) prm =
     buf = Bytes.make (prm.cells * cell_bytes) '\000';
     fn = Hashing.make ~seed:prm.seed ~tag:hash_tag;
     scratch = Bytes.make prm.key_len '\000';
-    lanes = Array.make 2 0;
+    lanes = Array.make 8 0;
+    nz = Array.make (prm.key_len / 8) 0;
   }
 
 let copy t =
@@ -92,7 +94,8 @@ let copy t =
     t with
     buf = Bytes.copy t.buf;
     scratch = Bytes.make t.prm.key_len '\000';
-    lanes = Array.make 2 0;
+    lanes = Array.make 8 0;
+    nz = Array.make (t.prm.key_len / 8) 0;
   }
 
 let recommended_cells ~k ~diff_bound =
@@ -158,23 +161,44 @@ let[@inline] set64_le b off v =
   if Sys.big_endian then Buf.unsafe_set_int64_ne b off (swap64 v)
   else Buf.unsafe_set_int64_ne b off v
 
-(* XOR [key] and [cs] into cell [c] and add [sign] to its count: the count
-   and each whole key word are single load-xor-store round trips. Key words
+(* List the byte offsets of [key]'s nonzero whole words in [t.nz] and
+   return how many there are. One update scans its key once and then
+   XORs only those words into each of its k cells: a zero word XORs to
+   nothing, and the nested protocols' wide keys are mostly zero (an
+   iblt-of-iblts key at d = 64 is 2,807 bytes, 6% of its words
+   nonzero). The scan is branch-free, because where the nonzero words
+   fall is unpredictable: every offset is written at the current end of
+   the list (which is never past the word being read), and the end only
+   moves past a nonzero word. *)
+let nonzero_words t key =
+  let nz = t.nz in
+  let n = ref 0 in
+  for w = 0 to Array.length nz - 1 do
+    Array.unsafe_set nz !n (w * 8);
+    n := !n + Bool.to_int (Buf.unsafe_get_int64_ne key (w * 8) <> 0L)
+  done;
+  !n
+
+(* XOR [key] and [cs] into cell [c] and add [sign] to its count, given the
+   first [nnz] offsets of [t.nz] (from {!nonzero_words}, so [nnz] never
+   exceeds the array's length): the count and each listed key word are
+   single load-xor-store round trips. Key words
    XOR in host order, which commutes with byte order. The key tail (when
    [key_len] is not a multiple of 8) goes byte-wise — a word there would
    clobber the adjacent checksum field. *)
-let poke t c key cs sign =
+let poke t c key nnz cs sign =
   let buf = t.buf in
   let base = c * t.cell_bytes in
   let kl = t.prm.key_len in
   set32_le buf base (Int32.of_int (Int32.to_int (get32_le buf base) + sign));
-  let words = kl / 8 in
-  for w = 0 to words - 1 do
-    let off = base + 4 + (w * 8) in
+  let nz = t.nz in
+  for j = 0 to nnz - 1 do
+    let w = Array.unsafe_get nz j in
+    let off = base + 4 + w in
     Buf.unsafe_set_int64_ne buf off
-      (Int64.logxor (Buf.unsafe_get_int64_ne buf off) (Buf.unsafe_get_int64_ne key (w * 8)))
+      (Int64.logxor (Buf.unsafe_get_int64_ne buf off) (Buf.unsafe_get_int64_ne key w))
   done;
-  for i = words * 8 to kl - 1 do
+  for i = kl / 8 * 8 to kl - 1 do
     Bytes.unsafe_set buf (base + 4 + i)
       (Char.unsafe_chr
          (Char.code (Bytes.unsafe_get buf (base + 4 + i)) lxor Char.code (Bytes.unsafe_get key i)))
@@ -263,18 +287,22 @@ let apply_hashed t key ~h1 ~h2 ~cs sign =
     apply_words t ~h1 ~h2 ~kw_lo ~kw_hi ~cs sign
   end
   else begin
+    let nnz = nonzero_words t key in
     let per_part = t.per_part in
     let s = ref h1 in
     for i = 0 to t.prm.k - 1 do
       s := Prng.mix_int (!s + h2);
-      poke t ((i * per_part) + Hashing.reduce_fast !s per_part) key cs sign
+      poke t ((i * per_part) + Hashing.reduce_fast !s per_part) key nnz cs sign
     done
   end
 
+let apply_lanes t key lanes i sign =
+  let h1 = lanes.(i) and h2 = lanes.(i + 1) in
+  apply_hashed t key ~h1 ~h2 ~cs:(Hashing.mix_pair h1 h2 land t.check_mask) sign
+
 let apply_raw t key sign =
   Hashing.hash_bytes_into t.fn key t.lanes;
-  let h1 = t.lanes.(0) and h2 = t.lanes.(1) in
-  apply_hashed t key ~h1 ~h2 ~cs:(Hashing.mix_pair h1 h2 land t.check_mask) sign
+  apply_lanes t key t.lanes 0 sign
 
 let apply t key sign =
   if Bytes.length key <> t.prm.key_len then invalid_arg "Iblt: key length mismatch";
@@ -306,12 +334,15 @@ let apply_int_raw t x sign =
     apply_words t ~h1 ~h2 ~kw_lo ~kw_hi ~cs sign
   end
   else begin
+    (* The value fills word 0 and its padding is zero, so word 0 is the
+       whole nonzero list: no scan. *)
     set_int_scratch t x;
+    t.nz.(0) <- 0;
     let per_part = t.per_part in
     let s = ref h1 in
     for i = 0 to t.prm.k - 1 do
       s := Prng.mix_int (!s + h2);
-      poke t ((i * per_part) + Hashing.reduce_fast !s per_part) t.scratch cs sign
+      poke t ((i * per_part) + Hashing.reduce_fast !s per_part) t.scratch 1 cs sign
     done
   end
 
@@ -328,18 +359,28 @@ let delete_int t x = apply_int t x (-1)
 let batch_apply_ints t xs sign =
   let n = Array.length xs in
   if n > 0 && t.prm.key_len < 8 then invalid_arg "Iblt: integer keys need key_len >= 8";
-  Metrics.incr ~by:n (if sign >= 0 then m_inserts else m_deletes);
+  Metrics.add (if sign >= 0 then m_inserts else m_deletes) n;
   for j = 0 to n - 1 do
     apply_int_raw t xs.(j) sign
   done
 
+(* Byte keys hash four at a time through the interleaved digest, then
+   apply one by one; a tail of fewer than four hashes singly. *)
 let batch_apply t keys sign =
   let n = Array.length keys in
   for j = 0 to n - 1 do
     if Bytes.length keys.(j) <> t.prm.key_len then invalid_arg "Iblt: key length mismatch"
   done;
-  Metrics.incr ~by:n (if sign >= 0 then m_inserts else m_deletes);
-  for j = 0 to n - 1 do
+  Metrics.add (if sign >= 0 then m_inserts else m_deletes) n;
+  let lanes = t.lanes in
+  for g = 0 to (n / 4) - 1 do
+    let j = 4 * g in
+    Hashing.hash_bytes4_into t.fn keys.(j) keys.(j + 1) keys.(j + 2) keys.(j + 3) lanes;
+    for i = 0 to 3 do
+      apply_lanes t keys.(j + i) lanes (2 * i) sign
+    done
+  done;
+  for j = n / 4 * 4 to n - 1 do
     apply_raw t keys.(j) sign
   done
 
@@ -402,11 +443,12 @@ let peel t =
         if count = 1 then positives := key :: !positives else negatives := key :: !negatives;
         (* Remove the key and re-examine its k cells in one walk of the
            position schedule. *)
+        let nnz = nonzero_words t key in
         let s = ref h1 in
         for i = 0 to t.prm.k - 1 do
           s := Prng.mix_int (!s + h2);
           let c' = (i * t.per_part) + Hashing.reduce_fast !s t.per_part in
-          poke t c' key cs (-count);
+          poke t c' key nnz cs (-count);
           if Bytes.unsafe_get in_stack c' = '\000' then begin
             Bytes.unsafe_set in_stack c' '\001';
             stack.(!top) <- c';

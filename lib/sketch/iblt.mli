@@ -31,7 +31,11 @@
     and {!body_bytes} is a straight copy of the store. Cell updates run
     word-wide through unchecked accessors that byte-swap on big-endian
     hosts, so every host builds the same bytes; tests pin them to a
-    checked byte-wise reference. *)
+    checked byte-wise reference. A byte-key update lists the key's
+    nonzero 8-byte words once and XORs only those into its [k] cells, so
+    the mostly-zero keys of the nested protocols (an iblt-of-iblts key is
+    a serialized child table) cost their nonzero words, not their
+    width. *)
 
 type params = {
   cells : int;  (** Total number of cells; rounded up to a multiple of [k]. *)
@@ -76,9 +80,11 @@ val insert_int : t -> int -> unit
 val delete_int : t -> int -> unit
 
 val add_all : t -> Bytes.t array -> unit
-(** {!insert} of every key, in order. Every key's length is checked
-    first, so a key of the wrong length raises [Invalid_argument] with
-    the table untouched. *)
+(** {!insert} of every key, with the same resulting bytes. Every key's
+    length is checked first, so a key of the wrong length raises
+    [Invalid_argument] with the table untouched. Keys are hashed four at
+    a time ({!Ssr_util.Hashing.hash_bytes4_into}), a tail of one to three
+    singly; the call allocates nothing. *)
 
 val delete_all : t -> Bytes.t array -> unit
 (** {!delete} of every key; same contract as {!add_all}. *)

@@ -33,8 +33,19 @@ let perfect =
   { seed = 0L; drop_rate = 0.; corrupt_rate = 0.; truncate_rate = 0.; duplicate_rate = 0.;
     duplicate_copies = 2 }
 
+(* A probability outside [0, 1] would silently act as 0 or 1 in
+   [Prng.bernoulli]; NaN fails both comparisons. *)
+let check_rate fn name r =
+  if not (r >= 0. && r <= 1.) then
+    invalid_arg (Printf.sprintf "%s: %s rate %g is outside [0, 1]" fn name r)
+
 let config_with ?(drop = 0.) ?(corrupt = 0.) ?(truncate = 0.) ?(duplicate = 0.)
     ?(duplicate_copies = 2) ~seed () =
+  let fn = "Channel.config_with" in
+  check_rate fn "drop" drop;
+  check_rate fn "corrupt" corrupt;
+  check_rate fn "truncate" truncate;
+  check_rate fn "duplicate" duplicate;
   if duplicate_copies < 2 then invalid_arg "Channel.config_with: duplicate_copies must be >= 2";
   { seed; drop_rate = drop; corrupt_rate = corrupt; truncate_rate = truncate;
     duplicate_rate = duplicate; duplicate_copies }

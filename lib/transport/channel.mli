@@ -48,7 +48,14 @@ val perfect : config
 
 val config_with : ?drop:float -> ?corrupt:float -> ?truncate:float -> ?duplicate:float ->
   ?duplicate_copies:int -> seed:int64 -> unit -> config
-(** [duplicate_copies] defaults to 2; raises [Invalid_argument] below 2. *)
+(** Rates default to 0 and must lie in [\[0, 1\]]; [duplicate_copies]
+    defaults to 2. Raises [Invalid_argument] on a rate outside the range
+    (NaN included) or fewer than 2 copies. *)
+
+val check_rate : string -> string -> float -> unit
+(** [check_rate fn name r] raises [Invalid_argument] naming [fn] and the
+    [name] rate unless [0 <= r <= 1] (so NaN raises). The check behind
+    every fault rate of {!config_with} and [Network.config_with]. *)
 
 type t
 

@@ -40,6 +40,14 @@ let ideal =
 let config_with ?(drop = 0.) ?(corrupt = 0.) ?(truncate = 0.) ?(duplicate = 0.)
     ?(duplicate_copies = 2) ?(latency_us = 0) ?(jitter_us = 0) ?(reorder = 0.) ?reorder_extra_us
     ?(partitions = []) ~seed () =
+  let fn = "Network.config_with" in
+  Channel.check_rate fn "drop" drop;
+  Channel.check_rate fn "corrupt" corrupt;
+  Channel.check_rate fn "truncate" truncate;
+  Channel.check_rate fn "duplicate" duplicate;
+  Channel.check_rate fn "reorder" reorder;
+  if latency_us < 0 then invalid_arg "Network.config_with: negative latency_us";
+  if jitter_us < 0 then invalid_arg "Network.config_with: negative jitter_us";
   let reorder_extra_us =
     match reorder_extra_us with Some v -> v | None -> 4 * (latency_us + jitter_us)
   in

@@ -47,7 +47,9 @@ val config_with :
   ?reorder_extra_us:int -> ?partitions:partition list -> seed:int64 -> unit -> config
 (** Defaults: all rates 0, [duplicate_copies] 2, [latency_us] 0,
     [jitter_us] 0, [reorder_extra_us] [4 * (latency_us + jitter_us)] (enough
-    to land a held-back copy behind a retransmission), no partitions. *)
+    to land a held-back copy behind a retransmission), no partitions.
+    Raises [Invalid_argument] on a rate outside [\[0, 1\]] (NaN included)
+    or a negative [latency_us] or [jitter_us]. *)
 
 (** One copy's fate, for the replay-determinism transcript. *)
 type delivery = {

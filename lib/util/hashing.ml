@@ -36,8 +36,10 @@ let to_range f m x =
    flambda it does not inline functions this size on its own: so the step
    and the pass below are forced inline, their [int64]s stay unboxed, and
    none of the byte hashes allocates. The word load is the bounds-checked
-   primitive, not the stdlib wrapper. *)
+   primitive, not the stdlib wrapper; the four-key pass below checks its
+   lengths once and uses the unchecked one. *)
 external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external bytes_get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
 let swap64 v =
   let open Int64 in
@@ -57,22 +59,25 @@ let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
+(* The partial tail word of [b], bytes [from .. len - 1] packed big-end
+   first. *)
+let[@inline] tail_word b from len =
+  let tail = ref 0L in
+  for i = from to len - 1 do
+    tail := Int64.logor (Int64.shift_left !tail 8) (Int64.of_int (Char.code (Bytes.unsafe_get b i)))
+  done;
+  !tail
+
+let[@inline] step acc data = mix (Int64.logxor acc (if Sys.big_endian then swap64 data else data))
+
 let[@inline] digest key b =
   let len = Bytes.length b in
   let words = len / 8 in
   let acc = ref (Int64.logxor key (Int64.of_int len)) in
   for w = 0 to words - 1 do
-    let data = bytes_get64 b (w * 8) in
-    acc := mix (Int64.logxor !acc (if Sys.big_endian then swap64 data else data))
+    acc := step !acc (bytes_get64 b (w * 8))
   done;
-  if len mod 8 <> 0 then begin
-    let tail = ref 0L in
-    for i = words * 8 to len - 1 do
-      tail :=
-        Int64.logor (Int64.shift_left !tail 8) (Int64.of_int (Char.code (Bytes.unsafe_get b i)))
-    done;
-    acc := mix (Int64.logxor !acc !tail)
-  end;
+  if len mod 8 <> 0 then acc := mix (Int64.logxor !acc (tail_word b (words * 8) len));
   !acc
 
 let[@inline] finish key acc = Int64.to_int (Int64.shift_right_logical (mix (Int64.add acc key)) 2)
@@ -95,13 +100,44 @@ let hash_ints { key } a =
    allocation-free. *)
 let lane2 = 0x2545F4914F6CDD1D
 
-let[@inline] lanes_into key acc out =
+let[@inline] lanes_at key acc out i =
   let d = Int64.to_int acc in
   let nk = Int64.to_int key in
-  out.(0) <- Prng.mix_int (d + nk);
-  out.(1) <- Prng.mix_int (d lxor (nk + lane2))
+  out.(i) <- Prng.mix_int (d + nk);
+  out.(i + 1) <- Prng.mix_int (d lxor (nk + lane2))
 
-let hash_bytes_into { key } b out = lanes_into key (digest key b) out
+let hash_bytes_into { key } b out = lanes_at key (digest key b) out 0
+
+(* [digest] of four keys at once. Each key's chain is still one dependent
+   run of multiplies, but the four chains are independent, so one pass
+   over the word index keeps four of them in flight instead of waiting
+   out one chain's latency per word. *)
+let hash_bytes4_into { key } b0 b1 b2 b3 out =
+  let len = Bytes.length b0 in
+  if Bytes.length b1 <> len || Bytes.length b2 <> len || Bytes.length b3 <> len then
+    invalid_arg "Hashing.hash_bytes4_into: keys differ in length";
+  if Array.length out < 8 then invalid_arg "Hashing.hash_bytes4_into: out needs 8 entries";
+  let words = len / 8 in
+  let init = Int64.logxor key (Int64.of_int len) in
+  let a0 = ref init and a1 = ref init and a2 = ref init and a3 = ref init in
+  for w = 0 to words - 1 do
+    let off = w * 8 in
+    a0 := step !a0 (bytes_get64u b0 off);
+    a1 := step !a1 (bytes_get64u b1 off);
+    a2 := step !a2 (bytes_get64u b2 off);
+    a3 := step !a3 (bytes_get64u b3 off)
+  done;
+  if len mod 8 <> 0 then begin
+    let from = words * 8 in
+    a0 := mix (Int64.logxor !a0 (tail_word b0 from len));
+    a1 := mix (Int64.logxor !a1 (tail_word b1 from len));
+    a2 := mix (Int64.logxor !a2 (tail_word b2 from len));
+    a3 := mix (Int64.logxor !a3 (tail_word b3 from len))
+  end;
+  lanes_at key !a0 out 0;
+  lanes_at key !a1 out 2;
+  lanes_at key !a2 out 4;
+  lanes_at key !a3 out 6
 
 let hash_bytes_pair f b =
   let out = [| 0; 0 |] in
@@ -120,7 +156,7 @@ let hash_int_bytes_into { key } x ~len out =
     acc := mix !acc
   done;
   if len mod 8 <> 0 then acc := mix !acc;
-  lanes_into key !acc out
+  lanes_at key !acc out 0
 
 let mix_pair h1 h2 = Prng.mix_int (h1 lxor (h2 * lane2)) land ((1 lsl 62) - 1)
 

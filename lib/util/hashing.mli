@@ -54,6 +54,16 @@ val hash_bytes_into : fn -> Bytes.t -> int array -> unit
     allocates nothing at all. Lane values are bit-identical to
     {!hash_bytes_pair}. *)
 
+val hash_bytes4_into : fn -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> int array -> unit
+(** [hash_bytes4_into f b0 b1 b2 b3 out] is {!hash_bytes_into} of four
+    keys in one pass: the lanes of [bi] land in [out.(2i)] and
+    [out.(2i+1)], bit-identical to [hash_bytes_into f bi]. The four
+    SplitMix chains run interleaved over the word index, so the pass is
+    bound by multiply throughput rather than by one chain's latency; this
+    is how {!Ssr_sketch.Iblt.add_all} hashes its keys. The keys must have
+    equal lengths and [out] at least 8 entries ([Invalid_argument]
+    otherwise). Allocates nothing. *)
+
 val hash_int_bytes_into : fn -> int -> len:int -> int array -> unit
 (** {!hash_bytes_into} of the little-endian [len]-byte encoding of [x]
     (zero padded), computed without materializing the bytes. Bit-identical

@@ -127,44 +127,47 @@ let prop_encoding_deterministic_and_discriminating =
       let kb = Encoding.encode cfg b in
       Bytes.equal ka ka' && Iset.equal a b = Bytes.equal ka kb)
 
-(* The fold: each child's encoding written into one reused key buffer and
-   inserted at once lands exactly the table that inserting fresh encodings
-   in one batch does. The children include the empty set and repeats (so
-   a memo hits inside a pass); with a memo the list is folded twice, the
-   second pass served from the memo. *)
+(* The folds: children's encodings written four at a time into reused key
+   buffers and inserted a group per [Iblt.add_all] land exactly the table
+   that inserting fresh encodings in one batch does. The children include
+   the empty set and repeats (so a memo hits inside a pass, and inside one
+   group); they are folded in chunks of 1 to 9 children, so chunks that
+   are multiples of four and chunks with a tail of 1 to 3 both occur, as
+   a stream pass hands them over. With a memo the list is folded twice,
+   the second pass served from the memo. *)
 let prop_folds_match_add_all =
   let gen =
     QCheck.Gen.(
       pair
-        (triple (int_range 6 140) (int_range 3 4) bool)
+        (quad (int_range 6 140) (int_range 3 4) bool (int_range 1 9))
         (pair bool (list_size (int_bound 12) (iset_gen 200))))
   in
   QCheck.Test.make ~name:"Encoding and Direct folds = add_all of fresh encodings" ~count:80
-    (QCheck.make gen) (fun ((cells, k, memo), (bitmap, kids)) ->
+    (QCheck.make gen) (fun ((cells, k, memo, chunk), (bitmap, kids)) ->
       let kids = Array.of_list ((Iset.empty :: kids) @ List.filteri (fun i _ -> i mod 3 = 0) kids) in
+      let n = Array.length kids in
       let table key_len = Iblt.create { cells = 40; k; key_len; seed = 21L } in
       let same_as_batch key_len encode fold =
         let batch = table key_len in
         Iblt.add_all batch (Array.map encode kids);
         let folded = table key_len in
-        fold folded;
+        for c = 0 to (n - 1) / chunk do
+          let lo = c * chunk in
+          fold folded (Array.sub kids lo (min chunk (n - lo)))
+        done;
         Bytes.equal (Iblt.body_bytes batch) (Iblt.body_bytes folded)
       in
       let cfg : Encoding.config = { child_cells = cells; child_k = k; hash_bits = 30; seed = 19L } in
-      let encoder = Encoding.encoder ?memo:(if memo then Some (Ssr_core.Enc_cache.create ()) else None) cfg in
+      let cache = if memo then Some (Ssr_core.Enc_cache.create ()) else None in
+      let fold = Encoding.fold ?memo:cache cfg in
       let passes = if memo then 2 else 1 in
       let encoding_ok =
         List.for_all
-          (fun _ ->
-            same_as_batch (Encoding.key_length cfg) (Encoding.encode cfg) (fun t ->
-                Array.iter (fun c -> Iblt.insert t (encoder c)) kids))
+          (fun _ -> same_as_batch (Encoding.key_length cfg) (Encoding.encode cfg) fold)
           (List.init passes Fun.id)
       in
       let dcfg : Direct.config = if bitmap then { u = 201; h = 200 } else { u = 1 lsl 20; h = 40 } in
-      let direct = Direct.encoder dcfg in
-      encoding_ok
-      && same_as_batch (Direct.key_length dcfg) (Direct.encode dcfg) (fun t ->
-             Array.iter (fun c -> Iblt.insert t (direct c)) kids))
+      encoding_ok && same_as_batch (Direct.key_length dcfg) (Direct.encode dcfg) (Direct.fold dcfg))
 
 (* The pairing hoist: one staged [pairing] over Bob's differing children
    answers every key as scanning them with [try_recover] does — keys of

@@ -853,9 +853,35 @@ module Ref_cells = struct
   let body t = Bytes.copy t.buf
 end
 
+(* Keys shaped like an iblt-of-iblts outer key at d = 64: 2,807 bytes,
+   i.e. 140 child cells of 20 bytes and a 7-byte child hash, mostly zero.
+   Each key but the first has 1 to 8 nonzero child cells (not aligned to
+   8-byte words) and a nonzero hash; the first key is all zero. A cell
+   update XORs only a key's nonzero words, so these catch a word missing
+   from, or wrongly placed in, that list. *)
+let wide_key_len = 2807
+
+let wide_keys rng n =
+  Array.init n (fun i ->
+      let key = Bytes.make wide_key_len '\000' in
+      if i > 0 then begin
+        for _ = 0 to Prng.int_below rng 8 do
+          let cell = Prng.int_below rng 140 in
+          for j = 0 to 19 do
+            Bytes.set key ((cell * 20) + j) (Char.chr (1 + Prng.int_below rng 255))
+          done
+        done;
+        for j = 2800 to wide_key_len - 1 do
+          Bytes.set key j (Char.chr (1 + Prng.int_below rng 255))
+        done
+      end;
+      key)
+
 (* The table's word-wide cell updates must leave exactly the bytes of the
    byte-wise reference on any op sequence: this is the guard the
-   unchecked accessors live behind. *)
+   unchecked accessors live behind. The wide mostly-zero shape runs
+   single inserts and deletes against the reference, then peels a table
+   built from distinct keys and must give every key back. *)
 let test_safe_unsafe_identical () =
   List.iter
     (fun (key_len, check_bits) ->
@@ -889,10 +915,43 @@ let test_safe_unsafe_identical () =
         (Printf.sprintf "key_len=%d check_bits=%d" key_len check_bits)
         true
         (Bytes.equal (Ref_cells.body r) (Iblt.body_bytes t)))
-    [ (5, 62); (8, 62); (8, 16); (12, 62); (16, 62); (17, 32); (20, 8) ]
+    [ (5, 62); (8, 62); (8, 16); (12, 62); (16, 62); (17, 32); (20, 8) ];
+  List.iter
+    (fun check_bits ->
+      let label what = Printf.sprintf "wide keys, check_bits=%d: %s" check_bits what in
+      let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:(0x5AFE2 + check_bits)) in
+      let pool = wide_keys rng 24 in
+      let prm : Iblt.params =
+        { cells = 96; k = 4; key_len = wide_key_len; seed = Prng.derive ~seed ~tag:0x5AFE3 }
+      in
+      let t = Iblt.create ~check_bits prm and r = Ref_cells.create ~check_bits prm in
+      for _ = 1 to 300 do
+        let key = pool.(Prng.int_below rng 24) in
+        if Prng.bool rng then (Iblt.insert t key; Ref_cells.insert r key)
+        else (Iblt.delete t key; Ref_cells.delete r key)
+      done;
+      Alcotest.(check bool) (label "inserts and deletes") true
+        (Bytes.equal (Ref_cells.body r) (Iblt.body_bytes t));
+      let prm = { prm with cells = Iblt.recommended_cells ~k:4 ~diff_bound:32 } in
+      let t = Iblt.create ~check_bits prm and r = Ref_cells.create ~check_bits prm in
+      let pos = Array.sub pool 0 12 and neg = Array.sub pool 12 4 in
+      Array.iter (fun key -> Iblt.insert t key; Ref_cells.insert r key) pos;
+      Array.iter (fun key -> Iblt.delete t key; Ref_cells.delete r key) neg;
+      Alcotest.(check bool) (label "before the peel") true
+        (Bytes.equal (Ref_cells.body r) (Iblt.body_bytes t));
+      let sorted keys = List.sort Bytes.compare keys in
+      match Iblt.decode t with
+      | Error `Peel_stuck -> Alcotest.fail (label "peel stuck")
+      | Ok { positives; negatives } ->
+        Alcotest.(check bool) (label "peeled positives") true
+          (List.equal Bytes.equal (sorted positives) (sorted (Array.to_list pos)));
+        Alcotest.(check bool) (label "peeled negatives") true
+          (List.equal Bytes.equal (sorted negatives) (sorted (Array.to_list neg))))
+    [ 62; 16 ]
 
 (* Batched inserts/deletes must leave the reference's bytes across key
-   widths, checksum widths and batch sizes. *)
+   widths, checksum widths and batch sizes: batches shorter than one
+   group of four, and wide mostly-zero keys hashed four at a time. *)
 let test_batch_matches_serial () =
   List.iter
     (fun (cells, k, key_len, check_bits) ->
@@ -931,8 +990,29 @@ let test_batch_matches_serial () =
           same "delete_all" c d;
           Iblt.delete_all d (half 0);
           Alcotest.(check bool) "delete_all empties" true (Iblt.is_empty d))
-        [ 5; 33; 600 ])
-    [ (128, 4, 8, 62); (1024, 3, 12, 62); (512, 4, 8, 16); (300, 5, 20, 32) ]
+        [ 3; 5; 33; 600 ])
+    [ (128, 4, 8, 62); (1024, 3, 12, 62); (512, 4, 8, 16); (300, 5, 20, 32) ];
+  List.iter
+    (fun (n, check_bits) ->
+      let prm : Iblt.params =
+        { cells = 268; k = 4; key_len = wide_key_len; seed = Prng.derive ~seed ~tag:(0xBA7D + n) }
+      in
+      let same label r t =
+        Alcotest.(check bool)
+          (Printf.sprintf "wide %s cb=%d n=%d" label check_bits n)
+          true
+          (Bytes.equal (Ref_cells.body r) (Iblt.body_bytes t))
+      in
+      let keys = wide_keys (Prng.create ~seed:(Prng.derive ~seed ~tag:(0xBA7E + n))) n in
+      let r = Ref_cells.create ~check_bits prm and t = Iblt.create ~check_bits prm in
+      Array.iter (Ref_cells.insert r) keys;
+      Iblt.add_all t keys;
+      same "add_all" r t;
+      let odd = Array.of_list (List.filteri (fun i _ -> i land 1 = 1) (Array.to_list keys)) in
+      Array.iter (Ref_cells.delete r) odd;
+      Iblt.delete_all t odd;
+      same "delete_all" r t)
+    [ (3, 62); (9, 62); (33, 62); (33, 16) ]
 
 (* A [delete_int] of a never-inserted key followed by the matching
    [insert_int] must restore a byte-identical buffer at every checksum
@@ -1030,15 +1110,35 @@ let test_child_hashing_zero_alloc () =
   Alcotest.(check (float 0.0)) "Iset.digest, 24 elements" 0.0 (words (fun () -> Iset.digest f child));
   let lanes = [| 0; 0 |] in
   Alcotest.(check (float 0.0)) "hash_bytes_into, 4 KiB key" 0.0
-    (words (fun () -> Ssr_util.Hashing.hash_bytes_into f key lanes))
+    (words (fun () -> Ssr_util.Hashing.hash_bytes_into f key lanes));
+  let k = Array.init 4 (fun i -> Bytes.init 4095 (fun j -> Char.chr ((i + (j * 7)) land 0xFF))) in
+  let lanes4 = Array.make 8 0 in
+  Alcotest.(check (float 0.0)) "hash_bytes4_into, four 4095-byte keys" 0.0
+    (words (fun () -> Ssr_util.Hashing.hash_bytes4_into f k.(0) k.(1) k.(2) k.(3) lanes4))
+
+(* [add_all] hashes its keys four at a time and XORs only each key's
+   nonzero words, through per-table scratch: a group of four
+   iblt-of-iblts-shaped keys, inserted and deleted, allocates nothing. *)
+let test_add_all_zero_alloc () =
+  let keys = wide_keys (Prng.create ~seed) 4 in
+  let t = Iblt.create (params ~cells:268 ~key_len:wide_key_len ()) in
+  let op () =
+    Iblt.add_all t keys;
+    Iblt.delete_all t keys
+  in
+  op ();
+  let w0 = Gc.minor_words () in
+  op ();
+  Alcotest.(check (float 0.0)) "minor words" 0.0 (Gc.minor_words () -. w0);
+  Alcotest.(check bool) "table empty again" true (Iblt.is_empty t)
 
 (* The nested protocols fold each child's encoding into the outer table
-   through one reused key buffer and child table. After a warm-up pass,
-   folding 1,000 children of up to 24 elements into an
-   iblt-of-iblts-shaped outer table (140-cell child tables, 2,807-byte
-   keys) allocates nothing, on either heap: a fresh key per child costs
-   about 1,057 major words, and at that rate the major collector runs
-   about once a request. *)
+   through four reused key buffers and one child table, four keys per
+   [Iblt.add_all]. After a warm-up pass, folding 1,000 children of up to
+   24 elements into an iblt-of-iblts-shaped outer table (140-cell child
+   tables, 2,807-byte keys) allocates nothing, on either heap: a fresh key
+   per child costs about 1,057 major words, and at that rate the major
+   collector runs about once a request. *)
 let test_encoding_fold_alloc () =
   let module Encoding = Ssr_core.Encoding in
   let cfg : Encoding.config = { child_cells = 140; child_k = 4; hash_bits = 52; seed } in
@@ -1051,9 +1151,8 @@ let test_encoding_fold_alloc () =
       (params ~cells:(Iblt.recommended_cells ~k:4 ~diff_bound:128) ~key_len:(Encoding.key_length cfg) ())
   in
   Alcotest.(check int) "key width" 2807 (Encoding.key_length cfg);
-  let encode = Encoding.encoder cfg in
-  let insert c = Iblt.insert outer (encode c) in
-  let fold () = Array.iter insert kids in
+  let fold_kids = Encoding.fold cfg in
+  let fold () = fold_kids outer kids in
   fold ();
   Gc.minor ();
   let major () = (Gc.quick_stat ()).Gc.major_words in
@@ -1260,6 +1359,7 @@ let () =
           Alcotest.test_case "insert_int allocates nothing" `Quick test_insert_int_zero_alloc;
           Alcotest.test_case "child hashing allocates nothing" `Quick test_child_hashing_zero_alloc;
           Alcotest.test_case "encoding fold allocates nothing" `Quick test_encoding_fold_alloc;
+          Alcotest.test_case "add_all allocates nothing" `Quick test_add_all_zero_alloc;
           Alcotest.test_case "residual narrow width" `Quick test_residual_narrow_width_roundtrip;
         ] );
       ( "failure-injection",

@@ -619,9 +619,35 @@ let test_channel_duplicate_copies () =
   (match Channel.events ch with
   | [ { Channel.fault = Channel.Duplicated { copies = 3 }; _ } ] -> ()
   | _ -> Alcotest.fail "duplication event must record the copy count");
-  match Channel.config_with ~duplicate_copies:1 ~seed:7L () with
+  (match Channel.config_with ~duplicate_copies:1 ~seed:7L () with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "duplicate_copies < 2 must be rejected"
+  | _ -> Alcotest.fail "duplicate_copies < 2 must be rejected");
+  (* Every fault rate must be a probability, for the channel and the
+     network alike; 0 and 1 are fine, NaN is not. Latency and jitter must
+     be non-negative. *)
+  let rejects label f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s must be rejected" label
+  in
+  List.iter
+    (fun r ->
+      let bad = Printf.sprintf "rate %g" r in
+      rejects ("channel drop " ^ bad) (fun () -> Channel.config_with ~drop:r ~seed:7L ());
+      rejects ("channel corrupt " ^ bad) (fun () -> Channel.config_with ~corrupt:r ~seed:7L ());
+      rejects ("channel truncate " ^ bad) (fun () -> Channel.config_with ~truncate:r ~seed:7L ());
+      rejects ("channel duplicate " ^ bad) (fun () -> Channel.config_with ~duplicate:r ~seed:7L ());
+      rejects ("network drop " ^ bad) (fun () -> Network.config_with ~drop:r ~seed:7L ());
+      rejects ("network corrupt " ^ bad) (fun () -> Network.config_with ~corrupt:r ~seed:7L ());
+      rejects ("network truncate " ^ bad) (fun () -> Network.config_with ~truncate:r ~seed:7L ());
+      rejects ("network duplicate " ^ bad) (fun () -> Network.config_with ~duplicate:r ~seed:7L ());
+      rejects ("network reorder " ^ bad) (fun () -> Network.config_with ~reorder:r ~seed:7L ()))
+    [ 1.5; -0.1; Float.nan; Float.infinity ];
+  rejects "negative latency" (fun () -> Network.config_with ~latency_us:(-1) ~seed:7L ());
+  rejects "negative jitter" (fun () -> Network.config_with ~jitter_us:(-1) ~seed:7L ());
+  ignore (Channel.config_with ~drop:0. ~corrupt:1. ~truncate:0. ~duplicate:1. ~seed:7L ());
+  ignore
+    (Network.config_with ~drop:1. ~corrupt:0. ~truncate:1. ~duplicate:0. ~reorder:1. ~seed:7L ())
 
 let test_channel_copy_tagged_damage () =
   (* With duplication and corruption both certain, each corruption event

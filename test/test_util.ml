@@ -5,6 +5,7 @@ module Bits = Ssr_util.Bits
 module Buf = Ssr_util.Buf
 module Hashing = Ssr_util.Hashing
 module Iset = Ssr_util.Iset
+module Crc32 = Ssr_util.Crc32
 
 let seed = 0xDEADBEEFL
 
@@ -366,6 +367,67 @@ let test_hash_bytes_pair_golden () =
       (4096, -371661399917458495, 1563879917166420334);
     ]
 
+(* The four-key digest against the single-key one, at every golden length:
+   four different keys of one length (all four are empty at length 0) in
+   the four slots, so a slot whose lanes land elsewhere or come from
+   another slot's chain fails. *)
+let test_hash_bytes4_matches_single () =
+  List.iter
+    (fun (n, _) ->
+      let keys =
+        Array.init 4 (fun slot ->
+            Bytes.init n (fun i -> Char.chr (((i * 151) + 29 + (slot * 67)) land 0xFF)))
+      in
+      let out = Array.make 8 0 in
+      Hashing.hash_bytes4_into golden_fn keys.(0) keys.(1) keys.(2) keys.(3) out;
+      Array.iteri
+        (fun slot key ->
+          let one = [| 0; 0 |] in
+          Hashing.hash_bytes_into golden_fn key one;
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "%d-byte keys, slot %d" n slot)
+            (one.(0), one.(1))
+            (out.(2 * slot), out.((2 * slot) + 1)))
+        keys)
+    hash_bytes_golden;
+  let k8 = Bytes.make 8 'a' and k9 = Bytes.make 9 'a' in
+  Alcotest.check_raises "unequal lengths"
+    (Invalid_argument "Hashing.hash_bytes4_into: keys differ in length") (fun () ->
+      Hashing.hash_bytes4_into golden_fn k8 k8 k9 k8 (Array.make 8 0));
+  Alcotest.check_raises "short out"
+    (Invalid_argument "Hashing.hash_bytes4_into: out needs 8 entries") (fun () ->
+      Hashing.hash_bytes4_into golden_fn k8 k8 k8 k8 (Array.make 7 0))
+
+(* ---------- Crc32 ---------- *)
+
+(* Byte-wise CRC-32 straight from the reflected polynomial, one bit at a
+   time: the reference the table-driven digest must match. *)
+let ref_crc32 b ~pos ~len =
+  let crc = ref 0xFFFF_FFFF in
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      crc := if !crc land 1 <> 0 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+    done
+  done;
+  Int32.of_int (!crc lxor 0xFFFF_FFFF)
+
+let test_crc32_known_answers () =
+  Alcotest.(check int32) "123456789" 0xCBF43926l (Crc32.digest (Bytes.of_string "123456789"));
+  Alcotest.(check int32) "empty" 0l (Crc32.digest Bytes.empty);
+  let b = Bytes.init 80 (fun i -> Char.chr (((i * 193) + 7) land 0xFF)) in
+  List.iter
+    (fun pos ->
+      for len = 0 to 64 do
+        Alcotest.(check int32)
+          (Printf.sprintf "pos=%d len=%d" pos len)
+          (ref_crc32 b ~pos ~len) (Crc32.digest_sub b ~pos ~len)
+      done)
+    [ 0; 1; 3; 7; 8; 13 ];
+  Alcotest.check_raises "range outside buffer"
+    (Invalid_argument "Crc32.digest_sub: range outside buffer") (fun () ->
+      ignore (Crc32.digest_sub b ~pos:20 ~len:61))
+
 let test_buf_get_int_overflow_detected () =
   (* 0x7FFFFFFFFFFFFFFF needs 64 value bits: not representable as a native
      63-bit int, so reading it back must fail loudly. *)
@@ -494,6 +556,13 @@ let () =
           Alcotest.test_case "truncate_bits" `Quick test_truncate_bits;
           Alcotest.test_case "hash_bytes golden values" `Quick test_hash_bytes_golden;
           Alcotest.test_case "hash_bytes_pair golden lanes" `Quick test_hash_bytes_pair_golden;
+          Alcotest.test_case "hash_bytes4_into = hash_bytes_into per slot" `Quick
+            test_hash_bytes4_matches_single;
+        ] );
+      ( "crc32",
+        [
+          Alcotest.test_case "known answers and byte-wise reference" `Quick
+            test_crc32_known_answers;
         ] );
       ( "iset",
         [
