@@ -1157,9 +1157,9 @@ let sections =
     ("faults", faults);
     ("transport", transport);
     ("perf", fun () -> Perf.run ~smoke:(List.mem "--smoke" (Array.to_list Sys.argv)));
-    ("obs", fun () -> Obs.run ~smoke:(List.mem "--smoke" (Array.to_list Sys.argv)));
-    ("robust", fun () -> Robust.run ~smoke:(List.mem "--smoke" (Array.to_list Sys.argv)));
-    ("rateless", fun () -> Rateless_bench.run ~smoke:(List.mem "--smoke" (Array.to_list Sys.argv)));
+    ("obs", Obs.run);
+    ("robust", Robust.run);
+    ("rateless", Rateless_bench.run);
     ("server", fun () -> Server_bench.run ~smoke:(List.mem "--smoke" (Array.to_list Sys.argv)));
     ("million", fun () -> Million.run ~smoke:(List.mem "--smoke" (Array.to_list Sys.argv)));
   ]

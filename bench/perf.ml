@@ -12,9 +12,8 @@
    so one batch takes ~20ms, which puts clock resolution noise well below
    1%. [--smoke] shrinks workloads and trial counts so CI can verify the
    harness itself stays alive without paying the full measurement cost;
-   smoke runs are also gated against the committed baselines in
-   bench/baseline/ (>10% median slowdown on any row exits 2, like the obs
-   suite's communication gate).
+   smoke runs are also gated against the committed timing baselines in
+   bench/baseline/ (>10% median slowdown on any row exits 2).
 
    Run:   dune exec bench/main.exe -- perf           (full, ~1 min)
           dune exec bench/main.exe -- perf --smoke   (CI, a few seconds)
@@ -380,8 +379,8 @@ let field_suite ~smoke ~trials =
 (* Baseline regression gate                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* CI gate over the timing suites, extending the obs suite's pattern:
-   committed smoke-mode baselines live in bench/baseline/BENCH_<suite>.json
+(* CI gate over the timing suites (sketch and field): committed
+   smoke-mode baselines live in bench/baseline/BENCH_<suite>.json
    and a >10% slowdown of any matching row's median fails the run with
    exit 2. Because shared-core runners jitter far more than 10%, the
    committed baseline is a conservative envelope — the row-wise worst
@@ -399,8 +398,7 @@ let field_suite ~smoke ~trials =
    identity ints and quietly orphan every row of their suite. *)
 let measured_keys =
   [
-    "ns_per_op"; "ops_per_sec"; "ms_per_op"; "mb_per_sec"; "mw_per_op"; "bits"; "bound_bits";
-    "x_bound"; "wall_ms"; "attempts"; "uncached_ms"; "cached_ms"; "speedup";
+    "ns_per_op"; "ops_per_sec"; "ms_per_op"; "mb_per_sec"; "mw_per_op";
   ]
 
 (* Stable row key: name plus every string/int field, sorted. *)
@@ -414,20 +412,14 @@ let identity_of_fields fields =
     fields
   |> List.sort compare |> String.concat " "
 
-(* Gate metric, in preference order: timings when the row has them, else
-   exact communication bits (the million suite gates on bits — they are a
-   deterministic function of the seeds, so the 10% threshold trips on real
-   protocol-cost changes rather than shared-runner noise). *)
+(* Gate metric, in preference order. *)
 let metric_of_fields fields =
   match List.assoc_opt "ms_per_op" fields with
   | Some (F v) -> Some ("ms_per_op", v)
   | _ -> (
     match List.assoc_opt "ns_per_op" fields with
     | Some (F v) -> Some ("ns_per_op", v)
-    | _ -> (
-      match List.assoc_opt "bits" fields with
-      | Some (F v) -> Some ("bits", v)
-      | _ -> None))
+    | _ -> None)
 
 let contains_substring hay needle =
   let nh = String.length hay and nn = String.length needle in

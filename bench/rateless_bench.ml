@@ -14,12 +14,12 @@
    rounds than doubling at any grid point; rateless bytes above 1.5x
    doubling at the same point (1.0x once drop >= 5%, where doubling
    re-ships whole tables); a rateless run whose wire transcript is not
-   byte-identical when replayed from the same seeds; and vs the
-   committed baseline (bench/baseline/BENCH_rateless.json), >10% growth
-   in rateless rounds or bytes at any grid point.
+   byte-identical when replayed from the same seeds. Every field of every
+   row is seed-determined, so the committed BENCH_rateless.json is its own
+   exact baseline: CI regenerates it and fails on
+   [git diff --exit-code -- BENCH_rateless.json].
 
-   Run:   dune exec bench/main.exe -- rateless [--smoke]
-   ([--smoke] only tags the JSON; the workloads are identical.)          *)
+   Run:   dune exec bench/main.exe -- rateless                             *)
 
 module Prng = Ssr_util.Prng
 module Iset = Ssr_util.Iset
@@ -30,8 +30,6 @@ module Arq = Ssr_transport.Arq
 module Resilient = Ssr_transport.Resilient
 
 let seed = 0x7A7E1E55L
-
-let baseline_path = "bench/baseline/BENCH_rateless.json"
 
 let latencies_us = [ 0; 2_000; 10_000 ]
 let drops = [ 0.0; 0.05; 0.2 ]
@@ -155,87 +153,10 @@ let check_replay () =
     [ (2_000, 0.05, 64); (10_000, 0.2, 256) ]
 
 (* ------------------------------------------------------------------ *)
-(* Baseline comparison (same discipline as bench/robust.ml)            *)
-(* ------------------------------------------------------------------ *)
 
-let substr_index s pat =
-  let n = String.length s and m = String.length pat in
-  let rec go i = if i + m > n then None else if String.sub s i m = pat then Some i else go (i + 1) in
-  go 0
-
-let int_field line key =
-  match substr_index line (Printf.sprintf "\"%s\": " key) with
-  | None -> None
-  | Some i ->
-    let start = i + String.length key + 4 in
-    let stop = ref start in
-    while !stop < String.length line && (match line.[!stop] with '0' .. '9' -> true | _ -> false) do
-      incr stop
-    done;
-    if !stop = start then None else int_of_string_opt (String.sub line start (!stop - start))
-
-let read_baseline path =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    let rows = ref [] in
-    (try
-       while true do
-         let line = input_line ic in
-         match (int_field line "latency_us", int_field line "drop_pct", int_field line "d") with
-         | Some lat, Some dp, Some d ->
-           rows :=
-             ( (lat, dp, d),
-               ( Option.value (int_field line "rateless_rounds") ~default:0,
-                 Option.value (int_field line "rateless_bytes") ~default:0 ) )
-             :: !rows
-         | _ -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    Some !rows
-  end
-
-let check_baseline rows =
-  match read_baseline baseline_path with
-  | None ->
-    Printf.printf "rateless: no baseline at %s - skipping regression check\n" baseline_path;
-    Printf.printf "          (generate one: dune exec bench/main.exe -- rateless, then commit %s)\n%!"
-      baseline_path;
-    true
-  | Some baseline ->
-    let ok = ref true in
-    List.iter
-      (fun fields ->
-        let geti k = match List.assoc_opt k fields with Some (Perf.I v) -> Some v | _ -> None in
-        match (geti "latency_us", geti "drop_pct", geti "d") with
-        | Some lat, Some dp, Some d -> (
-          match List.assoc_opt (lat, dp, d) baseline with
-          | None -> Printf.printf "  (new grid point %d/%d/%d, no baseline)\n" lat dp d
-          | Some (b_rounds, b_bytes) ->
-            let rounds = Option.value (geti "rateless_rounds") ~default:0 in
-            let bytes = Option.value (geti "rateless_bytes") ~default:0 in
-            (* >10% growth in rounds or bytes. *)
-            let bad_rounds = 10 * rounds > 11 * b_rounds in
-            let bad_bytes = 10 * bytes > 11 * b_bytes in
-            if bad_rounds || bad_bytes then begin
-              ok := false;
-              Printf.printf
-                "  REGRESSION at latency=%dus drop=%d%% d=%d: rounds %d->%d bytes %d->%d\n%!" lat
-                dp d b_rounds rounds b_bytes bytes
-            end)
-        | _ -> ())
-      rows;
-    if !ok then Printf.printf "rateless: baseline check OK (threshold 10%%)\n%!"
-    else Printf.printf "rateless: FAIL - regressed >10%% vs %s\n%!" baseline_path;
-    !ok
-
-(* ------------------------------------------------------------------ *)
-
-let run ~smoke =
+let run () =
   Printf.printf
-    "rateless: coded-cell stream vs doubling IBLT over the latency x loss grid (d unknown%s)\n%!"
-    (if smoke then ", smoke tag only - numbers are identical" else "");
+    "rateless: coded-cell stream vs doubling IBLT over the latency x loss grid (d unknown)\n%!";
   let grid =
     List.concat_map
       (fun latency_us ->
@@ -255,8 +176,7 @@ let run ~smoke =
         (geti "bytes_ratio_pct"))
     rows;
   Perf.write_json ~command:"dune exec bench/main.exe -- rateless" ~path:"BENCH_rateless.json"
-    ~suite:"rateless" ~smoke rows;
-  (* Hard acceptance gates, baseline or not. *)
+    ~suite:"rateless" ~smoke:false rows;
   let silent = List.exists (fun (_, (_, _, _, _, _, s)) -> s) grid in
   let failed = List.exists (fun (_, (_, _, _, _, f, _)) -> f) grid in
   let rounds_ok =
@@ -290,5 +210,4 @@ let run ~smoke =
     Printf.printf "rateless: FAIL - wire transcript not reproducible from seeds\n%!";
     exit 2
   end;
-  Printf.printf "rateless: all gates passed (fewer rounds everywhere, bytes within ratio, replay exact)\n%!";
-  if not (check_baseline rows) then exit 2
+  Printf.printf "rateless: all gates passed (fewer rounds everywhere, bytes within ratio, replay exact)\n%!"

@@ -43,7 +43,7 @@ let counter name =
 
 let add c by = ignore (Atomic.fetch_and_add c by)
 
-let incr ?(by = 1) c = add c by
+let incr c = add c 1
 
 let gauge name =
   with_registry (fun () ->

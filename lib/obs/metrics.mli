@@ -37,14 +37,12 @@ val counter : string -> counter
     [Invalid_argument] if the name is already registered with a different
     kind. *)
 
-val incr : ?by:int -> counter -> unit
-(** Add [by] (default 1) to the counter. O(1), atomic — concurrent
-    increments from multiple domains all land. Non-allocating without
-    [~by]; a call that passes [~by] builds the option (2 minor words),
-    which a zero-allocation path avoids with {!add}. *)
+val incr : counter -> unit
+(** Add 1 to the counter: [add c 1]. *)
 
 val add : counter -> int -> unit
-(** [add c n] is [incr ~by:n c] without the option: non-allocating. *)
+(** [add c n] adds [n] to the counter. O(1), atomic and non-allocating —
+    concurrent additions from multiple domains all land. *)
 
 val gauge : string -> gauge
 

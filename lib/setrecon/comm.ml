@@ -37,7 +37,7 @@ let send t direction ~label ~bits =
     | last :: _ -> if last.direction = direction then last.round else last.round + 1
   in
   Metrics.incr m_messages;
-  Metrics.incr ~by:bits (match direction with A_to_b -> m_bits_a_to_b | B_to_a -> m_bits_b_to_a);
+  Metrics.add (match direction with A_to_b -> m_bits_a_to_b | B_to_a -> m_bits_b_to_a) bits;
   Trace.emit ~layer:"comm"
     ~fields:
       [

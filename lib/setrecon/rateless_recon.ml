@@ -97,7 +97,7 @@ let run ~comm ~seed ?(check_bits = 32) ?(initial_window = 32) ?(max_cells = 1 ls
       let window =
         encode_window ~cell_bytes ~lo ~alice_hash ~cells:(Rateless.cells src ~lo ~hi)
       in
-      Metrics.incr ~by:(hi - lo) m_cells_sent;
+      Metrics.add m_cells_sent (hi - lo);
       (* Bob's view of the window: everything rides Comm.xfer, so the
          attached transport decides what (if anything) arrives. *)
       (match Comm.xfer comm Comm.A_to_b ~label:"rateless-cells" window with

@@ -211,7 +211,7 @@ let run_salvage_attempt ~comm ~seed ~attempt ~k ~sv ~alice =
         let recovered_now = Iset.cardinal add + Iset.cardinal del in
         sv.bob_cur <- Iset.apply_diff sv.bob_cur ~add ~del;
         sv.salvaged_keys <- sv.salvaged_keys + recovered_now;
-        Ssr_obs.Metrics.incr ~by:recovered_now m_salvage_keys;
+        Ssr_obs.Metrics.add m_salvage_keys recovered_now;
         if set_hash ~seed sv.bob_cur = alice_hash then
           Ok
             {

@@ -72,7 +72,7 @@ let absorb t ?except ~positives ~negatives () =
               | `Decoded dec ->
                 let n = List.length dec.Iblt.positives + List.length dec.Iblt.negatives in
                 if n > 0 then begin
-                  Metrics.incr ~by:n m_hits;
+                  Metrics.add m_hits n;
                   out_pos := dec.Iblt.positives @ !out_pos;
                   out_neg := dec.Iblt.negatives @ !out_neg;
                   Queue.add (Some e.id, dec.Iblt.positives, dec.Iblt.negatives) queue
@@ -82,7 +82,7 @@ let absorb t ?except ~positives ~negatives () =
               | `Salvaged (dec, r) ->
                 let n = List.length dec.Iblt.positives + List.length dec.Iblt.negatives in
                 if n > 0 then begin
-                  Metrics.incr ~by:n m_hits;
+                  Metrics.add m_hits n;
                   out_pos := dec.Iblt.positives @ !out_pos;
                   out_neg := dec.Iblt.negatives @ !out_neg;
                   Queue.add (Some e.id, dec.Iblt.positives, dec.Iblt.negatives) queue;

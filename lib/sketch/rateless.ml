@@ -363,7 +363,7 @@ let absorb dec ~lo bytes =
   if start >= stop then 0
   else begin
     let fresh = stop - start in
-    if dec.nonzero > 0 || dec.nslots = 0 then Metrics.incr ~by:fresh m_cells_useful;
+    if dec.nonzero > 0 || dec.nslots = 0 then Metrics.add m_cells_useful fresh;
     ensure dec fresh;
     let base = dec.nslots in
     let localw = cells dec.src ~lo:start ~hi:stop in

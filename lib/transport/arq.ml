@@ -116,7 +116,7 @@ let opposite : Comm.direction -> Comm.direction = function
 
 let put_on_wire t dir ~label bytes =
   t.wire_bytes <- t.wire_bytes + Bytes.length bytes;
-  Metrics.incr ~by:(Bytes.length bytes) m_wire_bytes;
+  Metrics.add m_wire_bytes (Bytes.length bytes);
   Network.send t.net dir ~label bytes
 
 (* Retransmission timeout for the [sends]'th retry: capped doubling plus

@@ -147,7 +147,7 @@ let send t direction ~label payload =
         in
         let delivered_us = sent_us + delay in
         Metrics.incr m_copies_delivered;
-        Metrics.incr ~by:(Bytes.length bytes) m_bytes_delivered;
+        Metrics.add m_bytes_delivered (Bytes.length bytes);
         record t { index; copy; direction; sent_us; delivered_us; reordered; partitioned = false;
                    bytes };
         ignore

@@ -188,9 +188,9 @@ let mk_report ctx ~attempts ~degraded =
 
 (* The shared self-healing loop, an escalation ladder with three rungs:
    bounded reconciliation attempts with a doubling difference bound, then
-   (when the protocol supports it) bounded salted-rehash salvage attempts,
-   then bounded verified direct transfers; on a network link every rung
-   also respects the virtual-time deadlines and backs off between attempts.
+   bounded salted-rehash salvage attempts, then bounded verified direct
+   transfers; on a network link every rung also respects the virtual-time
+   deadlines and backs off between attempts.
    [recon ~number ~d] and [direct ()] return the verified result or [None]
    on any detected failure; [rehash ~number ~d] additionally reports the
    difference bound it actually used (salvage shrinks it with progress
@@ -227,34 +227,31 @@ let drive ctx ~max_attempts ~rehash_attempts ~rehash ~initial_d ~recon ~direct =
     direct_loop number 0 acc
   in
   let rec rehash_loop number d0 tries acc =
-    match rehash with
-    | None -> fall_back number acc
-    | Some rehash ->
-      if run_deadline_exceeded ctx then
-        Error (`Deadline_exceeded (mk_report ctx ~attempts:acc ~degraded:false))
-      else if tries >= rehash_attempts then fall_back number acc
-      else begin
-        begin_attempt ctx;
-        Metrics.incr m_attempts;
-        Metrics.incr m_salvage_attempts;
-        Trace.emit ~layer:"resilient" ~fields:[ ("number", Trace.I number) ] "rehash-attempt";
-        let ta = now ctx in
-        match rehash ~number ~d:d0 with
-        | Some v, d ->
-          let a =
-            { number; d; direct = false; salvage = true; ok = true; elapsed_us = now ctx - ta }
-          in
-          Ok (v, mk_report ctx ~attempts:(a :: acc) ~degraded:false)
-        | None, d ->
-          Metrics.incr m_retries;
-          (* The rehash retry request carries Bob's residual-difference
-             bound so Alice can size the next salted table. *)
-          Comm.send ctx.comm Comm.B_to_a ~label:"salvage-retry" ~bits:32;
-          backoff_between ctx ~number;
-          rehash_loop (number + 1) d0 (tries + 1)
-            ({ number; d; direct = false; salvage = true; ok = false; elapsed_us = now ctx - ta }
-            :: acc)
-      end
+    if run_deadline_exceeded ctx then
+      Error (`Deadline_exceeded (mk_report ctx ~attempts:acc ~degraded:false))
+    else if tries >= rehash_attempts then fall_back number acc
+    else begin
+      begin_attempt ctx;
+      Metrics.incr m_attempts;
+      Metrics.incr m_salvage_attempts;
+      Trace.emit ~layer:"resilient" ~fields:[ ("number", Trace.I number) ] "rehash-attempt";
+      let ta = now ctx in
+      match rehash ~number ~d:d0 with
+      | Some v, d ->
+        let a =
+          { number; d; direct = false; salvage = true; ok = true; elapsed_us = now ctx - ta }
+        in
+        Ok (v, mk_report ctx ~attempts:(a :: acc) ~degraded:false)
+      | None, d ->
+        Metrics.incr m_retries;
+        (* The rehash retry request carries Bob's residual-difference
+           bound so Alice can size the next salted table. *)
+        Comm.send ctx.comm Comm.B_to_a ~label:"salvage-retry" ~bits:32;
+        backoff_between ctx ~number;
+        rehash_loop (number + 1) d0 (tries + 1)
+          ({ number; d; direct = false; salvage = true; ok = false; elapsed_us = now ctx - ta }
+          :: acc)
+    end
   in
   let rec attempt number d acc =
     if run_deadline_exceeded ctx then
@@ -359,16 +356,12 @@ let reconcile_set ~link ~seed ?(strategy = Doubling) ?(initial_d = 4) ?(max_atte
         with
         | Ok o -> Some o.Set_recon.recovered
         | Error `Decode_failure -> None))
-    ~rehash:
-      (Some
-         (fun ~number ~d ->
-           let s = salvage_state ~d in
-           let d_used = Set_recon.salvage_remaining s in
-           match
-             Set_recon.run_salvage_attempt ~comm:ctx.comm ~seed ~attempt:number ~k ~sv:s ~alice
-           with
-           | Ok o -> (Some o.Set_recon.recovered, d_used)
-           | Error `Progress -> (None, d_used)))
+    ~rehash:(fun ~number ~d ->
+      let s = salvage_state ~d in
+      let d_used = Set_recon.salvage_remaining s in
+      match Set_recon.run_salvage_attempt ~comm:ctx.comm ~seed ~attempt:number ~k ~sv:s ~alice with
+      | Ok o -> (Some o.Set_recon.recovered, d_used)
+      | Error `Progress -> (None, d_used))
     ~direct:(fun () ->
       match Comm.xfer ctx.comm Comm.A_to_b ~label:"direct-transfer" (Lazy.force direct_payload) with
       | Error `Lost -> None
@@ -446,11 +439,9 @@ let reconcile_sos ~link ~kind ~seed ~u ~h ?(initial_d = 4) ?(max_attempts = 5)
     (* The nested protocols carry no cross-attempt salvage state; their
        rehash rung re-runs at the last tried bound under fresh per-attempt
        salts — escalating the schedule, not the size. *)
-    ~rehash:
-      (Some
-         (fun ~number ~d ->
-           let d_used = max 1 (d / 2) in
-           (run_attempt ~number ~d:d_used, d_used)))
+    ~rehash:(fun ~number ~d ->
+      let d_used = max 1 (d / 2) in
+      (run_attempt ~number ~d:d_used, d_used))
     ~direct:(fun () ->
       match Comm.xfer ctx.comm Comm.A_to_b ~label:"direct-transfer" (Lazy.force direct_payload) with
       | Error `Lost -> None

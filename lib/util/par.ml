@@ -100,7 +100,7 @@ let run_all (thunks : (unit -> unit) array) =
   else if n = 1 || available () <= 1 then Array.iter (fun f -> f ()) thunks
   else begin
     ensure_workers ();
-    Ssr_obs.Metrics.incr ~by:n m_tasks;
+    Ssr_obs.Metrics.add m_tasks n;
     let exns : exn option array = Array.make n None in
     let region = { pending = n } in
     let wrap i =

@@ -50,7 +50,7 @@ let test_metrics_counter_diff () =
   let (), d =
     delta (fun () ->
         Metrics.incr c;
-        Metrics.incr ~by:41 c)
+        Metrics.add c 41)
   in
   Alcotest.(check int) "counter delta" 42 (Metrics.counter_value d "test.obs.counter");
   (* A second empty window drops the unchanged counter entirely. *)

@@ -4,7 +4,8 @@
    sizes (including nesting and exception propagation), and the
    determinism battery the pool's contract promises — every protocol
    stack run over the simulated network produces a byte-identical wire
-   transcript with the pool at 1 and at 4 domains, across seeds. *)
+   transcript with the pool at 1 and at 4 domains, across seeds — and the
+   serial transcripts equal a committed table of golden digests. *)
 
 module Par = Ssr_util.Par
 module Prng = Ssr_util.Prng
@@ -128,11 +129,11 @@ let transcript_of_stack ~nseed stack =
   let arq = Arq.create ~clock ~network ~seed:nseed () in
   let link = Resilient.over_network arq in
   (match stack with
-  | `Set ->
+  | `Set strategy ->
     let rng = Prng.create ~seed:(Prng.derive ~seed:nseed ~tag:0x5E) in
     let alice = Iset.random_subset rng ~universe:(1 lsl 30) ~size:400 in
     let bob = Iset.union alice (Iset.random_subset rng ~universe:(1 lsl 31) ~size:8) in
-    (match Resilient.reconcile_set ~link ~seed:nseed ~alice ~bob () with
+    (match Resilient.reconcile_set ~link ~seed:nseed ~strategy ~alice ~bob () with
     | Ok (got, _) -> Alcotest.(check bool) "set reconciled" true (Iset.equal got alice)
     | Error _ -> Alcotest.fail "set reconciliation failed")
   | `Sos kind -> (
@@ -146,23 +147,72 @@ let transcript_of_stack ~nseed stack =
   flatten_transcript network
 
 let stack_name = function
-  | `Set -> "set"
+  | `Set Resilient.Doubling -> "set"
+  | `Set Resilient.Rateless -> "set-rateless"
   | `Sos kind -> Protocol.name kind
 
+let transcript_seeds = [ 0x11AL; 0x22BL; 0x33CL ]
+
+let transcript_stacks =
+  `Set Resilient.Doubling :: `Set Resilient.Rateless :: List.map (fun k -> `Sos k) Protocol.all
+
+(* The serial transcripts, run once and shared by the pool battery and the
+   golden digests below: (seed, stack, transcript) in seed-major order. *)
+let serial_transcripts =
+  lazy
+    (List.concat_map
+       (fun nseed ->
+         List.map
+           (fun stack ->
+             (nseed, stack, with_domains 1 (fun () -> transcript_of_stack ~nseed stack)))
+           transcript_stacks)
+       transcript_seeds)
+
 let test_parallel_matches_serial_transcripts () =
-  let stacks = `Set :: List.map (fun k -> `Sos k) Protocol.all in
   List.iter
-    (fun nseed ->
-      List.iter
-        (fun stack ->
-          let serial = with_domains 1 (fun () -> transcript_of_stack ~nseed stack) in
-          let parallel = with_domains 4 (fun () -> transcript_of_stack ~nseed stack) in
-          Alcotest.(check bool)
-            (Printf.sprintf "transcript %s seed=0x%Lx (%d bytes)" (stack_name stack) nseed
-               (String.length serial))
-            true (String.equal serial parallel))
-        stacks)
-    [ 0x11AL; 0x22BL; 0x33CL ]
+    (fun (nseed, stack, serial) ->
+      let parallel = with_domains 4 (fun () -> transcript_of_stack ~nseed stack) in
+      Alcotest.(check bool)
+        (Printf.sprintf "transcript %s seed=0x%Lx (%d bytes)" (stack_name stack) nseed
+           (String.length serial))
+        true (String.equal serial parallel))
+    (Lazy.force serial_transcripts)
+
+(* Golden wire transcripts: the MD5 of every serial transcript above. A
+   refactor or kernel change that claims to move no wire byte must leave
+   this table alone; it changes only in a change whose stated purpose is a
+   wire change, which lists each moved row. Rows are seed-major, stacks in
+   [transcript_stacks] order. *)
+let golden_digests =
+  [
+    ("0x11a", "set", "af1145bfc1b775e2ed2161a09b7ec68d");
+    ("0x11a", "set-rateless", "02cbda665f5b4091f451b21f5361af74");
+    ("0x11a", "naive", "57899c44c46a3fe7a465f5c116ac6e36");
+    ("0x11a", "iblt-of-iblts", "dbc61e2b467c0f110430d4339c5f5ac6");
+    ("0x11a", "cascade", "e7258e9543b3e9a6cf76eae6d518801a");
+    ("0x11a", "multiround", "0a516b20e37a1b26ac1205557d16ec55");
+    ("0x22b", "set", "b1a6f9e89b082456d3db5b611b1eac6e");
+    ("0x22b", "set-rateless", "f7f761cf1ed2d508ee74104ecdbd74df");
+    ("0x22b", "naive", "87e2a79c1048d1d20bb7a036dceae6b6");
+    ("0x22b", "iblt-of-iblts", "20a90161c68fb18355a6f546f81161d3");
+    ("0x22b", "cascade", "009d9a143c7286218517fead98ed924e");
+    ("0x22b", "multiround", "9643325927348fc69002f1dce69f5d67");
+    ("0x33c", "set", "b6cdda49b5b08b51ca32266da2050cc2");
+    ("0x33c", "set-rateless", "21749497375840c35e6f28c54b6127bf");
+    ("0x33c", "naive", "74df4691c4c015435be9eec66cb80e73");
+    ("0x33c", "iblt-of-iblts", "a22b0df884772327829b2586852fb262");
+    ("0x33c", "cascade", "71efd21c013fe6202350b971ba8acf0d");
+    ("0x33c", "multiround", "9540d7ffe2f6dcfcd492889ab80288ec")
+  ]
+
+let test_golden_transcript_digests () =
+  let got =
+    List.map
+      (fun (nseed, stack, t) ->
+        (Printf.sprintf "0x%Lx" nseed, stack_name stack, Digest.to_hex (Digest.string t)))
+      (Lazy.force serial_transcripts)
+  in
+  Alcotest.(check (list (triple string string string))) "transcript digests" golden_digests got
 
 (* A per-request encoding memo must be byte-transparent: three rungs of
    one nested stack sharing a memo, as Resilient runs them (the bound
@@ -325,8 +375,10 @@ let () =
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "parallel = serial transcripts (3 seeds x 5 stacks)" `Quick
+          Alcotest.test_case "parallel = serial transcripts (3 seeds x 6 stacks)" `Quick
             test_parallel_matches_serial_transcripts;
+          Alcotest.test_case "golden transcript digests (3 seeds x 6 stacks)" `Quick
+            test_golden_transcript_digests;
           Alcotest.test_case "memo = no memo transcripts" `Quick
             test_memo_transcripts_byte_identical;
           Alcotest.test_case "salted rehash deterministic (2 seeds)" `Quick
