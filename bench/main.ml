@@ -5,7 +5,8 @@
    in the binary-database regime) and Figure 1 (merge ambiguity), plus the
    per-theorem guarantees. Each section below turns one of those into a
    measured experiment and checks the paper's qualitative "shape" (who
-   wins, how costs scale); EXPERIMENTS.md records the outcomes.
+   wins, how costs scale); EXPERIMENTS.md records the outcomes. Any
+   [DIVERGES] verdict makes the run exit 2 once its sections have run.
 
    Run everything:        dune exec bench/main.exe
    Run chosen sections:   dune exec bench/main.exe -- table1 estimators
@@ -63,7 +64,11 @@ let time_it f =
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
+(* Set by any [DIVERGES] verdict; the run exits 2 after its sections. *)
+let diverged = ref false
+
 let shape name ok =
+  if not ok then diverged := true;
   Printf.printf "SHAPE %-52s %s\n" name (if ok then "[ok]" else "[DIVERGES]")
 
 (* ------------------------------------------------------------------ *)
@@ -1196,5 +1201,9 @@ let () =
     in
     print_endline "Reconciling Graphs and Sets of Sets - experiment harness";
     print_endline "(paper-vs-measured record: EXPERIMENTS.md)";
-    List.iter (fun (_, f) -> f ()) to_run
+    List.iter (fun (_, f) -> f ()) to_run;
+    if !diverged then begin
+      print_endline "\nSHAPE verdicts diverged from the paper (exit 2)";
+      exit 2
+    end
   end

@@ -1,5 +1,5 @@
 (** The cascading IBLTs-of-IBLTs protocol (paper §3.2, Algorithm 2,
-    Theorem 3.7, and the doubling extension of Corollary 3.8).
+    Theorem 3.7), and the one engine that runs both nested IBLT protocols.
 
     Algorithm 1 spends O(d) cells on every differing child even though the
     d element changes are spread across children: only O(1) children can
@@ -15,7 +15,26 @@
 
     Per-level child tables are deliberately lean (a low-level decode failure
     is not fatal — the child is simply recovered at a higher level), which
-    is exactly the structure of the paper's X_i / Y_i analysis. *)
+    is exactly the structure of the paper's X_i / Y_i analysis.
+
+    Algorithm 1 (IBLT-of-IBLTs, Theorem 3.5) is the same protocol with one
+    level of child tables sized for d and no T*: {!Iblt_of_iblts.plan}
+    builds that geometry, and {!run_plan} runs both. The unknown-d
+    doubling of Corollaries 3.6 and 3.8 is [Protocol.reconcile_unknown]. *)
+
+type level = {
+  enc : Encoding.config;  (** The child encodings folded into this level's table. *)
+  outer : Ssr_sketch.Iblt.params;  (** The level's outer table. *)
+}
+
+type plan = {
+  label : string;  (** The {!Ssr_setrecon.Comm} label of the one message. *)
+  per_level : level array;  (** Levels 1 to t, in order; never empty. *)
+  star : (Direct.config * Ssr_sketch.Iblt.params) option;
+      (** T*: direct encodings and their table, sent after the levels. *)
+}
+(** The public geometry of one attempt: everything both parties derive
+    from the seeds and the bounds. *)
 
 type outcome = {
   delta : Parent.delta;  (** What Bob learned: Alice-only and Bob-only children. *)
@@ -29,39 +48,39 @@ type outcome = {
 
 type error = [ `Decode_failure of Ssr_setrecon.Comm.stats ]
 
-val reconcile_known :
-  seed:int64 -> d:int -> u:int -> h:int -> ?d_hat:int -> ?s_bound:int -> ?k:int ->
-  alice:Parent.t -> bob:Parent.t -> unit -> (outcome, error) result
-(** Theorem 3.7: one round (all level tables in a single message). [u] and
-    [h] size the T* direct encoding; [h] should bound every child's size. *)
+val plan :
+  seed:int64 -> enc_seed:int64 -> d:int -> d_hat:int -> s_bound:int -> u:int -> h:int -> k:int ->
+  plan
+(** Algorithm 2's geometry: t = ⌈log min(d, h)⌉ levels (at least one),
+    level i with lean child tables of O(2^i) cells and an outer table for
+    2 [d_hat] keys at level 1 and O(d / 2^i) above it, and T* for O(d/h)
+    direct encodings of width given by [u] and [h] when [h <= d]. [s_bound]
+    sizes the child hashes. [enc_seed] salts only the per-level child
+    encodings; the outer tables and T* are salted by [seed]. The label is
+    [cascade-tables+digest]. *)
 
-val reconcile_unknown :
-  seed:int64 -> u:int -> h:int -> ?s_bound:int -> ?k:int -> ?max_d:int ->
-  alice:Parent.t -> bob:Parent.t -> unit -> (outcome, error) result
-(** Corollary 3.8: repeated doubling on d; O(log d) rounds. *)
-
-val run_stream :
-  comm:Ssr_setrecon.Comm.t -> seed:int64 -> enc_seed:int64 option -> memo:Enc_cache.t option ->
-  d:int -> d_hat:int -> s_bound:int -> u:int -> h:int -> k:int ->
+val run_plan :
+  comm:Ssr_setrecon.Comm.t -> seed:int64 -> ?memo:Enc_cache.t -> plan ->
   alice:Parent.stream -> bob:Parent.stream -> (outcome, [ `Decode_failure ]) result
-(** One attempt threaded through a caller-supplied recorder (for retry
-    drivers and transports); the outcome's stats are cumulative for [comm].
-    The only build path: the levels are built by chunked passes over the
-    {!Parent.stream} views ({!Parent.stream_of_t} for materialized parents)
-    in bounded memory, the 8-byte guard carries {!Parent.stream_hash}, and
-    the result is the O(d) delta. Alice builds every level table, T* and
-    her digest in one walk. Bob builds his level-1 table, his index of
-    child hashes and his digest in one walk before the decode, and every
-    higher-level table and T* in a second walk only once level 1 has
-    decoded, so a failed level-1 decode walks his stream once. Each pass
-    folds each child into every table it builds, four keys at a time
-    through reused key buffers per level ({!Encoding.fold},
-    {!Direct.fold}); the O(d) re-insertions of known differing children
-    encode afresh ({!Encoding.encode}, {!Direct.encode}). Each level
-    builds Bob's differing child tables once ({!Encoding.pairing}).
-    [enc_seed] (default: [seed]) salts only the per-level child-encoding
-    configs; outer and T* tables stay salted by the per-attempt [seed]. A
-    retry driver that pins it across attempts re-derives identical child
-    encodings, and can pass one [memo] to all of them so that later
-    attempts reuse the level encodings of earlier ones
-    ([Resilient.reconcile_sos] does). Single attempts pass [None]. *)
+(** One attempt of a plan, threaded through a caller-supplied recorder;
+    the outcome's stats are cumulative for [comm]. The only build path of
+    both nested IBLT protocols: chunked passes over the {!Parent.stream}
+    views fold each child into every table four keys at a time
+    ({!Encoding.fold}, {!Direct.fold}), and Alice sends every table with
+    her {!Parent.stream_hash} guard in one {!Parent.xfer_guarded}
+    message. Bob walks his stream once for level 1, his index of child
+    hashes ({!Encoding.hash_of_key}) and his digest, and a second time
+    for the higher levels and T* only once level 1 has decoded. He pairs
+    every positive of every level with his differing children
+    ({!Encoding.pairing}) and accepts the delta only if it lands on
+    Alice's guard. A retry driver that pins the plan's [enc_seed] across
+    attempts can pass one [memo] to all of them so that later attempts
+    reuse the encodings of earlier ones ([Resilient.reconcile_sos]
+    does). *)
+
+val reconcile_known :
+  seed:int64 -> d:int -> u:int -> h:int ->
+  alice:Parent.t -> bob:Parent.t -> unit -> (outcome, error) result
+(** Theorem 3.7: one round (all level tables in a single message), with
+    [Protocol]'s tuning but the cascade's own fields. [u] and [h] size
+    the T* direct encoding; [h] should bound every child's size. *)

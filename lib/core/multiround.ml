@@ -68,24 +68,10 @@ let run_stream ~comm ~seed ~d ~d_hat ~k ~shape ~primitive ~(alice : Parent.strea
     in
     let ta = Iblt.create hash_prm in
     Hashtbl.iter (fun h _ -> Iblt.insert_int ta h) alice_by_hash;
-    let hash_bytes = Bytes.create 8 in
-    Buf.set_int_le hash_bytes 0 alice_digest;
-    match
-      Comm.xfer comm Comm.A_to_b ~label:"hash-iblt+digest"
-        (Bytes.cat (Iblt.body_bytes ta) hash_bytes)
-    with
-    | Error `Lost -> Error `Decode_failure
-    | Ok delivered -> (
-    let rd = Codec.reader delivered in
-    let parsed =
-      match (Codec.take rd (Iblt.body_length hash_prm), Codec.int62 rd) with
-      | Some body, Some h when Codec.at_end rd ->
-        Option.map (fun t -> (t, h)) (Iblt.of_body_bytes_opt hash_prm body)
-      | _ -> None
-    in
-    match parsed with
+    match Parent.xfer_guarded comm ~label:"hash-iblt+digest" [| ta |] ~guard:alice_digest with
     | None -> Error `Decode_failure
-    | Some (ta, alice_digest) -> (
+    | Some (received, alice_digest) -> (
+    let ta = received.(0) in
     let tb = Iblt.create hash_prm in
     Hashtbl.iter (fun h _ -> Iblt.insert_int tb h) bob_by_hash;
     match Iblt.decode_ints (Iblt.subtract ta tb) with
@@ -328,22 +314,19 @@ let run_stream ~comm ~seed ~d ~d_hat ~k ~shape ~primitive ~(alice : Parent.strea
                 }
             else Error `Decode_failure))
         end))
-      end))))
+      end)))
 
-let reconcile_known ~seed ~d ?d_hat ?(k = 4) ?(primitive = Auto)
-    ?(estimator_shape = default_child_shape) ~alice ~bob () =
-  let d_hat =
-    match d_hat with Some dh -> dh | None -> min d (max 2 (Parent.cardinal bob))
-  in
+let reconcile_known ~seed ~d ?(primitive = Auto) ~alice ~bob () =
+  let d_hat = min d (max 2 (Parent.cardinal bob)) in
   let comm = Comm.create () in
   match
-    run_stream ~comm ~seed ~d ~d_hat ~k ~shape:estimator_shape ~primitive
+    run_stream ~comm ~seed ~d ~d_hat ~k:4 ~shape:default_child_shape ~primitive
       ~alice:(Parent.stream_of_t alice) ~bob:(Parent.stream_of_t bob)
   with
   | Ok o -> Ok o
   | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))
 
-let reconcile_unknown ~seed ?(k = 4) ?(estimator_shape = default_child_shape) ~alice ~bob () =
+let reconcile_unknown ~seed ~alice ~bob () =
   let comm = Comm.create () in
   (* Round 0 (B -> A): estimator over Bob's child hashes sizes the exchange. *)
   let bob_est = L0.create ~seed ~shape:L0.default_shape () in
@@ -363,8 +346,8 @@ let reconcile_unknown ~seed ?(k = 4) ?(estimator_shape = default_child_shape) ~a
          only gates the IBLT/CPI threshold; a generous surrogate suffices. *)
       let d_surrogate = max 4 (d_hat * 4) in
       match
-        run_stream ~comm ~seed:(Prng.derive ~seed ~tag:0x4B) ~d:d_surrogate ~d_hat ~k
-          ~shape:estimator_shape ~primitive:Auto ~alice:(Parent.stream_of_t alice)
+        run_stream ~comm ~seed:(Prng.derive ~seed ~tag:0x4B) ~d:d_surrogate ~d_hat ~k:4
+          ~shape:default_child_shape ~primitive:Auto ~alice:(Parent.stream_of_t alice)
           ~bob:(Parent.stream_of_t bob)
       with
       | Ok o -> Ok o

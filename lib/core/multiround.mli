@@ -35,16 +35,15 @@ type primitive =
   | Always_cpi  (** Ablation: CPI for every child. *)
 
 val reconcile_known :
-  seed:int64 -> d:int -> ?d_hat:int -> ?k:int -> ?primitive:primitive ->
-  ?estimator_shape:Ssr_sketch.L0_estimator.shape ->
+  seed:int64 -> d:int -> ?primitive:primitive ->
   alice:Parent.t -> bob:Parent.t -> unit -> (outcome, error) result
-(** Theorem 3.9: 3 rounds. [d] bounds the total element changes and gates
-    the IBLT-vs-CPI choice at sqrt d ([primitive] overrides the choice for
-    the ablation benches). *)
+(** Theorem 3.9: 3 rounds, with [Protocol]'s tuning ([k = 4], d_hat =
+    [min d s], {!default_child_shape}). [d] bounds the total element
+    changes and gates the IBLT-vs-CPI choice at sqrt d ([primitive]
+    overrides the choice for the ablation benches). *)
 
 val reconcile_unknown :
-  seed:int64 -> ?k:int -> ?estimator_shape:Ssr_sketch.L0_estimator.shape ->
-  alice:Parent.t -> bob:Parent.t -> unit -> (outcome, error) result
+  seed:int64 -> alice:Parent.t -> bob:Parent.t -> unit -> (outcome, error) result
 (** Theorem 3.10: 4 rounds; the extra leading round estimates the number of
     differing children. *)
 

@@ -1,8 +1,6 @@
 module Iset = Ssr_util.Iset
 module Hashing = Ssr_util.Hashing
 module Prng = Ssr_util.Prng
-module Buf = Ssr_util.Buf
-module Codec = Ssr_util.Codec
 module Iblt = Ssr_sketch.Iblt
 module L0 = Ssr_sketch.L0_estimator
 module Comm = Ssr_setrecon.Comm
@@ -39,24 +37,11 @@ let run_stream ~comm ~seed ~d_hat ~u ~h ~k ~(alice : Parent.stream) ~(bob : Pare
     (table, digest)
   in
   let table, alice_digest = build alice in
-  let hash_bytes = Bytes.create 8 in
-  Buf.set_int_le hash_bytes 0 alice_digest;
-  let payload = Bytes.cat (Iblt.body_bytes table) hash_bytes in
-  match Comm.xfer comm Comm.A_to_b ~label:"naive-iblt+digest" payload with
-  | Error `Lost -> Error `Decode_failure
-  | Ok delivered -> (
-  let r = Codec.reader delivered in
-  let parsed =
-    match (Codec.take r (Iblt.body_length prm), Codec.int62 r) with
-    | Some body, Some h when Codec.at_end r ->
-      Option.map (fun t -> (t, h)) (Iblt.of_body_bytes_opt prm body)
-    | _ -> None
-  in
-  match parsed with
+  match Parent.xfer_guarded comm ~label:"naive-iblt+digest" [| table |] ~guard:alice_digest with
   | None -> Error `Decode_failure
-  | Some (table, alice_digest) -> (
+  | Some (received, alice_digest) -> (
   let bob_table, bob_digest = build bob in
-  match Iblt.decode (Iblt.subtract table bob_table) with
+  match Iblt.decode (Iblt.subtract received.(0) bob_table) with
   | Error `Peel_stuck -> Error `Decode_failure
   | Ok { positives; negatives } -> (
     let decode_all keys =
@@ -74,34 +59,25 @@ let run_stream ~comm ~seed ~d_hat ~u ~h ~k ~(alice : Parent.stream) ~(bob : Pare
       if Parent.delta_digest ~seed ~base:bob_digest delta = alice_digest then
         Ok { delta; stats = Comm.stats comm }
       else Error `Decode_failure
-    | _ -> Error `Decode_failure)))
+    | _ -> Error `Decode_failure))
 
-let reconcile_known ~seed ~d_hat ~u ~h ?(k = 4) ~alice ~bob () =
+let reconcile_unknown ~seed ~u ~h ~alice ~bob () =
   let comm = Comm.create () in
-  match
-    run_stream ~comm ~seed ~d_hat ~u ~h ~k ~alice:(Parent.stream_of_t alice)
-      ~bob:(Parent.stream_of_t bob)
-  with
-  | Ok o -> Ok o
-  | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))
-
-let reconcile_unknown ~seed ~u ~h ?(k = 4) ?estimator_shape ~alice ~bob () =
-  let comm = Comm.create () in
-  let bob_est = L0.create ~seed ?shape:estimator_shape () in
+  let bob_est = L0.create ~seed () in
   let id = child_id ~seed in
   List.iter (fun c -> L0.update bob_est L0.S1 (id c)) (Parent.children bob);
   match Comm.xfer comm Comm.B_to_a ~label:"child-estimator" (L0.to_bytes bob_est) with
   | Error `Lost -> Error (`Decode_failure (Comm.stats comm))
   | Ok delivered -> (
-    match L0.of_bytes_opt ~seed ?shape:estimator_shape delivered with
+    match L0.of_bytes_opt ~seed delivered with
     | None -> Error (`Decode_failure (Comm.stats comm))
     | Some bob_est -> (
-      let alice_est = L0.create ~seed ?shape:estimator_shape () in
+      let alice_est = L0.create ~seed () in
       List.iter (fun c -> L0.update alice_est L0.S2 (id c)) (Parent.children alice);
       let est = L0.query (L0.merge bob_est alice_est) in
       let d_hat = max 2 est in
       match
-        run_stream ~comm ~seed:(Prng.derive ~seed ~tag:2) ~d_hat ~u ~h ~k
+        run_stream ~comm ~seed:(Prng.derive ~seed ~tag:2) ~d_hat ~u ~h ~k:4
           ~alice:(Parent.stream_of_t alice) ~bob:(Parent.stream_of_t bob)
       with
       | Ok o -> Ok o

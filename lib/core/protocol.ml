@@ -1,3 +1,5 @@
+module Bits = Ssr_util.Bits
+module Prng = Ssr_util.Prng
 module Comm = Ssr_setrecon.Comm
 
 type kind = Naive | Iblt_of_iblts | Cascade | Multiround
@@ -22,6 +24,12 @@ let run_known_stream ?memo kind ~comm ~seed ~enc_seed ~d ~u ~h ~(alice : Parent.
     ~(bob : Parent.stream) =
   let s_bound = max 2 bob.Parent.length in
   let d_hat = min d s_bound in
+  let enc_seed = Option.value enc_seed ~default:seed in
+  let nested plan =
+    Result.map
+      (fun (o : Cascade.outcome) -> { delta = o.Cascade.delta; stats = o.Cascade.stats })
+      (Cascade.run_plan ~comm ~seed ?memo plan ~alice ~bob)
+  in
   match kind with
   | Naive ->
     (* Direct encodings are seedless, so there is nothing to pin, and they
@@ -29,15 +37,8 @@ let run_known_stream ?memo kind ~comm ~seed ~enc_seed ~d ~u ~h ~(alice : Parent.
     Result.map
       (fun (o : Naive.outcome) -> { delta = o.Naive.delta; stats = o.Naive.stats })
       (Naive.run_stream ~comm ~seed ~d_hat ~u ~h ~k:4 ~alice ~bob)
-  | Iblt_of_iblts ->
-    Result.map
-      (fun (o : Iblt_of_iblts.outcome) ->
-        { delta = o.Iblt_of_iblts.delta; stats = o.Iblt_of_iblts.stats })
-      (Iblt_of_iblts.run_stream ~comm ~seed ~enc_seed ~memo ~d ~d_hat ~s_bound ~k:4 ~alice ~bob)
-  | Cascade ->
-    Result.map
-      (fun (o : Cascade.outcome) -> { delta = o.Cascade.delta; stats = o.Cascade.stats })
-      (Cascade.run_stream ~comm ~seed ~enc_seed ~memo ~d ~d_hat ~s_bound ~u ~h ~k:3 ~alice ~bob)
+  | Iblt_of_iblts -> nested (Iblt_of_iblts.plan ~seed ~enc_seed ~d ~d_hat ~s_bound ~k:4)
+  | Cascade -> nested (Cascade.plan ~seed ~enc_seed ~d ~d_hat ~s_bound ~u ~h ~k:3)
   | Multiround ->
     (* Per-child tables are keyed by entry position, not reusable. *)
     Result.map
@@ -58,6 +59,19 @@ let reconcile_known kind ~seed ~d ~u ~h ~alice ~bob () =
   | Ok o -> Ok o
   | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))
 
+(* Corollaries 3.6 and 3.8: double d from 1 until an attempt verifies,
+   each attempt under its own per-bound seed. *)
+let doubling kind ~tag ~seed ~u ~h ~alice ~bob =
+  let comm = Comm.create () in
+  let alice = Parent.stream_of_t alice and bob = Parent.stream_of_t bob in
+  let retries = Ssr_obs.Metrics.counter ("proto." ^ name kind ^ ".retries") in
+  Comm.retry_doubling comm ~retries ~d:1
+    ~stop:(fun ~attempt:_ ~d -> d > 1 lsl 22)
+    (fun ~attempt:_ ~d ->
+      run_known_stream kind ~comm
+        ~seed:(Prng.derive ~seed ~tag:(tag + Bits.ceil_log2 (d + 1)))
+        ~enc_seed:None ~d ~u ~h ~alice ~bob)
+
 let reconcile_unknown kind ~seed ~u ~h ~alice ~bob () =
   let result : (stream_outcome, error) result =
     match kind with
@@ -65,15 +79,8 @@ let reconcile_unknown kind ~seed ~u ~h ~alice ~bob () =
       Result.map
         (fun (o : Naive.outcome) -> { delta = o.Naive.delta; stats = o.Naive.stats })
         (Naive.reconcile_unknown ~seed ~u ~h ~alice ~bob ())
-    | Iblt_of_iblts ->
-      Result.map
-        (fun (o : Iblt_of_iblts.outcome) ->
-          { delta = o.Iblt_of_iblts.delta; stats = o.Iblt_of_iblts.stats })
-        (Iblt_of_iblts.reconcile_unknown ~seed ~alice ~bob ())
-    | Cascade ->
-      Result.map
-        (fun (o : Cascade.outcome) -> { delta = o.Cascade.delta; stats = o.Cascade.stats })
-        (Cascade.reconcile_unknown ~seed ~u ~h ~alice ~bob ())
+    | Iblt_of_iblts -> doubling kind ~tag:0xD0 ~seed ~u ~h ~alice ~bob
+    | Cascade -> doubling kind ~tag:0xCC0 ~seed ~u ~h ~alice ~bob
     | Multiround ->
       Result.map
         (fun (o : Multiround.outcome) -> { delta = o.Multiround.delta; stats = o.Multiround.stats })

@@ -31,8 +31,12 @@ val reconcile_known :
 val reconcile_unknown :
   kind -> seed:int64 -> u:int -> h:int ->
   alice:Parent.t -> bob:Parent.t -> unit -> (outcome, error) result
-(** Run the unknown-d variant (estimator round or repeated doubling,
-    whichever the protocol prescribes). *)
+(** Run the unknown-d variant. Naive (Thm 3.4) and Multiround (Thm 3.10)
+    open with an estimator round. Iblt_of_iblts and Cascade run the
+    repeated doubling of Cor 3.6 / 3.8: {!run_known_stream} attempts at
+    d = 1, 2, 4, ... up to 2^22 on one recorder, each seeded from [seed]
+    and the bound, with Bob's 8-bit [retry] message and a tick of the
+    [proto.<name>.retries] counter after each failure. *)
 
 type stream_outcome = { delta : Parent.delta; stats : Ssr_setrecon.Comm.stats }
 
@@ -42,17 +46,20 @@ val run_known_stream :
   (stream_outcome, [ `Decode_failure ]) result
 (** One known-d attempt threaded through a caller-supplied recorder, with
     each protocol's default tuning: the single build path of every
-    protocol. Sketches are built from the {!Parent.stream} views in bounded
-    memory, every transcript's 8-byte guard is the order-independent
-    {!Parent.stream_hash}, and the result is the O(d) delta Bob learned.
-    The outcome's stats are cumulative for [comm]. [enc_seed] (default:
-    [seed]) pins the child-encoding salt across attempts for the protocols
-    with seeded child encodings (Iblt_of_iblts, Cascade). A retry driver
-    that pins it can pass the same [memo] to every attempt of one request,
-    so later attempts reuse the child encodings of earlier ones; a single
-    attempt is cheaper without one. The other protocols ignore both
-    (Naive's direct encodings are seedless and cheaper to write than to
-    look up, Multiround's per-child tables are position-keyed). *)
+    protocol. Iblt_of_iblts and Cascade run one engine,
+    {!Cascade.run_plan}, on {!Iblt_of_iblts.plan} (k = 4) and
+    {!Cascade.plan} (k = 3). Sketches are built from the {!Parent.stream}
+    views in bounded memory, every transcript's 8-byte guard is the
+    order-independent {!Parent.stream_hash}, and the result is the O(d)
+    delta Bob learned. The outcome's stats are cumulative for [comm].
+    [enc_seed] (default: [seed]) pins the child-encoding salt across
+    attempts for the protocols with seeded child encodings
+    (Iblt_of_iblts, Cascade). A retry driver that pins it can pass the
+    same [memo] to every attempt of one request, so later attempts reuse
+    the child encodings of earlier ones; a single attempt is cheaper
+    without one. The other protocols ignore both (Naive's
+    direct encodings are seedless and cheaper to write than to look up,
+    Multiround's per-child tables are position-keyed). *)
 
 val run_known :
   ?memo:Enc_cache.t -> kind -> comm:Ssr_setrecon.Comm.t -> seed:int64 -> enc_seed:int64 option ->

@@ -205,15 +205,16 @@ let run ~comm ~seed ~d ~d2 ~d3 ~k ~alice ~bob =
   (* Alice's single message: grandparent IBLT over parent encodings + hash. *)
   let outer = Iblt.create outer_prm in
   Iblt.add_all outer (Par.map_array (encode_parent cfg) alice);
-  let alice_hash = hash ~seed alice in
-  Comm.send comm Comm.A_to_b ~label:"sos3-iblt+hash" ~bits:(Iblt.size_bits outer + 64);
-  (* Bob's side. *)
+  match Parent.xfer_guarded comm ~label:"sos3-iblt+hash" [| outer |] ~guard:(hash ~seed alice) with
+  | None -> Error `Decode_failure
+  | Some (received, alice_hash) -> (
+  (* Bob's side, from the delivered bytes. *)
   let bob_encodings =
     Array.to_list (Par.map_array (fun p -> (encode_parent cfg p, p)) bob)
   in
   let bob_outer = Iblt.create outer_prm in
   Iblt.add_all bob_outer (Array.of_list (List.map fst bob_encodings));
-  match Iblt.decode (Iblt.subtract outer bob_outer) with
+  match Iblt.decode (Iblt.subtract received.(0) bob_outer) with
   | Error `Peel_stuck -> Error `Decode_failure
   | Ok { positives; negatives } -> (
     let db3 =
@@ -242,7 +243,7 @@ let run ~comm ~seed ~d ~d2 ~d3 ~k ~alice ~bob =
         if hash ~seed recovered = alice_hash then
           Ok { recovered; differing_parents = List.length positives; stats = Comm.stats comm }
         else Error `Decode_failure
-    end)
+    end))
 
 let reconcile_known ~seed ~d ?d2 ?d3 ?(k = 3) ~alice ~bob () =
   let d2 = match d2 with Some v -> v | None -> d in

@@ -57,8 +57,10 @@ type error = [ `Decode_failure of Ssr_setrecon.Comm.stats ]
 val reconcile_known :
   seed:int64 -> d:int -> ?d2:int -> ?d3:int -> ?k:int ->
   alice:t -> bob:t -> unit -> (outcome, error) result
-(** One round. [d] bounds element differences between matched children,
-    [d2] differing children per matched parent pair (default [d]), [d3]
+(** One round: the grandparent table and Alice's {!hash} as one
+    {!Parent.xfer_guarded} message, which Bob parses before he peels.
+    [d] bounds element differences between matched children, [d2]
+    differing children per matched parent pair (default [d]), [d3]
     differing parents per side (default [d]). *)
 
 val reconcile_unknown :

@@ -7,8 +7,6 @@ module Multiset = Ssr_setrecon.Multiset
 module Parent = Ssr_core.Parent
 module Direct = Ssr_core.Direct
 module Encoding = Ssr_core.Encoding
-module Naive = Ssr_core.Naive
-module Ioi = Ssr_core.Iblt_of_iblts
 module Cascade = Ssr_core.Cascade
 module Multiround = Ssr_core.Multiround
 module Protocol = Ssr_core.Protocol

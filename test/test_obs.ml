@@ -20,6 +20,7 @@ module Multiset = Ssr_setrecon.Multiset
 module Parent = Ssr_core.Parent
 module Protocol = Ssr_core.Protocol
 module Encoding = Ssr_core.Encoding
+module Cascade = Ssr_core.Cascade
 module Metrics = Ssr_obs.Metrics
 module Trace = Ssr_obs.Trace
 module Frame = Ssr_transport.Frame
@@ -207,6 +208,75 @@ let test_encoding_decode_opt_fuzz () =
   match Encoding.decode_opt cfg (Encoding.encode cfg child) with
   | Some (_, h) -> Alcotest.(check int) "hash field roundtrips" (Encoding.child_hash cfg child) h
   | None -> Alcotest.fail "genuine encoding rejected"
+
+(* The one "tables || 8-byte guard" message of naive, the nested engine,
+   multiround's round 1 and sos3, fuzzed through a transport that hands
+   Bob mutated bytes: one table, and a cascade with two levels plus T*. *)
+let test_xfer_guarded_fuzz () =
+  let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0xE9) in
+  let plan = Cascade.plan ~seed ~enc_seed:seed ~d:4 ~d_hat:4 ~s_bound:8 ~u:64 ~h:4 ~k:3 in
+  let star = match plan.Cascade.star with Some (_, prm) -> [ prm ] | None -> [] in
+  let cascade = List.map (fun l -> l.Cascade.outer) (Array.to_list plan.Cascade.per_level) @ star in
+  Alcotest.(check int) "cascade shape: two levels plus T*" 3 (List.length cascade);
+  let one : Iblt.params = { cells = 12; k = 3; key_len = 8; seed } in
+  List.iter
+    (fun (shape, params) ->
+      let tables =
+        Array.of_list
+          (List.map
+             (fun (prm : Iblt.params) ->
+               let t = Iblt.create prm in
+               for _ = 1 to 3 do
+                 Iblt.insert t (random_bytes rng prm.Iblt.key_len)
+               done;
+               t)
+             params)
+      in
+      let guard = 0x2A5A_5A5A_5A5A_5A5A in
+      let wire = ref Bytes.empty in
+      let send mutate =
+        let comm = Comm.create () in
+        Comm.set_transport comm
+          {
+            Comm.transmit =
+              (fun _ ~label:_ b ->
+                wire := Bytes.copy b;
+                mutate b);
+            overhead_bits = 0;
+          };
+        Parent.xfer_guarded comm ~label:"fuzz" tables ~guard
+      in
+      (match send Option.some with
+      | Some (got, g) ->
+        Alcotest.(check int) (shape ^ ": guard roundtrips") guard g;
+        Array.iteri
+          (fun i t ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: table %d roundtrips" shape i)
+              true
+              (Bytes.equal (Iblt.body_bytes t) (Iblt.body_bytes got.(i))))
+          tables
+      | None -> Alcotest.failf "%s: intact message rejected" shape);
+      let n = Bytes.length !wire in
+      let rejects what mutate =
+        if send (fun b -> Some (mutate b)) <> None then Alcotest.failf "%s: %s accepted" shape what
+      in
+      for len = 0 to n - 1 do
+        rejects (Printf.sprintf "truncation to %d of %d bytes" len n) (fun b -> Bytes.sub b 0 len)
+      done;
+      rejects "one-byte extension" (fun b -> Bytes.cat b (Bytes.make 1 '\000'));
+      List.iter
+        (fun bit ->
+          rejects (Printf.sprintf "guard with bit 0x%x set" bit) (fun b ->
+              let b = Bytes.copy b in
+              Bytes.set b (n - 1) (Char.chr (Char.code (Bytes.get b (n - 1)) lor bit));
+              b))
+        [ 0x80; 0x40 ];
+      if send (fun _ -> None) <> None then Alcotest.failf "%s: lost message accepted" shape;
+      for _ = 1 to 50 do
+        ignore (send (fun _ -> Some (random_bytes rng n)))
+      done)
+    [ ("one table", [ one ]); ("two levels + T*", cascade) ]
 
 let test_l0_of_bytes_opt_fuzz () =
   let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0xE3) in
@@ -568,9 +638,9 @@ let test_metrics_match_transcript () =
 (* ---------- Protocol retry counters ---------- *)
 
 let test_retry_counter_ticks () =
-  (* Forcing retries deterministically is fiddly; instead check the proto
-     retry counters exist with the right kind and that a clean known-d run
-     ticks none of them. *)
+  (* A clean known-d run ticks no retry counter; the unknown-d doubling
+     starts at d = 1, so it retries, and ticks its kind's counter once per
+     [retry] message in its transcript. *)
   let u = 1 lsl 12 in
   let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0xA1) in
   let bob = Parent.random rng ~universe:u ~children:8 ~child_size:12 in
@@ -580,7 +650,27 @@ let test_retry_counter_ticks () =
     counter_delta "proto.cascade.retries" (fun () ->
         Protocol.reconcile_known Protocol.Cascade ~seed ~d:(2 * d) ~u ~h:16 ~alice ~bob ())
   in
-  Alcotest.(check int) "ample d: no cascade retries" 0 dd
+  Alcotest.(check int) "ample d: no cascade retries" 0 dd;
+  (* Enough differing children that the tables sized for d = 1 overflow. *)
+  let bob = Parent.random rng ~universe:u ~children:32 ~child_size:12 in
+  let alice, _ = Parent.perturb rng ~universe:u ~edits:24 bob in
+  List.iter
+    (fun kind ->
+      let name = Protocol.name kind in
+      match
+        counter_delta ("proto." ^ name ^ ".retries") (fun () ->
+            Protocol.reconcile_unknown kind ~seed ~u ~h:16 ~alice ~bob ())
+      with
+      | Ok o, ticks ->
+        let retries =
+          List.length
+            (List.filter (fun m -> m.Comm.label = "retry") o.Protocol.stats.Comm.messages)
+        in
+        Alcotest.(check bool) (name ^ ": recovered") true (Parent.equal o.Protocol.recovered alice);
+        Alcotest.(check bool) (name ^ ": doubling from d = 1 retried") true (retries >= 1);
+        Alcotest.(check int) (name ^ ": one tick per retry message") retries ticks
+      | Error _, _ -> Alcotest.failf "%s: unknown-d run failed" name)
+    [ Protocol.Iblt_of_iblts; Protocol.Cascade ]
 
 let () =
   Alcotest.run "obs"
@@ -604,6 +694,7 @@ let () =
           Alcotest.test_case "decode_ints hostile keys" `Quick test_decode_ints_hostile_keys;
           Alcotest.test_case "frame decode fuzz" `Quick test_frame_decode_fuzz;
           Alcotest.test_case "encoding decode_opt fuzz" `Quick test_encoding_decode_opt_fuzz;
+          Alcotest.test_case "guarded message fuzz" `Quick test_xfer_guarded_fuzz;
           Alcotest.test_case "l0 of_bytes_opt fuzz" `Quick test_l0_of_bytes_opt_fuzz;
           Alcotest.test_case "multiset pair keys fuzz" `Quick test_multiset_pair_keys_opt_fuzz;
           Alcotest.test_case "residual of_bytes_opt fuzz" `Quick test_residual_of_bytes_opt_fuzz;

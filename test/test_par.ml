@@ -333,34 +333,6 @@ let test_rateless_cells_parallel_identical () =
         serial parallel)
     [ 100; 2048; 5000 ]
 
-(* And the whole rateless protocol stack: same transcript battery as the
-   doubling strategy, windowed cell traffic and ACKs included. *)
-let transcript_of_rateless_set ~nseed =
-  let clock = Clock.create () in
-  let network = Network.create ~clock (Network.config_with ~seed:nseed ()) in
-  let arq = Arq.create ~clock ~network ~seed:nseed () in
-  let link = Resilient.over_network arq in
-  let rng = Prng.create ~seed:(Prng.derive ~seed:nseed ~tag:0x5F) in
-  let alice = Iset.random_subset rng ~universe:(1 lsl 30) ~size:400 in
-  let bob = Iset.union alice (Iset.random_subset rng ~universe:(1 lsl 31) ~size:12) in
-  (match
-     Resilient.reconcile_set ~link ~seed:nseed ~strategy:Resilient.Rateless ~alice ~bob ()
-   with
-  | Ok (got, _) -> Alcotest.(check bool) "rateless set reconciled" true (Iset.equal got alice)
-  | Error _ -> Alcotest.fail "rateless set reconciliation failed");
-  flatten_transcript network
-
-let test_rateless_stack_deterministic () =
-  List.iter
-    (fun nseed ->
-      let serial = with_domains 1 (fun () -> transcript_of_rateless_set ~nseed) in
-      let parallel = with_domains 4 (fun () -> transcript_of_rateless_set ~nseed) in
-      Alcotest.(check bool)
-        (Printf.sprintf "rateless transcript seed=0x%Lx (%d bytes)" nseed
-           (String.length serial))
-        true (String.equal serial parallel))
-    [ 0x66FL; 0x770L ]
-
 let () =
   Alcotest.run "ssr_par"
     [
@@ -385,7 +357,5 @@ let () =
             test_adversarial_salted_rehash_deterministic;
           Alcotest.test_case "rateless cells parallel = serial (3 pool sizes)" `Quick
             test_rateless_cells_parallel_identical;
-          Alcotest.test_case "rateless stack deterministic (2 seeds)" `Quick
-            test_rateless_stack_deterministic;
         ] );
     ]
