@@ -66,8 +66,10 @@ let plan ~seed ~enc_seed ~d ~d_hat ~s_bound ~u ~h ~k =
   }
 
 (* One outer table of a plan, in wire order: how a chunk of children lands
-   in it, how Bob re-encodes one child he can account for, and how the keys
-   peeled out of it recover Alice's children given Bob's differing ones. *)
+   in it, how Bob re-encodes one child he can account for (into one reused
+   key buffer, so each key is compared or inserted before the next), and
+   how the keys peeled out of it recover Alice's children given Bob's
+   differing ones. *)
 type slot = {
   prm : Iblt.params;
   fold : Iblt.t -> Iset.t array -> unit;
@@ -95,7 +97,7 @@ let run_plan ~comm ~seed ?memo plan ~(alice : Parent.stream) ~(bob : Parent.stre
            {
              prm = l.outer;
              fold = Encoding.fold ?memo l.enc;
-             encode = Encoding.encode l.enc;
+             encode = Encoding.encoder l.enc;
              recover = Encoding.pairing l.enc;
            })
          plan.per_level)
@@ -106,7 +108,7 @@ let run_plan ~comm ~seed ?memo plan ~(alice : Parent.stream) ~(bob : Parent.stre
           {
             prm;
             fold = Direct.fold cfg;
-            encode = Direct.encode cfg;
+            encode = Direct.encoder cfg;
             recover = (fun _ -> Direct.decode cfg);
           };
         |])

@@ -59,6 +59,12 @@ let encode cfg child =
   fill cfg (mode cfg) child out;
   out
 
+let encoder cfg =
+  let mode = mode cfg and buf = Bytes.create (key_length cfg) in
+  fun child ->
+    fill cfg mode child buf;
+    buf
+
 let fold cfg =
   let mode = mode cfg in
   Key_fold.make ~key_len:(key_length cfg) (fun buf child ->

@@ -21,6 +21,11 @@ val encode : config -> Ssr_util.Iset.t -> Bytes.t
 (** The encoding, in a fresh buffer. Raises [Invalid_argument] if the
     child has more than [h] elements or an element outside [\[0, u)]. *)
 
+val encoder : config -> Ssr_util.Iset.t -> Bytes.t
+(** As {!Encoding.encoder}: [encoder cfg] allocates one key buffer, and
+    each application overwrites it with the child's {!encode} bytes and
+    returns it. Not reentrant. *)
+
 val fold : config -> Ssr_sketch.Iblt.t -> Ssr_util.Iset.t array -> unit
 (** The fold, as {!Encoding.fold}: [fold cfg] allocates four key buffers,
     and each application [fold cfg table kids] writes every child's

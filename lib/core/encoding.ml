@@ -56,6 +56,12 @@ let encode cfg =
     fill (Iblt.create prm) child buf;
     buf
 
+let encoder cfg =
+  let fill = filler cfg (Iblt.create (child_params cfg)) and buf = Bytes.create (key_length cfg) in
+  fun child ->
+    fill child buf;
+    buf
+
 let fold ?memo cfg =
   let fill = filler cfg (Iblt.create (child_params cfg)) in
   Key_fold.make ~key_len:(key_length cfg)

@@ -49,6 +49,12 @@ val encode : config -> Ssr_util.Iset.t -> Bytes.t
     parameters and the child hash function once; the staged function is
     safe to call from several domains at once. *)
 
+val encoder : config -> Ssr_util.Iset.t -> Bytes.t
+(** [encoder cfg] allocates one key buffer and one child table; each
+    application overwrites that buffer with the child's {!encode} bytes
+    and returns it, allocating nothing. The bytes hold until the next
+    application: compare or insert them first. Not reentrant. *)
+
 val fold : ?memo:Enc_cache.t -> config -> Ssr_sketch.Iblt.t -> Ssr_util.Iset.t array -> unit
 (** The fold. [fold cfg] allocates four key buffers and one child table;
     each application [fold cfg table kids] inserts every child's encoding

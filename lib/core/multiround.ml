@@ -71,21 +71,15 @@ let run_stream ~comm ~seed ~d ~d_hat ~k ~shape ~primitive ~(alice : Parent.strea
     match Parent.xfer_guarded comm ~label:"hash-iblt+digest" [| ta |] ~guard:alice_digest with
     | None -> Error `Decode_failure
     | Some (received, alice_digest) -> (
-    let ta = received.(0) in
     let tb = Iblt.create hash_prm in
     Hashtbl.iter (fun h _ -> Iblt.insert_int tb h) bob_by_hash;
-    match Iblt.decode_ints (Iblt.subtract ta tb) with
+    let fetch st tbl h = Option.map st.Parent.child (Hashtbl.find_opt tbl h) in
+    match Iblt.decode_ints (Iblt.subtract received.(0) tb) with
     | Error `Peel_stuck -> Error `Decode_failure
-    | Ok (alice_diff_hashes, bob_diff_hashes) -> (
-      let alice_diff_hashes = List.sort compare alice_diff_hashes in
+    | Ok (alice_only_hashes, bob_diff_hashes) -> (
       let bob_diff_hashes = List.sort compare bob_diff_hashes in
-      let fetch st tbl h = Option.map st.Parent.child (Hashtbl.find_opt tbl h) in
       let bob_diff = List.filter_map (fetch bob bob_by_hash) bob_diff_hashes in
-      let alice_diff = List.filter_map (fetch alice alice_by_hash) alice_diff_hashes in
-      if
-        List.length bob_diff <> List.length bob_diff_hashes
-        || List.length alice_diff <> List.length alice_diff_hashes
-      then Error `Decode_failure
+      if List.length bob_diff <> List.length bob_diff_hashes then Error `Decode_failure
       else begin
         (* ---- Round 2 (B -> A): TB plus one estimator per differing child
            of Bob's, in sorted-hash order. ---- *)
@@ -106,30 +100,44 @@ let run_stream ~comm ~seed ~d ~d_hat ~k ~shape ~primitive ~(alice : Parent.strea
         match Comm.xfer comm Comm.B_to_a ~label:"hash-iblt+child-estimators" est_payload with
         | Error `Lost -> Error `Decode_failure
         | Ok delivered -> (
-        (* ---- Alice decodes the same hash difference and matches her
-           differing children against Bob's (delivered) estimators. ---- *)
+        (* ---- Alice decodes her own table minus the delivered TB: that
+           names her differing children and how many estimators follow,
+           which she then matches against Bob's (delivered) estimators. ---- *)
         let est_seed = Prng.derive ~seed ~tag:0xE57 in
         let est_len = L0.size_bits (L0.create ~seed:est_seed ~shape ()) / 8 in
-        let bob_estimators =
+        let alice_view =
           let rd = Codec.reader delivered in
-          match Codec.take rd (Iblt.body_length hash_prm) with
+          match
+            Option.bind (Codec.take rd (Iblt.body_length hash_prm)) (Iblt.of_body_bytes_opt hash_prm)
+          with
           | None -> None
-          | Some _tb_body ->
-            let n = Array.length bob_diff_arr in
-            let out = Array.make n None in
-            for j = 0 to n - 1 do
-              out.(j) <-
-                (match Codec.take rd est_len with
-                | None -> None
-                | Some b -> L0.of_bytes_opt ~seed:est_seed ~shape b)
-            done;
-            if Codec.at_end rd && Array.for_all Option.is_some out then
-              Some (Array.map Option.get out)
-            else None
+          | Some tb -> (
+            match Iblt.decode_ints (Iblt.subtract ta tb) with
+            | Error `Peel_stuck -> None
+            | Ok (alice_diff_hashes, bob_only_hashes) ->
+              let alice_diff_hashes = List.sort compare alice_diff_hashes in
+              let alice_diff = List.filter_map (fetch alice alice_by_hash) alice_diff_hashes in
+              let n = List.length bob_only_hashes in
+              if
+                List.length alice_diff <> List.length alice_diff_hashes
+                || Codec.remaining rd <> n * est_len
+              then None
+              else begin
+                let out = Array.make n None in
+                for j = 0 to n - 1 do
+                  out.(j) <-
+                    (match Codec.take rd est_len with
+                    | None -> None
+                    | Some b -> L0.of_bytes_opt ~seed:est_seed ~shape b)
+                done;
+                if Array.for_all Option.is_some out then
+                  Some (alice_diff, Array.map Option.get out)
+                else None
+              end)
         in
-        match bob_estimators with
+        match alice_view with
         | None -> Error `Decode_failure
-        | Some bob_estimators -> (
+        | Some (alice_diff, bob_estimators) -> (
         let matches =
           List.map
             (fun child ->
@@ -264,7 +272,7 @@ let run_stream ~comm ~seed ~d ~d_hat ~k ~shape ~primitive ~(alice : Parent.strea
               | _ -> None)
             | _ -> None
           in
-          let n_entries = List.length alice_diff in
+          let n_entries = List.length alice_only_hashes in
           let rec parse_all i acc =
             if i = n_entries then if Codec.at_end rd then Some (List.rev acc) else None
             else

@@ -7,6 +7,7 @@ module Metrics = Ssr_obs.Metrics
 let m_cells_useful = Metrics.counter "rateless.cells_useful"
 let m_peeled = Metrics.counter "rateless.peeled"
 let m_bad_int_keys = Metrics.counter "rateless.bad_int_keys"
+let m_walk_steps = Metrics.counter "rateless.walk_steps"
 
 type params = { key_len : int; seed : int64 }
 
@@ -35,40 +36,47 @@ let cell_bytes ?(check_bits = 32) ~key_len () = 4 + key_len + check_bytes_of_bit
    P(no member in (m, j]) telescopes to (m+1)(m+2) / ((j+1)(j+2)), so the
    next member is the smallest j with (j+1)(j+2) >= (m+1)(m+2) * 2^32 / r
    for a uniform 32-bit draw r. Expected members up to index N is ~2 ln N,
-   which is what makes window generation O(pool * log stream) instead of
-   O(pool * stream). *)
+   so a walk up to cell N takes ~1 + 2 ln N steps instead of N membership
+   tests. A source keeps each element's walk where the last window left
+   it (see [gen_into]), so a stream of forward windows costs
+   O(pool * log stream) in total, not that much per window. *)
 
 let stream_inc = 0x2B7E151628AED2A5
 
-(* One skip: from member index [m] (-1 before the first; then the walk
-   always lands on 0 first) with stream state [s], return the next member
-   index (or [max_index] meaning "past any usable cell") and the advanced
-   state. The float math is exact: every integer that reaches a float here
-   is below 2^53, and the one rounded quantity [t] is the same on both
-   sides of the wire because both derive it from the same draw. *)
-let step ~m ~s =
-  let s = Prng.mix_int (s + stream_inc) in
+(* One skip, in two parts so that a walk allocates nothing: [advance]
+   moves an element's stream state on by one draw, and [next_member m s]
+   is the member index after [m] (-1 before the first; the walk then
+   always lands on 0 first) for the freshly advanced state [s], or
+   [max_index] meaning "past any usable cell". The float math is exact:
+   every integer that reaches a float here is below 2^53, and the one
+   rounded quantity [t] is the same on both sides of the wire because both
+   derive it from the same draw. *)
+let advance s = Prng.mix_int (s + stream_inc)
+
+let max_t = float_of_int (max_index * (max_index + 1))
+
+let next_member m s =
   let r = ((s lsr 15) land 0xFFFF_FFFF) + 1 in
-  let num = float_of_int ((m + 1) * (m + 2)) in
-  let t = num *. 4294967296.0 /. float_of_int r in
-  let j =
-    if t <= 1.0 then m + 1
-    else if t > float_of_int (max_index * (max_index + 1)) then max_index
-    else begin
-      let j0 = max (m + 1) (min (max_index - 1) (int_of_float (Float.sqrt t) - 1)) in
-      let rec up j = if float_of_int ((j + 1) * (j + 2)) >= t then j else up (j + 1) in
-      let rec down j =
-        if j > m + 1 && float_of_int (j * (j + 1)) >= t then down (j - 1) else j
-      in
-      down (up j0)
-    end
-  in
-  (j, s)
+  let t = float_of_int ((m + 1) * (m + 2)) *. 4294967296.0 /. float_of_int r in
+  if t <= 1.0 then m + 1
+  else if t > max_t then max_index
+  else begin
+    let j = ref (int_of_float (Float.sqrt t) - 1) in
+    if !j > max_index - 1 then j := max_index - 1;
+    if !j < m + 1 then j := m + 1;
+    while float_of_int ((!j + 1) * (!j + 2)) < t do
+      incr j
+    done;
+    while !j > m + 1 && float_of_int (!j * (!j + 1)) >= t do
+      decr j
+    done;
+    !j
+  end
 
 (* ---- Shared packed-cell plumbing (layout identical to Iblt's store:
-   count i32 LE | key XOR | checksum XOR LE). Cold-safe accessors only —
-   window generation is O(log) memberships per element, not an
-   every-element-every-cell loop, so there is no hot path to shave. *)
+   count i32 LE | key XOR | checksum XOR LE). Cold-safe accessors: a
+   window touches each cell once per member element, O(log) per element,
+   so the walk itself, not the cell access, is the cost to keep down. *)
 
 type source = {
   prm : params;
@@ -80,6 +88,12 @@ type source = {
   keys : Bytes.t;  (* n * key_len slab *)
   stream0 : int array;  (* per-element stream seed (lane 2) *)
   csum : int array;  (* per-element checksum, masked *)
+  (* The walk cursors: per element, its first member index at or past
+     [frontier] and the stream state that drew it ((-1, stream0) before
+     the first draw). *)
+  cur_m : int array;
+  cur_s : int array;
+  mutable frontier : int;  (* [hi] of the last window generated *)
 }
 
 let source_params src = src.prm
@@ -115,6 +129,9 @@ let mk_source ?(check_bits = 32) prm ~n ~fill =
       keys = Bytes.create (n * prm.key_len);
       stream0 = Array.make n 0;
       csum = Array.make n 0;
+      cur_m = Array.make n (-1);
+      cur_s = Array.make n 0;
+      frontier = 0;
     }
   in
   let fn = Hashing.make ~seed:prm.seed ~tag:hash_tag in
@@ -122,6 +139,7 @@ let mk_source ?(check_bits = 32) prm ~n ~fill =
   for e = 0 to n - 1 do
     fill fn e src lanes;
     src.stream0.(e) <- lanes.(1);
+    src.cur_s.(e) <- lanes.(1);
     src.csum.(e) <- Hashing.mix_pair lanes.(0) lanes.(1) land src.check_mask
   done;
   src
@@ -143,25 +161,29 @@ let source_of_ints ?check_bits ~seed ints =
       Hashing.hash_int_bytes_into fn v ~len:8 lanes)
 
 (* XOR elements [e0, e1) of the pool into [buf], which represents cells
-   [lo, hi). Each element walks its member indices once. *)
+   [lo, hi), with [lo] at or past the frontier: each element's walk picks
+   up at its cursor and leaves it at the first member at or past [hi]. *)
 let gen_into src ~lo ~hi buf ~e0 ~e1 =
   let cb = src.cell_bytes and kl = src.prm.key_len in
+  let steps = ref 0 in
   for e = e0 to e1 - 1 do
     let cs = src.csum.(e) in
-    let rec go m s =
-      let i, s = step ~m ~s in
-      if i < hi then begin
-        if i >= lo then begin
-          let off = (i - lo) * cb in
-          set_count buf off (get_count buf off + 1);
-          Buf.xor_region_into ~dst:buf ~dst_pos:(off + 4) src.keys ~src_pos:(e * kl) ~len:kl;
-          xor_check buf (off + 4 + kl) cs src.check_bytes
-        end;
-        go i s
-      end
-    in
-    go (-1) src.stream0.(e)
-  done
+    let m = ref src.cur_m.(e) and s = ref src.cur_s.(e) in
+    while !m < hi do
+      if !m >= lo then begin
+        let off = (!m - lo) * cb in
+        set_count buf off (get_count buf off + 1);
+        Buf.xor_region_into ~dst:buf ~dst_pos:(off + 4) src.keys ~src_pos:(e * kl) ~len:kl;
+        xor_check buf (off + 4 + kl) cs src.check_bytes
+      end;
+      s := advance !s;
+      m := next_member !m !s;
+      incr steps
+    done;
+    src.cur_m.(e) <- !m;
+    src.cur_s.(e) <- !s
+  done;
+  Metrics.add m_walk_steps !steps
 
 (* Cell-wise merge of a per-chunk buffer: counts add, key and checksum
    XOR. Both are order-independent, which is what makes chunked generation
@@ -185,6 +207,12 @@ let cells src ~lo ~hi =
     (* The chunk structure depends only on the pool size, never on the
        domain count, so the stream is byte-identical at any pool size. *)
     let nchunks = min 64 ((src.n + par_grain - 1) / par_grain) in
+    (* A window starting below the frontier rewinds every walk to its
+       start. *)
+    if lo < src.frontier then begin
+      Array.fill src.cur_m 0 src.n (-1);
+      Array.blit src.stream0 0 src.cur_s 0 src.n
+    end;
     if nchunks <= 1 then gen_into src ~lo ~hi buf ~e0:0 ~e1:src.n
     else begin
       let per = (src.n + nchunks - 1) / nchunks in
@@ -197,17 +225,19 @@ let cells src ~lo ~hi =
       in
       Array.iter (fun part -> merge_into src ~dst:buf part) parts
     end;
+    src.frontier <- hi;
     buf
   end
 
 let member src ~key_index i =
   if key_index < 0 || key_index >= src.n then invalid_arg "Rateless.member: bad element";
   if i < 0 || i >= max_index then invalid_arg "Rateless.member: bad index";
-  let rec go m s =
-    let j, s = step ~m ~s in
-    if j > i then false else if j = i then true else go j s
-  in
-  go (-1) src.stream0.(key_index)
+  let m = ref (-1) and s = ref src.stream0.(key_index) in
+  while !m < i do
+    s := advance !s;
+    m := next_member !m !s
+  done;
+  !m = i
 
 (* ---- Receiver. ----
 
@@ -304,30 +334,28 @@ let find_slot dec i =
    out of every absorbed cell in stream range [start, stop). *)
 let cancel_key dec ~start ~stop ~sign key ~s0 ~cs =
   let cb = dec.src.cell_bytes and kl = dec.src.prm.key_len in
-  let rec go m s =
-    let i, s = step ~m ~s in
-    if i < stop then begin
-      (if i >= start then
-         let slot = find_slot dec i in
-         if slot >= 0 then begin
-           let z0 = slot_is_zero dec slot in
-           let off = slot * cb in
-           set_count dec.store off (get_count dec.store off - sign);
-           Buf.xor_key_into ~dst:dec.store ~pos:(off + 4) key;
-           xor_check dec.store (off + 4 + kl) cs dec.src.check_bytes;
-           (if slot_is_zero dec slot then begin
-              if not z0 then dec.nonzero <- dec.nonzero - 1
-            end
-            else begin
-              if z0 then dec.nonzero <- dec.nonzero + 1;
-              let cnt = get_count dec.store off in
-              if cnt = 1 || cnt = -1 then dec.queue <- slot :: dec.queue
-            end)
-         end);
-      go i s
-    end
-  in
-  go (-1) s0
+  let m = ref (-1) and s = ref s0 in
+  while !m < stop do
+    (if !m >= start then
+       let slot = find_slot dec !m in
+       if slot >= 0 then begin
+         let z0 = slot_is_zero dec slot in
+         let off = slot * cb in
+         set_count dec.store off (get_count dec.store off - sign);
+         Buf.xor_key_into ~dst:dec.store ~pos:(off + 4) key;
+         xor_check dec.store (off + 4 + kl) cs dec.src.check_bytes;
+         if slot_is_zero dec slot then begin
+           if not z0 then dec.nonzero <- dec.nonzero - 1
+         end
+         else begin
+           if z0 then dec.nonzero <- dec.nonzero + 1;
+           let cnt = get_count dec.store off in
+           if cnt = 1 || cnt = -1 then dec.queue <- slot :: dec.queue
+         end
+       end);
+    s := advance !s;
+    m := next_member !m !s
+  done
 
 let rec peel dec =
   match dec.queue with

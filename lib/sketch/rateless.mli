@@ -55,7 +55,13 @@ val cell_bytes : ?check_bits:int -> key_len:int -> unit -> int
 
 type source
 (** An element pool with precomputed per-element digests, ready to generate
-    any window of the coded-cell stream. Immutable after creation. *)
+    any window of the coded-cell stream. The pool is fixed at creation, but
+    a source carries state: each element's walk of its member indices
+    stops where the last window ended (a cursor of 16 bytes per element),
+    and the next window picks it up there, so a sender streaming windows
+    forward walks each element once over the whole stream. Generating a
+    window updates the cursors, so a source must not be shared by
+    concurrent callers. *)
 
 val source : ?check_bits:int -> params -> Bytes.t array -> source
 (** Digest a pool of [key_len]-byte keys. Raises [Invalid_argument] on a
@@ -78,7 +84,13 @@ val cells : source -> lo:int -> hi:int -> Bytes.t
     ([cells ~lo ~hi] = [cells ~lo ~mid ^ cells ~mid ~hi]) and byte-identical
     at any {!Ssr_util.Par} pool size (generation is chunked over elements
     and merged by XOR/count-addition, both order-independent). Requires
-    [0 <= lo <= hi <= max_index]. *)
+    [0 <= lo <= hi <= max_index].
+
+    A window with [lo] at or past the previous window's [hi] resumes every
+    walk where that window stopped, skipping any gap; one that starts
+    below it walks again from cell 0. Only the cost differs: the bytes are
+    the same either way. Each call adds the walk's steps to the
+    [rateless.walk_steps] counter. *)
 
 val member : source -> key_index:int -> int -> bool
 (** Whether pool element [key_index] belongs to the given cell index.
@@ -102,11 +114,12 @@ val absorb : decoder -> lo:int -> Bytes.t -> int
     absorbed — cells at or below the highest index already absorbed are
     skipped, so duplicate or overlapping windows are harmless, and gaps
     from lost windows are fine: the stream only moves forward, lost cells
-    are never backfilled, and peeling works on any index subset. The byte
-    length must be a
-    multiple of the cell width ([Invalid_argument] otherwise — wire
-    parsers validate before calling); cells that would land at or beyond
-    {!max_index} are ignored. *)
+    are never backfilled, and peeling works on any index subset. Because
+    the absorbed range only moves forward, the local pool folds in through
+    its source's resumed walks. The byte length must be a multiple of the
+    cell width ([Invalid_argument] otherwise — wire parsers validate
+    before calling); cells that would land at or beyond {!max_index} are
+    ignored. *)
 
 val absorbed : decoder -> int
 (** Fresh cells absorbed so far. *)

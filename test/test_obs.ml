@@ -21,6 +21,7 @@ module Parent = Ssr_core.Parent
 module Protocol = Ssr_core.Protocol
 module Encoding = Ssr_core.Encoding
 module Cascade = Ssr_core.Cascade
+module Multiround = Ssr_core.Multiround
 module Metrics = Ssr_obs.Metrics
 module Trace = Ssr_obs.Trace
 module Frame = Ssr_transport.Frame
@@ -277,6 +278,54 @@ let test_xfer_guarded_fuzz () =
         ignore (send (fun _ -> Some (random_bytes rng n)))
       done)
     [ ("one table", [ one ]); ("two levels + T*", cascade) ]
+
+(* Multiround's round 2 carries Bob's hash table TB; Alice decodes her own
+   table minus the TB she receives, so one damaged byte of it -- in a
+   count, a key or a checksum field -- must end the run in a detected
+   failure, never in a result taken from Bob's memory. *)
+let test_multiround_damaged_hash_table () =
+  let u = 1 lsl 12 in
+  let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0xE6) in
+  let bob = Parent.random rng ~universe:u ~children:16 ~child_size:10 in
+  let alice, _ = Parent.perturb rng ~universe:u ~edits:4 bob in
+  let d = max 2 (Parent.relaxed_matching_cost alice bob) in
+  let d_hat = min d (max 2 (Parent.cardinal bob)) in
+  let run damage =
+    let comm = Comm.create () in
+    Comm.set_transport comm
+      {
+        Comm.transmit =
+          (fun _ ~label b ->
+            if label = "hash-iblt+child-estimators" then Some (damage (Bytes.copy b))
+            else Some b);
+        overhead_bits = 0;
+      };
+    Multiround.run_stream ~comm ~seed ~d ~d_hat ~k:4 ~shape:Multiround.default_child_shape
+      ~primitive:Multiround.Auto ~alice:(Parent.stream_of_t alice)
+      ~bob:(Parent.stream_of_t bob)
+  in
+  (match run Fun.id with
+  | Ok o ->
+    Alcotest.(check bool) "intact run recovers" true
+      (Parent.equal (Parent.apply_delta bob o.Multiround.delta) alice)
+  | Error `Decode_failure -> Alcotest.fail "intact run failed");
+  (* The TB body leads the message: cells of [i32 count | 8-byte key |
+     8-byte checksum]. *)
+  let cells = Iblt.recommended_cells ~k:4 ~diff_bound:(2 * d_hat) in
+  List.iter
+    (fun cell ->
+      List.iter
+        (fun (field, at) ->
+          let pos = (cell * 20) + at in
+          match
+            run (fun b ->
+                Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x01));
+                b)
+          with
+          | Error `Decode_failure -> ()
+          | Ok _ -> Alcotest.failf "damaged %s of TB cell %d accepted" field cell)
+        [ ("count", 0); ("key", 4); ("checksum", 12) ])
+    [ 0; 1; cells - 1 ]
 
 let test_l0_of_bytes_opt_fuzz () =
   let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0xE3) in
@@ -695,6 +744,8 @@ let () =
           Alcotest.test_case "frame decode fuzz" `Quick test_frame_decode_fuzz;
           Alcotest.test_case "encoding decode_opt fuzz" `Quick test_encoding_decode_opt_fuzz;
           Alcotest.test_case "guarded message fuzz" `Quick test_xfer_guarded_fuzz;
+          Alcotest.test_case "multiround damaged hash table" `Quick
+            test_multiround_damaged_hash_table;
           Alcotest.test_case "l0 of_bytes_opt fuzz" `Quick test_l0_of_bytes_opt_fuzz;
           Alcotest.test_case "multiset pair keys fuzz" `Quick test_multiset_pair_keys_opt_fuzz;
           Alcotest.test_case "residual of_bytes_opt fuzz" `Quick test_residual_of_bytes_opt_fuzz;

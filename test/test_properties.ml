@@ -115,7 +115,14 @@ let prop_direct_injective =
     (QCheck.pair (QCheck.make (iset_gen 200)) (QCheck.make (iset_gen 200))) (fun (a, b) ->
       let cfg : Direct.config = { u = 201; h = 50 } in
       if Iset.cardinal a > 50 || Iset.cardinal b > 50 then true
-      else Iset.equal a b = Bytes.equal (Direct.encode cfg a) (Direct.encode cfg b))
+      else begin
+        (* The reused buffer of [encoder], written for [b] first, must
+           come back as [a]'s key. *)
+        let enc = Direct.encoder cfg in
+        let ka = Direct.encode cfg a in
+        ignore (enc b);
+        Iset.equal a b = Bytes.equal ka (Direct.encode cfg b) && Bytes.equal ka (enc a)
+      end)
 
 (* --- Child encodings --- *)
 
@@ -123,9 +130,11 @@ let prop_encoding_deterministic_and_discriminating =
   QCheck.Test.make ~name:"child encodings deterministic, distinct children distinct keys" ~count:60
     (QCheck.pair (QCheck.make (iset_gen 5_000)) (QCheck.make (iset_gen 5_000))) (fun (a, b) ->
       let cfg : Encoding.config = { child_cells = 12; child_k = 3; hash_bits = 40; seed = 11L } in
-      let ka = Encoding.encode cfg a and ka' = Encoding.encode cfg a in
-      let kb = Encoding.encode cfg b in
-      Bytes.equal ka ka' && Iset.equal a b = Bytes.equal ka kb)
+      let ka = Encoding.encode cfg a and kb = Encoding.encode cfg b in
+      (* [encoder]'s reused buffer and child table, used for [b] first. *)
+      let enc = Encoding.encoder cfg in
+      ignore (enc b);
+      Bytes.equal ka (enc a) && Iset.equal a b = Bytes.equal ka kb)
 
 (* The folds: children's encodings written four at a time into reused key
    buffers and inserted a group per [Iblt.add_all] land exactly the table

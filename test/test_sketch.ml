@@ -1209,6 +1209,47 @@ let test_rateless_slicing_stable () =
     Alcotest.(check bool) "member agrees" true (Rateless.member src ~key_index:e 0)
   done
 
+(* A source resumes each element's walk where the last window stopped:
+   the doubling ramp [0,32), [32,96), ..., [2016,4064) walks exactly as
+   many steps as one [0,4064) call (a walk restarted per window would
+   take ~5x: sum of 1 + 2 ln hi against 1 + 2 ln 4064 per element), and
+   the windows concatenate to that call's bytes. After the ramp, a window
+   past a gap resumes and one below the frontier rewinds; both equal the
+   same window from a fresh source. The digest pins the schedule itself:
+   it was computed with the per-window walk that preceded the cursors. *)
+let test_rateless_walk_resumes () =
+  let module Metrics = Ssr_obs.Metrics in
+  let keys = Array.init 5000 (fun i -> (i * 13) + 5) in
+  let fresh () = Rateless.source_of_ints ~seed:rl_seed keys in
+  let steps f =
+    let before = Metrics.snapshot () in
+    let r = f () in
+    (r, Metrics.counter_value (Metrics.diff ~before ~after:(Metrics.snapshot ())) "rateless.walk_steps")
+  in
+  let one, one_steps = steps (fun () -> Rateless.cells (fresh ()) ~lo:0 ~hi:4064) in
+  Alcotest.(check bool) "every element walks" true (one_steps > Array.length keys);
+  let src = fresh () in
+  let ramp, ramp_steps =
+    steps (fun () ->
+        List.map
+          (fun (lo, hi) -> Rateless.cells src ~lo ~hi)
+          [ (0, 32); (32, 96); (96, 224); (224, 480); (480, 992); (992, 2016); (2016, 4064) ])
+  in
+  Alcotest.(check int) "ramp walks as far as one call" one_steps ramp_steps;
+  Alcotest.(check bool) "ramp concatenates to one call" true
+    (Bytes.equal one (Bytes.concat Bytes.empty ramp));
+  let later = [ (4100, 4164); (1000, 1100); (1500, 1600) ] in
+  let resumed = List.map (fun (lo, hi) -> Rateless.cells src ~lo ~hi) later in
+  List.iter2
+    (fun (lo, hi) w ->
+      Alcotest.(check bool)
+        (Printf.sprintf "[%d,%d) equals a fresh source's" lo hi)
+        true
+        (Bytes.equal w (Rateless.cells (fresh ()) ~lo ~hi)))
+    later resumed;
+  Alcotest.(check string) "schedule digest" "7ff7fc25028cc1532c693973bc0bf915"
+    (Digest.to_hex (Digest.bytes (Bytes.concat Bytes.empty (ramp @ resumed))))
+
 (* Drive a decode: Alice = [0, n), Bob = [d, n + d), windows of [w] cells,
    [drop] selects lost windows by window number. Returns the sorted decoded
    difference and the prefix length consumed. *)
@@ -1408,6 +1449,7 @@ let () =
       ( "rateless",
         [
           Alcotest.test_case "slicing stable" `Quick test_rateless_slicing_stable;
+          Alcotest.test_case "walks resume across windows" `Quick test_rateless_walk_resumes;
           Alcotest.test_case "decodes the difference" `Quick test_rateless_decodes_difference;
           Alcotest.test_case "equal pools decode empty" `Quick test_rateless_equal_pools;
           Alcotest.test_case "monotone in prefix" `Quick test_rateless_monotone_in_prefix;
