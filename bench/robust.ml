@@ -110,9 +110,7 @@ let run_trial ~tseed ~family ~d =
       let partial_before = Set_recon.salvage_keys sv in
       match Set_recon.run_salvage_attempt ~comm ~seed:tseed ~attempt:i ~k ~sv ~alice with
       | Ok o -> (true, partial_before, i + 1, not (Iset.equal o.Set_recon.recovered alice))
-      | Error `Progress ->
-        Comm.send comm Comm.B_to_a ~label:"salvage-retry" ~bits:32;
-        go (i + 1)
+      | Error `Progress -> go (i + 1)
     end
   in
   let robust_ok, partial_keys, robust_attempts, robust_silent = go 0 in

@@ -121,7 +121,7 @@ let run_plan ~comm ~seed ?memo plan ~(alice : Parent.stream) ~(bob : Parent.stre
   (* ---- Alice: build and send every table (one message). ---- *)
   let alice_tables = fresh ~from:0 in
   let alice_digest = Parent.stream_pass ~seed alice (into ~from:0 alice_tables) in
-  match Parent.xfer_guarded comm ~label:plan.label alice_tables ~guard:alice_digest with
+  match Comm.xfer_guarded comm ~label:plan.label alice_tables ~guard:alice_digest with
   | None -> Error `Decode_failure
   | Some (received, alice_digest) -> (
   (* ---- Bob: level 1 identifies D_B and recovers what its tables allow. ---- *)
@@ -196,11 +196,7 @@ let run_plan ~comm ~seed ?memo plan ~(alice : Parent.stream) ~(bob : Parent.stre
 
 let reconcile_known ~seed ~d ~u ~h ~alice ~bob () =
   let s_bound = max 2 (Parent.cardinal bob) in
-  let comm = Comm.create () in
-  match
-    run_plan ~comm ~seed
-      (plan ~seed ~enc_seed:seed ~d ~d_hat:(min d s_bound) ~s_bound ~u ~h ~k:3)
-      ~alice:(Parent.stream_of_t alice) ~bob:(Parent.stream_of_t bob)
-  with
-  | Ok o -> Ok o
-  | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))
+  Comm.run (fun comm ->
+      run_plan ~comm ~seed
+        (plan ~seed ~enc_seed:seed ~d ~d_hat:(min d s_bound) ~s_bound ~u ~h ~k:3)
+        ~alice:(Parent.stream_of_t alice) ~bob:(Parent.stream_of_t bob))

@@ -67,7 +67,7 @@ val run_plan :
     both nested IBLT protocols: chunked passes over the {!Parent.stream}
     views fold each child into every table four keys at a time
     ({!Encoding.fold}, {!Direct.fold}), and Alice sends every table with
-    her {!Parent.stream_hash} guard in one {!Parent.xfer_guarded}
+    her {!Parent.stream_hash} guard in one {!Ssr_setrecon.Comm.xfer_guarded}
     message. Bob walks his stream once for level 1, his index of child
     hashes ({!Encoding.hash_of_key}) and his digest, and a second time
     for the higher levels and T* only once level 1 has decoded. He pairs

@@ -3,7 +3,6 @@ module Hashing = Ssr_util.Hashing
 module Prng = Ssr_util.Prng
 module Buf = Ssr_util.Buf
 module Codec = Ssr_util.Codec
-module Gf61 = Ssr_field.Gf61
 module Iblt = Ssr_sketch.Iblt
 module L0 = Ssr_sketch.L0_estimator
 module Comm = Ssr_setrecon.Comm
@@ -68,7 +67,7 @@ let run_stream ~comm ~seed ~d ~d_hat ~k ~shape ~primitive ~(alice : Parent.strea
     in
     let ta = Iblt.create hash_prm in
     Hashtbl.iter (fun h _ -> Iblt.insert_int ta h) alice_by_hash;
-    match Parent.xfer_guarded comm ~label:"hash-iblt+digest" [| ta |] ~guard:alice_digest with
+    match Comm.xfer_guarded comm ~label:"hash-iblt+digest" [| ta |] ~guard:alice_digest with
     | None -> Error `Decode_failure
     | Some (received, alice_digest) -> (
     let tb = Iblt.create hash_prm in
@@ -256,18 +255,9 @@ let run_stream ~comm ~seed ~d ~d_hat ~k ~shape ~primitive ~(alice : Parent.strea
               | 1 -> (
                 match Codec.u32 rd with
                 | Some size_a ->
-                  let nev = Cpi.num_evaluations ~d:bound in
-                  if 8 * nev > Codec.remaining rd then None
-                  else begin
-                    let evals = Array.make nev 0 in
-                    let ok = ref true in
-                    for e = 0 to nev - 1 do
-                      match Codec.int62 rd with
-                      | Some v when v < Gf61.p -> evals.(e) <- v
-                      | _ -> ok := false
-                    done;
-                    if !ok then Some (`Cpi (j, bound, evals, size_a, chash)) else None
-                  end
+                  Option.map
+                    (fun evals -> `Cpi (j, bound, evals, size_a, chash))
+                    (Cpi.read_evaluations rd ~d:bound)
                 | None -> None)
               | _ -> None)
             | _ -> None
@@ -326,37 +316,24 @@ let run_stream ~comm ~seed ~d ~d_hat ~k ~shape ~primitive ~(alice : Parent.strea
 
 let reconcile_known ~seed ~d ?(primitive = Auto) ~alice ~bob () =
   let d_hat = min d (max 2 (Parent.cardinal bob)) in
-  let comm = Comm.create () in
-  match
-    run_stream ~comm ~seed ~d ~d_hat ~k:4 ~shape:default_child_shape ~primitive
-      ~alice:(Parent.stream_of_t alice) ~bob:(Parent.stream_of_t bob)
-  with
-  | Ok o -> Ok o
-  | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))
+  Comm.run (fun comm ->
+      run_stream ~comm ~seed ~d ~d_hat ~k:4 ~shape:default_child_shape ~primitive
+        ~alice:(Parent.stream_of_t alice) ~bob:(Parent.stream_of_t bob))
 
 let reconcile_unknown ~seed ~alice ~bob () =
-  let comm = Comm.create () in
-  (* Round 0 (B -> A): estimator over Bob's child hashes sizes the exchange. *)
-  let bob_est = L0.create ~seed ~shape:L0.default_shape () in
-  let hash = child_hash ~seed in
-  List.iter (fun c -> L0.update bob_est L0.S1 (hash c)) (Parent.children bob);
-  match Comm.xfer comm Comm.B_to_a ~label:"dhat-estimator" (L0.to_bytes bob_est) with
-  | Error `Lost -> Error (`Decode_failure (Comm.stats comm))
-  | Ok delivered -> (
-    match L0.of_bytes_opt ~seed ~shape:L0.default_shape delivered with
-    | None -> Error (`Decode_failure (Comm.stats comm))
-    | Some bob_est -> (
-      let alice_est = L0.create ~seed ~shape:L0.default_shape () in
-      List.iter (fun c -> L0.update alice_est L0.S2 (hash c)) (Parent.children alice);
-      let est = L0.query (L0.merge bob_est alice_est) in
-      let d_hat = max 2 est in
-      (* The per-child estimators supply the element-level bounds, so d here
-         only gates the IBLT/CPI threshold; a generous surrogate suffices. *)
-      let d_surrogate = max 4 (d_hat * 4) in
+  let hashes p = Array.of_list (List.map (child_hash ~seed) (Parent.children p)) in
+  Comm.run (fun comm ->
+      (* Round 0 (B -> A): estimator over Bob's child hashes sizes the exchange. *)
       match
+        Comm.xfer_estimator comm ~label:"dhat-estimator" ~seed ~alice:(hashes alice)
+          ~bob:(hashes bob)
+      with
+      | None -> Error `Decode_failure
+      | Some est ->
+        let d_hat = max 2 est in
+        (* The per-child estimators supply the element-level bounds, so d here
+           only gates the IBLT/CPI threshold; a generous surrogate suffices. *)
+        let d_surrogate = max 4 (d_hat * 4) in
         run_stream ~comm ~seed:(Prng.derive ~seed ~tag:0x4B) ~d:d_surrogate ~d_hat ~k:4
           ~shape:default_child_shape ~primitive:Auto ~alice:(Parent.stream_of_t alice)
-          ~bob:(Parent.stream_of_t bob)
-      with
-      | Ok o -> Ok o
-      | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))))
+          ~bob:(Parent.stream_of_t bob))

@@ -2,7 +2,6 @@ module Iset = Ssr_util.Iset
 module Hashing = Ssr_util.Hashing
 module Prng = Ssr_util.Prng
 module Iblt = Ssr_sketch.Iblt
-module L0 = Ssr_sketch.L0_estimator
 module Comm = Ssr_setrecon.Comm
 
 type outcome = { delta : Parent.delta; stats : Comm.stats }
@@ -37,7 +36,7 @@ let run_stream ~comm ~seed ~d_hat ~u ~h ~k ~(alice : Parent.stream) ~(bob : Pare
     (table, digest)
   in
   let table, alice_digest = build alice in
-  match Parent.xfer_guarded comm ~label:"naive-iblt+digest" [| table |] ~guard:alice_digest with
+  match Comm.xfer_guarded comm ~label:"naive-iblt+digest" [| table |] ~guard:alice_digest with
   | None -> Error `Decode_failure
   | Some (received, alice_digest) -> (
   let bob_table, bob_digest = build bob in
@@ -62,23 +61,12 @@ let run_stream ~comm ~seed ~d_hat ~u ~h ~k ~(alice : Parent.stream) ~(bob : Pare
     | _ -> Error `Decode_failure))
 
 let reconcile_unknown ~seed ~u ~h ~alice ~bob () =
-  let comm = Comm.create () in
-  let bob_est = L0.create ~seed () in
-  let id = child_id ~seed in
-  List.iter (fun c -> L0.update bob_est L0.S1 (id c)) (Parent.children bob);
-  match Comm.xfer comm Comm.B_to_a ~label:"child-estimator" (L0.to_bytes bob_est) with
-  | Error `Lost -> Error (`Decode_failure (Comm.stats comm))
-  | Ok delivered -> (
-    match L0.of_bytes_opt ~seed delivered with
-    | None -> Error (`Decode_failure (Comm.stats comm))
-    | Some bob_est -> (
-      let alice_est = L0.create ~seed () in
-      List.iter (fun c -> L0.update alice_est L0.S2 (id c)) (Parent.children alice);
-      let est = L0.query (L0.merge bob_est alice_est) in
-      let d_hat = max 2 est in
+  let ids p = Array.of_list (List.map (child_id ~seed) (Parent.children p)) in
+  Comm.run (fun comm ->
       match
-        run_stream ~comm ~seed:(Prng.derive ~seed ~tag:2) ~d_hat ~u ~h ~k:4
-          ~alice:(Parent.stream_of_t alice) ~bob:(Parent.stream_of_t bob)
+        Comm.xfer_estimator comm ~label:"child-estimator" ~seed ~alice:(ids alice) ~bob:(ids bob)
       with
-      | Ok o -> Ok o
-      | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))))
+      | None -> Error `Decode_failure
+      | Some est ->
+        run_stream ~comm ~seed:(Prng.derive ~seed ~tag:2) ~d_hat:(max 2 est) ~u ~h ~k:4
+          ~alice:(Parent.stream_of_t alice) ~bob:(Parent.stream_of_t bob))

@@ -29,7 +29,7 @@ val run_stream :
     and [h] fix the direct encoding width. The only build path: the table
     is built one encoding chunk at a time from the {!Parent.stream} views
     and sent with Alice's {!Parent.stream_hash} guard through
-    {!Parent.xfer_guarded}. The result is the O(d) delta (direct
+    {!Ssr_setrecon.Comm.xfer_guarded}. The result is the O(d) delta (direct
     encodings decode straight back to children, so no side index is
     needed). Each party walks its stream once per attempt: the pass that
     builds its table also yields its digest. *)

@@ -2,10 +2,7 @@ module Iset = Ssr_util.Iset
 module Prng = Ssr_util.Prng
 module Hashing = Ssr_util.Hashing
 module Buf = Ssr_util.Buf
-module Codec = Ssr_util.Codec
 module Par = Ssr_util.Par
-module Iblt = Ssr_sketch.Iblt
-module Comm = Ssr_setrecon.Comm
 
 type t = Iset.t array
 (* Invariant: strictly increasing under Iset.compare (so children are
@@ -202,34 +199,6 @@ let delta_digest ~seed ~base { a_only; b_only } =
   let digest = child_digest ~seed in
   let f = List.fold_left (fun acc c -> acc lxor digest c) in
   f (f base b_only) a_only
-
-(* Bob re-slices the delivered bytes by the tables' parameters, which are
-   public coins, so a truncated, padded or resized transmission fails
-   here, totally. *)
-let xfer_guarded comm ~label tables ~guard =
-  let lengths = Array.map (fun t -> Iblt.size_bits t / 8) tables in
-  let payload = Bytes.create (Array.fold_left ( + ) 8 lengths) in
-  let pos = ref 0 in
-  Array.iteri
-    (fun i t ->
-      Iblt.blit_body t payload !pos;
-      pos := !pos + lengths.(i))
-    tables;
-  Buf.set_int_le payload !pos guard;
-  match Comm.xfer comm Comm.A_to_b ~label payload with
-  | Error `Lost -> None
-  | Ok delivered -> (
-    let r = Codec.reader delivered in
-    let parsed =
-      Array.init (Array.length tables) (fun i ->
-          let t = tables.(i) in
-          Option.bind (Codec.take r lengths.(i))
-            (Iblt.of_body_bytes_opt ~check_bits:(Iblt.check_bits t) (Iblt.params t)))
-    in
-    match Codec.int62 r with
-    | Some guard when Codec.at_end r && Array.for_all Option.is_some parsed ->
-      Some (Array.map Option.get parsed, guard)
-    | _ -> None)
 
 let apply_delta t { a_only; b_only } =
   let drop = Iset.Tbl.create (List.length b_only) in

@@ -129,19 +129,6 @@ val delta_digest : seed:int64 -> base:int -> delta -> int
     [b_only] XORed out and [a_only] XORed in — equals Alice's
     {!stream_hash} exactly when the delta is correct. *)
 
-val xfer_guarded :
-  Ssr_setrecon.Comm.t -> label:string -> Ssr_sketch.Iblt.t array -> guard:int ->
-  (Ssr_sketch.Iblt.t array * int) option
-(** The one-round message of the single-message stacks: naive, the
-    nested engine ({!Cascade.run_plan}), multiround's round 1 and sos3.
-    [xfer_guarded comm ~label tables ~guard] sends Alice's [tables]'
-    bodies, concatenated in order, then [guard] as 8 little-endian bytes
-    ({!stream_hash}, or sos3's whole-collection hash), A to B on [comm].
-    It returns what Bob parses from the delivered bytes: as many fresh
-    tables, re-sliced by the tables' public parameters, and the guard. [None]
-    when the message was lost, or when the bytes have the wrong length
-    or a guard outside 62 bits; the parse is total and never raises. *)
-
 val apply_delta : t -> delta -> t
 (** Apply a recovered delta to (materialized) Bob: drop [b_only], add
     [a_only]. This is how callers holding a [Parent.t] get Bob's

@@ -54,10 +54,7 @@ let run_known ?memo kind ~comm ~seed ~enc_seed ~d ~u ~h ~alice ~bob =
        ~bob:(Parent.stream_of_t bob))
 
 let reconcile_known kind ~seed ~d ~u ~h ~alice ~bob () =
-  let comm = Comm.create () in
-  match run_known kind ~comm ~seed ~enc_seed:None ~d ~u ~h ~alice ~bob with
-  | Ok o -> Ok o
-  | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))
+  Comm.run (fun comm -> run_known kind ~comm ~seed ~enc_seed:None ~d ~u ~h ~alice ~bob)
 
 (* Corollaries 3.6 and 3.8: double d from 1 until an attempt verifies,
    each attempt under its own per-bound seed. *)

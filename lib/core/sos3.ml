@@ -189,7 +189,7 @@ let try_recover_parent cfg ~alice_key ~bob_parent =
         if Parent.hash ~seed:cfg.seed candidate = alice_hash then Some candidate else None
     end))
 
-let run ~comm ~seed ~d ~d2 ~d3 ~k ~alice ~bob =
+let run_known ~comm ~seed ~d ~d2 ~d3 ~k ~alice ~bob =
   let s_bound =
     max 2 (Array.fold_left (fun acc p -> max acc (Parent.cardinal p)) 2 bob)
   in
@@ -205,7 +205,7 @@ let run ~comm ~seed ~d ~d2 ~d3 ~k ~alice ~bob =
   (* Alice's single message: grandparent IBLT over parent encodings + hash. *)
   let outer = Iblt.create outer_prm in
   Iblt.add_all outer (Par.map_array (encode_parent cfg) alice);
-  match Parent.xfer_guarded comm ~label:"sos3-iblt+hash" [| outer |] ~guard:(hash ~seed alice) with
+  match Comm.xfer_guarded comm ~label:"sos3-iblt+hash" [| outer |] ~guard:(hash ~seed alice) with
   | None -> Error `Decode_failure
   | Some (received, alice_hash) -> (
   (* Bob's side, from the delivered bytes. *)
@@ -248,15 +248,12 @@ let run ~comm ~seed ~d ~d2 ~d3 ~k ~alice ~bob =
 let reconcile_known ~seed ~d ?d2 ?d3 ?(k = 3) ~alice ~bob () =
   let d2 = match d2 with Some v -> v | None -> d in
   let d3 = match d3 with Some v -> v | None -> d in
-  let comm = Comm.create () in
-  match run ~comm ~seed ~d ~d2 ~d3 ~k ~alice ~bob with
-  | Ok o -> Ok o
-  | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))
+  Comm.run (fun comm -> run_known ~comm ~seed ~d ~d2 ~d3 ~k ~alice ~bob)
 
 let reconcile_unknown ~seed ?(k = 3) ?(max_d = 1 lsl 16) ~alice ~bob () =
   let comm = Comm.create () in
   Comm.retry_doubling comm ~retries:m_retries ~d:1
     ~stop:(fun ~attempt:_ ~d -> d > max_d)
     (fun ~attempt:_ ~d ->
-      run ~comm ~seed:(Prng.derive ~seed ~tag:(0x540 + Bits.ceil_log2 (d + 1))) ~d ~d2:d ~d3:d ~k
+      run_known ~comm ~seed:(Prng.derive ~seed ~tag:(0x540 + Bits.ceil_log2 (d + 1))) ~d ~d2:d ~d3:d ~k
         ~alice ~bob)

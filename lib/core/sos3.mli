@@ -58,10 +58,15 @@ val reconcile_known :
   seed:int64 -> d:int -> ?d2:int -> ?d3:int -> ?k:int ->
   alice:t -> bob:t -> unit -> (outcome, error) result
 (** One round: the grandparent table and Alice's {!hash} as one
-    {!Parent.xfer_guarded} message, which Bob parses before he peels.
+    {!Ssr_setrecon.Comm.xfer_guarded} message, which Bob parses before he peels.
     [d] bounds element differences between matched children, [d2]
     differing children per matched parent pair (default [d]), [d3]
     differing parents per side (default [d]). *)
+
+val run_known :
+  comm:Ssr_setrecon.Comm.t -> seed:int64 -> d:int -> d2:int -> d3:int -> k:int ->
+  alice:t -> bob:t -> (outcome, [ `Decode_failure ]) result
+(** {!reconcile_known} threaded through a caller-supplied recorder. *)
 
 val reconcile_unknown :
   seed:int64 -> ?k:int -> ?max_d:int ->

@@ -85,6 +85,8 @@ let batch_inv xs =
     out
   end
 
+let read r = match Ssr_util.Codec.int62 r with Some v when v < p -> Some v | _ -> None
+
 let random rng =
   let rec draw () =
     let x = Ssr_util.Prng.next_int rng land p in

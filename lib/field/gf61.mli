@@ -50,6 +50,10 @@ val batch_inv : t array -> t array
     inversion each. Raises [Division_by_zero] if any element is 0 (as the
     element-wise computation would). The input is not modified. *)
 
+val read : Ssr_util.Codec.reader -> t option
+(** The next 8-byte little-endian word off the wire as a field element:
+    [None] unless it is below [p]. *)
+
 val random : Ssr_util.Prng.t -> t
 (** Uniform element of [\[0, p)]. *)
 

@@ -1,6 +1,5 @@
 module Iblt = Ssr_sketch.Iblt
 module L0 = Ssr_sketch.L0_estimator
-module Strata = Ssr_sketch.Strata_estimator
 module Hashing = Ssr_util.Hashing
 module Prng = Ssr_util.Prng
 module Metrics = Ssr_obs.Metrics
@@ -35,8 +34,6 @@ let hash_fn ~server_seed ~shard =
 
 let l0_seed ~server_seed ~shard = shard_seed ~server_seed ~shard ~tag:0x0B1B
 
-let strata_seed ~server_seed ~shard = shard_seed ~server_seed ~shard ~tag:0x0C2C
-
 type t = {
   id : int;
   server_seed : int64;
@@ -46,10 +43,9 @@ type t = {
   ladder : Iblt.t array;
   fn : Hashing.fn;
   mutable l0 : L0.t;
-  mutable strata : Strata.t;
   (* Keys removed since the last estimator refresh: still counted in the
-     saturating estimators, no longer members. A re-add of a tainted key
-     just clears the taint — the estimators already count it. *)
+     saturating estimator, no longer members. A re-add of a tainted key
+     just clears the taint — the estimator already counts it. *)
   tainted : (int, unit) Hashtbl.t;
   mutable xor_hash : int;
   mutable version : int;
@@ -74,7 +70,6 @@ let create ~server_seed ~id ?(rung_caps = default_rung_caps) ?(check_bits = 32)
           Iblt.create ~check_bits (rung_params ~server_seed ~shard:id ~rung:r ~cap:rung_caps.(r)));
     fn = hash_fn ~server_seed ~shard:id;
     l0 = L0.create ~seed:(l0_seed ~server_seed ~shard:id) ();
-    strata = Strata.create ~seed:(strata_seed ~server_seed ~shard:id) ();
     tainted = Hashtbl.create 64;
     xor_hash = 0;
     version = 0;
@@ -104,18 +99,14 @@ let num_rungs t = Array.length t.ladder
 let rung_caps t = Array.copy t.caps
 let refreshes t = t.refreshes
 let tainted_count t = Hashtbl.length t.tainted
-let strata t = t.strata
 
-(* Rebuild the saturating estimators from the member set and clear the
+(* Rebuild the saturating estimator from the member set and clear the
    taint. O(n), amortized over [refresh_every] mutations. *)
 let refresh t =
   let xs = members t in
   let l0 = L0.create ~seed:(l0_seed ~server_seed:t.server_seed ~shard:t.id) () in
   L0.update_all l0 L0.S1 xs;
-  let strata = Strata.create ~seed:(strata_seed ~server_seed:t.server_seed ~shard:t.id) () in
-  Strata.add_all strata xs;
   t.l0 <- l0;
-  t.strata <- strata;
   Hashtbl.reset t.tainted;
   t.since_refresh <- 0;
   t.refreshes <- t.refreshes + 1;
@@ -135,10 +126,7 @@ let apply t m =
         Array.iter (fun rung -> Iblt.insert_int rung x) t.ladder;
         t.xor_hash <- t.xor_hash lxor Hashing.hash_int t.fn x;
         if Hashtbl.mem t.tainted x then Hashtbl.remove t.tainted x
-        else begin
-          L0.update t.l0 L0.S1 x;
-          Strata.add t.strata x
-        end;
+        else L0.update t.l0 L0.S1 x;
         true
       end
     | Remove x ->

@@ -3,17 +3,16 @@
     A shard owns a member set and a sketch bundle kept in lock-step with
     it: a ladder of IBLTs at doubling difference capacities (XOR-linear,
     so {!apply} is O(k) per rung via the packed-store [insert_int] /
-    [delete_int] hot path), an L0 difference estimator, a strata
-    estimator, and a whole-set XOR hash for O(1) incremental
-    verification. A reconcile session never rebuilds anything: it pins a
+    [delete_int] hot path), an L0 difference estimator, and a whole-set
+    XOR hash for O(1) incremental verification. A reconcile session never rebuilds anything: it pins a
     {!snapshot} — a deep copy of the O(d)-cell ladder, not of the set —
     and the shard keeps mutating underneath it.
 
-    The estimators' saturating counters cannot express deletion, so they
-    are refreshed epoch-style: a removal marks its key {e tainted}
-    (still counted, no longer a member) and the bundle rebuilds both
-    estimators from the member set once the tainted count or the
-    mutation count since the last refresh crosses its threshold. Between
+    The estimator's saturating counters cannot express deletion, so it is
+    refreshed epoch-style: a removal marks its key {e tainted} (still
+    counted, no longer a member) and the bundle rebuilds the estimator
+    from the member set once the tainted count or the mutation count
+    since the last refresh crosses its threshold. Between
     refreshes {!estimate_diff} adds the tainted count as slack, so the
     estimate stays an upper bound on the error it could have absorbed.
 
@@ -63,10 +62,6 @@ val refreshes : t -> int
 (** Epoch refreshes performed so far (test hook). *)
 
 val tainted_count : t -> int
-val strata : t -> Ssr_sketch.Strata_estimator.t
-(** The epoch-refreshed strata estimator (consumed by strata-based
-    estimation paths; tainted keys are still counted until the next
-    refresh). *)
 
 (** {1 Seed derivation shared with clients} *)
 
@@ -74,7 +69,6 @@ val rung_seed : server_seed:int64 -> shard:int -> rung:int -> int64
 val rung_params : server_seed:int64 -> shard:int -> rung:int -> cap:int -> Ssr_sketch.Iblt.params
 val hash_fn : server_seed:int64 -> shard:int -> Ssr_util.Hashing.fn
 val l0_seed : server_seed:int64 -> shard:int -> int64
-val strata_seed : server_seed:int64 -> shard:int -> int64
 
 (** {1 Estimation} *)
 

@@ -1,3 +1,7 @@
+module Buf = Ssr_util.Buf
+module Codec = Ssr_util.Codec
+module Iblt = Ssr_sketch.Iblt
+module L0 = Ssr_sketch.L0_estimator
 module Metrics = Ssr_obs.Metrics
 module Trace = Ssr_obs.Trace
 
@@ -29,8 +33,10 @@ let create () = { log = []; transport = None }
 
 let set_transport t transport = t.transport <- Some transport
 
-let send t direction ~label ~bits =
-  if bits < 0 then invalid_arg "Comm.send: negative bits";
+let xfer t direction ~label payload =
+  let bits =
+    (8 * Bytes.length payload) + match t.transport with None -> 0 | Some tr -> tr.overhead_bits
+  in
   let round =
     match t.log with
     | [] -> 1
@@ -46,20 +52,64 @@ let send t direction ~label ~bits =
         ("bits", Trace.I bits);
       ]
     label;
-  t.log <- { round; direction; label; bits } :: t.log
-
-let xfer t direction ~label payload =
+  t.log <- { round; direction; label; bits } :: t.log;
   match t.transport with
-  | None ->
-    send t direction ~label ~bits:(8 * Bytes.length payload);
-    Ok payload
+  | None -> Ok payload
   | Some tr -> (
-    send t direction ~label ~bits:((8 * Bytes.length payload) + tr.overhead_bits);
     match tr.transmit direction ~label payload with
     | Some delivered -> Ok delivered
     | None ->
       Metrics.incr m_lost;
       Error `Lost)
+
+(* Bob re-slices the delivered bytes by the tables' parameters, which are
+   public coins, so a truncated, padded or resized transmission fails
+   here, totally. *)
+let xfer_guarded t ~label tables ~guard =
+  let lengths = Array.map (fun tb -> Iblt.size_bits tb / 8) tables in
+  let payload = Bytes.create (Array.fold_left ( + ) 8 lengths) in
+  let pos = ref 0 in
+  Array.iteri
+    (fun i tb ->
+      Iblt.blit_body tb payload !pos;
+      pos := !pos + lengths.(i))
+    tables;
+  Buf.set_int_le payload !pos guard;
+  match xfer t A_to_b ~label payload with
+  | Error `Lost -> None
+  | Ok delivered -> (
+    let r = Codec.reader delivered in
+    let parsed =
+      Array.init (Array.length tables) (fun i ->
+          let tb = tables.(i) in
+          Option.bind (Codec.take r lengths.(i))
+            (Iblt.of_body_bytes_opt ~check_bits:(Iblt.check_bits tb) (Iblt.params tb)))
+    in
+    match Codec.int62 r with
+    | Some guard when Codec.at_end r && Array.for_all Option.is_some parsed ->
+      Some (Array.map Option.get parsed, guard)
+    | _ -> None)
+
+let xfer_estimator ?shape t ~label ~seed ~alice ~bob =
+  let bob_est = L0.create ~seed ?shape () in
+  L0.update_all bob_est L0.S1 bob;
+  match xfer t B_to_a ~label (L0.to_bytes bob_est) with
+  | Error `Lost -> None
+  | Ok delivered ->
+    Option.bind (L0.of_bytes_opt ~seed ?shape delivered) (fun bob_est ->
+        let alice_est = L0.create ~seed ?shape () in
+        L0.update_all alice_est L0.S2 alice;
+        L0.query_opt (L0.merge bob_est alice_est))
+
+(* Bob's control requests. Alice goes on whatever arrives: she sends the
+   next attempt when the request reaches her and on her own timeout when
+   it is lost or damaged, so nothing she does depends on its bytes. *)
+let request_retry t = ignore (xfer t B_to_a ~label:"retry" (Bytes.make 1 '\001'))
+
+let request_salvage t ~bound =
+  let b = Bytes.create 4 in
+  Bytes.set_int32_le b 0 (Int32.of_int bound);
+  ignore (xfer t B_to_a ~label:"salvage-retry" b)
 
 let stats t =
   let messages = List.rev t.log in
@@ -71,6 +121,10 @@ let stats t =
   in
   { rounds; bits_total = bits_a_to_b + bits_b_to_a; bits_a_to_b; bits_b_to_a; messages }
 
+let run exchange =
+  let t = create () in
+  match exchange t with Ok o -> Ok o | Error `Decode_failure -> Error (`Decode_failure (stats t))
+
 let retry_doubling t ~retries ~d ~stop attempt =
   let rec go i d =
     if stop ~attempt:i ~d then Error (`Decode_failure (stats t))
@@ -80,7 +134,7 @@ let retry_doubling t ~retries ~d ~stop attempt =
       | Error `Decode_failure ->
         (* Bob asks for a bigger table: one tiny message back. *)
         Metrics.incr retries;
-        send t B_to_a ~label:"retry" ~bits:8;
+        request_retry t;
         go (i + 1) (2 * d)
   in
   go 0 d

@@ -7,15 +7,18 @@
     one-round protocol is a single Alice-to-Bob transmission). The benchmark
     tables (EXPERIMENTS.md) are produced from these numbers.
 
-    A recorder can additionally carry a {e transport}: a function that takes
-    the real serialized payload of a message and returns what the receiver
-    observes (possibly nothing, if the message was lost or rejected by the
-    framing checksum). Protocols route their payload-bearing messages through
-    {!xfer}; with no transport attached the payload is delivered verbatim and
-    only accounting happens, so the in-memory execution and the
-    over-a-channel execution share one code path. The transport layer lives
-    in [lib/transport]; this hook is a plain closure so the dependency points
-    only that way. *)
+    There is one message function, {!xfer}: a message enters the transcript
+    only as the bytes one party sends, and the receiver works from a total
+    parse of the bytes delivered to it. A recorder can carry a {e
+    transport}: a function that takes the serialized payload and returns
+    what the receiver observes (possibly nothing, if the message was lost or
+    rejected by the framing checksum). With no transport attached the
+    payload is delivered verbatim and only accounting happens, so the
+    in-memory execution and the over-a-channel execution share one code
+    path. Control messages — Bob's {!request_retry} and {!request_salvage}
+    — are [xfer]s too, so they cross any attached transport and can be
+    lost. The transport layer lives in [lib/transport]; this hook is a
+    plain closure so the dependency points only that way. *)
 
 type direction = A_to_b | B_to_a
 
@@ -44,31 +47,59 @@ type transport = {
 val create : unit -> t
 
 val set_transport : t -> transport -> unit
-(** Attach a transport to the recorder; every subsequent {!xfer} goes
+(** Attach a transport to the recorder; every subsequent message goes
     through it. *)
 
-val send : t -> direction -> label:string -> bits:int -> unit
-(** Record a message by size only (no payload bytes exist for it). Bypasses
-    any attached transport: use {!xfer} for messages that must survive a
-    faulty channel. Consecutive sends in the same direction share a round; a
-    direction switch starts a new one. *)
-
 val xfer : t -> direction -> label:string -> Bytes.t -> (Bytes.t, [ `Lost ]) result
-(** Record and transmit a payload-bearing message. Accounts
+(** Record and transmit a message. Accounts
     [8 * length + overhead] bits, then hands the payload to the attached
     transport; [Error `Lost] means the receiver observed nothing usable
     (timeout/NACK in a real deployment). With no transport attached this is
-    [Ok payload]. *)
+    [Ok payload]. Consecutive messages in the same direction share a round;
+    a direction switch starts a new one. *)
+
+val xfer_guarded :
+  t -> label:string -> Ssr_sketch.Iblt.t array -> guard:int ->
+  (Ssr_sketch.Iblt.t array * int) option
+(** The one "tables ‖ 8-byte guard" message, A to B, of every IBLT stack:
+    the [tables]' bodies in order, then [guard] (a whole-object hash) as 8
+    little-endian bytes. It returns what Bob parses from the delivered
+    bytes: fresh tables re-sliced by the tables' public parameters, and the
+    guard. [None] when the message was lost or the bytes have the wrong
+    length or a guard outside 62 bits; total, never raises. *)
+
+val xfer_estimator :
+  ?shape:Ssr_sketch.L0_estimator.shape -> t -> label:string -> seed:int64 ->
+  alice:int array -> bob:int array -> int option
+(** The estimator round of the unknown-d variants (Theorem 3.1), B to A:
+    Bob sends an l0 estimator of his keys [bob]; Alice parses it, merges
+    her own over [alice] and returns the estimated difference. [None] when
+    the estimator was lost, has the wrong length or reads out of the
+    shape's range ({!Ssr_sketch.L0_estimator.query_opt}), so that damage
+    cannot size a table beyond any difference the estimator measures. *)
+
+val request_retry : t -> unit
+(** Bob's 1-byte ["retry"] request, B to A: his attempt failed. *)
+
+val request_salvage : t -> bound:int -> unit
+(** Bob's 4-byte ["salvage-retry"] request, B to A, carrying his
+    residual-difference bound as a little-endian u32. The caller of either
+    request goes on whether or not it arrives: Alice sends the next attempt
+    when it reaches her and on her own timeout when it is lost. *)
 
 val stats : t -> stats
+
+val run :
+  (t -> ('a, [ `Decode_failure ]) result) -> ('a, [> `Decode_failure of stats ]) result
+(** Run an exchange on a fresh recorder; a failure carries its stats. *)
 
 val retry_doubling :
   t -> retries:Ssr_obs.Metrics.counter -> d:int -> stop:(attempt:int -> d:int -> bool) ->
   (attempt:int -> d:int -> ('a, [ `Decode_failure ]) result) ->
   ('a, [> `Decode_failure of stats ]) result
 (** The unknown-d driver (Corollary 3.6's repeated doubling): run
-    [attempt ~attempt:0 ~d], and after each failure bump [retries], record
-    Bob's 8-bit ["retry"] request on [t] and try again with the attempt
+    [attempt ~attempt:0 ~d], and after each failure bump [retries], send
+    Bob's {!request_retry} on [t] and try again with the attempt
     number incremented and [d] doubled. Before every attempt [stop] is asked
     whether the ladder is exhausted, in which case the result is a decode
     failure carrying [t]'s cumulative stats. The caller derives each

@@ -1,5 +1,7 @@
 module Iset = Ssr_util.Iset
 module Prng = Ssr_util.Prng
+module Buf = Ssr_util.Buf
+module Codec = Ssr_util.Codec
 module Gf61 = Ssr_field.Gf61
 module Poly = Ssr_field.Poly
 module Roots = Ssr_field.Roots
@@ -119,96 +121,105 @@ let recover_diffs ~rng ~d ~size_a ~size_b bob_roots alice_evals =
         | _ -> None)
   end
 
-let num_evaluations ~d = num_points ~d
-
-let recover_set ~seed ~d ~size_a ~evals ~bob =
-  let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0xC93) in
-  if Array.length evals <> num_points ~d then invalid_arg "Cpi_recon.recover_set: wrong evaluation count";
-  let bob_roots = List.map encode (Iset.to_list bob) in
-  match recover_diffs ~rng ~d ~size_a ~size_b:(Iset.cardinal bob) bob_roots evals with
-  | None -> None
-  | Some (pr, qr) ->
-    if List.exists (fun (_, m) -> m <> 1) pr || List.exists (fun (_, m) -> m <> 1) qr then None
-    else begin
-      let a_minus_b = Iset.of_list (List.map (fun (r, _) -> decode_root r) pr) in
-      let b_minus_a = Iset.of_list (List.map (fun (r, _) -> decode_root r) qr) in
-      let valid =
-        Iset.fold (fun x ok -> ok && Iset.mem x bob) b_minus_a true
-        && Iset.fold (fun x ok -> ok && (not (Iset.mem x bob)) && x >= 0) a_minus_b true
-      in
-      if not valid then None
-      else begin
-        let recovered = Iset.apply_diff bob ~add:a_minus_b ~del:b_minus_a in
-        if Iset.cardinal recovered <> size_a then None else Some recovered
-      end
-    end
-
-let mk_stats ~d ~extra_bits =
-  let comm = Comm.create () in
-  Comm.send comm Comm.A_to_b ~label:"cpi-evals+size" ~bits:((64 * num_points ~d) + 64 + extra_bits);
-  Comm.stats comm
-
-let reconcile_known_d ~seed ~d ~alice ~bob () =
-  let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0xC91) in
-  let stats = mk_stats ~d ~extra_bits:0 in
-  let alice_evals = evaluations ~d alice in
-  let bob_roots = List.map encode (Iset.to_list bob) in
-  let fail () = Error (`Bound_too_small stats) in
-  match
-    recover_diffs ~rng ~d ~size_a:(Iset.cardinal alice) ~size_b:(Iset.cardinal bob) bob_roots alice_evals
-  with
-  | None -> fail ()
-  | Some (pr, qr) ->
-    (* Sets: all multiplicities must be 1, the negative side must come from
-       Bob's set, and the positive side must be new to it. *)
-    if List.exists (fun (_, m) -> m <> 1) pr || List.exists (fun (_, m) -> m <> 1) qr then fail ()
-    else begin
-      let a_minus_b = Iset.of_list (List.map (fun (r, _) -> decode_root r) pr) in
-      let b_minus_a = Iset.of_list (List.map (fun (r, _) -> decode_root r) qr) in
-      let valid =
-        Iset.fold (fun x ok -> ok && Iset.mem x bob) b_minus_a true
-        && Iset.fold (fun x ok -> ok && (not (Iset.mem x bob)) && x >= 0) a_minus_b true
-      in
-      if not valid then fail ()
-      else begin
-        let recovered = Iset.apply_diff bob ~add:a_minus_b ~del:b_minus_a in
-        if Iset.cardinal recovered <> Iset.cardinal alice then fail ()
-        else Ok { recovered; alice_minus_bob = a_minus_b; bob_minus_alice = b_minus_a; stats }
-      end
-    end
-
 let sorted_pairs tbl =
   Hashtbl.fold (fun x k acc -> if k > 0 then (x, k) :: acc else acc) tbl []
   |> List.sort compare
 
-let reconcile_multiset_known_d ~seed ~d ~alice ~bob () =
-  let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0xC92) in
-  let stats = mk_stats ~d ~extra_bits:0 in
-  let alice_roots = encode_multiset alice in
+(* Bob's side on (element, multiplicity) pairs: apply the recovered
+   difference to his counts. Every root must decode to an element, and the
+   negative side must come out of counts he holds. *)
+let recover_pairs ~rng ~d ~size_a ~evals bob =
   let bob_roots = encode_multiset bob in
-  let alice_evals = evals_of_roots ~d alice_roots in
-  let fail () = Error (`Bound_too_small stats) in
-  match
-    recover_diffs ~rng ~d ~size_a:(List.length alice_roots) ~size_b:(List.length bob_roots) bob_roots
-      alice_evals
-  with
-  | None -> fail ()
+  match recover_diffs ~rng ~d ~size_a ~size_b:(List.length bob_roots) bob_roots evals with
+  | None -> None
   | Some (pr, qr) ->
     let counts = Hashtbl.create 64 in
-    List.iter
-      (fun (x, k) -> Hashtbl.replace counts x (k + (try Hashtbl.find counts x with Not_found -> 0)))
-      bob;
-    let ok = ref true in
-    List.iter
-      (fun (r, m) ->
-        let x = decode_root r in
-        let cur = try Hashtbl.find counts x with Not_found -> 0 in
-        if cur < m || x < 0 then ok := false else Hashtbl.replace counts x (cur - m))
-      qr;
-    List.iter
-      (fun (r, m) ->
-        let x = decode_root r in
-        if x < 0 then ok := false
-        else Hashtbl.replace counts x (m + (try Hashtbl.find counts x with Not_found -> 0)))
-      pr;
-    if not !ok then fail () else Ok (sorted_pairs counts, stats)
+    let count x = Option.value (Hashtbl.find_opt counts x) ~default:0 in
+    List.iter (fun (x, k) -> Hashtbl.replace counts x (k + count x)) bob;
+    let apply sign (r, m) =
+      let x = decode_root r in
+      let c = count x + (sign * m) in
+      x >= 0 && c >= 0 && (Hashtbl.replace counts x c; true)
+    in
+    if List.for_all (apply (-1)) qr && List.for_all (apply 1) pr then Some (sorted_pairs counts)
+    else None
+
+let recover_set ~seed ~d ~size_a ~evals ~bob =
+  let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0xC93) in
+  if Array.length evals <> num_points ~d then invalid_arg "Cpi_recon.recover_set: wrong evaluation count";
+  (* A set is a multiset whose recovered multiplicities are all 1. *)
+  match recover_pairs ~rng ~d ~size_a ~evals (List.map (fun x -> (x, 1)) (Iset.to_list bob)) with
+  | Some pairs when List.for_all (fun (_, k) -> k = 1) pairs && List.length pairs = size_a ->
+    Some (Iset.of_list (List.map fst pairs))
+  | _ -> None
+
+let read_evaluations r ~d =
+  let n = num_points ~d in
+  if n > Codec.remaining r / 8 then None
+  else begin
+    let evals = Array.make n 0 in
+    let rec go i =
+      if i = n then Some evals
+      else
+        match Gf61.read r with
+        | Some v ->
+          evals.(i) <- v;
+          go (i + 1)
+        | None -> None
+    in
+    go 0
+  end
+
+(* The one message: Alice's evaluations, then her size (total multiplicity
+   for multisets) as 8 little-endian bytes each. Bob gets back what he
+   parses from the delivered bytes, or [None]. *)
+let xfer_evals comm ~d evals ~size =
+  let n = num_points ~d in
+  let payload = Bytes.create (8 * (n + 1)) in
+  Array.iteri (fun i v -> Buf.set_int_le payload (8 * i) v) evals;
+  Buf.set_int_le payload (8 * n) size;
+  match Comm.xfer comm Comm.A_to_b ~label:"cpi-evals+size" payload with
+  | Error `Lost -> None
+  | Ok delivered -> (
+    let r = Codec.reader delivered in
+    match read_evaluations r ~d with
+    | None -> None
+    | Some evals -> (
+      match Codec.int62 r with Some size when Codec.at_end r -> Some (evals, size) | _ -> None))
+
+let run_known_d ~comm ~seed ~d ~alice ~bob =
+  match xfer_evals comm ~d (evaluations ~d alice) ~size:(Iset.cardinal alice) with
+  | None -> Error `Bound_too_small
+  | Some (evals, size_a) -> (
+    match recover_set ~seed ~d ~size_a ~evals ~bob with
+    | None -> Error `Bound_too_small
+    | Some recovered ->
+      Ok
+        {
+          recovered;
+          alice_minus_bob = Iset.diff recovered bob;
+          bob_minus_alice = Iset.diff bob recovered;
+          stats = Comm.stats comm;
+        })
+
+let reconcile_known_d ~seed ~d ~alice ~bob () =
+  let comm = Comm.create () in
+  match run_known_d ~comm ~seed ~d ~alice ~bob with
+  | Ok o -> Ok o
+  | Error `Bound_too_small -> Error (`Bound_too_small (Comm.stats comm))
+
+let run_multiset_known_d ~comm ~seed ~d ~alice ~bob =
+  let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0xC92) in
+  let alice_roots = encode_multiset alice in
+  match xfer_evals comm ~d (evals_of_roots ~d alice_roots) ~size:(List.length alice_roots) with
+  | None -> Error `Bound_too_small
+  | Some (evals, size_a) -> (
+    match recover_pairs ~rng ~d ~size_a ~evals bob with
+    | None -> Error `Bound_too_small
+    | Some pairs -> Ok (pairs, Comm.stats comm))
+
+let reconcile_multiset_known_d ~seed ~d ~alice ~bob () =
+  let comm = Comm.create () in
+  match run_multiset_known_d ~comm ~seed ~d ~alice ~bob with
+  | Ok o -> Ok o
+  | Error `Bound_too_small -> Error (`Bound_too_small (Comm.stats comm))

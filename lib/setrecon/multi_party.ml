@@ -15,7 +15,7 @@ let pairwise_bound parties =
   done;
   !best
 
-let reconcile_broadcast ~seed ~d ?k:(hashes = 4) ~parties () =
+let run_broadcast ~comm ~seed ~d ~k:hashes ~parties =
   let np = Array.length parties in
   if np < 2 then invalid_arg "Multi_party.reconcile_broadcast: need at least 2 parties";
   (* All k^2 pairwise decodes must succeed, so the per-sketch size carries a
@@ -28,8 +28,6 @@ let reconcile_broadcast ~seed ~d ?k:(hashes = 4) ~parties () =
       seed;
     }
   in
-  let comm = Comm.create () in
-  (* Every party broadcasts one sketch and one whole-set hash. *)
   let tables =
     Array.map
       (fun s ->
@@ -38,12 +36,15 @@ let reconcile_broadcast ~seed ~d ?k:(hashes = 4) ~parties () =
         t)
       parties
   in
-  let set_hashes = Array.map (fun s -> Set_recon.set_hash ~seed s) parties in
-  Array.iteri
-    (fun i t ->
-      ignore i;
-      Comm.send comm Comm.A_to_b ~label:"broadcast-iblt+hash" ~bits:(Iblt.size_bits t + 64))
-    tables;
+  (* Every party broadcasts one sketch and one whole-set hash; every
+     receiver works from the one copy the channel delivered. *)
+  let delivered =
+    Array.mapi
+      (fun i t ->
+        Comm.xfer_guarded comm ~label:"broadcast-iblt+hash" [| t |]
+          ~guard:(Set_recon.set_hash ~seed parties.(i)))
+      tables
+  in
   (* Each receiver reconciles against every sender. *)
   let failed = ref None in
   let per_party =
@@ -51,27 +52,34 @@ let reconcile_broadcast ~seed ~d ?k:(hashes = 4) ~parties () =
       (fun me mine ->
         let acc = ref mine in
         Array.iteri
-          (fun sender their_table ->
-            if sender <> me && !failed = None then begin
-              match Iblt.decode_ints (Iblt.subtract their_table tables.(me)) with
-              | Error `Peel_stuck -> failed := Some sender
-              | Ok (pos, neg) ->
-                let sender_view =
-                  Iset.apply_diff mine ~add:(Iset.of_list pos) ~del:(Iset.of_list neg)
-                in
-                if Set_recon.set_hash ~seed sender_view <> set_hashes.(sender) then
-                  failed := Some sender
-                else acc := Iset.union !acc (Iset.of_list pos)
-            end)
-          tables;
+          (fun sender msg ->
+            if sender <> me && !failed = None then
+              match msg with
+              | None -> failed := Some sender
+              | Some (their_table, their_hash) -> (
+                match Iblt.decode_ints (Iblt.subtract their_table.(0) tables.(me)) with
+                | Error `Peel_stuck -> failed := Some sender
+                | Ok (pos, neg) ->
+                  let sender_view =
+                    Iset.apply_diff mine ~add:(Iset.of_list pos) ~del:(Iset.of_list neg)
+                  in
+                  if Set_recon.set_hash ~seed sender_view <> their_hash then failed := Some sender
+                  else acc := Iset.union !acc (Iset.of_list pos)))
+          delivered;
         !acc)
       parties
   in
   match !failed with
-  | Some sender -> Error (`Decode_failure (sender, Comm.stats comm))
+  | Some sender -> Error (`Decode_failure sender)
   | None ->
     let union = Array.fold_left Iset.union Iset.empty parties in
     (* Consistency: everyone must have converged on the union. *)
     if Array.for_all (Iset.equal union) per_party then
       Ok { union; per_party; stats = Comm.stats comm }
-    else Error (`Decode_failure (-1, Comm.stats comm))
+    else Error (`Decode_failure (-1))
+
+let reconcile_broadcast ~seed ~d ?(k = 4) ~parties () =
+  let comm = Comm.create () in
+  match run_broadcast ~comm ~seed ~d ~k ~parties with
+  | Ok o -> Ok o
+  | Error (`Decode_failure sender) -> Error (`Decode_failure (sender, Comm.stats comm))

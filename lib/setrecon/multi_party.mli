@@ -28,5 +28,12 @@ val reconcile_broadcast :
 (** [d] bounds every pairwise symmetric difference. Requires >= 2 parties.
     On success every entry of [per_party] equals [union]. *)
 
+val run_broadcast :
+  comm:Comm.t -> seed:int64 -> d:int -> k:int -> parties:Ssr_util.Iset.t array ->
+  (outcome, [ `Decode_failure of int ]) result
+(** {!reconcile_broadcast} threaded through a caller-supplied recorder:
+    one {!Comm.xfer_guarded} per party, and every receiver reconciles
+    against the copy delivered. *)
+
 val pairwise_bound : Ssr_util.Iset.t array -> int
 (** The exact max pairwise difference (O(k^2 n); for workloads and tests). *)

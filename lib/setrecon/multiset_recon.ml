@@ -1,8 +1,5 @@
 module Hashing = Ssr_util.Hashing
-module Prng = Ssr_util.Prng
 module Iblt = Ssr_sketch.Iblt
-
-let retries = Ssr_obs.Metrics.counter "proto.multiset.retries"
 
 type outcome = { recovered : Multiset.t; stats : Comm.stats }
 
@@ -15,18 +12,24 @@ let multiset_hash ~seed m =
 
 let key_len = 16
 
-let run ~comm ~seed ~d ~k ~alice ~bob =
+let run_known_d ~comm ~seed ~d ~k ~alice ~bob =
   (* A multiset change alters at most two (element, count) pairs. *)
   let prm : Iblt.params =
     { cells = Iblt.recommended_cells ~k ~diff_bound:(2 * d); k; key_len; seed }
   in
   let table = Iblt.create prm in
   List.iter (Iblt.insert table) (Multiset.pair_keys alice ~key_len);
-  let alice_hash = multiset_hash ~seed alice in
-  Comm.send comm Comm.A_to_b ~label:"multiset-iblt+hash" ~bits:(Iblt.size_bits table + 64);
-  let bob_table = Iblt.create prm in
-  List.iter (Iblt.insert bob_table) (Multiset.pair_keys bob ~key_len);
-  match Iblt.decode (Iblt.subtract table bob_table) with
+  match
+    Comm.xfer_guarded comm ~label:"multiset-iblt+hash" [| table |]
+      ~guard:(multiset_hash ~seed alice)
+  with
+  | None -> Error `Decode_failure
+  | Some (received, alice_hash) -> (
+  (* Bob deletes his pairs from the parsed table in place: the same signed
+     multiset as subtracting a table of his own. *)
+  let table = received.(0) in
+  List.iter (Iblt.delete table) (Multiset.pair_keys bob ~key_len);
+  match Iblt.decode table with
   | Error `Peel_stuck -> Error `Decode_failure
   | Ok { positives; negatives } -> (
     (* Peeled keys are wire-derived; the total parser turns any corruption
@@ -52,16 +55,7 @@ let run ~comm ~seed ~d ~k ~alice ~bob =
         in
         if multiset_hash ~seed recovered = alice_hash then Ok { recovered; stats = Comm.stats comm }
         else Error `Decode_failure
-      end)
+      end))
 
 let reconcile_known_d ~seed ~d ?(k = 4) ~alice ~bob () =
-  let comm = Comm.create () in
-  match run ~comm ~seed ~d ~k ~alice ~bob with
-  | Ok o -> Ok o
-  | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))
-
-let reconcile_robust ~seed ?(k = 4) ?(initial_d = 4) ?(max_attempts = 16) ~alice ~bob () =
-  let comm = Comm.create () in
-  Comm.retry_doubling comm ~retries ~d:initial_d
-    ~stop:(fun ~attempt ~d:_ -> attempt >= max_attempts)
-    (fun ~attempt ~d -> run ~comm ~seed:(Prng.derive ~seed ~tag:(200 + attempt)) ~d ~k ~alice ~bob)
+  Comm.run (fun comm -> run_known_d ~comm ~seed ~d ~k ~alice ~bob)

@@ -15,8 +15,9 @@ val reconcile_known_d :
 (** One round; succeeds with high probability when [d] bounds
     [Multiset.sym_diff_size alice bob]. *)
 
-val reconcile_robust :
-  seed:int64 -> ?k:int -> ?initial_d:int -> ?max_attempts:int ->
-  alice:Multiset.t -> bob:Multiset.t -> unit ->
-  (outcome, error) result
-(** Repeated doubling until the whole-multiset hash verifies. *)
+val run_known_d :
+  comm:Comm.t -> seed:int64 -> d:int -> k:int -> alice:Multiset.t -> bob:Multiset.t ->
+  (outcome, [ `Decode_failure ]) result
+(** {!reconcile_known_d} threaded through a caller-supplied recorder. The
+    message is Alice's table and whole-multiset hash as one
+    {!Comm.xfer_guarded}. *)

@@ -135,7 +135,4 @@ let run ~comm ~seed ?(check_bits = 32) ?(initial_window = 32) ?(max_cells = 1 ls
   cycle 0 (max 1 initial_window)
 
 let reconcile ~seed ?check_bits ?initial_window ?max_cells ~alice ~bob () =
-  let comm = Comm.create () in
-  match run ~comm ~seed ?check_bits ?initial_window ?max_cells ~alice ~bob () with
-  | Ok outcome -> Ok outcome
-  | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))
+  Comm.run (fun comm -> run ~comm ~seed ?check_bits ?initial_window ?max_cells ~alice ~bob ())

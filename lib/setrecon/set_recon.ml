@@ -2,10 +2,8 @@ module Iset = Ssr_util.Iset
 module Hashing = Ssr_util.Hashing
 module Prng = Ssr_util.Prng
 module Buf = Ssr_util.Buf
-module Codec = Ssr_util.Codec
 module Iblt = Ssr_sketch.Iblt
 module Iblt_stash = Ssr_sketch.Iblt_stash
-module L0 = Ssr_sketch.L0_estimator
 
 let retries = Ssr_obs.Metrics.counter "proto.set.retries"
 let m_salvage_attempts = Ssr_obs.Metrics.counter "proto.set.salvage.attempts"
@@ -27,78 +25,49 @@ let set_hash ~seed s = Iset.digest (Hashing.make ~seed ~tag:set_hash_tag) s
 let iblt_params ~seed ~d ~k : Iblt.params =
   { cells = Iblt.recommended_cells ~k ~diff_bound:d; k; key_len = 8; seed }
 
-let int62_bytes v =
-  let b = Bytes.create 8 in
-  Buf.set_int_le b 0 v;
-  b
-
 (* Core one-message exchange; [comm] lets callers embed this in a larger
-   transcript (the unknown-d and doubling wrappers below, and the per-child
-   reconciliations of the multi-round set-of-sets protocol). The message is
-   the real serialized payload [IBLT body || 64-bit whole-set hash]; Bob's
-   side is computed from the delivered bytes, so an attached transport
-   (lib/transport) carries — and can damage — exactly what a deployment
-   would put on the wire. *)
+   transcript (the unknown-d and doubling wrappers below, two-way
+   reconciliation's first leg, and [lib/transport]'s escalation ladder).
+   Alice's table and whole-set hash travel as one guarded message, and
+   Bob's side is computed from the delivered bytes, so an attached
+   transport carries — and can damage — exactly what a deployment would
+   put on the wire. *)
 let run_known_d ~comm ~seed ~d ~k ~alice ~bob =
-  let prm = iblt_params ~seed ~d ~k in
-  let table = Iblt.create prm in
+  let table = Iblt.create (iblt_params ~seed ~d ~k) in
   Iblt.add_all_ints table (Iset.to_array alice);
-  let alice_hash = set_hash ~seed alice in
-  let payload = Bytes.cat (Iblt.body_bytes table) (int62_bytes alice_hash) in
-  match Comm.xfer comm Comm.A_to_b ~label:"iblt+hash" payload with
-  | Error `Lost -> Error `Decode_failure
-  | Ok delivered -> (
-    (* Bob's side: parse, delete his elements and peel. *)
-    let r = Codec.reader delivered in
-    let parsed =
-      match (Codec.take r (Iblt.body_length prm), Codec.int62 r) with
-      | Some body, Some h when Codec.at_end r ->
-        Option.map (fun t -> (t, h)) (Iblt.of_body_bytes_opt prm body)
-      | _ -> None
-    in
-    match parsed with
-    | None -> Error `Decode_failure
-    | Some (table, alice_hash) -> (
-      (* Deleting Bob's elements from the parsed table in place is the
-         same signed multiset as building a second table and subtracting
-         (insert and delete are one operation with opposite signs), but
-         skips allocating and copying a full table. *)
-      Iblt.delete_all_ints table (Iset.to_array bob);
-      match Iblt.decode_ints table with
-      | Error `Peel_stuck -> Error `Decode_failure
-      | Ok (pos, neg) ->
-        let alice_minus_bob = Iset.of_list pos in
-        let bob_minus_alice = Iset.of_list neg in
-        let recovered = Iset.apply_diff bob ~add:alice_minus_bob ~del:bob_minus_alice in
-        if set_hash ~seed recovered = alice_hash then
-          Ok { recovered; alice_minus_bob; bob_minus_alice; stats = Comm.stats comm }
-        else Error `Decode_failure))
+  match Comm.xfer_guarded comm ~label:"iblt+hash" [| table |] ~guard:(set_hash ~seed alice) with
+  | None -> Error `Decode_failure
+  | Some (received, alice_hash) -> (
+    (* Deleting Bob's elements from the parsed table in place is the same
+       signed multiset as building a second table and subtracting (insert
+       and delete are one operation with opposite signs), but skips
+       allocating and copying a full table. *)
+    let table = received.(0) in
+    Iblt.delete_all_ints table (Iset.to_array bob);
+    match Iblt.decode_ints table with
+    | Error `Peel_stuck -> Error `Decode_failure
+    | Ok (pos, neg) ->
+      let alice_minus_bob = Iset.of_list pos in
+      let bob_minus_alice = Iset.of_list neg in
+      let recovered = Iset.apply_diff bob ~add:alice_minus_bob ~del:bob_minus_alice in
+      if set_hash ~seed recovered = alice_hash then
+        Ok { recovered; alice_minus_bob; bob_minus_alice; stats = Comm.stats comm }
+      else Error `Decode_failure)
 
 let reconcile_known_d ~seed ~d ?(k = 4) ~alice ~bob () =
-  let comm = Comm.create () in
-  match run_known_d ~comm ~seed ~d ~k ~alice ~bob with
-  | Ok outcome -> Ok outcome
-  | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))
+  Comm.run (fun comm -> run_known_d ~comm ~seed ~d ~k ~alice ~bob)
+
+let run_unknown_d ~comm ~seed ~k ?estimator_shape ~headroom ~alice ~bob () =
+  match
+    Comm.xfer_estimator ?shape:estimator_shape comm ~label:"estimator" ~seed
+      ~alice:(Iset.to_array alice) ~bob:(Iset.to_array bob)
+  with
+  | None -> Error `Decode_failure
+  | Some est ->
+    run_known_d ~comm ~seed:(Prng.derive ~seed ~tag:1) ~d:(max 4 (headroom * est)) ~k ~alice ~bob
 
 let reconcile_unknown_d ~seed ?(k = 4) ?estimator_shape ?(headroom = 2) ~alice ~bob () =
-  let comm = Comm.create () in
-  (* Round 1: Bob -> Alice, a difference estimator holding Bob's set. *)
-  let bob_est = L0.create ~seed ?shape:estimator_shape () in
-  L0.update_all bob_est L0.S1 (Iset.to_array bob);
-  match Comm.xfer comm Comm.B_to_a ~label:"estimator" (L0.to_bytes bob_est) with
-  | Error `Lost -> Error (`Decode_failure (Comm.stats comm))
-  | Ok delivered -> (
-    match L0.of_bytes_opt ~seed ?shape:estimator_shape delivered with
-    | None -> Error (`Decode_failure (Comm.stats comm))
-    | Some bob_est -> (
-      let alice_est = L0.create ~seed ?shape:estimator_shape () in
-      L0.update_all alice_est L0.S2 (Iset.to_array alice);
-      let est = L0.query (L0.merge bob_est alice_est) in
-      let d = max 4 (headroom * est) in
-      (* Round 2: the known-d protocol under the estimated bound. *)
-      match run_known_d ~comm ~seed:(Prng.derive ~seed ~tag:1) ~d ~k ~alice ~bob with
-      | Ok outcome -> Ok outcome
-      | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))))
+  Comm.run (fun comm -> run_unknown_d ~comm ~seed ~k ?estimator_shape ~headroom ~alice ~bob ())
 
 (* ---- Salted-rehash salvage. ----
 
@@ -150,14 +119,15 @@ let conv_ints keys =
 let run_salvage_attempt ~comm ~seed ~attempt ~k ~sv ~alice =
   Ssr_obs.Metrics.incr m_salvage_attempts;
   let aseed = Hashing.attempt_seed ~seed ~attempt in
-  let d = sv.remaining in
-  let prm = iblt_params ~seed:aseed ~d ~k in
-  let table = Iblt.create prm in
+  let table = Iblt.create (iblt_params ~seed:aseed ~d:sv.remaining ~k) in
   Iblt.add_all_ints table (Iset.to_array alice);
-  (* The verification hash is salted with the protocol seed, not the
-     attempt seed: it names the same target set across all attempts. *)
-  let alice_hash = set_hash ~seed alice in
-  let payload = Bytes.cat (Iblt.body_bytes table) (int62_bytes alice_hash) in
+  (* Bob's reply to an attempt that did not finish: a salvage-retry
+     request carrying his residual-difference bound, the size Alice's next
+     salted table must cover. *)
+  let progress () =
+    Comm.request_salvage comm ~bound:sv.remaining;
+    Error `Progress
+  in
   let stalled () =
     (* Zero progress. The first dry attempt is retried at the same size —
        an unlucky schedule (or an engineered one) usually yields to the
@@ -166,66 +136,61 @@ let run_salvage_attempt ~comm ~seed ~attempt ~k ~sv ~alice =
        still terminate. *)
     sv.dry <- sv.dry + 1;
     if sv.dry >= 2 then sv.remaining <- 2 * sv.remaining;
-    Error `Progress
+    progress ()
   in
-  match Comm.xfer comm Comm.A_to_b ~label:"salvage-iblt+hash" payload with
-  | Error `Lost -> Error `Progress
-  | Ok delivered -> (
-    let r = Codec.reader delivered in
-    let parsed =
-      match (Codec.take r (Iblt.body_length prm), Codec.int62 r) with
-      | Some body, Some h when Codec.at_end r ->
-        Option.map (fun t -> (t, h)) (Iblt.of_body_bytes_opt prm body)
-      | _ -> None
+  (* The verification hash is salted with the protocol seed, not the
+     attempt seed: it names the same target set across all attempts. *)
+  match
+    Comm.xfer_guarded comm ~label:"salvage-iblt+hash" [| table |] ~guard:(set_hash ~seed alice)
+  with
+  | None -> progress ()
+  | Some (received, alice_hash) -> (
+    let table = received.(0) in
+    Iblt.delete_all_ints table (Iset.to_array sv.bob_cur);
+    let dec, residual =
+      match Iblt.decode_partial table with
+      | `Decoded dec -> (dec, None)
+      | `Salvaged (dec, res) -> (dec, Some res)
     in
-    match parsed with
-    | None -> Error `Progress
-    | Some (table, alice_hash) -> (
-      Iblt.delete_all_ints table (Iset.to_array sv.bob_cur);
-      let dec, residual =
-        match Iblt.decode_partial table with
-        | `Decoded dec -> (dec, None)
-        | `Salvaged (dec, res) -> (dec, Some res)
+    match (conv_ints dec.Iblt.positives, conv_ints dec.Iblt.negatives) with
+    | None, _ | _, None ->
+      (* A peeled key that is not a valid element: corruption that slipped
+         the cell checksums. Apply nothing and retry under a new salt. *)
+      stalled ()
+    | Some pos, Some neg ->
+      (* Stash the stuck core first, then cancel this attempt's recoveries
+         out of every *other* stashed residual (they are already gone from
+         this one — the peel removed them). *)
+      let except =
+        match residual with None -> None | Some res -> Iblt_stash.offload sv.stash res
       in
-      match (conv_ints dec.Iblt.positives, conv_ints dec.Iblt.negatives) with
-      | None, _ | _, None ->
-        (* A peeled key that is not a valid element: corruption that slipped
-           the cell checksums. Apply nothing and retry under a new salt. *)
-        stalled ()
-      | Some pos, Some neg ->
-        (* Stash the stuck core first, then cancel this attempt's recoveries
-           out of every *other* stashed residual (they are already gone from
-           this one — the peel removed them). *)
-        let except =
-          match residual with None -> None | Some res -> Iblt_stash.offload sv.stash res
-        in
-        let stash_pos, stash_neg =
-          Iblt_stash.absorb sv.stash ?except ~positives:dec.Iblt.positives
-            ~negatives:dec.Iblt.negatives ()
-        in
-        (* Stash recoveries that fail integer decoding are dropped (their
-           source residual was corrupt); the hash below keeps this honest. *)
-        let stash_pos = Option.value (conv_ints stash_pos) ~default:[] in
-        let stash_neg = Option.value (conv_ints stash_neg) ~default:[] in
-        let add = Iset.of_list (pos @ stash_pos) and del = Iset.of_list (neg @ stash_neg) in
-        let recovered_now = Iset.cardinal add + Iset.cardinal del in
-        sv.bob_cur <- Iset.apply_diff sv.bob_cur ~add ~del;
-        sv.salvaged_keys <- sv.salvaged_keys + recovered_now;
-        Ssr_obs.Metrics.add m_salvage_keys recovered_now;
-        if set_hash ~seed sv.bob_cur = alice_hash then
-          Ok
-            {
-              recovered = sv.bob_cur;
-              alice_minus_bob = Iset.diff sv.bob_cur sv.orig_bob;
-              bob_minus_alice = Iset.diff sv.orig_bob sv.bob_cur;
-              stats = Comm.stats comm;
-            }
-        else if recovered_now = 0 then stalled ()
-        else begin
-          sv.dry <- 0;
-          sv.remaining <- max 4 (sv.remaining - recovered_now);
-          Error `Progress
-        end))
+      let stash_pos, stash_neg =
+        Iblt_stash.absorb sv.stash ?except ~positives:dec.Iblt.positives
+          ~negatives:dec.Iblt.negatives ()
+      in
+      (* Stash recoveries that fail integer decoding are dropped (their
+         source residual was corrupt); the hash below keeps this honest. *)
+      let stash_pos = Option.value (conv_ints stash_pos) ~default:[] in
+      let stash_neg = Option.value (conv_ints stash_neg) ~default:[] in
+      let add = Iset.of_list (pos @ stash_pos) and del = Iset.of_list (neg @ stash_neg) in
+      let recovered_now = Iset.cardinal add + Iset.cardinal del in
+      sv.bob_cur <- Iset.apply_diff sv.bob_cur ~add ~del;
+      sv.salvaged_keys <- sv.salvaged_keys + recovered_now;
+      Ssr_obs.Metrics.add m_salvage_keys recovered_now;
+      if set_hash ~seed sv.bob_cur = alice_hash then
+        Ok
+          {
+            recovered = sv.bob_cur;
+            alice_minus_bob = Iset.diff sv.bob_cur sv.orig_bob;
+            bob_minus_alice = Iset.diff sv.orig_bob sv.bob_cur;
+            stats = Comm.stats comm;
+          }
+      else if recovered_now = 0 then stalled ()
+      else begin
+        sv.dry <- 0;
+        sv.remaining <- max 4 (sv.remaining - recovered_now);
+        progress ()
+      end)
 
 let reconcile_salvage ~seed ?(k = 4) ?(initial_d = 4) ?(max_attempts = 8) ?stash_capacity
     ~alice ~bob () =
@@ -238,9 +203,6 @@ let reconcile_salvage ~seed ?(k = 4) ?(initial_d = 4) ?(max_attempts = 8) ?stash
       | Ok outcome -> Ok outcome
       | Error `Progress ->
         Ssr_obs.Metrics.incr retries;
-        (* Bob's retry request carries his residual-difference bound so
-           Alice sizes the next salted table for what is actually left. *)
-        Comm.send comm Comm.B_to_a ~label:"salvage-retry" ~bits:32;
         attempt (i + 1)
   in
   attempt 0

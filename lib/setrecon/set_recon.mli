@@ -85,8 +85,9 @@ val run_salvage_attempt :
 (** One salted attempt threaded through a caller-supplied recorder.
     [`Progress] means "not done yet, retry under the next salt" — the
     state has absorbed whatever the attempt recovered (and doubles its
-    bound after two consecutive zero-progress attempts). The caller owns
-    attempt numbering, retry accounting and backoff. An [Ok] outcome
+    bound after two consecutive zero-progress attempts), and Bob's
+    {!Comm.request_salvage} carrying the new bound is on [comm]. The caller
+    owns attempt numbering, retry accounting and backoff. An [Ok] outcome
     reports set differences relative to the original [bob]. *)
 
 val run_known_d :
@@ -96,6 +97,12 @@ val run_known_d :
 (** One known-d exchange threaded through a caller-supplied recorder, for
     drivers that embed it in a longer transcript (retry loops, transports).
     The outcome's stats are cumulative for [comm]. *)
+
+val run_unknown_d :
+  comm:Comm.t -> seed:int64 -> k:int -> ?estimator_shape:Ssr_sketch.L0_estimator.shape ->
+  headroom:int -> alice:Ssr_util.Iset.t -> bob:Ssr_util.Iset.t -> unit ->
+  (outcome, [ `Decode_failure ]) result
+(** {!reconcile_unknown_d} threaded through a caller-supplied recorder. *)
 
 val set_hash : seed:int64 -> Ssr_util.Iset.t -> int
 (** The whole-set verification hash used by the protocols (canonical

@@ -1,8 +1,7 @@
 module Iset = Ssr_util.Iset
-
+module Buf = Ssr_util.Buf
+module Codec = Ssr_util.Codec
 module Prng = Ssr_util.Prng
-module Iblt = Ssr_sketch.Iblt
-module L0 = Ssr_sketch.L0_estimator
 
 type outcome = {
   union : Iset.t;
@@ -13,51 +12,53 @@ type outcome = {
 
 type error = [ `Decode_failure of Comm.stats ]
 
-let run ~comm ~seed ~d ~k ~alice ~bob =
-  let prm : Iblt.params =
-    { cells = Iblt.recommended_cells ~k ~diff_bound:d; k; key_len = 8; seed }
-  in
-  let ta = Iblt.create prm in
-  Iblt.add_all_ints ta (Iset.to_array alice);
-  let alice_hash = Set_recon.set_hash ~seed alice in
-  Comm.send comm Comm.A_to_b ~label:"iblt+hash" ~bits:(Iblt.size_bits ta + 64);
-  let tb = Iblt.create prm in
-  Iblt.add_all_ints tb (Iset.to_array bob);
-  match Iblt.decode_ints (Iblt.subtract ta tb) with
-  | Error `Peel_stuck -> Error `Decode_failure
-  | Ok (pos, neg) ->
-    let alice_minus_bob = Iset.of_list pos in
-    let bob_minus_alice = Iset.of_list neg in
-    (* Bob checks he really peeled Alice's set before replying. *)
-    let alice_view = Iset.apply_diff bob ~add:alice_minus_bob ~del:bob_minus_alice in
-    if Set_recon.set_hash ~seed alice_view <> alice_hash then Error `Decode_failure
-    else begin
-      let union = Iset.union bob alice_minus_bob in
-      (* Return leg: B \ A as raw elements (exactly what Alice lacks). *)
-      let elt_bits = 64 in
-      Comm.send comm Comm.B_to_a ~label:"b-minus-a"
-        ~bits:((Iset.cardinal bob_minus_alice * elt_bits) + 64);
-      (* Alice's side: union = A ∪ (B \ A); must equal Bob's union. *)
-      let alice_union = Iset.union alice bob_minus_alice in
-      if not (Iset.equal alice_union union) then Error `Decode_failure
-      else Ok { union; alice_minus_bob; bob_minus_alice; stats = Comm.stats comm }
-    end
+(* Alice's side of the return leg: B \ A as canonical elements, then the
+   hash of Bob's union; her own union must hash to it. *)
+let parse_return ~seed ~alice delivered =
+  let r = Codec.reader delivered in
+  match Iset.read_canonical r ((Bytes.length delivered / 8) - 1) with
+  | None -> None
+  | Some b_minus_a -> (
+    let union = Iset.union alice b_minus_a in
+    match Codec.int62 r with
+    | Some h when Codec.at_end r && Set_recon.set_hash ~seed union = h -> Some (union, b_minus_a)
+    | _ -> None)
+
+let run_known_d ~comm ~seed ~d ~k ~alice ~bob =
+  (* First leg: one-way reconciliation, after which Bob holds both
+     difference sides. *)
+  match Set_recon.run_known_d ~comm ~seed ~d ~k ~alice ~bob with
+  | Error `Decode_failure -> Error `Decode_failure
+  | Ok o -> (
+    let bob_union = Iset.union bob o.Set_recon.alice_minus_bob in
+    let payload =
+      Bytes.cat (Iset.canonical_bytes o.Set_recon.bob_minus_alice) (Bytes.create 8)
+    in
+    Buf.set_int_le payload (Bytes.length payload - 8) (Set_recon.set_hash ~seed bob_union);
+    match Comm.xfer comm Comm.B_to_a ~label:"b-minus-a" payload with
+    | Error `Lost -> Error `Decode_failure
+    | Ok delivered -> (
+      match parse_return ~seed ~alice delivered with
+      | None -> Error `Decode_failure
+      | Some (union, bob_minus_alice) ->
+        Ok
+          {
+            union;
+            alice_minus_bob = o.Set_recon.alice_minus_bob;
+            bob_minus_alice;
+            stats = Comm.stats comm;
+          }))
+
+let run_unknown_d ~comm ~seed ~k ?estimator_shape ~alice ~bob () =
+  match
+    Comm.xfer_estimator ?shape:estimator_shape comm ~label:"estimator" ~seed
+      ~alice:(Iset.to_array alice) ~bob:(Iset.to_array bob)
+  with
+  | None -> Error `Decode_failure
+  | Some est -> run_known_d ~comm ~seed:(Prng.derive ~seed ~tag:0x2A) ~d:(max 4 (2 * est)) ~k ~alice ~bob
 
 let reconcile_known_d ~seed ~d ?(k = 4) ~alice ~bob () =
-  let comm = Comm.create () in
-  match run ~comm ~seed ~d ~k ~alice ~bob with
-  | Ok o -> Ok o
-  | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))
+  Comm.run (fun comm -> run_known_d ~comm ~seed ~d ~k ~alice ~bob)
 
 let reconcile_unknown_d ~seed ?(k = 4) ?estimator_shape ~alice ~bob () =
-  let comm = Comm.create () in
-  let bob_est = L0.create ~seed ?shape:estimator_shape () in
-  L0.update_all bob_est L0.S1 (Iset.to_array bob);
-  Comm.send comm Comm.B_to_a ~label:"estimator" ~bits:(L0.size_bits bob_est);
-  let alice_est = L0.create ~seed ?shape:estimator_shape () in
-  L0.update_all alice_est L0.S2 (Iset.to_array alice);
-  let est = L0.query (L0.merge bob_est alice_est) in
-  let d = max 4 (2 * est) in
-  match run ~comm ~seed:(Prng.derive ~seed ~tag:0x2A) ~d ~k ~alice ~bob with
-  | Ok o -> Ok o
-  | Error `Decode_failure -> Error (`Decode_failure (Comm.stats comm))
+  Comm.run (fun comm -> run_unknown_d ~comm ~seed ~k ?estimator_shape ~alice ~bob ())

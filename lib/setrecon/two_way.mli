@@ -5,10 +5,13 @@
     module is the standard such extension for plain sets, where — unlike
     for unlabeled graphs (Figure 1) — the union is well defined.
 
-    Protocol: Alice sends her IBLT; Bob subtracts his table, peels, and now
-    knows both difference sides, so his union is immediate and one return
-    message carrying B \ A (d' raw elements) completes Alice's. Total cost
-    O(d log u) bits in 2 rounds, the same class as one-way. *)
+    Protocol: the first leg is one-way reconciliation
+    ({!Set_recon.run_known_d}): Alice sends her IBLT and set hash, Bob
+    peels and now knows both difference sides, so his union is immediate.
+    One return message carrying B \ A (d' canonical elements) and the hash
+    of Bob's union completes Alice's, and she checks her union against that
+    hash. Total cost O(d log u) bits in 2 rounds, the same class as
+    one-way. *)
 
 type outcome = {
   union : Ssr_util.Iset.t;  (** What both parties hold afterwards. *)
@@ -28,3 +31,8 @@ val reconcile_unknown_d :
   seed:int64 -> ?k:int -> ?estimator_shape:Ssr_sketch.L0_estimator.shape ->
   alice:Ssr_util.Iset.t -> bob:Ssr_util.Iset.t -> unit -> (outcome, error) result
 (** 3 rounds: Bob's estimator, Alice's IBLT, Bob's return diff. *)
+
+val run_unknown_d :
+  comm:Comm.t -> seed:int64 -> k:int -> ?estimator_shape:Ssr_sketch.L0_estimator.shape ->
+  alice:Ssr_util.Iset.t -> bob:Ssr_util.Iset.t -> unit -> (outcome, [ `Decode_failure ]) result
+(** {!reconcile_unknown_d} threaded through a caller-supplied recorder. *)

@@ -134,6 +134,9 @@ let query t =
   Metrics.observe d_estimate estimate;
   estimate
 
+let query_opt t =
+  if level_count t (t.shape.levels - 1) > t.shape.threshold then None else Some (query t)
+
 let to_bytes t =
   let out = Bytes.create (8 * Array.length t.words) in
   Array.iteri (fun i w -> Buf.set_int_le out (i * 8) w) t.words;

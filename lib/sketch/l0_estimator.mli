@@ -56,6 +56,12 @@ val query : t -> int
     [estimator.l0.queries] metric and records the estimate in the
     [estimator.l0.estimate] distribution. *)
 
+val query_opt : t -> int option
+(** {!query} within the shape's range: [None] when even the deepest level
+    reports, so the difference is beyond what the shape can measure (at
+    least [threshold * 2^levels]). A damaged estimator off the wire reads
+    so: random counters fill every level. *)
+
 val record_accuracy : estimate:int -> truth:int -> unit
 (** Record [|estimate - truth|] in the [estimator.l0.abs_error] distribution.
     Callers that know the true difference size (tests, benches, synthetic CLI

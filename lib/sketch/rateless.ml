@@ -1,7 +1,6 @@
 module Prng = Ssr_util.Prng
 module Hashing = Ssr_util.Hashing
 module Buf = Ssr_util.Buf
-module Par = Ssr_util.Par
 module Metrics = Ssr_obs.Metrics
 
 let m_cells_useful = Metrics.counter "rateless.cells_useful"
@@ -160,13 +159,13 @@ let source_of_ints ?check_bits ~seed ints =
       Buf.set_int_le src.keys (e * 8) v;
       Hashing.hash_int_bytes_into fn v ~len:8 lanes)
 
-(* XOR elements [e0, e1) of the pool into [buf], which represents cells
+(* XOR every element of the pool into [buf], which represents cells
    [lo, hi), with [lo] at or past the frontier: each element's walk picks
    up at its cursor and leaves it at the first member at or past [hi]. *)
-let gen_into src ~lo ~hi buf ~e0 ~e1 =
+let gen_into src ~lo ~hi buf =
   let cb = src.cell_bytes and kl = src.prm.key_len in
   let steps = ref 0 in
-  for e = e0 to e1 - 1 do
+  for e = 0 to src.n - 1 do
     let cs = src.csum.(e) in
     let m = ref src.cur_m.(e) and s = ref src.cur_s.(e) in
     while !m < hi do
@@ -185,49 +184,20 @@ let gen_into src ~lo ~hi buf ~e0 ~e1 =
   done;
   Metrics.add m_walk_steps !steps
 
-(* Cell-wise merge of a per-chunk buffer: counts add, key and checksum
-   XOR. Both are order-independent, which is what makes chunked generation
-   byte-identical to the serial sweep at any pool size. *)
-let merge_into src ~dst part =
-  let cb = src.cell_bytes in
-  for c = 0 to (Bytes.length dst / cb) - 1 do
-    let off = c * cb in
-    set_count dst off (get_count dst off + get_count part off);
-    Buf.xor_region_into ~dst ~dst_pos:(off + 4) part ~src_pos:(off + 4) ~len:(cb - 4)
-  done
-
-let par_grain = 2048
-
 let cells src ~lo ~hi =
   if lo < 0 || hi < lo || hi > max_index then invalid_arg "Rateless.cells: bad range";
-  let m = hi - lo in
-  let buf = Bytes.make (m * src.cell_bytes) '\000' in
-  if m = 0 || src.n = 0 then buf
-  else begin
-    (* The chunk structure depends only on the pool size, never on the
-       domain count, so the stream is byte-identical at any pool size. *)
-    let nchunks = min 64 ((src.n + par_grain - 1) / par_grain) in
+  let buf = Bytes.make ((hi - lo) * src.cell_bytes) '\000' in
+  if hi > lo && src.n > 0 then begin
     (* A window starting below the frontier rewinds every walk to its
        start. *)
     if lo < src.frontier then begin
       Array.fill src.cur_m 0 src.n (-1);
       Array.blit src.stream0 0 src.cur_s 0 src.n
     end;
-    if nchunks <= 1 then gen_into src ~lo ~hi buf ~e0:0 ~e1:src.n
-    else begin
-      let per = (src.n + nchunks - 1) / nchunks in
-      let parts =
-        Par.init nchunks (fun c ->
-            let e0 = c * per and e1 = min src.n ((c + 1) * per) in
-            let b = Bytes.make (m * src.cell_bytes) '\000' in
-            if e0 < e1 then gen_into src ~lo ~hi b ~e0 ~e1;
-            b)
-      in
-      Array.iter (fun part -> merge_into src ~dst:buf part) parts
-    end;
-    src.frontier <- hi;
-    buf
-  end
+    gen_into src ~lo ~hi buf;
+    src.frontier <- hi
+  end;
+  buf
 
 let member src ~key_index i =
   if key_index < 0 || key_index >= src.n then invalid_arg "Rateless.member: bad element";

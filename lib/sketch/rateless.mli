@@ -81,9 +81,9 @@ val cells : source -> lo:int -> hi:int -> Bytes.t
 (** The packed coded cells of indices [\[lo, hi)]:
     [(hi - lo) * source_cell_bytes] bytes, a pure function of the seed, the
     range and the pool — windows are stable under re-slicing
-    ([cells ~lo ~hi] = [cells ~lo ~mid ^ cells ~mid ~hi]) and byte-identical
-    at any {!Ssr_util.Par} pool size (generation is chunked over elements
-    and merged by XOR/count-addition, both order-independent). Requires
+    ([cells ~lo ~hi] = [cells ~lo ~mid ^ cells ~mid ~hi]). Generation is
+    one serial pass over the elements into one buffer, so the bytes cannot
+    depend on the {!Ssr_util.Par} pool size. Requires
     [0 <= lo <= hi <= max_index].
 
     A window with [lo] at or past the previous window's [hi] resumes every

@@ -194,32 +194,37 @@ let mk_report ctx ~attempts ~degraded =
    [recon ~number ~d] and [direct ()] return the verified result or [None]
    on any detected failure; [rehash ~number ~d] additionally reports the
    difference bound it actually used (salvage shrinks it with progress
-   rather than doubling). *)
+   rather than doubling). After a failure Bob's request crosses the link:
+   the driver sends his 1-byte retry, and a failed [rehash] sends his
+   4-byte salvage-retry with the bound it sizes next. Alice goes on either
+   way, on her own timeout when the request is lost. *)
 let drive ctx ~max_attempts ~rehash_attempts ~rehash ~initial_d ~recon ~direct =
+  (* One attempt of any rung; [next] continues the ladder after a failure. *)
+  let step ~number ~acc ~direct ~salvage ~degraded ~fields event run ~next =
+    begin_attempt ctx;
+    Metrics.incr m_attempts;
+    if salvage then Metrics.incr m_salvage_attempts;
+    Trace.emit ~layer:"resilient" ~fields:(("number", Trace.I number) :: fields) event;
+    let ta = now ctx in
+    let v, d = run () in
+    let attempt ok = { number; d; direct; salvage; ok; elapsed_us = now ctx - ta } in
+    match v with
+    | Some v -> Ok (v, mk_report ctx ~attempts:(attempt true :: acc) ~degraded)
+    | None ->
+      Metrics.incr m_retries;
+      if not salvage then Comm.request_retry ctx.comm;
+      backoff_between ctx ~number;
+      next (attempt false :: acc)
+  in
   let rec direct_loop number tries acc =
     if run_deadline_exceeded ctx then
       Error (`Deadline_exceeded (mk_report ctx ~attempts:acc ~degraded:true))
     else if tries >= max_attempts then
       Error (`Transport_failure (mk_report ctx ~attempts:acc ~degraded:true))
-    else begin
-      begin_attempt ctx;
-      Metrics.incr m_attempts;
-      Trace.emit ~layer:"resilient" ~fields:[ ("number", Trace.I number) ] "direct-attempt";
-      let ta = now ctx in
-      match direct () with
-      | Some v ->
-        let a =
-          { number; d = 0; direct = true; salvage = false; ok = true; elapsed_us = now ctx - ta }
-        in
-        Ok (v, mk_report ctx ~attempts:(a :: acc) ~degraded:true)
-      | None ->
-        Metrics.incr m_retries;
-        Comm.send ctx.comm Comm.B_to_a ~label:"retry" ~bits:8;
-        backoff_between ctx ~number;
-        direct_loop (number + 1) (tries + 1)
-          ({ number; d = 0; direct = true; salvage = false; ok = false; elapsed_us = now ctx - ta }
-          :: acc)
-    end
+    else
+      step ~number ~acc ~direct:true ~salvage:false ~degraded:true ~fields:[] "direct-attempt"
+        (fun () -> (direct (), 0))
+        ~next:(direct_loop (number + 1) (tries + 1))
   in
   let fall_back number acc =
     Metrics.incr m_direct_fallbacks;
@@ -230,54 +235,20 @@ let drive ctx ~max_attempts ~rehash_attempts ~rehash ~initial_d ~recon ~direct =
     if run_deadline_exceeded ctx then
       Error (`Deadline_exceeded (mk_report ctx ~attempts:acc ~degraded:false))
     else if tries >= rehash_attempts then fall_back number acc
-    else begin
-      begin_attempt ctx;
-      Metrics.incr m_attempts;
-      Metrics.incr m_salvage_attempts;
-      Trace.emit ~layer:"resilient" ~fields:[ ("number", Trace.I number) ] "rehash-attempt";
-      let ta = now ctx in
-      match rehash ~number ~d:d0 with
-      | Some v, d ->
-        let a =
-          { number; d; direct = false; salvage = true; ok = true; elapsed_us = now ctx - ta }
-        in
-        Ok (v, mk_report ctx ~attempts:(a :: acc) ~degraded:false)
-      | None, d ->
-        Metrics.incr m_retries;
-        (* The rehash retry request carries Bob's residual-difference
-           bound so Alice can size the next salted table. *)
-        Comm.send ctx.comm Comm.B_to_a ~label:"salvage-retry" ~bits:32;
-        backoff_between ctx ~number;
-        rehash_loop (number + 1) d0 (tries + 1)
-          ({ number; d; direct = false; salvage = true; ok = false; elapsed_us = now ctx - ta }
-          :: acc)
-    end
+    else
+      step ~number ~acc ~direct:false ~salvage:true ~degraded:false ~fields:[] "rehash-attempt"
+        (fun () -> rehash ~number ~d:d0)
+        ~next:(rehash_loop (number + 1) d0 (tries + 1))
   in
   let rec attempt number d acc =
     if run_deadline_exceeded ctx then
       Error (`Deadline_exceeded (mk_report ctx ~attempts:acc ~degraded:false))
     else if number >= max_attempts then rehash_loop number d 0 acc
-    else begin
-      begin_attempt ctx;
-      Metrics.incr m_attempts;
-      Trace.emit ~layer:"resilient"
-        ~fields:[ ("number", Trace.I number); ("d", Trace.I d) ]
-        "recon-attempt";
-      let ta = now ctx in
-      match recon ~number ~d with
-      | Some v ->
-        let a =
-          { number; d; direct = false; salvage = false; ok = true; elapsed_us = now ctx - ta }
-        in
-        Ok (v, mk_report ctx ~attempts:(a :: acc) ~degraded:false)
-      | None ->
-        Metrics.incr m_retries;
-        Comm.send ctx.comm Comm.B_to_a ~label:"retry" ~bits:8;
-        backoff_between ctx ~number;
-        attempt (number + 1) (2 * d)
-          ({ number; d; direct = false; salvage = false; ok = false; elapsed_us = now ctx - ta }
-          :: acc)
-    end
+    else
+      step ~number ~acc ~direct:false ~salvage:false ~degraded:false
+        ~fields:[ ("d", Trace.I d) ] "recon-attempt"
+        (fun () -> (recon ~number ~d, d))
+        ~next:(attempt (number + 1) (2 * d))
   in
   attempt 0 (max 1 initial_d) []
 
@@ -286,32 +257,16 @@ let int62_bytes v =
   Buf.set_int_le b 0 v;
   b
 
-(* Elements of a canonical set serialization: strictly increasing 62-bit
-   values, so exactly the canonical form hashes back to the same value. *)
-let parse_elements r n =
-  let rec go i prev acc =
-    if i = n then Some (Iset.of_list (List.rev acc))
-    else
-      match Codec.int62 r with
-      | Some v when v > prev -> go (i + 1) v (v :: acc)
-      | _ -> None
-  in
-  go 0 (-1) []
-
 (* ---- Plain sets. ---- *)
 
 let parse_direct_set ~seed delivered =
-  let len = Bytes.length delivered in
-  if len < 8 || len mod 8 <> 0 then None
-  else begin
-    let r = Codec.reader delivered in
-    match parse_elements r ((len / 8) - 1) with
-    | None -> None
-    | Some s -> (
-      match Codec.int62 r with
-      | Some h when Codec.at_end r && Set_recon.set_hash ~seed s = h -> Some s
-      | _ -> None)
-  end
+  let r = Codec.reader delivered in
+  match Iset.read_canonical r ((Bytes.length delivered / 8) - 1) with
+  | None -> None
+  | Some s -> (
+    match Codec.int62 r with
+    | Some h when Codec.at_end r && Set_recon.set_hash ~seed s = h -> Some s
+    | _ -> None)
 
 let reconcile_set ~link ~seed ?(strategy = Doubling) ?(initial_d = 4) ?(max_attempts = 5)
     ?(rehash_attempts = 2) ?(stash_capacity = 256) ?(k = 4) ?attempt_deadline_us
@@ -408,7 +363,7 @@ let parse_direct_sos ~seed delivered =
       else
         match Codec.u32 r with
         | Some len when len mod 8 = 0 && len <= Codec.remaining r -> (
-          match parse_elements r (len / 8) with
+          match Iset.read_canonical r (len / 8) with
           | Some s -> go (i + 1) (s :: acc)
           | None -> None)
         | _ -> None
@@ -441,7 +396,9 @@ let reconcile_sos ~link ~kind ~seed ~u ~h ?(initial_d = 4) ?(max_attempts = 5)
        salts — escalating the schedule, not the size. *)
     ~rehash:(fun ~number ~d ->
       let d_used = max 1 (d / 2) in
-      (run_attempt ~number ~d:d_used, d_used))
+      let r = run_attempt ~number ~d:d_used in
+      if Option.is_none r then Comm.request_salvage ctx.comm ~bound:d_used;
+      (r, d_used))
     ~direct:(fun () ->
       match Comm.xfer ctx.comm Comm.A_to_b ~label:"direct-transfer" (Lazy.force direct_payload) with
       | Error `Lost -> None

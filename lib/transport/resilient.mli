@@ -13,7 +13,11 @@
     - {b bounded retry} — a failed attempt triggers a retry with a doubled
       IBLT difference bound and a fresh derived seed; on a network link the
       driver also backs off between attempts (capped doubling with
-      deterministic jitter), letting in-flight stragglers drain;
+      deterministic jitter), letting in-flight stragglers drain. Bob's
+      retry request (1 byte; 4 bytes with his residual bound on the
+      salvage rung) crosses the link like any message, paying its frame
+      and a one-way trip, and may be lost: Alice then retries on her own
+      timeout, so a lost request never ends the run;
     - {b salted-rehash salvage} — when the retry budget is exhausted the
       driver climbs to the middle rung of the escalation ladder: bounded
       salted attempts that re-derive the hash schedule per attempt

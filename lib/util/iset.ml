@@ -127,6 +127,22 @@ let canonical_bytes t =
   Array.iteri (fun i x -> Buf.set_int_le out (i * 8) x) t;
   out
 
+let read_canonical r n =
+  if n < 0 || n > Codec.remaining r / 8 then None
+  else begin
+    let out = Array.make n 0 in
+    let rec go i prev =
+      if i = n then Some out
+      else
+        match Codec.int62 r with
+        | Some v when v > prev ->
+          out.(i) <- v;
+          go (i + 1) v
+        | _ -> None
+    in
+    go 0 (-1)
+  end
+
 let digest fn t = Hashing.hash_ints fn t
 
 let random_subset rng ~universe ~size =

@@ -61,6 +61,11 @@ val canonical_bytes : t -> Bytes.t
 (** Fixed 8-bytes-per-element little-endian encoding of the sorted elements;
     the canonical serialization used for hashing child sets. *)
 
+val read_canonical : Codec.reader -> int -> t option
+(** The next [n] elements of a {!canonical_bytes} serialization: strictly
+    increasing 62-bit values, so only the canonical form parses. [None]
+    otherwise; total, and allocates only what the bytes left can hold. *)
+
 val digest : Hashing.fn -> t -> int
 (** [digest f c] is [Hashing.hash_bytes f (canonical_bytes c)], computed
     without building the bytes: allocates nothing. How child sets are

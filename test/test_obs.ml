@@ -245,7 +245,7 @@ let test_xfer_guarded_fuzz () =
                 mutate b);
             overhead_bits = 0;
           };
-        Parent.xfer_guarded comm ~label:"fuzz" tables ~guard
+        Comm.xfer_guarded comm ~label:"fuzz" tables ~guard
       in
       (match send Option.some with
       | Some (got, g) ->
@@ -278,6 +278,154 @@ let test_xfer_guarded_fuzz () =
         ignore (send (fun _ -> Some (random_bytes rng n)))
       done)
     [ ("one table", [ one ]); ("two levels + T*", cascade) ]
+
+(* Every message of the plain protocols, fuzzed at the protocol level: a
+   transport hands the receiver of the targeted message (its first
+   occurrence) every truncation, a one-byte extension, single-bit flips
+   and random payloads of the exact length, and passes every other message
+   through. No run may raise or end in a wrong result. [`Fails]: a lost,
+   truncated or extended message must end in the protocol's typed failure
+   ([false] for the isomorphism check), and damaged content in that or in
+   the correct result. [`Harmless]: every run must reach the correct
+   result — Bob's control requests change nothing, because Alice goes on
+   whether they arrive or not. *)
+type verdict = Correct | Failed | Wrong
+
+let fuzz_protocol_message ~name ~target ~damage run =
+  let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:(Hashtbl.hash name)) in
+  let seen = ref 0 in
+  let go mutate =
+    let comm = Comm.create () in
+    let hit = ref false in
+    Comm.set_transport comm
+      {
+        Comm.transmit =
+          (fun _ ~label b ->
+            if label = target && not !hit then begin
+              hit := true;
+              seen := Bytes.length b;
+              mutate (Bytes.copy b)
+            end
+            else Some b);
+        overhead_bits = 0;
+      };
+    let v = run comm in
+    if not !hit then Alcotest.failf "%s: no %s message" name target;
+    v
+  in
+  if go Option.some <> Correct then Alcotest.failf "%s: intact run failed" name;
+  let n = !seen in
+  let expect ~must_fail what mutate =
+    match (go mutate, damage) with
+    | Wrong, _ -> Alcotest.failf "%s: %s ended in a wrong result" name what
+    | Correct, `Fails when must_fail -> Alcotest.failf "%s: %s was accepted" name what
+    | Failed, `Harmless -> Alcotest.failf "%s: %s made the run fail" name what
+    | _ -> ()
+  in
+  expect ~must_fail:true "a lost message" (fun _ -> None);
+  for len = 0 to n - 1 do
+    expect ~must_fail:true (Printf.sprintf "truncation to %d of %d bytes" len n) (fun b ->
+        Some (Bytes.sub b 0 len))
+  done;
+  expect ~must_fail:true "a one-byte extension" (fun b -> Some (Bytes.cat b (Bytes.make 1 '\000')));
+  let bits = 8 * n in
+  for i = 0 to min bits 2048 - 1 do
+    let bit = if bits <= 2048 then i else Prng.int_below rng bits in
+    expect ~must_fail:false (Printf.sprintf "flip of bit %d" bit) (fun b ->
+        Bytes.set b (bit / 8) (Char.chr (Char.code (Bytes.get b (bit / 8)) lxor (1 lsl (bit mod 8))));
+        Some b)
+  done;
+  for _ = 1 to 20 do
+    expect ~must_fail:false "random bytes" (fun _ -> Some (random_bytes rng n))
+  done
+
+let test_protocol_message_fuzz () =
+  let module Set_recon = Ssr_setrecon.Set_recon in
+  let module Two_way = Ssr_setrecon.Two_way in
+  let module Multi_party = Ssr_setrecon.Multi_party in
+  let module Multiset_recon = Ssr_setrecon.Multiset_recon in
+  let module Cpi = Ssr_setrecon.Cpi_recon in
+  let module Poly_protocol = Ssr_graphrecon.Poly_protocol in
+  let module Graph = Ssr_graphs.Graph in
+  let module Iso = Ssr_graphs.Iso in
+  let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0xEA) in
+  let set size = Iset.random_subset rng ~universe:(1 lsl 30) ~size in
+  let alice = set 30 in
+  let bob = Iset.union (Iset.of_list (List.tl (Iset.to_list alice))) (set 2) in
+  (* Far enough from Alice that a bound of 1 fails and Bob asks again. *)
+  let far = Iset.union bob (set 12) in
+  let verdict ok = function Some got -> if ok got then Correct else Wrong | None -> Failed in
+  let set_verdict = function
+    | Ok (o : Set_recon.outcome) -> verdict (Iset.equal alice) (Some o.Set_recon.recovered)
+    | Error _ -> Failed
+  in
+  let m_alice = Multiset.of_pairs (List.init 20 (fun i -> (i, 1 + (i mod 3)))) in
+  let m_bob = Multiset.add 3 (Multiset.add 25 m_alice) in
+  let two_way comm =
+    match Two_way.run_unknown_d ~comm ~seed ~k:4 ~alice ~bob () with
+    | Ok o -> verdict (Iset.equal (Iset.union alice bob)) (Some o.Two_way.union)
+    | Error `Decode_failure -> Failed
+  in
+  let g = Ssr_graphs.Gnp.sample rng ~n:5 ~p:0.5 in
+  let g' = Graph.relabel g [| 2; 0; 4; 1; 3 |] in
+  let h = Graph.flip_random_edges rng g 1 in
+  List.iter
+    (fun (name, target, damage, run) -> fuzz_protocol_message ~name ~target ~damage run)
+    [
+      ( "cpi set", "cpi-evals+size", `Fails,
+        fun comm ->
+          match Cpi.run_known_d ~comm ~seed ~d:4 ~alice ~bob with
+          | Ok o -> verdict (Iset.equal alice) (Some o.Cpi.recovered)
+          | Error `Bound_too_small -> Failed );
+      ( "cpi multiset", "cpi-evals+size", `Fails,
+        fun comm ->
+          let a = Multiset.to_pairs m_alice in
+          match Cpi.run_multiset_known_d ~comm ~seed ~d:4 ~alice:a ~bob:(Multiset.to_pairs m_bob) with
+          | Ok (got, _) -> verdict (( = ) a) (Some got)
+          | Error `Bound_too_small -> Failed );
+      ( "multiset iblt", "multiset-iblt+hash", `Fails,
+        fun comm ->
+          match Multiset_recon.run_known_d ~comm ~seed ~d:4 ~k:4 ~alice:m_alice ~bob:m_bob with
+          | Ok o -> verdict (Multiset.equal m_alice) (Some o.Multiset_recon.recovered)
+          | Error `Decode_failure -> Failed );
+      ("two-way estimator", "estimator", `Fails, two_way);
+      ("two-way first leg", "iblt+hash", `Fails, two_way);
+      ("two-way return leg", "b-minus-a", `Fails, two_way);
+      ( "broadcast", "broadcast-iblt+hash", `Fails,
+        fun comm ->
+          let parties = [| alice; bob; Iset.add 7 alice |] in
+          match Multi_party.run_broadcast ~comm ~seed ~d:4 ~k:4 ~parties with
+          | Ok o ->
+            let union = Array.fold_left Iset.union Iset.empty parties in
+            verdict (Iset.equal union) (Some o.Multi_party.union)
+          | Error (`Decode_failure _) -> Failed );
+      ( "isomorphism check, isomorphic", "r+p_A(r)", `Fails,
+        fun comm -> if Poly_protocol.run_isomorphism_check ~comm ~seed g g' then Correct else Failed );
+      ( "isomorphism check, not isomorphic", "r+p_A(r)", `Harmless,
+        fun comm -> if Poly_protocol.run_isomorphism_check ~comm ~seed g h then Wrong else Correct );
+      ( "graph reconciliation", "r+p_A(r)", `Fails,
+        fun comm ->
+          verdict (Iso.is_isomorphic h) (Poly_protocol.run_reconcile ~comm ~seed ~d:1 ~alice:h ~bob:g') );
+      ( "retry", "retry", `Harmless,
+        fun comm ->
+          set_verdict
+            (Comm.retry_doubling comm ~retries:(Metrics.counter "test.obs.fuzz.retries") ~d:1
+               ~stop:(fun ~attempt ~d:_ -> attempt >= 8)
+               (fun ~attempt ~d ->
+                 Set_recon.run_known_d ~comm ~seed:(Prng.derive ~seed ~tag:attempt) ~d ~k:4 ~alice
+                   ~bob:far)) );
+      ( "salvage retry", "salvage-retry", `Harmless,
+        fun comm ->
+          let sv = Set_recon.salvage_init ~d:1 ~bob:far () in
+          let rec go attempt =
+            if attempt = 8 then Failed
+            else
+              match Set_recon.run_salvage_attempt ~comm ~seed ~attempt ~k:4 ~sv ~alice with
+              | Ok o -> set_verdict (Ok o)
+              | Error `Progress -> go (attempt + 1)
+          in
+          go 0 );
+    ]
 
 (* Multiround's round 2 carries Bob's hash table TB; Alice decodes her own
    table minus the TB she receives, so one damaged byte of it -- in a
@@ -744,6 +892,7 @@ let () =
           Alcotest.test_case "frame decode fuzz" `Quick test_frame_decode_fuzz;
           Alcotest.test_case "encoding decode_opt fuzz" `Quick test_encoding_decode_opt_fuzz;
           Alcotest.test_case "guarded message fuzz" `Quick test_xfer_guarded_fuzz;
+          Alcotest.test_case "protocol message fuzz" `Quick test_protocol_message_fuzz;
           Alcotest.test_case "multiround damaged hash table" `Quick
             test_multiround_damaged_hash_table;
           Alcotest.test_case "l0 of_bytes_opt fuzz" `Quick test_l0_of_bytes_opt_fuzz;

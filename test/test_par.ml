@@ -16,6 +16,7 @@ module Clock = Ssr_transport.Clock
 module Network = Ssr_transport.Network
 module Arq = Ssr_transport.Arq
 module Resilient = Ssr_transport.Resilient
+module Comm = Ssr_setrecon.Comm
 
 (* Every test restores the default serial pool on the way out so the rest
    of the suite (and alcotest's own ordering) never runs parallel by
@@ -118,24 +119,31 @@ let flatten_transcript network =
     (Network.transcript network);
   Buffer.contents b
 
+(* A clean simulated network and a [Resilient] link over it. *)
+let clean_network ~nseed =
+  let clock = Clock.create () in
+  let network = Network.create ~clock (Network.config_with ~seed:nseed ()) in
+  (network, Resilient.over_network (Arq.create ~clock ~network ~seed:nseed ()))
+
+let resilient_set ~nseed ~link ?initial_d strategy =
+  let rng = Prng.create ~seed:(Prng.derive ~seed:nseed ~tag:0x5E) in
+  let alice = Iset.random_subset rng ~universe:(1 lsl 30) ~size:400 in
+  let bob = Iset.union alice (Iset.random_subset rng ~universe:(1 lsl 31) ~size:8) in
+  match Resilient.reconcile_set ~link ~seed:nseed ~strategy ?initial_d ~alice ~bob () with
+  | Ok (got, report) ->
+    Alcotest.(check bool) "set reconciled" true (Iset.equal got alice);
+    report
+  | Error _ -> Alcotest.fail "set reconciliation failed"
+
 (* One protocol stack over the clean simulated network; returns the full
    wire transcript (delivery time + payload bytes of every event, in
    order) as one string. Any scheduling leak in the parallel hot paths
    (root splitting, concurrent child-IBLT builds) would change the bytes
    some message carries, and this flattening would catch it. *)
 let transcript_of_stack ~nseed stack =
-  let clock = Clock.create () in
-  let network = Network.create ~clock (Network.config_with ~seed:nseed ()) in
-  let arq = Arq.create ~clock ~network ~seed:nseed () in
-  let link = Resilient.over_network arq in
+  let network, link = clean_network ~nseed in
   (match stack with
-  | `Set strategy ->
-    let rng = Prng.create ~seed:(Prng.derive ~seed:nseed ~tag:0x5E) in
-    let alice = Iset.random_subset rng ~universe:(1 lsl 30) ~size:400 in
-    let bob = Iset.union alice (Iset.random_subset rng ~universe:(1 lsl 31) ~size:8) in
-    (match Resilient.reconcile_set ~link ~seed:nseed ~strategy ~alice ~bob () with
-    | Ok (got, _) -> Alcotest.(check bool) "set reconciled" true (Iset.equal got alice)
-    | Error _ -> Alcotest.fail "set reconciliation failed")
+  | `Set strategy -> ignore (resilient_set ~nseed ~link strategy)
   | `Sos kind -> (
     let rng = Prng.create ~seed:(Prng.derive ~seed:nseed ~tag:0x50) in
     let u = 1 lsl 12 in
@@ -214,12 +222,215 @@ let test_golden_transcript_digests () =
   in
   Alcotest.(check (list (triple string string string))) "transcript digests" golden_digests got
 
+(* The one golden row whose run retries: a doubling ladder started at
+   d = 1 fails its first attempt, and Bob's 1-byte retry request crosses
+   the simulated network (framed, ARQ-sequenced and acknowledged) before
+   the next attempt succeeds. *)
+let test_golden_retry_transcript_digest () =
+  let nseed = 0x11AL in
+  let network, link = clean_network ~nseed in
+  let report =
+    with_domains 1 (fun () -> resilient_set ~nseed ~link ~initial_d:1 Resilient.Doubling)
+  in
+  let retries =
+    List.filter
+      (fun (m : Comm.message) -> m.Comm.label = "retry")
+      report.Resilient.stats.Comm.messages
+  in
+  Alcotest.(check bool) "the ladder retried" true (retries <> []);
+  Alcotest.(check string) "set, initial_d 1, seed 0x11a" "b608d62cfbadb8a794a6eb41d39105e3"
+    (Digest.to_hex (Digest.string (flatten_transcript network)))
+
+(* Golden transcripts of the plain stacks, run over a bare [Comm]: a
+   recording transport with 0 overhead bits sees every message, and the
+   digest covers its direction, label, bits and payload bytes. The
+   workloads are small and seeded by the transcript seed; each stack must
+   also reach its correct result. *)
+module Set_recon = Ssr_setrecon.Set_recon
+module Two_way = Ssr_setrecon.Two_way
+module Multi_party = Ssr_setrecon.Multi_party
+module Multiset = Ssr_setrecon.Multiset
+module Multiset_recon = Ssr_setrecon.Multiset_recon
+module Cpi = Ssr_setrecon.Cpi_recon
+module Poly_protocol = Ssr_graphrecon.Poly_protocol
+module Sos3 = Ssr_core.Sos3
+
+let recorded_transcript ~name run =
+  let comm = Comm.create () in
+  let b = Buffer.create 4096 in
+  Comm.set_transport comm
+    {
+      Comm.transmit =
+        (fun direction ~label payload ->
+          Printf.bprintf b "%s %s %d:"
+            (match direction with Comm.A_to_b -> "a->b" | Comm.B_to_a -> "b->a")
+            label (8 * Bytes.length payload);
+          Buffer.add_bytes b payload;
+          Buffer.add_char b '\n';
+          Some payload);
+      overhead_bits = 0;
+    };
+  Alcotest.(check bool) (name ^ " reached the correct result") true (run comm);
+  Buffer.contents b
+
+let sets ~nseed ~tag ~diff =
+  let rng = Prng.create ~seed:(Prng.derive ~seed:nseed ~tag) in
+  let alice = Iset.random_subset rng ~universe:(1 lsl 30) ~size:120 in
+  let extra = Iset.random_subset rng ~universe:(1 lsl 30) ~size:diff in
+  let drop = Iset.of_list (List.filteri (fun i _ -> i < diff / 2) (Iset.to_list alice)) in
+  (alice, Iset.diff (Iset.union alice extra) drop)
+
+let multisets ~nseed =
+  let rng = Prng.create ~seed:(Prng.derive ~seed:nseed ~tag:0x3B) in
+  let alice = Multiset.of_pairs (List.init 60 (fun i -> (i, 1 + Prng.int_below rng 3))) in
+  let bob = ref alice in
+  for _ = 1 to 4 do
+    bob := Multiset.add (Prng.int_below rng 80) !bob
+  done;
+  (alice, !bob)
+
+let comm_stacks =
+  let set_ok (o : Set_recon.outcome) alice = Iset.equal o.Set_recon.recovered alice in
+  [
+    ( "set-known",
+      fun nseed comm ->
+        let alice, bob = sets ~nseed ~tag:0x51 ~diff:8 in
+        match Set_recon.run_known_d ~comm ~seed:nseed ~d:16 ~k:4 ~alice ~bob with
+        | Ok o -> set_ok o alice
+        | Error `Decode_failure -> false );
+    ( "set-unknown",
+      fun nseed comm ->
+        let alice, bob = sets ~nseed ~tag:0x52 ~diff:8 in
+        match Set_recon.run_unknown_d ~comm ~seed:nseed ~k:4 ~headroom:2 ~alice ~bob () with
+        | Ok o -> set_ok o alice
+        | Error `Decode_failure -> false );
+    ( "set-salvage",
+      fun nseed comm ->
+        let alice, bob = sets ~nseed ~tag:0x53 ~diff:12 in
+        let sv = Set_recon.salvage_init ~d:2 ~bob () in
+        let rec go attempt =
+          attempt < 8
+          &&
+          match Set_recon.run_salvage_attempt ~comm ~seed:nseed ~attempt ~k:4 ~sv ~alice with
+          | Ok o -> set_ok o alice && attempt > 0
+          | Error `Progress -> go (attempt + 1)
+        in
+        go 0 );
+    ( "two-way",
+      fun nseed comm ->
+        let alice, bob = sets ~nseed ~tag:0x54 ~diff:8 in
+        match Two_way.run_unknown_d ~comm ~seed:nseed ~k:4 ~alice ~bob () with
+        | Ok o -> Iset.equal o.Two_way.union (Iset.union alice bob)
+        | Error `Decode_failure -> false );
+    ( "multi-party",
+      fun nseed comm ->
+        let a, b = sets ~nseed ~tag:0x55 ~diff:4 in
+        let _, c = sets ~nseed ~tag:0x56 ~diff:4 in
+        let parties = [| a; b; c |] in
+        let d = Multi_party.pairwise_bound parties in
+        match Multi_party.run_broadcast ~comm ~seed:nseed ~d ~k:4 ~parties with
+        | Ok o -> Iset.equal o.Multi_party.union (Iset.union a (Iset.union b c))
+        | Error (`Decode_failure _) -> false );
+    ( "multiset",
+      fun nseed comm ->
+        let alice, bob = multisets ~nseed in
+        match Multiset_recon.run_known_d ~comm ~seed:nseed ~d:8 ~k:4 ~alice ~bob with
+        | Ok o -> Multiset.equal o.Multiset_recon.recovered alice
+        | Error `Decode_failure -> false );
+    ( "cpi-set",
+      fun nseed comm ->
+        let alice, bob = sets ~nseed ~tag:0x57 ~diff:4 in
+        match Cpi.run_known_d ~comm ~seed:nseed ~d:6 ~alice ~bob with
+        | Ok o -> Iset.equal o.Cpi.recovered alice
+        | Error `Bound_too_small -> false );
+    ( "cpi-multiset",
+      fun nseed comm ->
+        let alice, bob = multisets ~nseed in
+        let alice = Multiset.to_pairs alice in
+        match Cpi.run_multiset_known_d ~comm ~seed:nseed ~d:6 ~alice ~bob:(Multiset.to_pairs bob) with
+        | Ok (got, _) -> got = alice
+        | Error `Bound_too_small -> false );
+    ( "poly",
+      fun nseed comm ->
+        let module Graph = Ssr_graphs.Graph in
+        let module Iso = Ssr_graphs.Iso in
+        let rng = Prng.create ~seed:(Prng.derive ~seed:nseed ~tag:0x58) in
+        let bob = Ssr_graphs.Gnp.sample rng ~n:5 ~p:0.4 in
+        let alice = Graph.relabel (Graph.flip_random_edges rng bob 1) [| 4; 3; 2; 1; 0 |] in
+        match Poly_protocol.run_reconcile ~comm ~seed:nseed ~d:1 ~alice ~bob with
+        | Some g -> Iso.is_isomorphic g alice
+        | None -> false );
+    ( "sos3",
+      fun nseed comm ->
+        let rng = Prng.create ~seed:(Prng.derive ~seed:nseed ~tag:0x59) in
+        let mk () = Parent.random rng ~universe:5_000 ~children:5 ~child_size:6 in
+        let bob = Sos3.of_parents (List.init 4 (fun _ -> mk ())) in
+        let alice = Sos3.perturb rng ~universe:5_000 ~edits:2 bob in
+        let d3, d2, d = Sos3.diff_bounds alice bob in
+        match
+          Sos3.run_known ~comm ~seed:nseed ~d:(max 1 d) ~d2:(max 1 d2) ~d3:(max 1 d3) ~k:3
+            ~alice ~bob
+        with
+        | Ok o -> Sos3.equal o.Sos3.recovered alice
+        | Error `Decode_failure -> false );
+  ]
+
+(* Seed-major, stacks in [comm_stacks] order. A change that claims to
+   move no wire byte must leave this table alone. *)
+let golden_comm_digests =
+  [
+    ("0x11a", "set-known", "bcf4f776bf0dc9a96ddd907c81ee9c93");
+    ("0x11a", "set-unknown", "31f65086e201655f5ced28a89a2ec613");
+    ("0x11a", "set-salvage", "e8a2ad5dceb4ef3e43fe897a8671b6ce");
+    ("0x11a", "two-way", "bce6f0c633b227e6724496a8ed581ba1");
+    ("0x11a", "multi-party", "1122d1c0d7b08c8321c20ad988049a9c");
+    ("0x11a", "multiset", "6e41becfbdc05b759d59bc4bf67023ad");
+    ("0x11a", "cpi-set", "0be0d44cdec24fd6af9a64ce2f73a609");
+    ("0x11a", "cpi-multiset", "b17a9b3ddd095029552fdeab6c8fcb83");
+    ("0x11a", "poly", "afc01769cca02138aa95ab4f6971154a");
+    ("0x11a", "sos3", "2737de8c7e01555d9c3c67a5e745cc85");
+    ("0x22b", "set-known", "8da7163c94e6cde684a51a0b712ee31b");
+    ("0x22b", "set-unknown", "281ceb73dc02fbeced4c5c81ac94fb8b");
+    ("0x22b", "set-salvage", "6e0719ddad168e6536f430ea306a4d6a");
+    ("0x22b", "two-way", "9e50989562ffc986bcd1adf964c4f407");
+    ("0x22b", "multi-party", "d742c6483de8977118ac9a558bb6afee");
+    ("0x22b", "multiset", "cd55144004ad3e13678ae8801d01e1d8");
+    ("0x22b", "cpi-set", "d42f86dcdac48b8c4948d6f40a0cf634");
+    ("0x22b", "cpi-multiset", "2a2a889af4cdbf0cb1951b79830dd362");
+    ("0x22b", "poly", "6e40928641e3fb1ed1b35272a9ac540a");
+    ("0x22b", "sos3", "2c2d3215f6318e0abafcde9a7da46591");
+    ("0x33c", "set-known", "299329a97a230c111e01d3f0ac8c4310");
+    ("0x33c", "set-unknown", "1542a20109decb3fc7efab1d1b1fa354");
+    ("0x33c", "set-salvage", "9e3a57750f9655722cbf086cc141a39b");
+    ("0x33c", "two-way", "f9a30a6f9ded65523fa270416ee786cf");
+    ("0x33c", "multi-party", "75739e865468a570635ee40f42c583be");
+    ("0x33c", "multiset", "56e5e5a865341e3ef957d8dcc6b28570");
+    ("0x33c", "cpi-set", "69e1a7dc8f90c62ccf4870253854aa12");
+    ("0x33c", "cpi-multiset", "305647ae574a7920b52724803172a08e");
+    ("0x33c", "poly", "579f3868ad0b388e46d1ce125f04d3ae");
+    ("0x33c", "sos3", "9e1e82a581dea4a67721b441c033c064")
+  ]
+
+let test_golden_comm_transcript_digests () =
+  let got =
+    List.concat_map
+      (fun nseed ->
+        List.map
+          (fun (name, run) ->
+            ( Printf.sprintf "0x%Lx" nseed,
+              name,
+              Digest.to_hex
+                (Digest.string (with_domains 1 (fun () -> recorded_transcript ~name (run nseed)))) ))
+          comm_stacks)
+      transcript_seeds
+  in
+  Alcotest.(check (list (triple string string string))) "comm transcript digests" golden_comm_digests got
+
 (* A per-request encoding memo must be byte-transparent: three rungs of
    one nested stack sharing a memo, as Resilient runs them (the bound
    doubles, then the rehash rung repeats it; the encoding salt is pinned),
    put the same bytes on the wire, bit for bit, as the same rungs without
    one — at any pool size. The reference runs serial without a memo. *)
-module Comm = Ssr_setrecon.Comm
 module Enc_cache = Ssr_core.Enc_cache
 
 let transcript_of_rungs ~nseed ~memo kind =
@@ -308,9 +519,8 @@ let test_adversarial_salted_rehash_deterministic () =
     [ 0x44DL; 0x55EL ]
 
 (* The rateless cell stream is a pure function of (seed, cell_index): the
-   bytes of any window must not depend on the pool size, even when the
-   pool is large enough that the per-element fold is chunked across
-   domains. Pool sizes straddle the chunking grain on purpose. *)
+   bytes of any window must not depend on the pool size, at pool sizes
+   from below to well above 2048 elements. *)
 let test_rateless_cells_parallel_identical () =
   let module Rateless = Ssr_sketch.Rateless in
   List.iter
@@ -351,6 +561,10 @@ let () =
             test_parallel_matches_serial_transcripts;
           Alcotest.test_case "golden transcript digests (3 seeds x 6 stacks)" `Quick
             test_golden_transcript_digests;
+          Alcotest.test_case "golden comm transcript digests (3 seeds x 10 stacks)" `Quick
+            test_golden_comm_transcript_digests;
+          Alcotest.test_case "golden retry transcript digest" `Quick
+            test_golden_retry_transcript_digest;
           Alcotest.test_case "memo = no memo transcripts" `Quick
             test_memo_transcripts_byte_identical;
           Alcotest.test_case "salted rehash deterministic (2 seeds)" `Quick

@@ -165,13 +165,14 @@ let test_xfer_accounting () =
 
 let test_merge_stats_interleaving () =
   let c1 = Comm.create () and c2 = Comm.create () in
-  Comm.send c1 Comm.A_to_b ~label:"a1" ~bits:1;
-  Comm.send c1 Comm.B_to_a ~label:"a2" ~bits:2;
-  Comm.send c2 Comm.A_to_b ~label:"b1" ~bits:4;
-  Comm.send c2 Comm.A_to_b ~label:"b2" ~bits:8;
-  Comm.send c2 Comm.B_to_a ~label:"b3" ~bits:16;
+  let send c direction label bytes = ignore (Comm.xfer c direction ~label (Bytes.make bytes 'm')) in
+  send c1 Comm.A_to_b "a1" 1;
+  send c1 Comm.B_to_a "a2" 2;
+  send c2 Comm.A_to_b "b1" 4;
+  send c2 Comm.A_to_b "b2" 8;
+  send c2 Comm.B_to_a "b3" 16;
   let m = Comm.merge_stats (Comm.stats c1) (Comm.stats c2) in
-  Alcotest.(check int) "bits add" 31 m.Comm.bits_total;
+  Alcotest.(check int) "bits add" (8 * 31) m.Comm.bits_total;
   Alcotest.(check int) "rounds max" 2 m.Comm.rounds;
   Alcotest.(check (list string)) "transmission-order interleaving, ties first"
     [ "a1"; "b1"; "b2"; "a2"; "b3" ]
