@@ -647,16 +647,25 @@ let multiround_ablation () =
     let bob = Parent.random rng ~universe:(1 lsl 20) ~children:30 ~child_size:40 in
     let alice, _ = Parent.perturb rng ~universe:(1 lsl 20) ~edits bob in
     let d = max edits (Parent.relaxed_matching_cost alice bob) in
+    (* Multiround's two steps through the driver, with [Protocol]'s d_hat;
+       Alice finishes with how many children she sent as CPI. *)
+    let seed = Prng.derive ~seed ~tag:(9700 + edits) in
+    let d_hat = min d (max 2 (Parent.cardinal bob)) in
+    let comm = Comm.create () and cpi = ref 0 in
     let r, secs =
       time_it (fun () ->
-          M.reconcile_known ~seed:(Prng.derive ~seed ~tag:(9700 + edits)) ~d ~primitive ~alice ~bob ())
+          Comm.drive comm
+            ~alice:
+              (Comm.map (fun n -> cpi := n)
+                 (M.alice ~seed ~d ~d_hat ~primitive (Parent.stream_of_t alice)))
+            ~bob:(M.bob ~seed ~d_hat (Parent.stream_of_t bob)))
     in
     match r with
-    | Ok o ->
-      ( o.M.stats.Comm.bits_total,
+    | Ok delta ->
+      ( (Comm.stats comm).Comm.bits_total,
         secs,
-        o.M.cpi_children,
-        Parent.equal (Parent.apply_delta bob o.M.delta) alice )
+        !cpi,
+        Parent.equal (Parent.apply_delta bob delta) alice )
     | Error _ -> (0, secs, 0, false)
   in
   Printf.printf "%8s %-12s | %10s %8s %10s %4s\n" "edits" "primitive" "bits" "ms" "cpi-kids" "ok";

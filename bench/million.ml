@@ -7,8 +7,8 @@
    on multi-rung nested-protocol builds. Wall times go to stdout only.
 
    The harness never materializes a parent set: both sides are
-   Parent.stream values (pure functions of seed + position) fed to the
-   protocols' run_stream entry points, so memory stays bounded by one
+   Parent.stream values (pure functions of seed + position) fed to
+   Protocol.run_known_stream, so memory stays bounded by one
    encoding chunk plus the O(s) fingerprint index. (The flat "set" stack
    necessarily flattens the element multiset into two Iset values — flat
    integer sets, not parent sets — a few MB at this scale.)

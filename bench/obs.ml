@@ -70,8 +70,8 @@ let kind_rows () =
   let known kind =
     let ok, (rep : Protocol.cost_report) =
       match
-        Protocol.reconcile_known_report kind ~seed:(Prng.derive ~seed ~tag:0x0B52) ~d ~u ~h
-          ~alice ~bob ()
+        Protocol.report kind
+          (Protocol.reconcile_known kind ~seed:(Prng.derive ~seed ~tag:0x0B52) ~d ~u ~h ~alice ~bob)
       with
       | Ok (o, rep) -> (Parent.equal o.Protocol.recovered alice, rep)
       | Error (`Decode_failure _, rep) -> (false, rep)
@@ -82,8 +82,8 @@ let kind_rows () =
   let unknown kind =
     let ok, (rep : Protocol.cost_report) =
       match
-        Protocol.reconcile_unknown_report kind ~seed:(Prng.derive ~seed ~tag:0x0B53) ~u ~h
-          ~alice ~bob ()
+        Protocol.report kind
+          (Protocol.reconcile_unknown kind ~seed:(Prng.derive ~seed ~tag:0x0B53) ~u ~h ~alice ~bob)
       with
       | Ok (o, rep) -> (Parent.equal o.Protocol.recovered alice, rep)
       | Error (`Decode_failure _, rep) -> (false, rep)

@@ -5,8 +5,8 @@
     child-size collections, near-duplicate document corpora. Every family
     here is a pure function of (seed, position) — a child is re-derivable
     from its index alone — so the streams are resumable from any position,
-    byte-identical at any parallel-pool size, and feed the protocols'
-    [run_stream] entry points in bounded memory. All generators guarantee
+    byte-identical at any parallel-pool size, and feed
+    [Protocol.run_known_stream] in bounded memory. All generators guarantee
     pairwise-distinct children structurally (each child carries an identity
     element no other child can), which is the {!Ssr_core.Parent.stream}
     contract. *)

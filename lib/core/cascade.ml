@@ -8,16 +8,6 @@ type level = { enc : Encoding.config; outer : Iblt.params }
 
 type plan = { label : string; per_level : level array; star : (Direct.config * Iblt.params) option }
 
-type outcome = {
-  delta : Parent.delta;
-  levels : int;
-  used_star : bool;
-  recovered_per_level : int array;
-  stats : Comm.stats;
-}
-
-type error = [ `Decode_failure of Comm.stats ]
-
 let num_levels ~d ~h = max 1 (Bits.ceil_log2 (max 2 (min d h)))
 
 (* Lean child tables: level-i failures are recovered at level i+1, so we do
@@ -77,8 +67,40 @@ type slot = {
   recover : Iset.t list -> Bytes.t -> Iset.t option;
 }
 
+let slots ?memo plan =
+  Array.append
+    (Array.map
+       (fun l ->
+         {
+           prm = l.outer;
+           fold = Encoding.fold ?memo l.enc;
+           encode = Encoding.encoder l.enc;
+           recover = Encoding.pairing l.enc;
+         })
+       plan.per_level)
+    (match plan.star with
+    | None -> [||]
+    | Some (cfg, prm) ->
+      let recover _ = Direct.decode cfg in
+      [| { prm; fold = Direct.fold cfg; encode = Direct.encoder cfg; recover } |])
+
+(* Empty tables for the slots from [from] on, and the visitor that lands a
+   chunk in them; one fold per slot serves every pass in turn. *)
+let fresh slots ~from =
+  Array.map (fun s -> Iblt.create s.prm) (Array.sub slots from (Array.length slots - from))
+
+let into slots ~from tables _ kids =
+  Array.iteri (fun i tbl -> slots.(from + i).fold tbl kids) tables
+
 (* Alice builds every level table, T* and her digest in one walk of her
-   stream. Bob walks his at most twice: first for his level-1 table, an
+   stream and sends them as one message. *)
+let alice ?memo ~seed plan st =
+  let slots = slots ?memo plan in
+  let tables = fresh slots ~from:0 in
+  let digest = Parent.stream_pass ~seed st (into slots ~from:0 tables) in
+  Comm.Send (plan.label, Comm.guarded tables ~guard:digest, Comm.Done ())
+
+(* Bob walks his stream at most twice: first for his level-1 table, an
    index from the child hash each level-1 key carries to his child
    positions, which maps negatives back to his children, and his digest;
    then, only once level 1 has decoded, for every higher-level table and
@@ -89,42 +111,9 @@ type slot = {
    (XOR cancels, and add-then-delete of a shared child nets a zero
    count). The 8-byte guard carries [Parent.stream_hash], verified
    incrementally from the delta. *)
-let run_plan ~comm ~seed ?memo plan ~(alice : Parent.stream) ~(bob : Parent.stream) =
-  let slots =
-    Array.append
-      (Array.map
-         (fun l ->
-           {
-             prm = l.outer;
-             fold = Encoding.fold ?memo l.enc;
-             encode = Encoding.encoder l.enc;
-             recover = Encoding.pairing l.enc;
-           })
-         plan.per_level)
-      (match plan.star with
-      | None -> [||]
-      | Some (cfg, prm) ->
-        [|
-          {
-            prm;
-            fold = Direct.fold cfg;
-            encode = Direct.encoder cfg;
-            recover = (fun _ -> Direct.decode cfg);
-          };
-        |])
-  in
+let finish ~seed ~slots plan (bob : Parent.stream) (received, alice_digest) =
   let n = Array.length slots in
-  (* Empty tables for the slots from [from] on, and the visitor that lands
-     a chunk in them; one fold per slot serves every pass in turn. *)
-  let fresh ~from = Array.map (fun s -> Iblt.create s.prm) (Array.sub slots from (n - from)) in
-  let into ~from tables _ kids = Array.iteri (fun i tbl -> slots.(from + i).fold tbl kids) tables in
-  (* ---- Alice: build and send every table (one message). ---- *)
-  let alice_tables = fresh ~from:0 in
-  let alice_digest = Parent.stream_pass ~seed alice (into ~from:0 alice_tables) in
-  match Comm.xfer_guarded comm ~label:plan.label alice_tables ~guard:alice_digest with
-  | None -> Error `Decode_failure
-  | Some (received, alice_digest) -> (
-  (* ---- Bob: level 1 identifies D_B and recovers what its tables allow. ---- *)
+  (* ---- Level 1 identifies D_B and recovers what its tables allow. ---- *)
   let cfg1 = plan.per_level.(0).enc in
   let child_hash = Encoding.child_hash cfg1 in
   let by_hash : (int, int) Hashtbl.t = Hashtbl.create (2 * bob.Parent.length) in
@@ -136,7 +125,7 @@ let run_plan ~comm ~seed ?memo plan ~(alice : Parent.stream) ~(bob : Parent.stre
   in
   match Iblt.decode (Iblt.subtract received.(0) bob_l1) with
   | Error `Peel_stuck -> Error `Decode_failure
-  | Ok { positives; negatives } -> (
+  | Ok { positives; negatives } ->
     let hash_of_key = Encoding.hash_of_key cfg1 in
     let child_of_neg neg =
       List.find_map
@@ -150,10 +139,8 @@ let run_plan ~comm ~seed ?memo plan ~(alice : Parent.stream) ~(bob : Parent.stre
     else begin
       let da = ref [] in
       let da_tbl = Iset.Tbl.create 64 in
-      let per_level = Array.make n 0 in
       (* Pair Alice's keys peeled out of [slot] with Bob's differing
-         children, recording each recovered child at [slot] of [per_level]
-         unless an earlier slot already recovered it. *)
+         children, keeping each recovered child once. *)
       let recover_at slot keys =
         let recover = slots.(slot).recover db in
         List.iter
@@ -161,15 +148,14 @@ let run_plan ~comm ~seed ?memo plan ~(alice : Parent.stream) ~(bob : Parent.stre
             match recover key with
             | Some c when not (Iset.Tbl.mem da_tbl c) ->
               Iset.Tbl.replace da_tbl c ();
-              da := c :: !da;
-              per_level.(slot) <- per_level.(slot) + 1
+              da := c :: !da
             | _ -> ())
           keys
       in
       recover_at 0 positives;
       (* Bob's second walk: every table above level 1, and T*. *)
-      let bob_tables = fresh ~from:1 in
-      if n > 1 then ignore (Parent.stream_pass ~seed bob (into ~from:1 bob_tables));
+      let bob_tables = fresh slots ~from:1 in
+      if n > 1 then ignore (Parent.stream_pass ~seed bob (into slots ~from:1 bob_tables));
       (* Alice's still-unrecovered children at a level >= 2 or at T*: her
          table minus Bob's, with everything Bob can account for deleted.
          A stuck table leaves them to a later level or T*. *)
@@ -182,21 +168,15 @@ let run_plan ~comm ~seed ?memo plan ~(alice : Parent.stream) ~(bob : Parent.stre
         | Ok { positives; negatives = _ } -> recover_at slot positives
       done;
       let delta : Parent.delta = { a_only = !da; b_only = db } in
-      if Parent.delta_digest ~seed ~base:bob_digest delta = alice_digest then
-        Ok
-          {
-            delta;
-            levels = Array.length plan.per_level;
-            used_star = plan.star <> None;
-            recovered_per_level = per_level;
-            stats = Comm.stats comm;
-          }
+      if Parent.delta_digest ~seed ~base:bob_digest delta = alice_digest then Ok delta
       else Error `Decode_failure
-    end))
+    end
 
-let reconcile_known ~seed ~d ~u ~h ~alice ~bob () =
-  let s_bound = max 2 (Parent.cardinal bob) in
-  Comm.run (fun comm ->
-      run_plan ~comm ~seed
-        (plan ~seed ~enc_seed:seed ~d ~d_hat:(min d s_bound) ~s_bound ~u ~h ~k:3)
-        ~alice:(Parent.stream_of_t alice) ~bob:(Parent.stream_of_t bob))
+let bob ?memo ~seed plan st =
+  let slots = slots ?memo plan in
+  Comm.Recv
+    (fun got ->
+      Comm.Done
+        (match Comm.parse_guarded (Array.map (fun s -> s.prm) slots) got with
+        | None -> Error `Decode_failure
+        | Some message -> finish ~seed ~slots plan st message))

@@ -19,8 +19,9 @@
 
     Algorithm 1 (IBLT-of-IBLTs, Theorem 3.5) is the same protocol with one
     level of child tables sized for d and no T*: {!Iblt_of_iblts.plan}
-    builds that geometry, and {!run_plan} runs both. The unknown-d
-    doubling of Corollaries 3.6 and 3.8 is [Protocol.reconcile_unknown]. *)
+    builds that geometry, and {!alice} and {!bob} run both. [Protocol]
+    picks the tuning, and runs the unknown-d doubling of Corollaries 3.6
+    and 3.8. *)
 
 type level = {
   enc : Encoding.config;  (** The child encodings folded into this level's table. *)
@@ -36,18 +37,6 @@ type plan = {
 (** The public geometry of one attempt: everything both parties derive
     from the seeds and the bounds. *)
 
-type outcome = {
-  delta : Parent.delta;  (** What Bob learned: Alice-only and Bob-only children. *)
-  levels : int;  (** Number of cascade levels used (the paper's t). *)
-  used_star : bool;  (** Whether the direct-encoding table T* was sent. *)
-  recovered_per_level : int array;
-      (** Alice-only children recovered at each level (and at T* last if
-          present); sums to the length of [delta.a_only]. *)
-  stats : Ssr_setrecon.Comm.stats;
-}
-
-type error = [ `Decode_failure of Ssr_setrecon.Comm.stats ]
-
 val plan :
   seed:int64 -> enc_seed:int64 -> d:int -> d_hat:int -> s_bound:int -> u:int -> h:int -> k:int ->
   plan
@@ -59,28 +48,18 @@ val plan :
     encodings; the outer tables and T* are salted by [seed]. The label is
     [cascade-tables+digest]. *)
 
-val run_plan :
-  comm:Ssr_setrecon.Comm.t -> seed:int64 -> ?memo:Enc_cache.t -> plan ->
-  alice:Parent.stream -> bob:Parent.stream -> (outcome, [ `Decode_failure ]) result
-(** One attempt of a plan, threaded through a caller-supplied recorder;
-    the outcome's stats are cumulative for [comm]. The only build path of
-    both nested IBLT protocols: chunked passes over the {!Parent.stream}
-    views fold each child into every table four keys at a time
-    ({!Encoding.fold}, {!Direct.fold}), and Alice sends every table with
-    her {!Parent.stream_hash} guard in one {!Ssr_setrecon.Comm.xfer_guarded}
-    message. Bob walks his stream once for level 1, his index of child
-    hashes ({!Encoding.hash_of_key}) and his digest, and a second time
-    for the higher levels and T* only once level 1 has decoded. He pairs
-    every positive of every level with his differing children
-    ({!Encoding.pairing}) and accepts the delta only if it lands on
-    Alice's guard. A retry driver that pins the plan's [enc_seed] across
-    attempts can pass one [memo] to all of them so that later attempts
-    reuse the encodings of earlier ones ([Resilient.reconcile_sos]
-    does). *)
+val alice :
+  ?memo:Enc_cache.t -> seed:int64 -> plan -> Parent.stream -> unit Ssr_setrecon.Comm.party
+(** Alice's step of one attempt: one chunked pass over her stream folds
+    each child into every table ({!Encoding.fold}, {!Direct.fold}), and
+    she sends them all with her {!Parent.stream_hash} guard. *)
 
-val reconcile_known :
-  seed:int64 -> d:int -> u:int -> h:int ->
-  alice:Parent.t -> bob:Parent.t -> unit -> (outcome, error) result
-(** Theorem 3.7: one round (all level tables in a single message), with
-    [Protocol]'s tuning but the cascade's own fields. [u] and [h] size
-    the T* direct encoding; [h] should bound every child's size. *)
+val bob :
+  ?memo:Enc_cache.t -> seed:int64 -> plan -> Parent.stream ->
+  (Parent.delta, [ `Decode_failure ]) result Ssr_setrecon.Comm.party
+(** Bob's step: he walks his stream once for level 1, his index of child
+    hashes and his digest, and again for the higher levels and T* only
+    once level 1 has decoded; he pairs every positive with his differing
+    children ({!Encoding.pairing}) and accepts the delta only if it lands
+    on Alice's guard. A retry driver that pins the plan's [enc_seed] can
+    pass one [memo] to all attempts ([Resilient.reconcile_sos] does). *)

@@ -30,12 +30,6 @@ type config = {
   seed : int64;
 }
 
-val child_params : config -> Ssr_sketch.Iblt.params
-(** The (public) parameters of every child IBLT under this configuration. *)
-
-val child_table : config -> Ssr_util.Iset.t -> Ssr_sketch.Iblt.t
-(** The child IBLT: the child's elements inserted as 8-byte keys. *)
-
 val child_hash : config -> Ssr_util.Iset.t -> int
 (** The truncated pairwise-style hash of the child's canonical form.
     [child_hash cfg] derives the hash function once, for many children. *)

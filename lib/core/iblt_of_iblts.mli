@@ -10,8 +10,9 @@
     Communication O(d_hat d log u + d_hat log s), time O(n + d_hat^2 d).
 
     That is Algorithm 2 with a single level and no T*, so this module holds
-    only the geometry: {!Cascade.run_plan} runs it, [Protocol] picks its
-    tuning ([k = 4]) and runs Corollary 3.6's doubling. *)
+    only the geometry: {!Cascade.alice} and {!Cascade.bob} run it,
+    [Protocol] picks its tuning ([k = 4]) and runs Corollary 3.6's
+    doubling. *)
 
 val plan :
   seed:int64 -> enc_seed:int64 -> d:int -> d_hat:int -> s_bound:int -> k:int -> Cascade.plan

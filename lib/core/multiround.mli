@@ -18,46 +18,36 @@
       exactness beats peeling). Bob applies the per-child reconciliations.
 
     Communication O(d_hat log s + d_hat log h + d log u); 3 rounds for known
-    d, 4 for unknown. *)
-
-type outcome = {
-  delta : Parent.delta;  (** What Bob learned: Alice-only and Bob-only children. *)
-  matched_children : int;  (** differing children repaired *)
-  cpi_children : int;  (** how many used the CPI primitive *)
-  stats : Ssr_setrecon.Comm.stats;
-}
-
-type error = [ `Decode_failure of Ssr_setrecon.Comm.stats ]
+    d, 4 for unknown. The rounds are one state machine per party
+    ({!Ssr_setrecon.Comm.party}); [Protocol] runs them. *)
 
 type primitive =
   | Auto  (** The paper's rule: CPI below sqrt d, IBLT above. *)
   | Always_iblt  (** Ablation: IBLT for every child. *)
   | Always_cpi  (** Ablation: CPI for every child. *)
 
-val reconcile_known :
-  seed:int64 -> d:int -> ?primitive:primitive ->
-  alice:Parent.t -> bob:Parent.t -> unit -> (outcome, error) result
-(** Theorem 3.9: 3 rounds, with [Protocol]'s tuning ([k = 4], d_hat =
-    [min d s], {!default_child_shape}). [d] bounds the total element
-    changes and gates the IBLT-vs-CPI choice at sqrt d ([primitive]
-    overrides the choice for the ablation benches). *)
+val alice :
+  seed:int64 -> d:int -> d_hat:int -> primitive:primitive -> Parent.stream ->
+  int Ssr_setrecon.Comm.party
+(** Theorem 3.9, Alice: rounds 1 and 3 (k = 4); only her O(d_hat)
+    differing children are ever fetched, named by her table minus the TB
+    delivered to her. [d] gates the IBLT-vs-CPI choice at sqrt d
+    ([primitive] overrides it for the ablation benches). She finishes with
+    the number of children she sent as CPI. *)
 
-val reconcile_unknown :
-  seed:int64 -> alice:Parent.t -> bob:Parent.t -> unit -> (outcome, error) result
-(** Theorem 3.10: 4 rounds; the extra leading round estimates the number of
-    differing children. *)
+val bob :
+  seed:int64 -> d_hat:int -> Parent.stream ->
+  (Parent.delta, [ `Decode_failure ]) result Ssr_setrecon.Comm.party
+(** Theorem 3.9, Bob: round 2, and the repair of each differing child
+    from round 3, verified against its content hash and the delta against
+    Alice's guard. *)
 
-val default_child_shape : Ssr_sketch.L0_estimator.shape
-(** The default shape of the per-child estimators of round 2. *)
+val alice_unknown : seed:int64 -> Parent.stream -> int Ssr_setrecon.Comm.party
+(** Theorem 3.10, Alice: she waits for Bob's estimator of the differing
+    children and runs {!alice} sized by her estimate. *)
 
-val run_stream :
-  comm:Ssr_setrecon.Comm.t -> seed:int64 -> d:int -> d_hat:int -> k:int ->
-  shape:Ssr_sketch.L0_estimator.shape -> primitive:primitive ->
-  alice:Parent.stream -> bob:Parent.stream -> (outcome, [ `Decode_failure ]) result
-(** One attempt threaded through a caller-supplied recorder (for retry
-    drivers and transports); the outcome's stats are cumulative for [comm].
-    The only build path, over {!Parent.stream} views ({!Parent.stream_of_t}
-    for materialized parents): the hash index stores stream positions, so
-    only the O(d_hat) differing children are ever fetched; the round-1
-    guard carries {!Parent.stream_hash}, which each party computes in the
-    same walk that builds its hash index; the result is the O(d) delta. *)
+val bob_unknown :
+  seed:int64 -> Parent.stream -> (Parent.delta, [ `Decode_failure ]) result Ssr_setrecon.Comm.party
+(** Theorem 3.10, Bob: the leading estimator round, then {!bob}'s rounds
+    with the round-1 table sized by the delivered length
+    ({!Ssr_setrecon.Comm.sized}). *)

@@ -5,31 +5,30 @@
     min(h log u, u) bits ({!Direct}), and the parent sets are reconciled
     with ordinary IBLT set reconciliation. Communication is
     O(d_hat min(h log u, u)) — h log u per differing child — which the
-    structured protocols of §3.2 beat as soon as d << h. *)
+    structured protocols of §3.2 beat as soon as d << h. Each party walks
+    its {!Parent.stream} once per attempt, and the pass that builds its
+    table (k = 4) also yields its {!Parent.stream_hash} guard. *)
 
-type outcome = {
-  delta : Parent.delta;  (** What Bob learned: Alice-only and Bob-only children. *)
-  stats : Ssr_setrecon.Comm.stats;
-}
+val alice :
+  seed:int64 -> d_hat:int -> u:int -> h:int -> Parent.stream -> unit Ssr_setrecon.Comm.party
+(** Theorem 3.3, Alice: one message, her table for 2 [d_hat] differing
+    children ([u] and [h] fix the encoding width) with her guard. *)
 
-type error = [ `Decode_failure of Ssr_setrecon.Comm.stats ]
+val bob :
+  seed:int64 -> d_hat:int -> u:int -> h:int -> Parent.stream ->
+  (Parent.delta, [ `Decode_failure ]) result Ssr_setrecon.Comm.party
+(** Theorem 3.3, Bob: the peeled keys decode straight back to the delta,
+    which he accepts only if it lands on Alice's guard. *)
 
-val reconcile_unknown :
-  seed:int64 -> u:int -> h:int -> alice:Parent.t -> bob:Parent.t -> unit ->
-  (outcome, error) result
-(** Theorem 3.4: two rounds. Bob first sends a set-difference estimator over
-    (hashes of) his child sets to bound the number of differing children. *)
+val alice_unknown :
+  seed:int64 -> u:int -> h:int -> Parent.stream -> unit Ssr_setrecon.Comm.party
+(** Theorem 3.4, Alice: two rounds. She waits for Bob's estimator over
+    (hashes of) his child sets, and answers with {!alice}'s message sized
+    by her estimate of the differing children. *)
 
-val run_stream :
-  comm:Ssr_setrecon.Comm.t -> seed:int64 -> d_hat:int -> u:int -> h:int -> k:int ->
-  alice:Parent.stream -> bob:Parent.stream -> (outcome, [ `Decode_failure ]) result
-(** Theorem 3.3: one attempt (one round) threaded through a
-    caller-supplied recorder; the outcome's stats are cumulative for
-    [comm]. [d_hat] bounds the differing child sets on either side; [u]
-    and [h] fix the direct encoding width. The only build path: the table
-    is built one encoding chunk at a time from the {!Parent.stream} views
-    and sent with Alice's {!Parent.stream_hash} guard through
-    {!Ssr_setrecon.Comm.xfer_guarded}. The result is the O(d) delta (direct
-    encodings decode straight back to children, so no side index is
-    needed). Each party walks its stream once per attempt: the pass that
-    builds its table also yields its digest. *)
+val bob_unknown :
+  seed:int64 -> u:int -> h:int -> Parent.stream ->
+  (Parent.delta, [ `Decode_failure ]) result Ssr_setrecon.Comm.party
+(** Theorem 3.4, Bob: he opens with the estimator; the estimate reaches
+    him only through the length of Alice's answer, which fixes its cell
+    count ({!Ssr_setrecon.Comm.sized}). *)

@@ -111,14 +111,11 @@ val stream_pass : seed:int64 -> stream -> (int -> Ssr_util.Iset.t array -> unit)
     would, whatever the chunking. *)
 
 val stream_hash : seed:int64 -> stream -> int
-(** Order-independent whole-parent digest: XOR of the salted 62-bit
-    {!child_digest} of every child. It is the 8-byte guard of every nested
+(** Order-independent whole-parent digest: XOR of a salted 62-bit digest
+    of every child. It is the 8-byte guard of every nested
     protocol's transcript: unlike {!hash} it needs no sorted children, and
     Bob can update it incrementally from a recovered delta. [stream_pass]
     with a visitor that does nothing. *)
-
-val child_digest : seed:int64 -> Ssr_util.Iset.t -> int
-(** One child's term of {!stream_hash}. *)
 
 type delta = { a_only : Ssr_util.Iset.t list; b_only : Ssr_util.Iset.t list }
 (** What a reconciliation recovers: the children only Alice has and the

@@ -18,72 +18,72 @@ type error = [ `Decode_failure of Comm.stats ]
 
 type stream_outcome = { delta : Parent.delta; stats : Comm.stats }
 
-(* The one dispatch: each protocol's single (streaming) build path with its
-   default tuning. *)
+type params = { seed : int64; enc_seed : int64; d : int; u : int; h : int; s : int }
+
+(* The one dispatch: each kind's two steps with its default tuning. Naive's
+   direct encodings are seedless and cost less to write than to look up,
+   and multiround's per-child tables are keyed by entry position, so only
+   the nested kinds take the memo. *)
+let steps ?memo kind p =
+  let { seed; enc_seed; d; u; h; s } = p and d_hat = min p.d p.s in
+  let nested plan = (Cascade.alice ?memo ~seed plan, Cascade.bob ?memo ~seed plan) in
+  match kind with
+  | Naive -> (Naive.alice ~seed ~d_hat ~u ~h, Naive.bob ~seed ~d_hat ~u ~h)
+  | Iblt_of_iblts -> nested (Iblt_of_iblts.plan ~seed ~enc_seed ~d ~d_hat ~s_bound:s ~k:4)
+  | Cascade -> nested (Cascade.plan ~seed ~enc_seed ~d ~d_hat ~s_bound:s ~u ~h ~k:3)
+  | Multiround ->
+    ( (fun st -> Comm.map ignore (Multiround.alice ~seed ~d ~d_hat ~primitive:Multiround.Auto st)),
+      Multiround.bob ~seed ~d_hat )
+
+let alice ?memo kind p = fst (steps ?memo kind p)
+let bob ?memo kind p = snd (steps ?memo kind p)
+
 let run_known_stream ?memo kind ~comm ~seed ~enc_seed ~d ~u ~h ~(alice : Parent.stream)
     ~(bob : Parent.stream) =
-  let s_bound = max 2 bob.Parent.length in
-  let d_hat = min d s_bound in
-  let enc_seed = Option.value enc_seed ~default:seed in
-  let nested plan =
-    Result.map
-      (fun (o : Cascade.outcome) -> { delta = o.Cascade.delta; stats = o.Cascade.stats })
-      (Cascade.run_plan ~comm ~seed ?memo plan ~alice ~bob)
-  in
-  match kind with
-  | Naive ->
-    (* Direct encodings are seedless, so there is nothing to pin, and they
-       cost less to write than to look up, so nothing to memoize. *)
-    Result.map
-      (fun (o : Naive.outcome) -> { delta = o.Naive.delta; stats = o.Naive.stats })
-      (Naive.run_stream ~comm ~seed ~d_hat ~u ~h ~k:4 ~alice ~bob)
-  | Iblt_of_iblts -> nested (Iblt_of_iblts.plan ~seed ~enc_seed ~d ~d_hat ~s_bound ~k:4)
-  | Cascade -> nested (Cascade.plan ~seed ~enc_seed ~d ~d_hat ~s_bound ~u ~h ~k:3)
-  | Multiround ->
-    (* Per-child tables are keyed by entry position, not reusable. *)
-    Result.map
-      (fun (o : Multiround.outcome) -> { delta = o.Multiround.delta; stats = o.Multiround.stats })
-      (Multiround.run_stream ~comm ~seed ~d ~d_hat ~k:4 ~shape:Multiround.default_child_shape
-         ~primitive:Multiround.Auto ~alice ~bob)
-
-let applied bob (o : stream_outcome) = { recovered = Parent.apply_delta bob o.delta; stats = o.stats }
+  let enc_seed = Option.value enc_seed ~default:seed and s = max 2 bob.Parent.length in
+  let alice_step, bob_step = steps ?memo kind { seed; enc_seed; d; u; h; s } in
+  Result.map
+    (fun delta -> { delta; stats = Comm.stats comm })
+    (Comm.drive comm ~alice:(alice_step alice) ~bob:(bob_step bob))
 
 let run_known ?memo kind ~comm ~seed ~enc_seed ~d ~u ~h ~alice ~bob =
-  Result.map (applied bob)
+  Result.map
+    (fun (o : stream_outcome) -> { recovered = Parent.apply_delta bob o.delta; stats = o.stats })
     (run_known_stream ?memo kind ~comm ~seed ~enc_seed ~d ~u ~h ~alice:(Parent.stream_of_t alice)
        ~bob:(Parent.stream_of_t bob))
 
 let reconcile_known kind ~seed ~d ~u ~h ~alice ~bob () =
   Comm.run (fun comm -> run_known kind ~comm ~seed ~enc_seed:None ~d ~u ~h ~alice ~bob)
 
-(* Corollaries 3.6 and 3.8: double d from 1 until an attempt verifies,
-   each attempt under its own per-bound seed. *)
-let doubling kind ~tag ~seed ~u ~h ~alice ~bob =
-  let comm = Comm.create () in
-  let alice = Parent.stream_of_t alice and bob = Parent.stream_of_t bob in
-  let retries = Ssr_obs.Metrics.counter ("proto." ^ name kind ^ ".retries") in
-  Comm.retry_doubling comm ~retries ~d:1
-    ~stop:(fun ~attempt:_ ~d -> d > 1 lsl 22)
-    (fun ~attempt:_ ~d ->
-      run_known_stream kind ~comm
-        ~seed:(Prng.derive ~seed ~tag:(tag + Bits.ceil_log2 (d + 1)))
-        ~enc_seed:None ~d ~u ~h ~alice ~bob)
+let doubling_params kind ~seed ~u ~h ~s ~d =
+  let tag = if kind = Cascade then 0xCC0 else 0xD0 in
+  let seed = Prng.derive ~seed ~tag:(tag + Bits.ceil_log2 (d + 1)) in
+  { seed; enc_seed = seed; d; u; h; s }
 
-let reconcile_unknown kind ~seed ~u ~h ~alice ~bob () =
-  let result : (stream_outcome, error) result =
+let run_unknown kind ~comm ~seed ~u ~h ~alice ~bob =
+  let a = Parent.stream_of_t alice and b = Parent.stream_of_t bob in
+  let result =
     match kind with
     | Naive ->
-      Result.map
-        (fun (o : Naive.outcome) -> { delta = o.Naive.delta; stats = o.Naive.stats })
-        (Naive.reconcile_unknown ~seed ~u ~h ~alice ~bob ())
-    | Iblt_of_iblts -> doubling kind ~tag:0xD0 ~seed ~u ~h ~alice ~bob
-    | Cascade -> doubling kind ~tag:0xCC0 ~seed ~u ~h ~alice ~bob
+      Comm.drive comm ~alice:(Naive.alice_unknown ~seed ~u ~h a) ~bob:(Naive.bob_unknown ~seed ~u ~h b)
     | Multiround ->
-      Result.map
-        (fun (o : Multiround.outcome) -> { delta = o.Multiround.delta; stats = o.Multiround.stats })
-        (Multiround.reconcile_unknown ~seed ~alice ~bob ())
+      Comm.drive comm ~alice:(Multiround.alice_unknown ~seed a) ~bob:(Multiround.bob_unknown ~seed b)
+    | Iblt_of_iblts | Cascade ->
+      (* Corollaries 3.6 and 3.8: double d from 1 until an attempt
+         verifies, each attempt under its own per-bound seed. *)
+      let s = max 2 b.Parent.length in
+      Comm.retry_doubling comm
+        ~retries:(Ssr_obs.Metrics.counter ("proto." ^ name kind ^ ".retries"))
+        ~d:1
+        ~stop:(fun ~attempt:_ ~d -> d > 1 lsl 22)
+        (fun ~attempt:_ ~d ->
+          let alice_step, bob_step = steps kind (doubling_params kind ~seed ~u ~h ~s ~d) in
+          Comm.drive comm ~alice:(alice_step a) ~bob:(bob_step b))
   in
-  Result.map (applied bob) result
+  Result.map (fun delta -> { recovered = Parent.apply_delta bob delta; stats = Comm.stats comm }) result
+
+let reconcile_unknown kind ~seed ~u ~h ~alice ~bob () =
+  Comm.run (fun comm -> run_unknown kind ~comm ~seed ~u ~h ~alice ~bob)
 
 let reconcile_amplified kind ~seed ~d ~u ~h ~replicas ~alice ~bob () =
   if replicas < 1 then invalid_arg "Protocol.reconcile_amplified: replicas must be positive";
@@ -116,23 +116,12 @@ type cost_report = {
   metrics : Ssr_obs.Metrics.snapshot;
 }
 
-let report_of ~protocol ~before stats =
-  let after = Ssr_obs.Metrics.snapshot () in
-  {
-    protocol;
-    stats;
-    per_round = Comm.per_round_bits stats;
-    metrics = Ssr_obs.Metrics.diff ~before ~after;
-  }
-
-let with_report ~protocol (run : unit -> (outcome, error) result) =
+let report kind (run : unit -> (outcome, error) result) =
   let before = Ssr_obs.Metrics.snapshot () in
+  let report_of stats =
+    let metrics = Ssr_obs.Metrics.diff ~before ~after:(Ssr_obs.Metrics.snapshot ()) in
+    { protocol = name kind; stats; per_round = Comm.per_round_bits stats; metrics }
+  in
   match run () with
-  | Ok o -> Ok (o, report_of ~protocol ~before o.stats)
-  | Error (`Decode_failure stats) -> Error (`Decode_failure stats, report_of ~protocol ~before stats)
-
-let reconcile_known_report kind ~seed ~d ~u ~h ~alice ~bob () =
-  with_report ~protocol:(name kind) (reconcile_known kind ~seed ~d ~u ~h ~alice ~bob)
-
-let reconcile_unknown_report kind ~seed ~u ~h ~alice ~bob () =
-  with_report ~protocol:(name kind) (reconcile_unknown kind ~seed ~u ~h ~alice ~bob)
+  | Ok o -> Ok (o, report_of o.stats)
+  | Error (`Decode_failure stats) -> Error (`Decode_failure stats, report_of stats)

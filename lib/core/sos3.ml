@@ -84,7 +84,7 @@ let diff_bounds a b =
   consider b_only a;
   (d3, !d2, max 1 !d1)
 
-type outcome = { recovered : t; differing_parents : int; stats : Comm.stats }
+type outcome = { recovered : t; stats : Comm.stats }
 
 type error = [ `Decode_failure of Comm.stats ]
 
@@ -96,7 +96,10 @@ type level2_config = {
   seed : int64;
 }
 
-let level2_config ~seed ~d ~d2 ~s_bound ~k =
+(* Every table has k = 3 hash functions. *)
+let k = 3
+
+let level2_config ~seed ~d ~d2 ~s_bound =
   let cfg1 : Encoding.config =
     {
       child_cells = Iblt.recommended_cells ~k ~diff_bound:d;
@@ -171,15 +174,11 @@ let try_recover_parent cfg ~alice_key ~bob_parent =
     if List.length db <> List.length negatives then None
     else begin
       let recover = Encoding.pairing cfg.cfg1 db in
-      let rec recover_children keys acc =
-        match keys with
-        | [] -> Some acc
-        | key :: rest -> (
-          match recover key with
-          | Some child -> recover_children rest (child :: acc)
-          | None -> None)
-      in
-      match recover_children positives [] with
+      match
+        List.fold_left
+          (fun acc key -> Option.bind acc (fun da -> Option.map (fun c -> c :: da) (recover key)))
+          (Some []) positives
+      with
       | None -> None
       | Some da ->
         let db_tbl = Iset.Tbl.create (List.length db) in
@@ -189,71 +188,81 @@ let try_recover_parent cfg ~alice_key ~bob_parent =
         if Parent.hash ~seed:cfg.seed candidate = alice_hash then Some candidate else None
     end))
 
-let run_known ~comm ~seed ~d ~d2 ~d3 ~k ~alice ~bob =
-  let s_bound =
-    max 2 (Array.fold_left (fun acc p -> max acc (Parent.cardinal p)) 2 bob)
-  in
-  let cfg = level2_config ~seed ~d ~d2 ~s_bound ~k in
-  let outer_prm : Iblt.params =
-    {
-      cells = Iblt.recommended_cells ~k ~diff_bound:(2 * d3);
-      k;
-      key_len = parent_key_length cfg;
-      seed = Prng.derive ~seed ~tag:0x533;
-    }
-  in
-  (* Alice's single message: grandparent IBLT over parent encodings + hash. *)
-  let outer = Iblt.create outer_prm in
-  Iblt.add_all outer (Par.map_array (encode_parent cfg) alice);
-  match Comm.xfer_guarded comm ~label:"sos3-iblt+hash" [| outer |] ~guard:(hash ~seed alice) with
-  | None -> Error `Decode_failure
-  | Some (received, alice_hash) -> (
-  (* Bob's side, from the delivered bytes. *)
-  let bob_encodings =
-    Array.to_list (Par.map_array (fun p -> (encode_parent cfg p, p)) bob)
-  in
-  let bob_outer = Iblt.create outer_prm in
-  Iblt.add_all bob_outer (Array.of_list (List.map fst bob_encodings));
+(* Both parties' configuration: the level-2 encoding and the grandparent
+   table over the parent encodings. *)
+let config ~seed ~d ~d2 ~d3 ~s =
+  let cfg = level2_config ~seed ~d ~d2 ~s_bound:s in
+  let cells = Iblt.recommended_cells ~k ~diff_bound:(2 * d3) in
+  (cfg, { Iblt.cells; k; key_len = parent_key_length cfg; seed = Prng.derive ~seed ~tag:0x533 })
+
+(* Alice's single message: grandparent IBLT over parent encodings + hash. *)
+let alice ~seed ~d ~d2 ~d3 ~s parents =
+  let cfg, prm = config ~seed ~d ~d2 ~d3 ~s in
+  let outer = Iblt.create prm in
+  Iblt.add_all outer (Par.map_array (encode_parent cfg) parents);
+  Comm.Send ("sos3-iblt+hash", Comm.guarded [| outer |] ~guard:(hash ~seed parents), Comm.Done ())
+
+(* Bob's side, from the delivered bytes. His differing parents are found
+   by their encodings through one table, not a scan per negative. *)
+let finish cfg ~prm ~seed parents (received, alice_hash) =
+  let encodings = Par.map_array (encode_parent cfg) parents in
+  let bob_outer = Iblt.create prm in
+  Iblt.add_all bob_outer encodings;
   match Iblt.decode (Iblt.subtract received.(0) bob_outer) with
   | Error `Peel_stuck -> Error `Decode_failure
   | Ok { positives; negatives } -> (
-    let db3 =
-      List.filter_map
-        (fun neg ->
-          List.find_opt (fun (key, _) -> Bytes.equal key neg) bob_encodings |> Option.map snd)
-        negatives
-    in
+    let by_key = Hashtbl.create (2 * Array.length encodings) in
+    Array.iteri (fun i k -> if not (Hashtbl.mem by_key k) then Hashtbl.add by_key k i) encodings;
+    let db3 = List.filter_map (Hashtbl.find_opt by_key) negatives in
     if List.length db3 <> List.length negatives then Error `Decode_failure
-    else begin
-      let rec recover_parents keys acc =
-        match keys with
-        | [] -> Some acc
-        | key :: rest -> (
-          match List.find_map (fun bp -> try_recover_parent cfg ~alice_key:key ~bob_parent:bp) db3 with
-          | Some parent -> recover_parents rest (parent :: acc)
-          | None -> None)
+    else
+      let recover key =
+        List.find_map (fun i -> try_recover_parent cfg ~alice_key:key ~bob_parent:parents.(i)) db3
       in
-      match recover_parents positives [] with
+      match
+        List.fold_left
+          (fun acc key -> Option.bind acc (fun da -> Option.map (fun p -> p :: da) (recover key)))
+          (Some []) positives
+      with
       | None -> Error `Decode_failure
       | Some da3 ->
-        let remaining =
-          List.filter (fun p -> not (List.exists (Parent.equal p) db3)) (Array.to_list bob)
-        in
-        let recovered = of_parents (da3 @ remaining) in
-        if hash ~seed recovered = alice_hash then
-          Ok { recovered; differing_parents = List.length positives; stats = Comm.stats comm }
-        else Error `Decode_failure
-    end))
+        let gone = Array.make (Array.length parents) false in
+        List.iter (fun i -> gone.(i) <- true) db3;
+        let kept = List.filteri (fun i _ -> not gone.(i)) (Array.to_list parents) in
+        let recovered = of_parents (da3 @ kept) in
+        if hash ~seed recovered = alice_hash then Ok recovered else Error `Decode_failure)
 
-let reconcile_known ~seed ~d ?d2 ?d3 ?(k = 3) ~alice ~bob () =
-  let d2 = match d2 with Some v -> v | None -> d in
-  let d3 = match d3 with Some v -> v | None -> d in
-  Comm.run (fun comm -> run_known ~comm ~seed ~d ~d2 ~d3 ~k ~alice ~bob)
+let bob ~seed ~d ~d2 ~d3 ~s parents =
+  let cfg, prm = config ~seed ~d ~d2 ~d3 ~s in
+  Comm.Recv
+    (fun got ->
+      Comm.Done
+        (match Comm.parse_guarded [| prm |] got with
+        | None -> Error `Decode_failure
+        | Some message -> finish cfg ~prm ~seed parents message))
 
-let reconcile_unknown ~seed ?(k = 3) ?(max_d = 1 lsl 16) ~alice ~bob () =
-  let comm = Comm.create () in
-  Comm.retry_doubling comm ~retries:m_retries ~d:1
-    ~stop:(fun ~attempt:_ ~d -> d > max_d)
-    (fun ~attempt:_ ~d ->
-      run_known ~comm ~seed:(Prng.derive ~seed ~tag:(0x540 + Bits.ceil_log2 (d + 1))) ~d ~d2:d ~d3:d ~k
-        ~alice ~bob)
+(* The [s] bound the drivers here pass: the largest of Bob's parents. *)
+let s_bound bob = Array.fold_left (fun acc p -> max acc (Parent.cardinal p)) 2 bob
+
+let outcome comm = Result.map (fun recovered -> { recovered; stats = Comm.stats comm })
+
+let run_known ~comm ~seed ~d ~d2 ~d3 ~alice:a ~bob:b =
+  let s = s_bound b in
+  outcome comm
+    (Comm.drive comm ~alice:(alice ~seed ~d ~d2 ~d3 ~s a) ~bob:(bob ~seed ~d ~d2 ~d3 ~s b))
+
+let reconcile_known ~seed ~d ~d2 ~d3 ~alice ~bob () =
+  Comm.run (fun comm -> run_known ~comm ~seed ~d ~d2 ~d3 ~alice ~bob)
+
+let doubling_seed ~seed ~d = Prng.derive ~seed ~tag:(0x540 + Bits.ceil_log2 (d + 1))
+
+let run_unknown ~comm ~seed ~alice:a ~bob:b =
+  let s = s_bound b in
+  outcome comm
+    (Comm.retry_doubling comm ~retries:m_retries ~d:1
+       ~stop:(fun ~attempt:_ ~d -> d > 1 lsl 16)
+       (fun ~attempt:_ ~d ->
+         let seed = doubling_seed ~seed ~d in
+         Comm.drive comm ~alice:(alice ~seed ~d ~d2:d ~d3:d ~s a) ~bob:(bob ~seed ~d ~d2:d ~d3:d ~s b)))
+
+let reconcile_unknown ~seed ~alice ~bob () = Comm.run (fun comm -> run_unknown ~comm ~seed ~alice ~bob)

@@ -46,29 +46,44 @@ val diff_bounds : t -> t -> int * int * int
     matched child pair — the knobs the protocol needs. Computed by relaxed
     best-matching, mirroring {!Parent.relaxed_matching_cost}. *)
 
-type outcome = {
-  recovered : t;
-  differing_parents : int;
-  stats : Ssr_setrecon.Comm.stats;
-}
+type outcome = { recovered : t; stats : Ssr_setrecon.Comm.stats }
 
 type error = [ `Decode_failure of Ssr_setrecon.Comm.stats ]
 
 val reconcile_known :
-  seed:int64 -> d:int -> ?d2:int -> ?d3:int -> ?k:int ->
-  alice:t -> bob:t -> unit -> (outcome, error) result
+  seed:int64 -> d:int -> d2:int -> d3:int -> alice:t -> bob:t -> unit -> (outcome, error) result
 (** One round: the grandparent table and Alice's {!hash} as one
-    {!Ssr_setrecon.Comm.xfer_guarded} message, which Bob parses before he peels.
+    {!Ssr_setrecon.Comm.guarded} message, which Bob parses before he peels.
     [d] bounds element differences between matched children, [d2]
-    differing children per matched parent pair (default [d]), [d3]
-    differing parents per side (default [d]). *)
+    differing children per matched parent pair, [d3] differing parents
+    per side. Every table has k = 3 hash functions. *)
 
 val run_known :
-  comm:Ssr_setrecon.Comm.t -> seed:int64 -> d:int -> d2:int -> d3:int -> k:int ->
+  comm:Ssr_setrecon.Comm.t -> seed:int64 -> d:int -> d2:int -> d3:int ->
   alice:t -> bob:t -> (outcome, [ `Decode_failure ]) result
-(** {!reconcile_known} threaded through a caller-supplied recorder. *)
+(** {!reconcile_known} on a caller-supplied recorder: {!alice} and {!bob}
+    with [s] the largest of Bob's parents (at least 2). *)
 
-val reconcile_unknown :
-  seed:int64 -> ?k:int -> ?max_d:int ->
-  alice:t -> bob:t -> unit -> (outcome, error) result
-(** Repeated doubling on all three bounds simultaneously. *)
+val reconcile_unknown : seed:int64 -> alice:t -> bob:t -> unit -> (outcome, error) result
+(** Repeated doubling on all three bounds simultaneously, up to 2^16: the
+    attempt at bound d runs the two steps with d = d2 = d3 and
+    {!doubling_seed}. *)
+
+val run_unknown :
+  comm:Ssr_setrecon.Comm.t -> seed:int64 -> alice:t -> bob:t ->
+  (outcome, [ `Decode_failure ]) result
+(** {!reconcile_unknown} on a caller-supplied recorder. *)
+
+val alice : seed:int64 -> d:int -> d2:int -> d3:int -> s:int -> t -> unit Ssr_setrecon.Comm.party
+(** Alice's step: the grandparent table over her parent encodings and her
+    {!hash} as one message. [s], the public bound on a parent's child
+    count, sizes the child hashes. *)
+
+val bob :
+  seed:int64 -> d:int -> d2:int -> d3:int -> s:int -> t ->
+  (t, [ `Decode_failure ]) result Ssr_setrecon.Comm.party
+(** Bob's step: he finishes with Alice's collection, verified against her
+    hash. *)
+
+val doubling_seed : seed:int64 -> d:int -> int64
+(** The public coins of {!reconcile_unknown}'s attempt at bound [d]. *)

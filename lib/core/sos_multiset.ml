@@ -101,24 +101,29 @@ let setting ~u alice bob =
   let h_set = max 1 (max (Parent.max_child_size alice_parent) (Parent.max_child_size bob_parent)) in
   (cap, alice_parent, bob_parent, u_set, h_set)
 
-let finish ~u ~cap result =
-  match result with
-  | Error (`Decode_failure stats) -> Error (`Decode_failure stats)
-  | Ok { Protocol.recovered; stats } -> (
-    match of_parent ~u ~cap recovered with
-    | Some result -> Ok (result, stats)
-    | None -> Error (`Decode_failure stats))
+let decoded ~u ~cap = function
+  | Error `Decode_failure -> Error `Decode_failure
+  | Ok { Protocol.recovered; stats = _ } -> (
+    match of_parent ~u ~cap recovered with Some t -> Ok t | None -> Error `Decode_failure)
 
-let reconcile kind ~seed ~d ~u ~alice ~bob () =
+let run kind ~comm ~seed ~d ~u ~alice ~bob =
   let cap, alice_parent, bob_parent, u_set, h_set = setting ~u alice bob in
   (* Each multiset element change moves at most two pairs, and re-indexing a
      duplicated child moves two more. *)
   let d_set = (4 * d) + 4 in
-  finish ~u ~cap
-    (Protocol.reconcile_known kind ~seed ~d:d_set ~u:u_set ~h:h_set ~alice:alice_parent
-       ~bob:bob_parent ())
+  decoded ~u ~cap
+    (Protocol.run_known kind ~comm ~seed ~enc_seed:None ~d:d_set ~u:u_set ~h:h_set
+       ~alice:alice_parent ~bob:bob_parent)
+
+let run_unknown kind ~comm ~seed ~u ~alice ~bob =
+  let cap, alice_parent, bob_parent, u_set, h_set = setting ~u alice bob in
+  decoded ~u ~cap
+    (Protocol.run_unknown kind ~comm ~seed ~u:u_set ~h:h_set ~alice:alice_parent ~bob:bob_parent)
+
+let with_stats run = Comm.run (fun comm -> Result.map (fun t -> (t, Comm.stats comm)) (run comm))
+
+let reconcile kind ~seed ~d ~u ~alice ~bob () =
+  with_stats (fun comm -> run kind ~comm ~seed ~d ~u ~alice ~bob)
 
 let reconcile_unknown kind ~seed ~u ~alice ~bob () =
-  let cap, alice_parent, bob_parent, u_set, h_set = setting ~u alice bob in
-  finish ~u ~cap
-    (Protocol.reconcile_unknown kind ~seed ~u:u_set ~h:h_set ~alice:alice_parent ~bob:bob_parent ())
+  with_stats (fun comm -> run_unknown kind ~comm ~seed ~u ~alice ~bob)

@@ -48,3 +48,13 @@ val reconcile_unknown :
   (t * Ssr_setrecon.Comm.stats, [ `Decode_failure of Ssr_setrecon.Comm.stats ]) result
 (** As {!reconcile} but with the protocol's unknown-d mechanism (estimator
     round or repeated doubling). *)
+
+val run :
+  Protocol.kind -> comm:Ssr_setrecon.Comm.t -> seed:int64 -> d:int -> u:int ->
+  alice:t -> bob:t -> (t, [ `Decode_failure ]) result
+(** {!reconcile} on a caller-supplied recorder. *)
+
+val run_unknown :
+  Protocol.kind -> comm:Ssr_setrecon.Comm.t -> seed:int64 -> u:int ->
+  alice:t -> bob:t -> (t, [ `Decode_failure ]) result
+(** {!reconcile_unknown} on a caller-supplied recorder. *)

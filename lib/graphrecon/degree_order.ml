@@ -3,7 +3,7 @@ module Prng = Ssr_util.Prng
 module Graph = Ssr_graphs.Graph
 module Sig = Ssr_graphs.Degree_order_sig
 module Parent = Ssr_core.Parent
-module Cascade = Ssr_core.Cascade
+module Protocol = Ssr_core.Protocol
 module Set_recon = Ssr_setrecon.Set_recon
 module Comm = Ssr_setrecon.Comm
 
@@ -48,13 +48,13 @@ let reconcile ~seed ~d ~h ~alice ~bob () =
     else begin
       let labeled_alice = Graph.relabel alice (labeling_of_scheme scheme_a n) in
       match
-        Cascade.reconcile_known ~seed:(Prng.derive ~seed ~tag:1) ~d:(max 1 d) ~u:h ~h
-          ~alice:parent_a ~bob:parent_b ()
+        Protocol.reconcile_known Protocol.Cascade ~seed:(Prng.derive ~seed ~tag:1) ~d:(max 1 d)
+          ~u:h ~h ~alice:parent_a ~bob:parent_b ()
       with
       | Error (`Decode_failure stats) -> Error (`Decode_failure stats)
       | Ok sig_outcome ->
         let alice_sigs =
-          Array.of_list (Parent.children (Parent.apply_delta parent_b sig_outcome.Cascade.delta))
+          Array.of_list (Parent.children sig_outcome.Protocol.recovered)
         in
         (* Parent canonical order is Iset.compare order = the lex order Alice
            labeled with. *)
@@ -74,7 +74,7 @@ let reconcile ~seed ~d ~h ~alice ~bob () =
           scheme_b.Sig.sigs;
         let used = Array.make n false in
         Array.iter (fun l -> if l >= 0 && l < n && not used.(l) then used.(l) <- true else ambiguous := true) perm;
-        if !ambiguous then Error (`Not_separated sig_outcome.Cascade.stats)
+        if !ambiguous then Error (`Not_separated sig_outcome.Protocol.stats)
         else begin
           let labeled_bob = Graph.relabel bob perm in
           (* --- Labeled edge reconciliation, in parallel (same round). --- *)
@@ -83,10 +83,10 @@ let reconcile ~seed ~d ~h ~alice ~bob () =
               ~alice:(Graph.edge_ids labeled_alice) ~bob:(Graph.edge_ids labeled_bob) ()
           with
           | Error (`Decode_failure stats) ->
-            Error (`Decode_failure (Comm.merge_stats sig_outcome.Cascade.stats stats))
+            Error (`Decode_failure (Comm.merge_stats sig_outcome.Protocol.stats stats))
           | Ok edge_outcome ->
             let recovered = Graph.of_edge_ids ~n edge_outcome.Set_recon.recovered in
-            let stats = Comm.merge_stats sig_outcome.Cascade.stats edge_outcome.Set_recon.stats in
+            let stats = Comm.merge_stats sig_outcome.Protocol.stats edge_outcome.Set_recon.stats in
             Ok { recovered; stats }
         end
     end

@@ -62,10 +62,29 @@ let xfer t direction ~label payload =
       Metrics.incr m_lost;
       Error `Lost)
 
-(* Bob re-slices the delivered bytes by the tables' parameters, which are
-   public coins, so a truncated, padded or resized transmission fails
-   here, totally. *)
-let xfer_guarded t ~label tables ~guard =
+type 'a party =
+  | Send of string * Bytes.t * 'a party
+  | Recv of ((Bytes.t, [ `Lost ]) result -> 'a party)
+  | Done of 'a
+
+(* Bob's state decides each step; with nothing from Alice he times out. *)
+let rec drive t ~alice ~bob =
+  match bob with
+  | Done r -> r
+  | Send (label, payload, bob) ->
+    let got = xfer t B_to_a ~label payload in
+    drive t ~alice:(match alice with Recv k -> k got | other -> other) ~bob
+  | Recv k -> (
+    match alice with
+    | Send (label, payload, alice) -> drive t ~alice ~bob:(k (xfer t A_to_b ~label payload))
+    | Recv _ | Done _ -> drive t ~alice ~bob:(k (Error `Lost)))
+
+let rec map f = function
+  | Done x -> Done (f x)
+  | Send (label, payload, next) -> Send (label, payload, map f next)
+  | Recv k -> Recv (fun got -> map f (k got))
+
+let guarded tables ~guard =
   let lengths = Array.map (fun tb -> Iblt.size_bits tb / 8) tables in
   let payload = Bytes.create (Array.fold_left ( + ) 8 lengths) in
   let pos = ref 0 in
@@ -75,31 +94,45 @@ let xfer_guarded t ~label tables ~guard =
       pos := !pos + lengths.(i))
     tables;
   Buf.set_int_le payload !pos guard;
-  match xfer t A_to_b ~label payload with
+  payload
+
+(* Bob re-slices the delivered bytes by parameters he derives himself from
+   public coins, so a truncated, padded or resized transmission fails
+   here, totally. *)
+let parse_guarded prms = function
   | Error `Lost -> None
   | Ok delivered -> (
     let r = Codec.reader delivered in
     let parsed =
-      Array.init (Array.length tables) (fun i ->
-          let tb = tables.(i) in
-          Option.bind (Codec.take r lengths.(i))
-            (Iblt.of_body_bytes_opt ~check_bits:(Iblt.check_bits tb) (Iblt.params tb)))
+      Array.map
+        (fun prm -> Option.bind (Codec.take r (Iblt.body_length prm)) (Iblt.of_body_bytes_opt prm))
+        prms
     in
     match Codec.int62 r with
     | Some guard when Codec.at_end r && Array.for_all Option.is_some parsed ->
       Some (Array.map Option.get parsed, guard)
     | _ -> None)
 
-let xfer_estimator ?shape t ~label ~seed ~alice ~bob =
-  let bob_est = L0.create ~seed ?shape () in
-  L0.update_all bob_est L0.S1 bob;
-  match xfer t B_to_a ~label (L0.to_bytes bob_est) with
+let sized (prm : Iblt.params) got =
+  let cell = Iblt.body_length { prm with cells = prm.k } / prm.k in
+  let body = match got with Ok b -> Bytes.length b - 8 | Error `Lost -> -1 in
+  let cells = body / cell in
+  if body >= 0 && body mod cell = 0 && cells mod prm.k = 0 && cells >= 2 * prm.k then
+    Some { prm with cells }
+  else None
+
+let estimator ?shape ~seed keys =
+  let est = L0.create ~seed ?shape () in
+  L0.update_all est L0.S1 keys;
+  L0.to_bytes est
+
+let estimate ?shape ~seed keys = function
   | Error `Lost -> None
   | Ok delivered ->
-    Option.bind (L0.of_bytes_opt ~seed ?shape delivered) (fun bob_est ->
-        let alice_est = L0.create ~seed ?shape () in
-        L0.update_all alice_est L0.S2 alice;
-        L0.query_opt (L0.merge bob_est alice_est))
+    Option.bind (L0.of_bytes_opt ~seed ?shape delivered) (fun theirs ->
+        let mine = L0.create ~seed ?shape () in
+        L0.update_all mine L0.S2 keys;
+        L0.query_opt (L0.merge theirs mine))
 
 (* Bob's control requests. Alice goes on whatever arrives: she sends the
    next attempt when the request reaches her and on her own timeout when
@@ -127,7 +160,7 @@ let run exchange =
 
 let retry_doubling t ~retries ~d ~stop attempt =
   let rec go i d =
-    if stop ~attempt:i ~d then Error (`Decode_failure (stats t))
+    if stop ~attempt:i ~d then Error `Decode_failure
     else
       match attempt ~attempt:i ~d with
       | Ok o -> Ok o

@@ -18,7 +18,9 @@
     path. Control messages — Bob's {!request_retry} and {!request_salvage}
     — are [xfer]s too, so they cross any attached transport and can be
     lost. The transport layer lives in [lib/transport]; this hook is a
-    plain closure so the dependency points only that way. *)
+    plain closure so the dependency points only that way. The set-of-sets
+    stacks run each party apart as a {!party}; the shared codecs come in
+    one half per party, which the plain-set stacks call around [xfer]. *)
 
 type direction = A_to_b | B_to_a
 
@@ -58,25 +60,52 @@ val xfer : t -> direction -> label:string -> Bytes.t -> (Bytes.t, [ `Lost ]) res
     [Ok payload]. Consecutive messages in the same direction share a round;
     a direction switch starts a new one. *)
 
-val xfer_guarded :
-  t -> label:string -> Ssr_sketch.Iblt.t array -> guard:int ->
-  (Ssr_sketch.Iblt.t array * int) option
-(** The one "tables ‖ 8-byte guard" message, A to B, of every IBLT stack:
-    the [tables]' bodies in order, then [guard] (a whole-object hash) as 8
-    little-endian bytes. It returns what Bob parses from the delivered
-    bytes: fresh tables re-sliced by the tables' public parameters, and the
-    guard. [None] when the message was lost or the bytes have the wrong
-    length or a guard outside 62 bits; total, never raises. *)
+type 'a party =
+  | Send of string * Bytes.t * 'a party  (** Send a labelled payload, then go on. *)
+  | Recv of ((Bytes.t, [ `Lost ]) result -> 'a party)  (** Wait for a delivery or a loss. *)
+  | Done of 'a
+(** One party of a two-party exchange, a state machine over the bytes
+    delivered to it: whatever runs two parties moves only bytes. *)
 
-val xfer_estimator :
-  ?shape:Ssr_sketch.L0_estimator.shape -> t -> label:string -> seed:int64 ->
-  alice:int array -> bob:int array -> int option
-(** The estimator round of the unknown-d variants (Theorem 3.1), B to A:
-    Bob sends an l0 estimator of his keys [bob]; Alice parses it, merges
-    her own over [alice] and returns the estimated difference. [None] when
-    the estimator was lost, has the wrong length or reads out of the
-    shape's range ({!Ssr_sketch.L0_estimator.query_opt}), so that damage
-    cannot size a table beyond any difference the estimator measures. *)
+val drive : t -> alice:'a party -> bob:'b party -> 'b
+(** Run Alice (A to B) and Bob (B to A) through {!xfer} on [t] until Bob is
+    done. A message reaches its receiver only if it waits; Bob waiting
+    while Alice has nothing to send is delivered [Error `Lost], a
+    timeout. *)
+
+val map : ('a -> 'b) -> 'a party -> 'b party
+(** The same party, finishing with [f] of its result. *)
+
+val guarded : Ssr_sketch.Iblt.t array -> guard:int -> Bytes.t
+(** Alice's half of the one "tables ‖ 8-byte guard" message of every IBLT
+    stack: the tables' bodies, then [guard] (a whole-object hash) as 8
+    little-endian bytes. *)
+
+val parse_guarded :
+  Ssr_sketch.Iblt.params array -> (Bytes.t, [ `Lost ]) result ->
+  (Ssr_sketch.Iblt.t array * int) option
+(** Bob's half: the tables sliced from the delivered bytes by parameters he
+    derives himself, and the guard; [None] on a loss, a wrong length or a
+    guard outside 62 bits. Total. *)
+
+val sized :
+  Ssr_sketch.Iblt.params -> (Bytes.t, [ `Lost ]) result -> Ssr_sketch.Iblt.params option
+(** [prm] with [cells] read off the length of a one-table {!guarded}
+    message that Alice sized from her estimate. [None] unless the cell
+    count is whole, a multiple of [k] and at least [2k] (a size
+    {!Ssr_sketch.Iblt.recommended_cells} can produce). *)
+
+val estimator : ?shape:Ssr_sketch.L0_estimator.shape -> seed:int64 -> int array -> Bytes.t
+(** Bob's half of the estimator round of the unknown-d variants (Theorem
+    3.1): an l0 estimator of his keys. *)
+
+val estimate :
+  ?shape:Ssr_sketch.L0_estimator.shape -> seed:int64 -> int array ->
+  (Bytes.t, [ `Lost ]) result -> int option
+(** Alice's half: merge her keys into the delivered estimator and query
+    it. [None] when it was lost, has the wrong length or reads out of the
+    shape's range ({!Ssr_sketch.L0_estimator.query_opt}), so damage cannot
+    size a table beyond any difference the estimator measures. *)
 
 val request_retry : t -> unit
 (** Bob's 1-byte ["retry"] request, B to A: his attempt failed. *)
@@ -96,14 +125,13 @@ val run :
 val retry_doubling :
   t -> retries:Ssr_obs.Metrics.counter -> d:int -> stop:(attempt:int -> d:int -> bool) ->
   (attempt:int -> d:int -> ('a, [ `Decode_failure ]) result) ->
-  ('a, [> `Decode_failure of stats ]) result
-(** The unknown-d driver (Corollary 3.6's repeated doubling): run
+  ('a, [ `Decode_failure ]) result
+(** The unknown-d loop (Corollary 3.6's repeated doubling): run
     [attempt ~attempt:0 ~d], and after each failure bump [retries], send
-    Bob's {!request_retry} on [t] and try again with the attempt
-    number incremented and [d] doubled. Before every attempt [stop] is asked
-    whether the ladder is exhausted, in which case the result is a decode
-    failure carrying [t]'s cumulative stats. The caller derives each
-    attempt's seed from [~attempt] or [~d]. *)
+    Bob's {!request_retry} on [t] and try again with the attempt number
+    incremented and [d] doubled, until [stop] says the ladder is
+    exhausted. Each attempt's public parameters derive from [~attempt] or
+    [~d], so Alice can follow the same schedule apart from Bob. *)
 
 val merge_stats : stats -> stats -> stats
 (** Combine transcripts of sub-protocols that run in parallel: bits add and

@@ -41,8 +41,8 @@ let run_broadcast ~comm ~seed ~d ~k:hashes ~parties =
   let delivered =
     Array.mapi
       (fun i t ->
-        Comm.xfer_guarded comm ~label:"broadcast-iblt+hash" [| t |]
-          ~guard:(Set_recon.set_hash ~seed parties.(i)))
+        let payload = Comm.guarded [| t |] ~guard:(Set_recon.set_hash ~seed parties.(i)) in
+        Comm.parse_guarded [| prm |] (Comm.xfer comm Comm.A_to_b ~label:"broadcast-iblt+hash" payload))
       tables
   in
   (* Each receiver reconciles against every sender. *)

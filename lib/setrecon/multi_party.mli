@@ -32,7 +32,7 @@ val run_broadcast :
   comm:Comm.t -> seed:int64 -> d:int -> k:int -> parties:Ssr_util.Iset.t array ->
   (outcome, [ `Decode_failure of int ]) result
 (** {!reconcile_broadcast} threaded through a caller-supplied recorder:
-    one {!Comm.xfer_guarded} per party, and every receiver reconciles
+    one {!Comm.guarded} message per party, and every receiver reconciles
     against the copy delivered. *)
 
 val pairwise_bound : Ssr_util.Iset.t array -> int

@@ -19,9 +19,9 @@ let run_known_d ~comm ~seed ~d ~k ~alice ~bob =
   in
   let table = Iblt.create prm in
   List.iter (Iblt.insert table) (Multiset.pair_keys alice ~key_len);
+  let payload = Comm.guarded [| table |] ~guard:(multiset_hash ~seed alice) in
   match
-    Comm.xfer_guarded comm ~label:"multiset-iblt+hash" [| table |]
-      ~guard:(multiset_hash ~seed alice)
+    Comm.parse_guarded [| prm |] (Comm.xfer comm Comm.A_to_b ~label:"multiset-iblt+hash" payload)
   with
   | None -> Error `Decode_failure
   | Some (received, alice_hash) -> (

@@ -20,4 +20,4 @@ val run_known_d :
   (outcome, [ `Decode_failure ]) result
 (** {!reconcile_known_d} threaded through a caller-supplied recorder. The
     message is Alice's table and whole-multiset hash as one
-    {!Comm.xfer_guarded}. *)
+    {!Comm.guarded} message. *)

@@ -72,19 +72,21 @@ let run ~comm ~seed ?(check_bits = 32) ?(initial_window = 32) ?(max_cells = 1 ls
   let dec = Rateless.decoder_of_ints ~check_bits ~seed (Iset.to_array bob) in
   let cell_bytes = Rateless.source_cell_bytes src in
   let alice_hash = Set_recon.set_hash ~seed alice in
+  (* The whole-set hash Bob was last delivered in a window. *)
+  let delivered_hash = ref None in
   let finish () =
     (* Bob's completion test: a clean peel that passes the whole-set
-       hash. A false decode candidate fails here and the stream simply
-       continues — never a silent acceptance. *)
-    match Rateless.decoded_ints dec with
-    | None -> None
-    | Some (pos, neg) ->
+       hash he was delivered. A false decode candidate fails here and the
+       stream simply continues — never a silent acceptance. *)
+    match (Rateless.decoded_ints dec, !delivered_hash) with
+    | Some (pos, neg), Some hash ->
       let alice_minus_bob = Iset.of_list pos in
       let bob_minus_alice = Iset.of_list neg in
       let recovered = Iset.apply_diff bob ~add:alice_minus_bob ~del:bob_minus_alice in
-      if Set_recon.set_hash ~seed recovered = alice_hash then
+      if Set_recon.set_hash ~seed recovered = hash then
         Some (recovered, alice_minus_bob, bob_minus_alice)
       else None
+    | _ -> None
   in
   let rec cycle lo w =
     if lo >= max_cells then begin
@@ -105,7 +107,9 @@ let run ~comm ~seed ?(check_bits = 32) ?(initial_window = 32) ?(max_cells = 1 ls
       | Ok delivered -> (
         match window_of_bytes_opt ~cell_bytes delivered with
         | None -> Metrics.incr m_lost_windows
-        | Some (lo', _hash, cells) -> ignore (Rateless.absorb dec ~lo:lo' cells)));
+        | Some (lo', hash, cells) ->
+          delivered_hash := Some hash;
+          ignore (Rateless.absorb dec ~lo:lo' cells)));
       let bob_done = finish () in
       let ack = encode_ack ~done_:(bob_done <> None) ~have:(Rateless.next_index dec) in
       Metrics.incr m_ack_rounds;

@@ -33,9 +33,11 @@ let iblt_params ~seed ~d ~k : Iblt.params =
    transport carries — and can damage — exactly what a deployment would
    put on the wire. *)
 let run_known_d ~comm ~seed ~d ~k ~alice ~bob =
-  let table = Iblt.create (iblt_params ~seed ~d ~k) in
+  let prm = iblt_params ~seed ~d ~k in
+  let table = Iblt.create prm in
   Iblt.add_all_ints table (Iset.to_array alice);
-  match Comm.xfer_guarded comm ~label:"iblt+hash" [| table |] ~guard:(set_hash ~seed alice) with
+  let payload = Comm.guarded [| table |] ~guard:(set_hash ~seed alice) in
+  match Comm.parse_guarded [| prm |] (Comm.xfer comm Comm.A_to_b ~label:"iblt+hash" payload) with
   | None -> Error `Decode_failure
   | Some (received, alice_hash) -> (
     (* Deleting Bob's elements from the parsed table in place is the same
@@ -58,9 +60,10 @@ let reconcile_known_d ~seed ~d ?(k = 4) ~alice ~bob () =
   Comm.run (fun comm -> run_known_d ~comm ~seed ~d ~k ~alice ~bob)
 
 let run_unknown_d ~comm ~seed ~k ?estimator_shape ~headroom ~alice ~bob () =
+  let payload = Comm.estimator ?shape:estimator_shape ~seed (Iset.to_array bob) in
   match
-    Comm.xfer_estimator ?shape:estimator_shape comm ~label:"estimator" ~seed
-      ~alice:(Iset.to_array alice) ~bob:(Iset.to_array bob)
+    Comm.estimate ?shape:estimator_shape ~seed (Iset.to_array alice)
+      (Comm.xfer comm Comm.B_to_a ~label:"estimator" payload)
   with
   | None -> Error `Decode_failure
   | Some est ->
@@ -119,7 +122,8 @@ let conv_ints keys =
 let run_salvage_attempt ~comm ~seed ~attempt ~k ~sv ~alice =
   Ssr_obs.Metrics.incr m_salvage_attempts;
   let aseed = Hashing.attempt_seed ~seed ~attempt in
-  let table = Iblt.create (iblt_params ~seed:aseed ~d:sv.remaining ~k) in
+  let prm = iblt_params ~seed:aseed ~d:sv.remaining ~k in
+  let table = Iblt.create prm in
   Iblt.add_all_ints table (Iset.to_array alice);
   (* Bob's reply to an attempt that did not finish: a salvage-retry
      request carrying his residual-difference bound, the size Alice's next
@@ -140,8 +144,9 @@ let run_salvage_attempt ~comm ~seed ~attempt ~k ~sv ~alice =
   in
   (* The verification hash is salted with the protocol seed, not the
      attempt seed: it names the same target set across all attempts. *)
+  let payload = Comm.guarded [| table |] ~guard:(set_hash ~seed alice) in
   match
-    Comm.xfer_guarded comm ~label:"salvage-iblt+hash" [| table |] ~guard:(set_hash ~seed alice)
+    Comm.parse_guarded [| prm |] (Comm.xfer comm Comm.A_to_b ~label:"salvage-iblt+hash" payload)
   with
   | None -> progress ()
   | Some (received, alice_hash) -> (
@@ -208,10 +213,11 @@ let reconcile_salvage ~seed ?(k = 4) ?(initial_d = 4) ?(max_attempts = 8) ?stash
   attempt 0
 
 let reconcile_robust ~seed ?(k = 4) ?(initial_d = 4) ?(max_attempts = 16) ~alice ~bob () =
-  let comm = Comm.create () in
-  Comm.retry_doubling comm ~retries ~d:initial_d
-    ~stop:(fun ~attempt ~d:_ -> attempt >= max_attempts)
-    (fun ~attempt ~d ->
-      (* A fresh derived seed each attempt re-randomizes the hash functions,
-         so a peeling failure is not repeated deterministically. *)
-      run_known_d ~comm ~seed:(Prng.derive ~seed ~tag:(100 + attempt)) ~d ~k ~alice ~bob)
+  Comm.run (fun comm ->
+      Comm.retry_doubling comm ~retries ~d:initial_d
+        ~stop:(fun ~attempt ~d:_ -> attempt >= max_attempts)
+        (fun ~attempt ~d ->
+          (* A fresh derived seed each attempt re-randomizes the hash
+             functions, so a peeling failure is not repeated
+             deterministically. *)
+          run_known_d ~comm ~seed:(Prng.derive ~seed ~tag:(100 + attempt)) ~d ~k ~alice ~bob))

@@ -50,9 +50,10 @@ let run_known_d ~comm ~seed ~d ~k ~alice ~bob =
           }))
 
 let run_unknown_d ~comm ~seed ~k ?estimator_shape ~alice ~bob () =
+  let payload = Comm.estimator ?shape:estimator_shape ~seed (Iset.to_array bob) in
   match
-    Comm.xfer_estimator ?shape:estimator_shape comm ~label:"estimator" ~seed
-      ~alice:(Iset.to_array alice) ~bob:(Iset.to_array bob)
+    Comm.estimate ?shape:estimator_shape ~seed (Iset.to_array alice)
+      (Comm.xfer comm Comm.B_to_a ~label:"estimator" payload)
   with
   | None -> Error `Decode_failure
   | Some est -> run_known_d ~comm ~seed:(Prng.derive ~seed ~tag:0x2A) ~d:(max 4 (2 * est)) ~k ~alice ~bob

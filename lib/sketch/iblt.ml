@@ -422,7 +422,7 @@ let peel t =
      never overflow and peeling allocates nothing per step. *)
   let stack = Array.init cells (fun c -> c) in
   let in_stack = Bytes.make cells '\001' in
-  let top = ref cells in
+  let top = ref cells and peeled = ref 0 in
   while !top > 0 do
     decr top;
     let c = stack.(!top) in
@@ -437,7 +437,14 @@ let peel t =
       let h1 = t.lanes.(0) and h2 = t.lanes.(1) in
       let cs = Hashing.mix_pair h1 h2 land t.check_mask in
       if get_check t c <> cs then Metrics.incr m_checksum_rejects
+      else if !peeled = cells then
+        (* A genuine peel empties a distinct cell per key, so a key past
+           the [cells]-th is being peeled out of cells that never held it
+           (bytes sliced under other parameters, or crafted ones), which
+           can go on without end: stop, and the table stays stuck. *)
+        top := 0
       else begin
+        incr peeled;
         Metrics.incr m_peels;
         let key = Bytes.sub t.buf ((c * t.cell_bytes) + 4) kl in
         if count = 1 then positives := key :: !positives else negatives := key :: !negatives;
@@ -477,8 +484,8 @@ let decode t =
 
 (* A stalled peel compacted to its live cells: the signed multiset of the
    keys the decode could not extract, under the original parameters (and
-   therefore the original hash schedule). Indices are strictly increasing
-   so the wire form below is canonical. *)
+   therefore the original hash schedule), with strictly increasing
+   indices. *)
 type residual = {
   r_prm : params;
   r_check_bits : int;
@@ -488,7 +495,6 @@ type residual = {
   r_checks : int array;
 }
 
-let residual_params r = r.r_prm
 let residual_cells r = Array.length r.r_indices
 
 let key_slot_is_zero keys ~pos ~len =
@@ -552,80 +558,6 @@ let decode_partial t =
     let r = residual_of_worked worked in
     Metrics.observe d_residual (residual_cells r);
     `Salvaged (dec, r)
-  end
-
-(* Residual wire format: u32 live-cell count, then per live cell a u32
-   index, an i32 signed count, the key XOR and the checksum XOR at the
-   table's checksum width (8 bytes at the default 62-bit width — the
-   historical format, unchanged). Parameters are public coins and never
-   travel. *)
-let residual_bytes r =
-  let kl = r.r_prm.key_len in
-  let cw = check_bytes_of_bits r.r_check_bits in
-  let n = residual_cells r in
-  let cell_bytes = 4 + 4 + kl + cw in
-  let out = Bytes.create (4 + (n * cell_bytes)) in
-  Bytes.set_int32_le out 0 (Int32.of_int n);
-  for j = 0 to n - 1 do
-    let off = 4 + (j * cell_bytes) in
-    Bytes.set_int32_le out off (Int32.of_int r.r_indices.(j));
-    Bytes.set_int32_le out (off + 4) (Int32.of_int r.r_counts.(j));
-    Bytes.blit r.r_keys (j * kl) out (off + 8) kl;
-    (match cw with
-     | 1 -> Bytes.set_uint8 out (off + 8 + kl) r.r_checks.(j)
-     | 2 -> Bytes.set_uint16_le out (off + 8 + kl) r.r_checks.(j)
-     | 4 -> Bytes.set_int32_le out (off + 8 + kl) (Int32.of_int r.r_checks.(j))
-     | _ -> Buf.set_int_le out (off + 8 + kl) r.r_checks.(j))
-  done;
-  out
-
-let residual_of_bytes_opt ?(check_bits = 62) prm body =
-  (* Totality discipline of [of_body_bytes_opt]: the claimed live-cell
-     count is bounded by the (normalized, arithmetic-only) cell count and
-     cross-checked against the exact byte length before any storage sized
-     from it is allocated; indices must be strictly increasing and in
-     range, so the accepted language is exactly the canonical encodings. *)
-  let cw = check_bytes_of_bits check_bits in
-  let nprm = normalize_params prm in
-  let kl = nprm.key_len in
-  let cell_bytes = 4 + 4 + kl + cw in
-  if Bytes.length body < 4 then None
-  else begin
-    let n = Int32.to_int (Bytes.get_int32_le body 0) in
-    if n < 0 || n > nprm.cells || Bytes.length body <> 4 + (n * cell_bytes) then None
-    else begin
-      let r =
-        {
-          r_prm = nprm;
-          r_check_bits = check_bits;
-          r_indices = Array.make n 0;
-          r_counts = Array.make n 0;
-          r_keys = Bytes.make (n * kl) '\000';
-          r_checks = Array.make n 0;
-        }
-      in
-      let ok = ref true in
-      let prev = ref (-1) in
-      for j = 0 to n - 1 do
-        let off = 4 + (j * cell_bytes) in
-        let c = Int32.to_int (Bytes.get_int32_le body off) in
-        if c <= !prev || c >= nprm.cells then ok := false
-        else begin
-          prev := c;
-          r.r_indices.(j) <- c;
-          r.r_counts.(j) <- Int32.to_int (Bytes.get_int32_le body (off + 4));
-          Bytes.blit body (off + 8) r.r_keys (j * kl) kl;
-          r.r_checks.(j) <-
-            (match cw with
-             | 1 -> Bytes.get_uint8 body (off + 8 + kl)
-             | 2 -> Bytes.get_uint16_le body (off + 8 + kl)
-             | 4 -> Int32.to_int (Bytes.get_int32_le body (off + 8 + kl)) land 0xFFFFFFFF
-             | _ ->
-               Int64.to_int (Bytes.get_int64_le body (off + 8 + kl)) land ((1 lsl 62) - 1))
-        end
-      done;
-      if !ok then Some r else None
-    end
   end
 
 (* ---- Schedule introspection. ---- *)

@@ -110,15 +110,17 @@ type decoded = {
 
 val decode : t -> (decoded, [ `Peel_stuck ]) result
 (** Run the peeling process on a copy of the table. Succeeds iff the table
-    empties completely. *)
+    empties completely. It peels at most [cells] keys, the most a genuine
+    table yields, so no bytes can keep it peeling without end. *)
 
 type residual
 (** What a stalled peel leaves behind, compacted to its live cells: the
     signed multiset of exactly the keys the decode could not extract, still
-    under the original parameters and hash schedule. A residual is a
-    first-class sketch — it can be turned back into a table, shipped (the
-    salted-rehash escalation stashes residuals across attempts), and peeled
-    further once other attempts remove some of its keys. *)
+    under the original parameters and hash schedule. A residual stays with
+    the party that peeled it: it can be turned back into a table, kept
+    across attempts (the salted-rehash escalation stashes residuals in
+    {!Iblt_stash}), and peeled further once other attempts remove some of
+    its keys. *)
 
 val decode_partial : t -> [ `Decoded of decoded | `Salvaged of decoded * residual ]
 (** Salvaging decode: peel as far as possible and never discard progress.
@@ -128,28 +130,12 @@ val decode_partial : t -> [ `Decoded of decoded | `Salvaged of decoded * residua
     The prefix is verified cell-by-cell (checksummed) but only the caller's
     whole-set hash proves it globally, exactly as with {!decode}. *)
 
-val residual_params : residual -> params
-
 val residual_cells : residual -> int
 (** Number of live (nonzero) cells; [0] means the residual is empty. *)
 
 val residual_to_table : residual -> t
 (** Expand back to a full table (dead cells zero), e.g. to delete keys that
     a later salted attempt recovered and then re-peel. *)
-
-val residual_bytes : residual -> Bytes.t
-(** Serialize: a u32 live-cell count, then per live cell a u32 index, i32
-    signed count, key XOR and the checksum XOR at the table's checksum
-    width (8 bytes at the default width — the historical format).
-    Canonical for a given residual (indices strictly increase). *)
-
-val residual_of_bytes_opt : ?check_bits:int -> params -> Bytes.t -> residual option
-(** Total, non-raising inverse of {!residual_bytes} under the shared
-    parameters. The claimed cell count is validated against the parameters
-    and the exact byte length before any allocation sized from it, and
-    indices must be strictly increasing and in range; checksums are masked
-    to 62 bits like {!of_body_bytes_opt}. Exactly the canonical encodings
-    are accepted. *)
 
 val positions : t -> Bytes.t -> int array
 (** The [k] cell indices the schedule maps this key to, in partition order.

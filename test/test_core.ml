@@ -284,21 +284,21 @@ let test_whole_child_replacement () =
       | Error _ -> Alcotest.fail ("failed: " ^ Protocol.name kind))
     [ Protocol.Naive; Protocol.Iblt_of_iblts; Protocol.Cascade; Protocol.Multiround ]
 
+(* The cascade's geometry for a workload, as [Protocol] plans it. *)
+let cascade_plan ~d ~u ~h ~bob =
+  let s = max 2 (Parent.cardinal bob) in
+  Cascade.plan ~seed ~enc_seed:seed ~d ~d_hat:(min d s) ~s_bound:s ~u ~h ~k:3
+
 let test_cascade_levels_structure () =
   let rng = Prng.create ~seed in
   let alice, bob = workload rng ~u ~s:30 ~child_size:20 ~edits:10 in
   let d = max 10 (Parent.relaxed_matching_cost alice bob) in
-  match Cascade.reconcile_known ~seed ~d ~u ~h ~alice ~bob () with
-  | Ok o ->
-    Alcotest.(check bool) "levels = ceil log2 min(d,h)" true
-      (o.Cascade.levels = Ssr_util.Bits.ceil_log2 (min d h));
-    Alcotest.(check bool) "no star when d < h" true (not o.Cascade.used_star);
-    let total = Array.fold_left ( + ) 0 o.Cascade.recovered_per_level in
-    Alcotest.(check bool) "some children recovered" true (total > 0);
-    Alcotest.(check int) "per-level counts sum to the recovered children"
-      (List.length o.Cascade.delta.Parent.a_only) total;
-    Alcotest.(check bool) "recovered" true
-      (Parent.equal (Parent.apply_delta bob o.Cascade.delta) alice)
+  let plan = cascade_plan ~d ~u ~h ~bob in
+  Alcotest.(check int) "levels = ceil log2 min(d,h)" (Ssr_util.Bits.ceil_log2 (min d h))
+    (Array.length plan.Cascade.per_level);
+  Alcotest.(check bool) "no star when d < h" true (plan.Cascade.star = None);
+  match Protocol.reconcile_known Protocol.Cascade ~seed ~d ~u ~h ~alice ~bob () with
+  | Ok o -> Alcotest.(check bool) "recovered" true (Parent.equal o.Protocol.recovered alice)
   | Error _ -> Alcotest.fail "cascade failed"
 
 let test_cascade_star_regime () =
@@ -307,12 +307,28 @@ let test_cascade_star_regime () =
   let bob = Parent.random rng ~universe:2_000 ~children:15 ~child_size:4 in
   let alice, _ = Parent.perturb rng ~universe:2_000 ~edits:12 bob in
   let d = max 12 (Parent.relaxed_matching_cost alice bob) in
-  match Cascade.reconcile_known ~seed ~d ~u:2_000 ~h:6 ~alice ~bob () with
-  | Ok o ->
-    Alcotest.(check bool) "star used" true o.Cascade.used_star;
-    Alcotest.(check bool) "recovered" true
-      (Parent.equal (Parent.apply_delta bob o.Cascade.delta) alice)
+  Alcotest.(check bool) "star used" true ((cascade_plan ~d ~u:2_000 ~h:6 ~bob).Cascade.star <> None);
+  match Protocol.reconcile_known Protocol.Cascade ~seed ~d ~u:2_000 ~h:6 ~alice ~bob () with
+  | Ok o -> Alcotest.(check bool) "recovered" true (Parent.equal o.Protocol.recovered alice)
   | Error _ -> Alcotest.fail "cascade with star failed"
+
+(* Multiround's two steps through the driver with a forced primitive:
+   Bob's delta, how many children Alice sent as CPI, and the bits. *)
+let multiround ~d ~primitive ~alice ~bob =
+  let d_hat = min d (max 2 (Parent.cardinal bob)) in
+  let comm = Comm.create () and cpi = ref 0 in
+  let r =
+    Comm.drive comm
+      ~alice:
+        (Comm.map (fun n -> cpi := n)
+           (Multiround.alice ~seed ~d ~d_hat ~primitive (Parent.stream_of_t alice)))
+      ~bob:(Multiround.bob ~seed ~d_hat (Parent.stream_of_t bob))
+  in
+  match r with
+  | Ok delta ->
+    Alcotest.(check bool) "recovered" true (Parent.equal (Parent.apply_delta bob delta) alice);
+    (!cpi, (Comm.stats comm).Comm.bits_total)
+  | Error `Decode_failure -> Alcotest.fail "multiround failed"
 
 let test_multiround_uses_cpi_for_small_diffs () =
   let rng = Prng.create ~seed in
@@ -320,13 +336,8 @@ let test_multiround_uses_cpi_for_small_diffs () =
      estimates fall below sqrt d, so CPI should be chosen. *)
   let bob = Parent.random rng ~universe:u ~children:40 ~child_size:25 in
   let alice, _ = Parent.perturb rng ~universe:u ~edits:16 bob in
-  let d = 64 in
-  match Multiround.reconcile_known ~seed ~d ~alice ~bob () with
-  | Ok o ->
-    Alcotest.(check bool) "recovered" true
-      (Parent.equal (Parent.apply_delta bob o.Multiround.delta) alice);
-    Alcotest.(check bool) "cpi used" true (o.Multiround.cpi_children > 0)
-  | Error _ -> Alcotest.fail "multiround failed"
+  let cpi, _ = multiround ~d:64 ~primitive:Multiround.Auto ~alice ~bob in
+  Alcotest.(check bool) "cpi used" true (cpi > 0)
 
 (* ---------- Sets of multisets ---------- *)
 
@@ -393,7 +404,7 @@ let test_sos3_roundtrip () =
 let test_sos3_identical () =
   let rng = Prng.create ~seed in
   let t = Sos3.of_parents (List.init 4 (fun _ -> Parent.random rng ~universe:1_000 ~children:5 ~child_size:6)) in
-  match Sos3.reconcile_known ~seed ~d:2 ~alice:t ~bob:t () with
+  match Sos3.reconcile_known ~seed ~d:2 ~d2:2 ~d3:2 ~alice:t ~bob:t () with
   | Ok o -> Alcotest.(check bool) "unchanged" true (Sos3.equal o.Sos3.recovered t)
   | Error _ -> Alcotest.fail "failed on identical collections"
 
@@ -482,15 +493,7 @@ let test_multiround_primitive_ablation () =
   let rng = Prng.create ~seed in
   let bob = Parent.random rng ~universe:u ~children:30 ~child_size:25 in
   let alice, _ = Parent.perturb rng ~universe:u ~edits:10 bob in
-  let d = 64 in
-  let run primitive =
-    match Multiround.reconcile_known ~seed ~d ~primitive ~alice ~bob () with
-    | Ok o ->
-      Alcotest.(check bool) "recovered" true
-        (Parent.equal (Parent.apply_delta bob o.Multiround.delta) alice);
-      (o.Multiround.cpi_children, o.Multiround.stats.Comm.bits_total)
-    | Error _ -> Alcotest.fail "multiround ablation run failed"
-  in
+  let run primitive = multiround ~d:64 ~primitive ~alice ~bob in
   let cpi_auto, _ = run Multiround.Auto in
   let cpi_iblt, bits_iblt = run Multiround.Always_iblt in
   let cpi_cpi, bits_cpi = run Multiround.Always_cpi in

@@ -21,7 +21,6 @@ module Parent = Ssr_core.Parent
 module Protocol = Ssr_core.Protocol
 module Encoding = Ssr_core.Encoding
 module Cascade = Ssr_core.Cascade
-module Multiround = Ssr_core.Multiround
 module Metrics = Ssr_obs.Metrics
 module Trace = Ssr_obs.Trace
 module Frame = Ssr_transport.Frame
@@ -172,6 +171,28 @@ let test_decode_ints_hostile_keys () =
   | Error `Peel_stuck -> ()
   | Ok _ -> Alcotest.fail "overflowing key must not decode to an int"
 
+(* A genuine key and checksum in one of its cells but missing from the
+   others (bytes sliced under other parameters, or crafted) make a pure
+   cell that peeling re-creates: peel it, its other cells turn pure with
+   the opposite sign, peel one, and the first cell holds the key again.
+   The peel must stop and report the table stuck. *)
+let test_peel_terminates () =
+  let prm : Iblt.params = { cells = 8; k = 4; key_len = 8; seed } in
+  let t = Iblt.create prm in
+  let key = Bytes.of_string "\x2a\x00\x00\x00\x00\x00\x00\x00" in
+  Iblt.insert t key;
+  let body = Iblt.body_bytes t in
+  let home = (Iblt.positions t key).(0) in
+  Array.iter
+    (fun c -> if c <> home then Bytes.fill body (c * 20) 20 '\000')
+    (Iblt.positions t key);
+  match Iblt.of_body_bytes_opt prm body with
+  | None -> Alcotest.fail "well-formed body rejected"
+  | Some t -> (
+    match Iblt.decode t with
+    | Error `Peel_stuck -> ()
+    | Ok _ -> Alcotest.fail "a table holding a key in one of its cells decoded")
+
 let test_frame_decode_fuzz () =
   let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0xF1) in
   let n_cases = 300 in
@@ -245,7 +266,8 @@ let test_xfer_guarded_fuzz () =
                 mutate b);
             overhead_bits = 0;
           };
-        Comm.xfer_guarded comm ~label:"fuzz" tables ~guard
+        Comm.parse_guarded (Array.map Iblt.params tables)
+          (Comm.xfer comm Comm.A_to_b ~label:"fuzz" (Comm.guarded tables ~guard))
       in
       (match send Option.some with
       | Some (got, g) ->
@@ -366,6 +388,15 @@ let test_protocol_message_fuzz () =
     | Ok o -> verdict (Iset.equal (Iset.union alice bob)) (Some o.Two_way.union)
     | Error `Decode_failure -> Failed
   in
+  (* The estimator variants of naive and multiround: Bob sizes Alice's
+     table from the length he is delivered. *)
+  let p_bob = Parent.random rng ~universe:(1 lsl 12) ~children:6 ~child_size:8 in
+  let p_alice, _ = Parent.perturb rng ~universe:(1 lsl 12) ~edits:2 p_bob in
+  let unknown kind comm =
+    match Protocol.run_unknown kind ~comm ~seed ~u:(1 lsl 12) ~h:12 ~alice:p_alice ~bob:p_bob with
+    | Ok o -> verdict (Parent.equal p_alice) (Some o.Protocol.recovered)
+    | Error `Decode_failure -> Failed
+  in
   let g = Ssr_graphs.Gnp.sample rng ~n:5 ~p:0.5 in
   let g' = Graph.relabel g [| 2; 0; 4; 1; 3 |] in
   let h = Graph.flip_random_edges rng g 1 in
@@ -388,6 +419,8 @@ let test_protocol_message_fuzz () =
           match Multiset_recon.run_known_d ~comm ~seed ~d:4 ~k:4 ~alice:m_alice ~bob:m_bob with
           | Ok o -> verdict (Multiset.equal m_alice) (Some o.Multiset_recon.recovered)
           | Error `Decode_failure -> Failed );
+      ("naive unknown d", "naive-iblt+digest", `Fails, unknown Protocol.Naive);
+      ("multiround unknown d", "hash-iblt+digest", `Fails, unknown Protocol.Multiround);
       ("two-way estimator", "estimator", `Fails, two_way);
       ("two-way first leg", "iblt+hash", `Fails, two_way);
       ("two-way return leg", "b-minus-a", `Fails, two_way);
@@ -448,14 +481,13 @@ let test_multiround_damaged_hash_table () =
             else Some b);
         overhead_bits = 0;
       };
-    Multiround.run_stream ~comm ~seed ~d ~d_hat ~k:4 ~shape:Multiround.default_child_shape
-      ~primitive:Multiround.Auto ~alice:(Parent.stream_of_t alice)
-      ~bob:(Parent.stream_of_t bob)
+    Protocol.run_known_stream Protocol.Multiround ~comm ~seed ~enc_seed:None ~d ~u ~h:16
+      ~alice:(Parent.stream_of_t alice) ~bob:(Parent.stream_of_t bob)
   in
   (match run Fun.id with
   | Ok o ->
     Alcotest.(check bool) "intact run recovers" true
-      (Parent.equal (Parent.apply_delta bob o.Multiround.delta) alice)
+      (Parent.equal (Parent.apply_delta bob o.Protocol.delta) alice)
   | Error `Decode_failure -> Alcotest.fail "intact run failed");
   (* The TB body leads the message: cells of [i32 count | 8-byte key |
      8-byte checksum]. *)
@@ -513,51 +545,36 @@ let test_multiset_pair_keys_opt_fuzz () =
     ignore (Multiset.of_pair_keys_opt [ random_bytes rng 16; random_bytes rng 16 ])
   done
 
-(* The stash/salvage residual wire format: total parsing, canonical-only
-   acceptance, and no allocation sized from an unvalidated claimed count. *)
-let test_residual_of_bytes_opt_fuzz () =
-  let prm : Iblt.params = { cells = 24; k = 4; key_len = 8; seed } in
-  let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0xE5) in
-  let t = Iblt.create prm in
-  for x = 1 to 60 do
-    Iblt.insert_int t (x * 104729)
-  done;
-  let good =
-    match Iblt.decode_partial t with
-    | `Decoded _ -> Alcotest.fail "expected a stalled table"
-    | `Salvaged (_, r) -> Iblt.residual_bytes r
+(* Bob checks the whole-set hash the windows deliver, not Alice's: a
+   transport that flips one bit of that field in every window must end
+   the stream in a detected failure, though every cell arrives intact. *)
+let test_rateless_delivered_hash () =
+  let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0xE7) in
+  let alice = Iset.random_subset rng ~universe:(1 lsl 30) ~size:200 in
+  let bob = Iset.union alice (Iset.random_subset rng ~universe:(1 lsl 30) ~size:6) in
+  let run flip =
+    let comm = Comm.create () in
+    Comm.set_transport comm
+      {
+        Comm.transmit =
+          (fun _ ~label b ->
+            if flip && label = "rateless-cells" then begin
+              (* The hash field: bytes 8..15 of the window header. *)
+              let b = Bytes.copy b in
+              Bytes.set b 8 (Char.chr (Char.code (Bytes.get b 8) lxor 0x01));
+              Some b
+            end
+            else Some b);
+        overhead_bits = 0;
+      };
+    Rateless_recon.run ~comm ~seed ~max_cells:1024 ~alice ~bob ()
   in
-  Alcotest.(check bool) "canonical encoding parses" true
-    (Iblt.residual_of_bytes_opt prm good <> None);
-  (* Truncations and extensions of a genuine encoding. *)
-  for n = 0 to Bytes.length good - 1 do
-    if Iblt.residual_of_bytes_opt prm (Bytes.sub good 0 n) <> None then
-      Alcotest.failf "truncation to %d bytes accepted" n
-  done;
-  Alcotest.(check bool) "trailing byte rejected" true
-    (Iblt.residual_of_bytes_opt prm (Bytes.cat good (Bytes.make 1 'x')) = None);
-  (* A huge claimed cell count must be rejected before any allocation. *)
-  let huge = Bytes.copy good in
-  Bytes.set_int32_le huge 0 0xFFFF_FFFFl;
-  Alcotest.(check bool) "huge claimed count rejected" true
-    (Iblt.residual_of_bytes_opt prm huge = None);
-  (* Single-byte corruptions and pure noise: Some or None, never raise; any
-     accepted parse must stay within the parameter bounds. *)
-  let check_total b =
-    match Iblt.residual_of_bytes_opt prm b with
-    | None -> ()
-    | Some r ->
-      if Iblt.residual_cells r > prm.Iblt.cells then Alcotest.fail "parse exceeded cell bound"
-  in
-  for _ = 1 to 200 do
-    let b = Bytes.copy good in
-    let i = Prng.int_below rng (Bytes.length b) in
-    Bytes.set b i (Char.chr (Prng.int_below rng 256));
-    check_total b
-  done;
-  for _ = 1 to 200 do
-    check_total (random_bytes rng (Prng.int_below rng 200))
-  done
+  (match run false with
+  | Ok o -> Alcotest.(check bool) "intact stream recovers" true (Iset.equal o.Ssr_setrecon.Set_recon.recovered alice)
+  | Error `Decode_failure -> Alcotest.fail "intact stream failed");
+  match run true with
+  | Ok _ -> Alcotest.fail "a stream whose delivered hash is wrong was accepted"
+  | Error `Decode_failure -> ()
 
 let test_direct_payload_parsers_fuzz () =
   let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0xE5) in
@@ -889,6 +906,7 @@ let () =
         [
           Alcotest.test_case "get_int_le_opt" `Quick test_get_int_le_opt_total;
           Alcotest.test_case "decode_ints hostile keys" `Quick test_decode_ints_hostile_keys;
+          Alcotest.test_case "peel of a displaced key terminates" `Quick test_peel_terminates;
           Alcotest.test_case "frame decode fuzz" `Quick test_frame_decode_fuzz;
           Alcotest.test_case "encoding decode_opt fuzz" `Quick test_encoding_decode_opt_fuzz;
           Alcotest.test_case "guarded message fuzz" `Quick test_xfer_guarded_fuzz;
@@ -897,10 +915,10 @@ let () =
             test_multiround_damaged_hash_table;
           Alcotest.test_case "l0 of_bytes_opt fuzz" `Quick test_l0_of_bytes_opt_fuzz;
           Alcotest.test_case "multiset pair keys fuzz" `Quick test_multiset_pair_keys_opt_fuzz;
-          Alcotest.test_case "residual of_bytes_opt fuzz" `Quick test_residual_of_bytes_opt_fuzz;
           Alcotest.test_case "direct payload parsers fuzz" `Quick
             test_direct_payload_parsers_fuzz;
           Alcotest.test_case "rateless wire fuzz" `Quick test_rateless_wire_fuzz;
+          Alcotest.test_case "rateless delivered hash" `Quick test_rateless_delivered_hash;
           Alcotest.test_case "server wire fuzz" `Quick test_server_wire_fuzz;
         ] );
       ( "domain-safety",

@@ -368,7 +368,7 @@ let comm_stacks =
         let alice = Sos3.perturb rng ~universe:5_000 ~edits:2 bob in
         let d3, d2, d = Sos3.diff_bounds alice bob in
         match
-          Sos3.run_known ~comm ~seed:nseed ~d:(max 1 d) ~d2:(max 1 d2) ~d3:(max 1 d3) ~k:3
+          Sos3.run_known ~comm ~seed:nseed ~d:(max 1 d) ~d2:(max 1 d2) ~d3:(max 1 d3)
             ~alice ~bob
         with
         | Ok o -> Sos3.equal o.Sos3.recovered alice
@@ -411,20 +411,134 @@ let golden_comm_digests =
     ("0x33c", "sos3", "9e1e82a581dea4a67721b441c033c064")
   ]
 
+let comm_digests stacks =
+  List.concat_map
+    (fun nseed ->
+      List.map
+        (fun (name, run) ->
+          ( Printf.sprintf "0x%Lx" nseed,
+            name,
+            Digest.to_hex
+              (Digest.string (with_domains 1 (fun () -> recorded_transcript ~name (run nseed)))) ))
+        stacks)
+    transcript_seeds
+
 let test_golden_comm_transcript_digests () =
-  let got =
-    List.concat_map
-      (fun nseed ->
-        List.map
-          (fun (name, run) ->
-            ( Printf.sprintf "0x%Lx" nseed,
-              name,
-              Digest.to_hex
-                (Digest.string (with_domains 1 (fun () -> recorded_transcript ~name (run nseed)))) ))
-          comm_stacks)
-      transcript_seeds
+  Alcotest.(check (list (triple string string string)))
+    "comm transcript digests" golden_comm_digests (comm_digests comm_stacks)
+
+(* The unknown-d front ends of the four set-of-sets kinds (naive and
+   multiround open with Bob's estimator; iblt-of-iblts and cascade double
+   from d = 1 and must retry, so Bob's retry requests are in the
+   transcript) and sets of multisets on cascade with known and unknown d,
+   over the same bare [Comm]. *)
+module Sos_multiset = Ssr_core.Sos_multiset
+
+let sos_parents ~nseed =
+  let rng = Prng.create ~seed:(Prng.derive ~seed:nseed ~tag:0x5A) in
+  let u = 1 lsl 12 in
+  let bob = Parent.random rng ~universe:u ~children:16 ~child_size:10 in
+  let alice, _ = Parent.perturb rng ~universe:u ~edits:12 bob in
+  (u, alice, bob)
+
+let sos_multisets ~nseed =
+  let rng = Prng.create ~seed:(Prng.derive ~seed:nseed ~tag:0x5B) in
+  let bob =
+    Array.init 6 (fun _ -> Multiset.of_list (List.init 8 (fun _ -> Prng.int_below rng 40)))
   in
-  Alcotest.(check (list (triple string string string))) "comm transcript digests" golden_comm_digests got
+  let alice = Array.copy bob in
+  for _ = 1 to 3 do
+    let i = Prng.int_below rng 6 in
+    alice.(i) <- Multiset.add (Prng.int_below rng 40) alice.(i)
+  done;
+  (Sos_multiset.of_children (Array.to_list alice), Sos_multiset.of_children (Array.to_list bob))
+
+let core_comm_stacks =
+  List.map
+    (fun kind ->
+      ( "unknown-" ^ Protocol.name kind,
+        fun nseed comm ->
+          let u, alice, bob = sos_parents ~nseed in
+          let h = max (Parent.max_child_size alice) (Parent.max_child_size bob) in
+          match Protocol.run_unknown kind ~comm ~seed:nseed ~u ~h ~alice ~bob with
+          | Ok o ->
+            let retried =
+              List.exists (fun (m : Comm.message) -> m.Comm.label = "retry") (Comm.stats comm).Comm.messages
+            in
+            Parent.equal o.Protocol.recovered alice
+            && retried = (kind = Protocol.Iblt_of_iblts || kind = Protocol.Cascade)
+          | Error `Decode_failure -> false ))
+    Protocol.all
+  @ [
+      ( "sos-multiset-known",
+        fun nseed comm ->
+          let alice, bob = sos_multisets ~nseed in
+          let d = Sos_multiset.diff_bound alice bob in
+          match Sos_multiset.run Protocol.Cascade ~comm ~seed:nseed ~d ~u:40 ~alice ~bob with
+          | Ok got -> Sos_multiset.equal got alice
+          | Error `Decode_failure -> false );
+      ( "sos-multiset-unknown",
+        fun nseed comm ->
+          let alice, bob = sos_multisets ~nseed in
+          match Sos_multiset.run_unknown Protocol.Cascade ~comm ~seed:nseed ~u:40 ~alice ~bob with
+          | Ok got -> Sos_multiset.equal got alice
+          | Error `Decode_failure -> false );
+    ]
+
+(* Computed with the code these stacks had before their parties were
+   split apart; seed-major, stacks in [core_comm_stacks] order. *)
+let golden_core_comm_digests =
+  [
+    ("0x11a", "unknown-naive", "5b2a2d0ac671639b822fcba016a1deee");
+    ("0x11a", "unknown-iblt-of-iblts", "6492e28380914ae5bbfc5f6803459e22");
+    ("0x11a", "unknown-cascade", "7adb3c5d5ae4fb201b1522371eb62724");
+    ("0x11a", "unknown-multiround", "4a142b66c2cf4ebf6e18a8449dc2d868");
+    ("0x11a", "sos-multiset-known", "967f61d2a1d3c2b6c0584df7055c4795");
+    ("0x11a", "sos-multiset-unknown", "caeb69ec5563d82c8d9e111d44d61947");
+    ("0x22b", "unknown-naive", "0f60d5ce00efebbcdf684aa3c37034c0");
+    ("0x22b", "unknown-iblt-of-iblts", "a92b0410973cadd043b469ad93cd87e1");
+    ("0x22b", "unknown-cascade", "120adfbbece69e44469477c04da10941");
+    ("0x22b", "unknown-multiround", "6821a5be099b61752edf154dae3748a6");
+    ("0x22b", "sos-multiset-known", "a9ce36a4a98eb31aa86d7ac28bb6a08f");
+    ("0x22b", "sos-multiset-unknown", "59a794d37e5448c72957ba2f72bf4173");
+    ("0x33c", "unknown-naive", "0cf5a118203e8c084c05311277e9f1cb");
+    ("0x33c", "unknown-iblt-of-iblts", "802dcc1875fd161de56afddd53026810");
+    ("0x33c", "unknown-cascade", "9d9b38149eaff90621f0490138d0c027");
+    ("0x33c", "unknown-multiround", "5f1eceeab6bb021110eb84119698fdfb");
+    ("0x33c", "sos-multiset-known", "28ad452c2a212eed1672d3389a5bc985");
+    ("0x33c", "sos-multiset-unknown", "4033b2228a81a9b1c4329176c5ce69c0")
+  ]
+
+let test_golden_core_comm_transcript_digests () =
+  let got = comm_digests core_comm_stacks in
+  Alcotest.(check (list (triple string string string)))
+    "core comm transcript digests" golden_core_comm_digests got
+
+(* The salvage ladder's stash on workloads where two stashed residuals
+   peel the same stuck key in one pass (0x11a, diff 24, initial d 2 is
+   one): each must cancel the key once, not hand a phantom of it back and
+   forth until memory runs out. Every attempt must return, and every
+   ladder must end with Alice's set. *)
+let test_salvage_stash_terminates () =
+  List.iter
+    (fun (nseed, diff, d) ->
+      let alice, bob = sets ~nseed ~tag:0x53 ~diff in
+      let sv = Set_recon.salvage_init ~d ~bob () in
+      let comm = Comm.create () in
+      let rec go attempt =
+        attempt < 64
+        &&
+        match Set_recon.run_salvage_attempt ~comm ~seed:nseed ~attempt ~k:4 ~sv ~alice with
+        | Ok o -> Iset.equal o.Set_recon.recovered alice
+        | Error `Progress -> go (attempt + 1)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed=0x%Lx diff=%d d=%d reaches Alice's set" nseed diff d)
+        true (go 0))
+    (List.concat_map
+       (fun nseed ->
+         List.concat_map (fun diff -> List.map (fun d -> (nseed, diff, d)) [ 1; 2; 4 ]) [ 12; 24; 36; 48 ])
+       transcript_seeds)
 
 (* A per-request encoding memo must be byte-transparent: three rungs of
    one nested stack sharing a memo, as Resilient runs them (the bound
@@ -563,6 +677,10 @@ let () =
             test_golden_transcript_digests;
           Alcotest.test_case "golden comm transcript digests (3 seeds x 10 stacks)" `Quick
             test_golden_comm_transcript_digests;
+          Alcotest.test_case "golden core comm transcript digests (3 seeds x 6 stacks)" `Quick
+            test_golden_core_comm_transcript_digests;
+          Alcotest.test_case "salvage stash terminates (36 ladders)" `Quick
+            test_salvage_stash_terminates;
           Alcotest.test_case "golden retry transcript digest" `Quick
             test_golden_retry_transcript_digest;
           Alcotest.test_case "memo = no memo transcripts" `Quick

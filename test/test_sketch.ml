@@ -607,28 +607,6 @@ let test_salvage_composes_to_full_difference () =
   done;
   Alcotest.(check bool) (Printf.sprintf "stalls exercised (%d)" !stuck) true (!stuck > 0)
 
-let test_residual_wire_roundtrip () =
-  let prm = params ~cells:24 () in
-  let t = Iblt.create prm in
-  (* Overload so the peel stalls and the residual is non-trivial. *)
-  for x = 1 to 60 do
-    Iblt.insert_int t (x * 7919)
-  done;
-  match Iblt.decode_partial t with
-  | `Decoded _ -> Alcotest.fail "expected a stall"
-  | `Salvaged (_, r) -> (
-    let wire = Iblt.residual_bytes r in
-    match Iblt.residual_of_bytes_opt prm wire with
-    | None -> Alcotest.fail "canonical residual encoding rejected"
-    | Some r' ->
-      Alcotest.(check int) "cells" (Iblt.residual_cells r) (Iblt.residual_cells r');
-      Alcotest.(check bool) "tables byte-identical" true
-        (Bytes.equal
-           (Iblt.body_bytes (Iblt.residual_to_table r))
-           (Iblt.body_bytes (Iblt.residual_to_table r')));
-      Alcotest.(check bool) "re-serializes identically" true
-        (Bytes.equal wire (Iblt.residual_bytes r')))
-
 (* The stash fixpoint: canceling externally recovered keys out of a stashed
    residual re-peels it and returns exactly the remaining keys. *)
 let test_stash_absorb_cancels_and_cascades () =
@@ -713,16 +691,7 @@ let test_wire_golden () =
       Bytes.set k 12 (Char.chr (x land 0xFF));
       Iblt.insert t2 k)
     [ 3; 5; 9000 ];
-  Alcotest.(check string) "wide keys" "01000000050000000000000000000000052251f24ecd43ff08020000002b23000000000000000000002b771bcb55e4167b21030000002e23000000000000000000002e554a391b295584290000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000030000002e23000000000000000000002e554a391b2955842900000000000000000000000000000000000000000000000000030000002e23000000000000000000002e554a391b29558429" (hex_of_bytes (Iblt.body_bytes t2));
-  let prm3 : Iblt.params = { cells = 12; k = 4; key_len = 8; seed = 0x5EED0003L } in
-  let t3 = Iblt.create prm3 in
-  for x = 1 to 40 do
-    Iblt.insert_int t3 (x * 7919)
-  done;
-  match Iblt.decode_partial t3 with
-  | `Decoded _ -> Alcotest.fail "overloaded table unexpectedly decoded"
-  | `Salvaged (_, r) ->
-    Alcotest.(check string) "residual" "0c000000000000000c000000a8bb05000000000030c2928951291035010000000e000000ccce010000000000ee499f05de9c430a020000000e000000e42e030000000000c9eb2319564f271e03000000110000009e19070000000000ad319947092226300400000009000000c0bf0700000000009a0bce2ec4006f0a050000000e000000defd070000000000205a79fc14d83d1b060000000d000000ee9d020000000000f821aa1534838800070000000c00000044a40000000000004ca5638a8d78dc1d080000000f0000002a62050000000000a3e4e70a6001203c0900000010000000387107000000000033adc12700c087040a0000000c000000412502000000000045939fcf90a6c1310b0000000c000000f90f020000000000615e707d499c3214" (hex_of_bytes (Iblt.residual_bytes r))
+  Alcotest.(check string) "wide keys" "01000000050000000000000000000000052251f24ecd43ff08020000002b23000000000000000000002b771bcb55e4167b21030000002e23000000000000000000002e554a391b295584290000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000030000002e23000000000000000000002e554a391b2955842900000000000000000000000000000000000000000000000000030000002e23000000000000000000002e554a391b29558429" (hex_of_bytes (Iblt.body_bytes t2))
 
 (* Narrow checksum widths change the cell layout but not the semantics:
    random workloads must decode to the reference model's difference at
@@ -1164,28 +1133,6 @@ let test_encoding_fold_alloc () =
   Alcotest.(check (float 0.0)) "minor words" 0.0 (minor1 -. minor0);
   Alcotest.(check (float 0.0)) "major words" 0.0 (major1 -. major0)
 
-(* Residual serialization at a narrow width roundtrips through the
-   width-aware parser back to the same table bytes. *)
-let test_residual_narrow_width_roundtrip () =
-  let prm : Iblt.params = { cells = 12; k = 4; key_len = 8; seed = 0x5EED0004L } in
-  let t = Iblt.create ~check_bits:16 prm in
-  for x = 1 to 40 do
-    Iblt.insert_int t (x * 104729)
-  done;
-  match Iblt.decode_partial t with
-  | `Decoded _ -> Alcotest.fail "overloaded table unexpectedly decoded"
-  | `Salvaged (_, r) ->
-    let wire = Iblt.residual_bytes r in
-    (match Iblt.residual_of_bytes_opt ~check_bits:16 prm wire with
-    | None -> Alcotest.fail "residual parse failed"
-    | Some r' ->
-      Alcotest.(check bool) "same table" true
-        (Bytes.equal
-           (Iblt.body_bytes (Iblt.residual_to_table r))
-           (Iblt.body_bytes (Iblt.residual_to_table r')));
-      Alcotest.(check bool) "canonical bytes" true
-        (Bytes.equal wire (Iblt.residual_bytes r')))
-
 (* ---------- Rateless coded-cell stream ---------- *)
 
 module Rateless = Ssr_sketch.Rateless
@@ -1401,7 +1348,6 @@ let () =
           Alcotest.test_case "child hashing allocates nothing" `Quick test_child_hashing_zero_alloc;
           Alcotest.test_case "encoding fold allocates nothing" `Quick test_encoding_fold_alloc;
           Alcotest.test_case "add_all allocates nothing" `Quick test_add_all_zero_alloc;
-          Alcotest.test_case "residual narrow width" `Quick test_residual_narrow_width_roundtrip;
         ] );
       ( "failure-injection",
         [
@@ -1441,7 +1387,6 @@ let () =
             test_decode_partial_agrees_with_decode;
           Alcotest.test_case "prefix + residual = difference" `Quick
             test_salvage_composes_to_full_difference;
-          Alcotest.test_case "residual wire roundtrip" `Quick test_residual_wire_roundtrip;
           Alcotest.test_case "stash absorb cascades" `Quick test_stash_absorb_cancels_and_cascades;
           Alcotest.test_case "adversarial family rescued" `Quick
             test_adversarial_family_rescued_by_salvage;
