@@ -333,9 +333,19 @@ let set_recon () =
   header "E3. IBLT (Cor 2.2) vs characteristic polynomials (Thm 2.3)";
   print_endline "Paper claim: CPI uses (near) minimal communication but pays O(nd + d^3) time;";
   print_endline "IBLTs pay a constant-factor more bits for linear time.";
+  print_endline "(ms: median of 5 runs of each route, in this process)";
   Printf.printf "%6s | %12s %10s | %12s %10s\n" "d" "iblt bits" "iblt ms" "cpi bits" "cpi ms";
   let n = 2_000 in
   let results = Hashtbl.create 16 in
+  (* Each route runs [reps] times on the same input; its bits are the same
+     every time, and the verdict compares median times, so one slow
+     reading on a loaded host cannot decide it. *)
+  let reps = 5 in
+  let timed f =
+    let runs = List.init reps (fun _ -> time_it f) in
+    let times = List.sort compare (List.map snd runs) in
+    (fst (List.hd runs), List.nth times (reps / 2))
+  in
   List.iter
     (fun d ->
       let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:(3000 + d)) in
@@ -343,13 +353,13 @@ let set_recon () =
       let bob = Iset.union alice (Iset.random_subset rng ~universe:(1 lsl 41) ~size:d) in
       let dd = Iset.sym_diff_size alice bob in
       let ib, it =
-        let r, t = time_it (fun () -> Set_recon.reconcile_known_d ~seed ~d:dd ~alice ~bob ()) in
+        let r, t = timed (fun () -> Set_recon.reconcile_known_d ~seed ~d:dd ~alice ~bob ()) in
         match r with
         | Ok o -> (o.Set_recon.stats.Comm.bits_total, t)
         | Error _ -> (0, t)
       in
       let cb, ct =
-        let r, t = time_it (fun () -> Cpi.reconcile_known_d ~seed ~d:dd ~alice ~bob ()) in
+        let r, t = timed (fun () -> Cpi.reconcile_known_d ~seed ~d:dd ~alice ~bob ()) in
         match r with
         | Ok o -> (o.Cpi.stats.Comm.bits_total, t)
         | Error _ -> (0, t)
@@ -610,28 +620,32 @@ let separation () =
   print_endline "planted instances used by E5 (whose certification rate is also shown).";
   let d = 2 in
   Printf.printf "%8s %8s %6s | %14s %14s\n" "n" "p" "h" "G(n,p) sep." "planted sep.";
-  List.iter
-    (fun (n, p) ->
-      let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:(9500 + n)) in
-      let h = max 2 (Ssr_graphs.Degree_order_sig.recommended_h ~n ~p ~d ~delta:0.3) in
-      let trials = 5 in
-      let gnp_ok = ref 0 in
-      for _ = 1 to trials do
-        let g = Gnp.sample rng ~n ~p in
-        if Ssr_graphs.Degree_order_sig.is_separated g ~h ~a:(d + 1) ~b:((2 * d) + 1) then incr gnp_ok
-      done;
-      (* Planted: certify at its own (larger, admissible) h. *)
-      let ph = 80 in
-      let pn = 10 * ph in
-      let planted_ok = ref 0 in
-      for _ = 1 to trials do
-        match Planted.separated_instance rng ~n:pn ~h:ph ~d () with
-        | _ -> incr planted_ok
-        | exception Failure _ -> ()
-      done;
-      Printf.printf "%8d %8.2f %6d | %11d/%d %12d/%d\n" n p h !gnp_ok trials !planted_ok trials)
-    [ (300, 0.5); (1000, 0.5); (3000, 0.5) ];
-  shape "G(n,p) never separated at laptop scale (substitution justified)" true
+  let counts =
+    List.map
+      (fun (n, p) ->
+        let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:(9500 + n)) in
+        let h = max 2 (Ssr_graphs.Degree_order_sig.recommended_h ~n ~p ~d ~delta:0.3) in
+        let trials = 5 in
+        let gnp_ok = ref 0 in
+        for _ = 1 to trials do
+          let g = Gnp.sample rng ~n ~p in
+          if Ssr_graphs.Degree_order_sig.is_separated g ~h ~a:(d + 1) ~b:((2 * d) + 1) then incr gnp_ok
+        done;
+        (* Planted: certify at its own (larger, admissible) h. *)
+        let ph = 80 in
+        let pn = 10 * ph in
+        let planted_ok = ref 0 in
+        for _ = 1 to trials do
+          match Planted.separated_instance rng ~n:pn ~h:ph ~d () with
+          | _ -> incr planted_ok
+          | exception Failure _ -> ()
+        done;
+        Printf.printf "%8d %8.2f %6d | %11d/%d %12d/%d\n" n p h !gnp_ok trials !planted_ok trials;
+        (!gnp_ok, !planted_ok, trials))
+      [ (300, 0.5); (1000, 0.5); (3000, 0.5) ]
+  in
+  shape "G(n,p) never separated, planted always (substitution justified)"
+    (List.for_all (fun (gnp, planted, trials) -> gnp = 0 && planted = trials) counts)
 
 (* ------------------------------------------------------------------ *)
 (* A2. Ablation: multiround per-child primitive (CPI vs IBLT)           *)

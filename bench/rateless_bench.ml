@@ -3,10 +3,9 @@
 
    Per grid point (latency, drop, d) both first-rung strategies of the
    Resilient ladder run the same workloads over the same simulated
-   network (rehash and direct rungs disabled so the comparison is rung
-   against rung): [Doubling] guesses a bound and doubles it on every
-   failed attempt, [Rateless] streams coded cells and stops at the first
-   decodable prefix. Rows report the median rounds and wire bytes (ARQ
+   network, each with a 14-attempt budget: [Doubling] guesses a bound and
+   doubles it on every failed attempt, [Rateless] streams coded cells and
+   stops at the first decodable prefix. Rows report the median rounds and wire bytes (ARQ
    counter: retransmissions and ACKs included) of each strategy over a
    few seeded trials.
 
@@ -70,8 +69,8 @@ let run_once ~strategy ~latency_us ~drop ~d ~t =
   let alice, bob = workload ~wseed ~d in
   let link, _network = mk_link ~nseed ~latency_us ~drop in
   match
-    Resilient.reconcile_set ~link ~seed:wseed ~strategy ~initial_d:4 ~max_attempts:14
-      ~rehash_attempts:0 ~alice ~bob ()
+    Resilient.reconcile_set ~link ~seed:wseed ~strategy ~initial_d:4 ~max_attempts:14 ~alice ~bob
+      ()
   with
   | Ok (recovered, rep) ->
     let ok = Iset.equal recovered alice in
@@ -126,7 +125,7 @@ let transcript ~latency_us ~drop ~d =
   let link, network = mk_link ~nseed ~latency_us ~drop in
   (match
      Resilient.reconcile_set ~link ~seed:wseed ~strategy:Resilient.Rateless ~initial_d:4
-       ~max_attempts:14 ~rehash_attempts:0 ~alice ~bob ()
+       ~max_attempts:14 ~alice ~bob ()
    with
   | Ok (recovered, _) -> assert (Iset.equal recovered alice)
   | Error _ -> failwith "rateless replay run failed");

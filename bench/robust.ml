@@ -1,27 +1,34 @@
-(* Adversarial-robustness bench: stash-augmented salvage vs plain IBLT.
+(* Adversarial-robustness bench: the plain one-shot protocol against the
+   two-rung Resilient ladder.
 
    Two sweeps, both pure functions of the seed:
 
-   1. The rescue sweep. Per trial, a difference is engineered with the
-      adversarial generator (keys ground against the exact hash schedule
-      the first attempt will use, lib/apps/adversarial.ml), or drawn at
-      random, or drawn at random against an undersized table. The plain
-      one-shot protocol and the salted-rehash salvage escalation
-      (Set_recon.reconcile_salvage machinery) run on the same workload at
-      the same first-attempt cell count; rows report decode success rates,
-      the rescue rate (robust successes among plain failures), the salvage
-      fraction (keys recovered by partial decodes before the completing
-      attempt), extra rounds and bytes vs the plain table.
+   1. The rescue sweep. Per trial, a difference is engineered against the
+      exact hash schedule the first attempt will use (lib/apps/adversarial.ml:
+      [adversarial] grinds keys against attempt 0's IBLT schedule,
+      [adversarial_rateless] against attempt 0's rateless cell schedule),
+      or drawn at random, or drawn at random against an undersized table.
+      The plain one-shot protocol (one IBLT under attempt 0's salt) and the
+      Resilient ladder run on the same workload from the same first bound,
+      the ladder once per first-rung strategy, over a perfect unframed
+      channel so bits are payload bits. The first rung retries under a
+      fresh attempt salt with a doubled bound (doubling) or streams coded
+      cells (rateless); direct transfer follows when it runs out. Rows
+      report success rates, the rescue rate (plain failures the first
+      rung recovers, never counting a direct fallback), the direct
+      fallbacks, extra rounds and bits against the plain table.
 
    2. The stacks sweep. All five protocol stacks (plain set + the four
       set-of-sets protocols) run over the faulty simulated network on
       adversarially seeded workloads through the full Resilient ladder;
       every outcome must be verified-correct or a typed failure.
 
-   Gates (exit 2): any silent corruption; an adversarial rescue rate below
-   95%. Every field of every row is seed-determined, so the committed
-   BENCH_robust.json is its own exact baseline: CI regenerates it and
-   fails on [git diff --exit-code -- BENCH_robust.json].
+   Gates (exit 2): any silent corruption; on an adversarial family, a
+   first-rung rescue rate below 95% under either strategy; an IBLT-ground
+   family that fails to stall the plain protocol. Every field of every row
+   is seed-determined, so the committed BENCH_robust.json is its own exact
+   baseline: CI regenerates it and fails on
+   [git diff --exit-code -- BENCH_robust.json].
 
    Run:   dune exec bench/main.exe -- robust                               *)
 
@@ -34,6 +41,7 @@ module Set_recon = Ssr_setrecon.Set_recon
 module Parent = Ssr_core.Parent
 module Protocol = Ssr_core.Protocol
 module Adversarial = Ssr_apps.Adversarial
+module Channel = Ssr_transport.Channel
 module Clock = Ssr_transport.Clock
 module Network = Ssr_transport.Network
 module Arq = Ssr_transport.Arq
@@ -70,26 +78,32 @@ let random_workload ~seed ~bob_size ~count =
   let diff = draw 0 count in
   (Iset.union bob diff, bob)
 
-type trial = {
+let strategy_name = function Resilient.Doubling -> "doubling" | Resilient.Rateless -> "rateless"
+
+(* One workload of a row: the difference, the plain one-shot outcome and,
+   for the rateless-ground family, the grind's w. *)
+type workload = {
+  alice : Iset.t;
+  bob : Iset.t;
+  bound : int;  (** The first attempt's difference bound. *)
   plain_ok : bool;
   plain_bits : int;
-  robust_ok : bool;
-  robust_bits : int;
-  robust_rounds : int;
-  robust_attempts : int;
-  partial_keys : int; (* recovered before the completing attempt *)
-  silent : bool;
+  plain_silent : bool;
+  w : int;
 }
 
-let run_trial ~tseed ~family ~d =
-  (* [bound] is the first-attempt difference bound; the tight family
-     deliberately undersizes it so random keys stall too. *)
+let workload ~tseed ~family ~d =
+  (* The tight family deliberately undersizes the bound so random keys
+     stall too. *)
   let bound = match family with "random_tight" -> max 4 (d / 2) | _ -> d in
-  let alice, bob =
+  let (alice, bob), w =
     match family with
     | "adversarial" ->
-      Adversarial.workload ~prm:(attempt0_params ~seed:tseed ~d:bound) ~bob_size:200 ~count:d ()
-    | _ -> random_workload ~seed:tseed ~bob_size:200 ~count:d
+      (Adversarial.workload ~prm:(attempt0_params ~seed:tseed ~d:bound) ~bob_size:200 ~count:d (), 0)
+    | "adversarial_rateless" ->
+      Adversarial.rateless_workload ~seed:(Hashing.attempt_seed ~seed:tseed ~attempt:0)
+        ~bob_size:200 ~count:d ()
+    | _ -> (random_workload ~seed:tseed ~bob_size:200 ~count:d, 0)
   in
   let plain_ok, plain_bits, plain_silent =
     match
@@ -99,60 +113,72 @@ let run_trial ~tseed ~family ~d =
     | Ok o -> (true, o.Set_recon.stats.Comm.bits_total, not (Iset.equal o.Set_recon.recovered alice))
     | Error (`Decode_failure stats) -> (false, stats.Comm.bits_total, false)
   in
-  (* The salvage escalation, driven attempt by attempt so the table can
-     report how many keys the non-completing attempts contributed. *)
-  let comm = Comm.create () in
-  let sv = Set_recon.salvage_init ~d:bound ~bob () in
-  let max_attempts = 8 in
-  let rec go i =
-    if i >= max_attempts then (false, 0, i, false)
-    else begin
-      let partial_before = Set_recon.salvage_keys sv in
-      match Set_recon.run_salvage_attempt ~comm ~seed:tseed ~attempt:i ~k ~sv ~alice with
-      | Ok o -> (true, partial_before, i + 1, not (Iset.equal o.Set_recon.recovered alice))
-      | Error `Progress -> go (i + 1)
-    end
+  { alice; bob; bound; plain_ok; plain_bits; plain_silent; w }
+
+type trial = {
+  ok : bool;  (** Verified result from either rung. *)
+  first_rung : bool;  (** Verified without falling back to direct transfer. *)
+  bits : int;
+  rounds : int;
+  attempts : int;
+  silent : bool;
+}
+
+let run_ladder ~tseed ~strategy wl =
+  let link = Resilient.over_channel ~framed:false (Channel.create Channel.perfect) in
+  let recovered, rep =
+    match
+      Resilient.reconcile_set ~link ~seed:tseed ~strategy ~initial_d:wl.bound ~alice:wl.alice
+        ~bob:wl.bob ()
+    with
+    | Ok (recovered, rep) -> (Some recovered, rep)
+    | Error (`Transport_failure rep | `Deadline_exceeded rep) -> (None, rep)
   in
-  let robust_ok, partial_keys, robust_attempts, robust_silent = go 0 in
-  let stats = Comm.stats comm in
+  let ok = match recovered with Some r -> Iset.equal r wl.alice | None -> false in
   {
-    plain_ok;
-    plain_bits;
-    robust_ok;
-    robust_bits = stats.Comm.bits_total;
-    robust_rounds = stats.Comm.rounds;
-    robust_attempts;
-    partial_keys;
-    silent = plain_silent || robust_silent;
+    ok;
+    first_rung = ok && not rep.Resilient.degraded;
+    bits = rep.Resilient.stats.Comm.bits_total;
+    rounds = rep.Resilient.stats.Comm.rounds;
+    attempts = List.length rep.Resilient.attempts;
+    silent = recovered <> None && not ok;
   }
 
-let rescue_row ~family ~d ~trials =
-  let runs =
-    List.init trials (fun t ->
-        run_trial ~tseed:(Prng.derive ~seed ~tag:(0x2000 + (1000 * d) + t)) ~family ~d)
-  in
-  let count f = List.length (List.filter f runs) in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 runs in
-  let plain_fail = count (fun r -> not r.plain_ok) in
-  let rescued = count (fun r -> (not r.plain_ok) && r.robust_ok) in
-  let robust_ok = count (fun r -> r.robust_ok) in
-  let silent = count (fun r -> r.silent) in
+let rescue_rows ~family ~d ~trials =
+  let tseeds = List.init trials (fun t -> Prng.derive ~seed ~tag:(0x2000 + (1000 * d) + t)) in
+  let wls = List.map (fun tseed -> (tseed, workload ~tseed ~family ~d)) tseeds in
+  let count f l = List.length (List.filter f l) in
+  let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
   let pct num den = if den = 0 then 100 else 100 * num / den in
   let mean num den = if den = 0 then 0 else num / den in
-  ( [ ("name", Perf.S "robust_sweep"); ("family", Perf.S family); ("d", Perf.I d);
-      ("trials", Perf.I trials);
-      ("plain_success_pct", Perf.I (pct (trials - plain_fail) trials));
-      ("robust_success_pct", Perf.I (pct robust_ok trials));
-      ("plain_fail", Perf.I plain_fail); ("rescued", Perf.I rescued);
-      ("rescue_pct", Perf.I (pct rescued plain_fail));
-      ("salvage_fraction_pct",
-       Perf.I (pct (sum (fun r -> if r.robust_ok then r.partial_keys else 0)) (robust_ok * d)));
-      ("extra_rounds_mean", Perf.I (mean (sum (fun r -> r.robust_rounds - 1)) trials));
-      ("attempts_mean", Perf.I (mean (sum (fun r -> r.robust_attempts)) trials));
-      ("plain_bits_mean", Perf.I (mean (sum (fun r -> r.plain_bits)) trials));
-      ("robust_bits_mean", Perf.I (mean (sum (fun r -> r.robust_bits)) trials));
-      ("silent", Perf.I silent) ],
-    (plain_fail, rescued, silent) )
+  let plain_fail = count (fun (_, wl) -> not wl.plain_ok) wls in
+  List.map
+    (fun strategy ->
+      let runs = List.map (fun (tseed, wl) -> (wl, run_ladder ~tseed ~strategy wl)) wls in
+      let rescued = count (fun (wl, r) -> (not wl.plain_ok) && r.first_rung) runs in
+      let ok = count (fun (_, r) -> r.ok) runs in
+      let silent = count (fun (wl, r) -> wl.plain_silent || r.silent) runs in
+      let row =
+        [ ("name", Perf.S "robust_sweep"); ("family", Perf.S family);
+          ("strategy", Perf.S (strategy_name strategy)); ("d", Perf.I d);
+          ("trials", Perf.I trials);
+          ("plain_success_pct", Perf.I (pct (trials - plain_fail) trials));
+          ("robust_success_pct", Perf.I (pct ok trials));
+          ("plain_fail", Perf.I plain_fail); ("rescued", Perf.I rescued);
+          ("rescue_pct", Perf.I (pct rescued plain_fail));
+          ("direct_fallbacks", Perf.I (count (fun (_, r) -> r.ok && not r.first_rung) runs));
+          ("extra_rounds_mean", Perf.I (mean (sum (fun (_, r) -> r.rounds - 1) runs) trials));
+          ("attempts_mean", Perf.I (mean (sum (fun (_, r) -> r.attempts) runs) trials));
+          ("plain_bits_mean", Perf.I (mean (sum (fun (wl, _) -> wl.plain_bits) runs) trials));
+          ("robust_bits_mean", Perf.I (mean (sum (fun (_, r) -> r.bits) runs) trials));
+          ("silent", Perf.I silent) ]
+        @
+        if family = "adversarial_rateless" then
+          [ ("grind_w_min", Perf.I (List.fold_left (fun w (_, wl) -> min w wl.w) max_int wls)) ]
+        else []
+      in
+      (row, (plain_fail, rescued, silent)))
+    [ Resilient.Doubling; Resilient.Rateless ]
 
 (* ------------------------------------------------------------------ *)
 (* Five stacks over the faulty network                                 *)
@@ -196,97 +222,77 @@ let sos_workload ~nseed =
   in
   (Parent.of_children children, bob)
 
+(* Each stack's attempt budget is four: the set stack's adversarial family
+   stalls its first attempt, and every retry runs under a fresh salt. *)
 let stack_trial ~stack ~nseed =
+  let verdict correct = function
+    | Ok (got, (rep : Resilient.report)) -> ((if correct got then `Ok else `Silent), rep)
+    | Error (`Transport_failure rep | `Deadline_exceeded rep) -> (`Typed, rep)
+  in
   match stack with
   | `Set ->
     let d = 24 in
     let alice, bob =
       Adversarial.workload ~prm:(attempt0_params ~seed:nseed ~d) ~bob_size:150 ~count:d ()
     in
-    (match
-       Resilient.reconcile_set ~link:(faulty_link ~nseed) ~seed:nseed ~initial_d:d
-         ~max_attempts:1 ~rehash_attempts:3 ~alice ~bob ()
-     with
-    | Ok (recovered, rep) ->
-      let salvage =
-        List.length (List.filter (fun (a : Resilient.attempt) -> a.Resilient.salvage) rep.Resilient.attempts)
-      in
-      (`Ok (Iset.equal recovered alice), List.length rep.Resilient.attempts, salvage)
-    | Error (`Transport_failure rep | `Deadline_exceeded rep) ->
-      (`Typed, List.length rep.Resilient.attempts, 0))
-  | `Sos kind -> (
+    verdict (Iset.equal alice)
+      (Resilient.reconcile_set ~link:(faulty_link ~nseed) ~seed:nseed ~initial_d:d
+         ~max_attempts:4 ~alice ~bob ())
+  | `Sos kind ->
     let alice, bob = sos_workload ~nseed in
-    match
-      Resilient.reconcile_sos ~link:(faulty_link ~nseed) ~kind ~seed:nseed ~u:sos_u ~h:sos_h
-        ~initial_d:8 ~max_attempts:2 ~rehash_attempts:2 ~alice ~bob ()
-    with
-    | Ok (recovered, rep) ->
-      let salvage =
-        List.length (List.filter (fun (a : Resilient.attempt) -> a.Resilient.salvage) rep.Resilient.attempts)
-      in
-      (`Ok (Parent.equal recovered alice), List.length rep.Resilient.attempts, salvage)
-    | Error (`Transport_failure rep | `Deadline_exceeded rep) ->
-      (`Typed, List.length rep.Resilient.attempts, 0))
+    verdict (Parent.equal alice)
+      (Resilient.reconcile_sos ~link:(faulty_link ~nseed) ~kind ~seed:nseed ~u:sos_u ~h:sos_h
+         ~initial_d:8 ~max_attempts:4 ~alice ~bob ())
 
 let stack_row ~stack ~trials =
   let label = match stack with `Set -> "set" | `Sos kind -> Protocol.name kind in
-  let ok = ref 0 and typed = ref 0 and silent = ref 0 and attempts = ref 0 and salvage = ref 0 in
+  let ok = ref 0 and typed = ref 0 and silent = ref 0 and attempts = ref 0 and degraded = ref 0 in
   for t = 0 to trials - 1 do
     let nseed = Prng.derive ~seed ~tag:(0x3000 + (64 * t) + Hashtbl.hash label mod 64) in
-    match stack_trial ~stack ~nseed with
-    | `Ok true, a, s ->
-      incr ok;
-      attempts := !attempts + a;
-      salvage := !salvage + s
-    | `Ok false, a, s ->
-      incr silent;
-      attempts := !attempts + a;
-      salvage := !salvage + s
-    | `Typed, a, _ ->
-      incr typed;
-      attempts := !attempts + a
+    let verdict, rep = stack_trial ~stack ~nseed in
+    attempts := !attempts + List.length rep.Resilient.attempts;
+    if rep.Resilient.degraded then incr degraded;
+    incr (match verdict with `Ok -> ok | `Silent -> silent | `Typed -> typed)
   done;
   ( [ ("name", Perf.S "robust_stacks"); ("stack", Perf.S label); ("trials", Perf.I trials);
       ("ok", Perf.I !ok); ("typed_failures", Perf.I !typed); ("silent", Perf.I !silent);
-      ("attempts_total", Perf.I !attempts); ("salvage_attempts_total", Perf.I !salvage) ],
+      ("attempts_total", Perf.I !attempts); ("degraded", Perf.I !degraded) ],
     !silent )
 
 (* ------------------------------------------------------------------ *)
 
 let run () =
-  Printf.printf "robust: adversarial sweep, stash + salted rehash vs plain IBLT (fixed workload)\n%!";
+  Printf.printf "robust: adversarial sweep, plain IBLT vs the two-rung ladder (fixed workload)\n%!";
   let trials = 40 in
   let sweep =
     List.concat_map
-      (fun family -> List.map (fun d -> rescue_row ~family ~d ~trials) [ 16; 48 ])
-      [ "adversarial"; "random"; "random_tight" ]
+      (fun family -> List.concat_map (fun d -> rescue_rows ~family ~d ~trials) [ 16; 48 ])
+      [ "adversarial"; "adversarial_rateless"; "random"; "random_tight" ]
   in
   let sweep_rows = List.map fst sweep in
   let stacks =
     List.map (fun stack -> stack_row ~stack ~trials:3) (`Set :: List.map (fun k -> `Sos k) Protocol.all)
   in
   let stack_rows = List.map fst stacks in
+  let geti row k = match List.assoc_opt k row with Some (Perf.I v) -> v | _ -> 0 in
+  let gets row k = match List.assoc_opt k row with Some (Perf.S v) -> v | _ -> "" in
   List.iter
     (fun row ->
-      match (List.assoc_opt "family" row, List.assoc_opt "d" row) with
-      | Some (Perf.S f), Some (Perf.I d) ->
-        let geti k = match List.assoc_opt k row with Some (Perf.I v) -> v | _ -> 0 in
-        Printf.printf
-          "  %-14s d=%-3d plain %3d%%  robust %3d%%  rescue %3d%% (%d/%d)  salvage %3d%%  bits %d->%d\n%!"
-          f d (geti "plain_success_pct") (geti "robust_success_pct") (geti "rescue_pct")
-          (geti "rescued") (geti "plain_fail") (geti "salvage_fraction_pct")
-          (geti "plain_bits_mean") (geti "robust_bits_mean")
-      | _ -> ())
+      Printf.printf
+        "  %-20s %-8s d=%-3d plain %3d%%  robust %3d%%  rescue %3d%% (%d/%d)  direct %2d  bits %d->%d%s\n%!"
+        (gets row "family") (gets row "strategy") (geti row "d") (geti row "plain_success_pct")
+        (geti row "robust_success_pct") (geti row "rescue_pct") (geti row "rescued")
+        (geti row "plain_fail") (geti row "direct_fallbacks") (geti row "plain_bits_mean")
+        (geti row "robust_bits_mean")
+        (match List.assoc_opt "grind_w_min" row with
+        | Some (Perf.I w) -> Printf.sprintf "  (w >= %d)" w
+        | _ -> ""))
     sweep_rows;
   List.iter
     (fun row ->
-      match List.assoc_opt "stack" row with
-      | Some (Perf.S s) ->
-        let geti k = match List.assoc_opt k row with Some (Perf.I v) -> v | _ -> 0 in
-        Printf.printf "  stack %-16s ok %d/%d  typed %d  silent %d  salvage-attempts %d\n%!" s
-          (geti "ok") (geti "trials") (geti "typed_failures") (geti "silent")
-          (geti "salvage_attempts_total")
-      | _ -> ())
+      Printf.printf "  stack %-16s ok %d/%d  typed %d  silent %d  attempts %d  degraded %d\n%!"
+        (gets row "stack") (geti row "ok") (geti row "trials") (geti row "typed_failures")
+        (geti row "silent") (geti row "attempts_total") (geti row "degraded"))
     stack_rows;
   let results = sweep_rows @ stack_rows in
   Perf.write_json ~command:"dune exec bench/main.exe -- robust" ~path:"BENCH_robust.json"
@@ -298,9 +304,9 @@ let run () =
   let criterion_ok =
     List.for_all
       (fun (row, (plain_fail, rescued, _)) ->
-        match List.assoc_opt "family" row with
-        | Some (Perf.S "adversarial") ->
-          plain_fail > 0 && 100 * rescued >= 95 * plain_fail
+        match gets row "family" with
+        | "adversarial" -> plain_fail > 0 && 100 * rescued >= 95 * plain_fail
+        | "adversarial_rateless" -> 100 * rescued >= 95 * plain_fail
         | _ -> true)
       sweep
   in
@@ -310,6 +316,7 @@ let run () =
   end;
   if not criterion_ok then begin
     Printf.printf
-      "robust: FAIL - adversarial rescue rate below 95%% (or family failed to stall plain decode)\n%!";
+      "robust: FAIL - adversarial first-rung rescue rate below 95%% (or family failed to stall \
+       plain decode)\n%!";
     exit 2
   end

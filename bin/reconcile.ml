@@ -558,8 +558,8 @@ let rate_conv =
         | _ -> Error (`Msg (Printf.sprintf "expected a probability in [0, 1], got %S" s))),
       Format.pp_print_float )
 
-let run_faulty seed fault_seed drop corrupt truncate duplicate max_attempts rehash_attempts stash
-    rateless runs target kind unframed latency reorder partition deadline_ms =
+let run_faulty seed fault_seed drop corrupt truncate duplicate max_attempts rateless runs target
+    kind unframed latency reorder partition deadline_ms =
   let module Channel = Ssr_transport.Channel in
   let module Network = Ssr_transport.Network in
   let module Clock = Ssr_transport.Clock in
@@ -573,7 +573,7 @@ let run_faulty seed fault_seed drop corrupt truncate duplicate max_attempts reha
   (* Replayable configuration in pasteable --flag=value form: every network
      shape flag prints back exactly as it must be passed to reproduce. *)
   let replay_suffix =
-    Printf.sprintf " --rehash-attempts=%d --stash=%d%s%s" rehash_attempts stash
+    Printf.sprintf " --max-attempts=%d%s%s" max_attempts
       (if rateless then " --rateless" else "")
       (if not networked then ""
        else
@@ -626,8 +626,7 @@ let run_faulty seed fault_seed drop corrupt truncate duplicate max_attempts reha
         in
         let alice = Iset.apply_diff bob ~add:(Iset.random_subset rng ~universe ~size:5) ~del in
         match
-          R.reconcile_set ~link ~seed:wseed ~strategy ~max_attempts ~rehash_attempts
-            ~stash_capacity:stash ?run_deadline_us ~alice ~bob ()
+          R.reconcile_set ~link ~seed:wseed ~strategy ~max_attempts ?run_deadline_us ~alice ~bob ()
         with
         | Ok (recovered, rep) -> (rep, `Verdict (Iset.equal recovered alice))
         | Error (`Transport_failure rep) -> (rep, `Failed)
@@ -641,7 +640,7 @@ let run_faulty seed fault_seed drop corrupt truncate duplicate max_attempts reha
         let h = Parent.max_child_size alice + 4 in
         match
           R.reconcile_sos ~link ~kind ~seed:wseed ~u:universe ~h ~initial_d:d ~max_attempts
-            ~rehash_attempts ?run_deadline_us ~alice ~bob ()
+            ?run_deadline_us ~alice ~bob ()
         with
         | Ok (recovered, rep) -> (rep, `Verdict (Parent.equal recovered alice))
         | Error (`Transport_failure rep) -> (rep, `Failed)
@@ -714,20 +713,6 @@ let faulty_cmd =
          & info [ "max-attempts" ]
              ~doc:"Reconciliation attempts before degrading to direct transfer (and direct attempts after).")
   in
-  let rehash_attempts =
-    Arg.(value & opt int 2
-         & info [ "rehash-attempts" ]
-             ~doc:"Salted-rehash salvage attempts between the doubling reconciliation attempts \
-                   and the direct-transfer fallback; each attempt re-derives every hash schedule \
-                   from (seed, attempt) and reships only the residual difference. 0 disables the \
-                   rung.")
-  in
-  let stash =
-    Arg.(value & opt int 256
-         & info [ "stash" ]
-             ~doc:"Stash capacity in cells for un-peelable residual sketches kept across salted \
-                   rehash attempts (plain-set target only).")
-  in
   let rateless =
     Arg.(value & flag
          & info [ "rateless" ]
@@ -797,7 +782,7 @@ let faulty_cmd =
              virtual-time network simulator with ARQ.")
     (with_obs
        Term.(const run_faulty $ seed_term $ fault_seed $ drop $ corrupt $ truncate $ duplicate
-             $ max_attempts $ rehash_attempts $ stash $ rateless $ runs $ target $ protocol_term
+             $ max_attempts $ rateless $ runs $ target $ protocol_term
              $ unframed $ latency $ reorder $ partition $ deadline_ms))
 
 (* ---- estimate ---- *)

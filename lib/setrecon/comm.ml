@@ -134,15 +134,10 @@ let estimate ?shape ~seed keys = function
         L0.update_all mine L0.S2 keys;
         L0.query_opt (L0.merge theirs mine))
 
-(* Bob's control requests. Alice goes on whatever arrives: she sends the
+(* Bob's control request. Alice goes on whatever arrives: she sends the
    next attempt when the request reaches her and on her own timeout when
    it is lost or damaged, so nothing she does depends on its bytes. *)
 let request_retry t = ignore (xfer t B_to_a ~label:"retry" (Bytes.make 1 '\001'))
-
-let request_salvage t ~bound =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int bound);
-  ignore (xfer t B_to_a ~label:"salvage-retry" b)
 
 let stats t =
   let messages = List.rev t.log in

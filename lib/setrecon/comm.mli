@@ -15,9 +15,8 @@
     rejected by the framing checksum). With no transport attached the
     payload is delivered verbatim and only accounting happens, so the
     in-memory execution and the over-a-channel execution share one code
-    path. Control messages — Bob's {!request_retry} and {!request_salvage}
-    — are [xfer]s too, so they cross any attached transport and can be
-    lost. The transport layer lives in [lib/transport]; this hook is a
+    path. The one control message, Bob's {!request_retry}, is an [xfer]
+    too, so it crosses any attached transport and can be lost. The transport layer lives in [lib/transport]; this hook is a
     plain closure so the dependency points only that way. The set-of-sets
     stacks run each party apart as a {!party}; the shared codecs come in
     one half per party, which the plain-set stacks call around [xfer]. *)
@@ -108,13 +107,9 @@ val estimate :
     size a table beyond any difference the estimator measures. *)
 
 val request_retry : t -> unit
-(** Bob's 1-byte ["retry"] request, B to A: his attempt failed. *)
-
-val request_salvage : t -> bound:int -> unit
-(** Bob's 4-byte ["salvage-retry"] request, B to A, carrying his
-    residual-difference bound as a little-endian u32. The caller of either
-    request goes on whether or not it arrives: Alice sends the next attempt
-    when it reaches her and on her own timeout when it is lost. *)
+(** Bob's 1-byte ["retry"] request, B to A: his attempt failed. The caller
+    goes on whether or not it arrives: Alice sends the next attempt when it
+    reaches her and on her own timeout when it is lost. *)
 
 val stats : t -> stats
 

@@ -1,8 +1,9 @@
 (** Rateless set reconciliation over the coded-cell stream of
     {!Ssr_sketch.Rateless}.
 
-    The doubling and salvage drivers in {!Set_recon} escalate by shipping
-    whole IBLTs: guess a size, transmit, fail, double, reship — one bad
+    The doubling drivers ({!Set_recon.reconcile_robust} and the doubling
+    first rung of [Ssr_transport.Resilient]) escalate by shipping whole
+    IBLTs: guess a size, transmit, fail, double, reship — one bad
     estimate or one lossy window wastes an entire sketch. Here Alice
     instead streams windows of coded cells (each a pure function of the
     shared seed and its index) and Bob ACKs cumulative peel progress;

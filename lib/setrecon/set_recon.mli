@@ -3,7 +3,11 @@
     One-way reconciliation: Bob ends up with Alice's set. Alice encodes her
     set in an O(d)-cell IBLT and transmits it; Bob deletes his elements and
     peels out the difference. With an unknown difference size, Bob first
-    sends a set-difference estimator (Theorem 3.1), adding one round. *)
+    sends a set-difference estimator (Theorem 3.1), adding one round. A
+    failed decode is answered as the paper answers it: a retry under fresh
+    hash functions with a doubled bound ({!reconcile_robust} here, and the
+    first rung of [Ssr_transport.Resilient] over a faulty link), every
+    result checked against the whole-set hash. *)
 
 type outcome = {
   recovered : Ssr_util.Iset.t;  (** Bob's reconstruction of Alice's set. *)
@@ -40,55 +44,6 @@ val reconcile_robust :
 (** Repeated doubling until the decode verifies (the standard trick from
     Corollary 3.6); each attempt adds a round. A convenience for
     applications that need an answer rather than a fixed round budget. *)
-
-val reconcile_salvage :
-  seed:int64 -> ?k:int -> ?initial_d:int -> ?max_attempts:int -> ?stash_capacity:int ->
-  alice:Ssr_util.Iset.t -> bob:Ssr_util.Iset.t -> unit ->
-  (outcome, error) result
-(** Salted-rehash reconciliation with partial-decode salvage: attempt [i]
-    re-derives the whole hash schedule from
-    {!Ssr_util.Hashing.attempt_seed}[ ~seed ~attempt:i], keeps everything a
-    stalled peel did extract, stashes the stuck core
-    ({!Ssr_sketch.Iblt_stash}), and sizes the next table for the remaining
-    difference only — shrinking with progress instead of doubling from
-    scratch. [initial_d] (default 4) seeds the bound, [max_attempts]
-    (default 8) bounds the salted attempts, [stash_capacity] (default 256
-    cells) bounds the stash. Every success is whole-set-hash verified; a
-    salvaged phantom key is removed by a later attempt (it reappears in the
-    shipped difference), so the result is never silently corrupt. *)
-
-(** {2 Driver-facing salvage machinery}
-
-    The escalation driver in [lib/transport] embeds salvage attempts in its
-    own retry/backoff/deadline loop, so the per-attempt state is exposed:
-    a working copy of Bob's set, the residual stash and the remaining
-    difference bound. *)
-
-type salvage
-(** Mutable cross-attempt salvage state. *)
-
-val salvage_init :
-  ?stash_capacity:int -> d:int -> bob:Ssr_util.Iset.t -> unit -> salvage
-(** Fresh state with remaining-difference bound [max 4 d]. *)
-
-val salvage_remaining : salvage -> int
-(** The current remaining-difference bound (the [d] the next attempt will
-    size its table for). *)
-
-val salvage_keys : salvage -> int
-(** Total keys recovered so far via partial decodes and the stash. *)
-
-val run_salvage_attempt :
-  comm:Comm.t -> seed:int64 -> attempt:int -> k:int -> sv:salvage ->
-  alice:Ssr_util.Iset.t ->
-  (outcome, [ `Progress ]) result
-(** One salted attempt threaded through a caller-supplied recorder.
-    [`Progress] means "not done yet, retry under the next salt" — the
-    state has absorbed whatever the attempt recovered (and doubles its
-    bound after two consecutive zero-progress attempts), and Bob's
-    {!Comm.request_salvage} carrying the new bound is on [comm]. The caller
-    owns attempt numbering, retry accounting and backoff. An [Ok] outcome
-    reports set differences relative to the original [bob]. *)
 
 val run_known_d :
   comm:Comm.t -> seed:int64 -> d:int -> k:int ->

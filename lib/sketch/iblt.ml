@@ -16,7 +16,6 @@ let m_checksum_rejects = Metrics.counter "iblt.decode.checksum_rejects"
 let m_peels = Metrics.counter "iblt.decode.peels"
 let m_bad_int_keys = Metrics.counter "iblt.decode.bad_int_keys"
 let d_recovered = Metrics.dist "iblt.decode.recovered_keys"
-let d_residual = Metrics.dist "iblt.decode.residual"
 
 type params = { cells : int; k : int; key_len : int; seed : int64 }
 
@@ -105,7 +104,6 @@ let recommended_cells ~k ~diff_bound =
 (* ---- Cell field accessors (checked; cold paths). ---- *)
 
 let get_count t c = Int32.to_int (Bytes.get_int32_le t.buf (c * t.cell_bytes))
-let set_count t c v = Bytes.set_int32_le t.buf (c * t.cell_bytes) (Int32.of_int v)
 
 let get_check t c =
   let off = (c * t.cell_bytes) + 4 + t.prm.key_len in
@@ -114,16 +112,6 @@ let get_check t c =
   | 2 -> Bytes.get_uint16_le t.buf off
   | 4 -> Int32.to_int (Bytes.get_int32_le t.buf off) land 0xFFFFFFFF
   | _ -> Int64.to_int (Bytes.get_int64_le t.buf off) land ((1 lsl 62) - 1)
-
-let xor_check t c cs =
-  let off = (c * t.cell_bytes) + 4 + t.prm.key_len in
-  match t.check_bytes with
-  | 1 -> Bytes.set_uint8 t.buf off (Bytes.get_uint8 t.buf off lxor cs)
-  | 2 -> Bytes.set_uint16_le t.buf off (Bytes.get_uint16_le t.buf off lxor cs)
-  | 4 ->
-    Bytes.set_int32_le t.buf off (Int32.logxor (Bytes.get_int32_le t.buf off) (Int32.of_int cs))
-  | _ ->
-    Bytes.set_int64_le t.buf off (Int64.logxor (Bytes.get_int64_le t.buf off) (Int64.of_int cs))
 
 (* ---- Unchecked little-endian accessors (hot paths). ----
 
@@ -411,8 +399,7 @@ type decoded = { positives : Bytes.t list; negatives : Bytes.t list }
 
 (* Peel as far as the table allows, on a copy. Returns the worked table
    (empty iff the decode completed) alongside the recovered keys; [decode]
-   keeps the all-or-nothing contract on top of this and [decode_partial]
-   turns the leftover into a salvageable residual. *)
+   keeps the all-or-nothing contract on top of this. *)
 let peel t =
   let t = copy t in
   let cells = t.prm.cells and kl = t.prm.key_len in
@@ -478,86 +465,6 @@ let decode t =
   else begin
     Metrics.incr m_decode_stuck;
     Error `Peel_stuck
-  end
-
-(* ---- Partial-decode salvage. ---- *)
-
-(* A stalled peel compacted to its live cells: the signed multiset of the
-   keys the decode could not extract, under the original parameters (and
-   therefore the original hash schedule), with strictly increasing
-   indices. *)
-type residual = {
-  r_prm : params;
-  r_check_bits : int;
-  r_indices : int array;
-  r_counts : int array;
-  r_keys : Bytes.t; (* one key_len slot per live cell, flattened *)
-  r_checks : int array;
-}
-
-let residual_cells r = Array.length r.r_indices
-
-let key_slot_is_zero keys ~pos ~len =
-  let rec go i = i >= len || (Bytes.get keys (pos + i) = '\000' && go (i + 1)) in
-  go 0
-
-let residual_of_worked t =
-  let kl = t.prm.key_len in
-  let live c =
-    get_count t c <> 0 || get_check t c <> 0
-    || not (key_slot_is_zero t.buf ~pos:((c * t.cell_bytes) + 4) ~len:kl)
-  in
-  let n = ref 0 in
-  for c = 0 to t.prm.cells - 1 do
-    if live c then incr n
-  done;
-  let n = !n in
-  let r =
-    {
-      r_prm = t.prm;
-      r_check_bits = t.check_bits;
-      r_indices = Array.make n 0;
-      r_counts = Array.make n 0;
-      r_keys = Bytes.make (n * kl) '\000';
-      r_checks = Array.make n 0;
-    }
-  in
-  let j = ref 0 in
-  for c = 0 to t.prm.cells - 1 do
-    if live c then begin
-      r.r_indices.(!j) <- c;
-      r.r_counts.(!j) <- get_count t c;
-      Bytes.blit t.buf ((c * t.cell_bytes) + 4) r.r_keys (!j * kl) kl;
-      r.r_checks.(!j) <- get_check t c;
-      incr j
-    end
-  done;
-  r
-
-let residual_to_table r =
-  let t = create ~check_bits:r.r_check_bits r.r_prm in
-  let kl = t.prm.key_len in
-  Array.iteri
-    (fun j c ->
-      set_count t c r.r_counts.(j);
-      Bytes.blit r.r_keys (j * kl) t.buf ((c * t.cell_bytes) + 4) kl;
-      xor_check t c r.r_checks.(j))
-    r.r_indices;
-  t
-
-let decode_partial t =
-  Metrics.incr m_decode_attempts;
-  let worked, dec = peel t in
-  if is_empty worked then begin
-    Metrics.incr m_decode_success;
-    Metrics.observe d_recovered (List.length dec.positives + List.length dec.negatives);
-    `Decoded dec
-  end
-  else begin
-    Metrics.incr m_decode_stuck;
-    let r = residual_of_worked worked in
-    Metrics.observe d_residual (residual_cells r);
-    `Salvaged (dec, r)
   end
 
 (* ---- Schedule introspection. ---- *)

@@ -113,30 +113,6 @@ val decode : t -> (decoded, [ `Peel_stuck ]) result
     empties completely. It peels at most [cells] keys, the most a genuine
     table yields, so no bytes can keep it peeling without end. *)
 
-type residual
-(** What a stalled peel leaves behind, compacted to its live cells: the
-    signed multiset of exactly the keys the decode could not extract, still
-    under the original parameters and hash schedule. A residual stays with
-    the party that peeled it: it can be turned back into a table, kept
-    across attempts (the salted-rehash escalation stashes residuals in
-    {!Iblt_stash}), and peeled further once other attempts remove some of
-    its keys. *)
-
-val decode_partial : t -> [ `Decoded of decoded | `Salvaged of decoded * residual ]
-(** Salvaging decode: peel as far as possible and never discard progress.
-    [`Decoded] is exactly {!decode}'s success; [`Salvaged (prefix, rest)]
-    returns the recovered prefix plus the residual of the stuck core, whose
-    live-cell count is recorded under the [iblt.decode.residual] metric.
-    The prefix is verified cell-by-cell (checksummed) but only the caller's
-    whole-set hash proves it globally, exactly as with {!decode}. *)
-
-val residual_cells : residual -> int
-(** Number of live (nonzero) cells; [0] means the residual is empty. *)
-
-val residual_to_table : residual -> t
-(** Expand back to a full table (dead cells zero), e.g. to delete keys that
-    a later salted attempt recovered and then re-peel. *)
-
 val positions : t -> Bytes.t -> int array
 (** The [k] cell indices the schedule maps this key to, in partition order.
     Exposed for white-box tests and the adversarial workload generator;

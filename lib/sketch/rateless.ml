@@ -209,6 +209,19 @@ let member src ~key_index i =
   done;
   !m = i
 
+let walk_int ~seed =
+  let fn = Hashing.make ~seed ~tag:hash_tag in
+  let lanes = [| 0; 0 |] in
+  fun v ->
+    if v < 0 then invalid_arg "Rateless.walk_int: negative key";
+    Hashing.hash_int_bytes_into fn v ~len:8 lanes;
+    Seq.unfold
+      (fun (m, s) ->
+        let s = advance s in
+        let m = next_member m s in
+        if m >= max_index then None else Some (m, (m, s)))
+      (-1, lanes.(1))
+
 (* ---- Receiver. ----
 
    The decoder owns a growable packed store of the cells absorbed so far
@@ -216,9 +229,9 @@ let member src ~key_index i =
    plus the peeled prefix. Absorbing a window folds the local pool in
    (the same generator, subtracted), cancels every already-peeled key out
    of the new cells — late cells still carry contributions of keys peeled
-   long ago — and resumes peeling. This is the decode_partial discipline
-   made incremental: a stalled peel keeps its residual live in the store
-   and every fresh cell is another chance to unstick it. *)
+   long ago — and resumes peeling. A stalled peel keeps its stuck cells
+   live in the store, and every fresh cell is another chance to unstick
+   it. *)
 
 type decoder = {
   src : source;  (* the local pool, foldable into any window *)
@@ -327,9 +340,15 @@ let cancel_key dec ~start ~stop ~sign key ~s0 ~cs =
     m := next_member !m !s
   done
 
+(* A genuine peel zeroes a distinct absorbed slot per key, so the peels
+   never outnumber the absorbed slots. Crafted cells can hand one key back
+   and forth between its member cells with alternating signs for ever;
+   past that bound the decoder stops and stays stuck until more cells
+   arrive, each of which raises the bound by one. *)
 let rec peel dec =
   match dec.queue with
   | [] -> ()
+  | _ when dec.npeeled >= dec.nslots -> dec.queue <- []
   | slot :: rest ->
     dec.queue <- rest;
     let cb = dec.src.cell_bytes and kl = dec.src.prm.key_len in

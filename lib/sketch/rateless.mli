@@ -17,8 +17,8 @@
     The receiver folds its own pool into each arriving cell (the same
     stream generator, opposite sign), leaving exactly the symmetric
     difference encoded, and peels continuously as cells arrive, keeping all
-    partial progress in the spirit of {!Iblt.decode_partial}: a stalled
-    peel is not a failure, just "need more cells". Decoding completes after
+    partial progress: a stalled peel is not a failure, just "need more
+    cells". Decoding completes after
     about [1.35 d + O(log d)] cells for a difference of size [d] —
     communication converges to the difference size with no size
     negotiation, no doubling retries and no wasted sketches.
@@ -96,6 +96,15 @@ val member : source -> key_index:int -> int -> bool
 (** Whether pool element [key_index] belongs to the given cell index.
     White-box test hook; not a hot path. *)
 
+val walk_int : seed:int64 -> int -> int Seq.t
+(** [walk_int ~seed v] is the increasing sequence of cell indices below
+    {!max_index} that the 8-byte little-endian key [v] belongs to under
+    [seed]'s schedule (it starts with cell 0), drawn lazily one skip per
+    element. A pure function of [(seed, v)], whatever the pool: exposed
+    for white-box tests and the adversarial workload generator, not used
+    on any hot path. Apply [~seed] once to share the hash setup across
+    keys. Raises [Invalid_argument] on a negative key. *)
+
 (** {2 Receiver side} *)
 
 type decoder
@@ -110,7 +119,9 @@ val decoder_of_ints : ?check_bits:int -> seed:int64 -> int array -> decoder
 val absorb : decoder -> lo:int -> Bytes.t -> int
 (** Absorb a window of packed cells whose first cell has index [lo]: fold
     the local pool in, cancel every already-peeled key out of the new
-    cells, and peel as far as possible. Returns the number of fresh cells
+    cells, and peel as far as possible — but never past one peel per
+    absorbed cell, the most a genuine stream yields, so crafted cells
+    cannot keep it peeling without end. Returns the number of fresh cells
     absorbed — cells at or below the highest index already absorbed are
     skipped, so duplicate or overlapping windows are harmless, and gaps
     from lost windows are fine: the stream only moves forward, lost cells

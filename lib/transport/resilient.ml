@@ -14,7 +14,6 @@ module Trace = Ssr_obs.Trace
 
 let m_attempts = Metrics.counter "resilient.attempts"
 let m_retries = Metrics.counter "resilient.retries"
-let m_salvage_attempts = Metrics.counter "resilient.salvage_attempts"
 let m_direct_fallbacks = Metrics.counter "resilient.direct_fallbacks"
 
 type link =
@@ -28,7 +27,6 @@ type attempt = {
   number : int;
   d : int;
   direct : bool;
-  salvage : bool;
   ok : bool;
   elapsed_us : int;
 }
@@ -186,33 +184,29 @@ let mk_report ctx ~attempts ~degraded =
   { attempts = List.rev attempts; degraded; faults; stats = Comm.stats ctx.comm; wire_bytes;
     timing }
 
-(* The shared self-healing loop, an escalation ladder with three rungs:
-   bounded reconciliation attempts with a doubling difference bound, then
-   bounded salted-rehash salvage attempts, then bounded verified direct
-   transfers; on a network link every rung also respects the virtual-time
-   deadlines and backs off between attempts.
-   [recon ~number ~d] and [direct ()] return the verified result or [None]
-   on any detected failure; [rehash ~number ~d] additionally reports the
-   difference bound it actually used (salvage shrinks it with progress
-   rather than doubling). After a failure Bob's request crosses the link:
-   the driver sends his 1-byte retry, and a failed [rehash] sends his
-   4-byte salvage-retry with the bound it sizes next. Alice goes on either
-   way, on her own timeout when the request is lost. *)
-let drive ctx ~max_attempts ~rehash_attempts ~rehash ~initial_d ~recon ~direct =
-  (* One attempt of any rung; [next] continues the ladder after a failure. *)
-  let step ~number ~acc ~direct ~salvage ~degraded ~fields event run ~next =
+(* The shared self-healing loop, an escalation ladder with two rungs:
+   bounded reconciliation attempts, each under a fresh attempt salt with a
+   doubling difference bound, then bounded verified direct transfers; on a
+   network link both rungs respect the virtual-time deadlines and back off
+   between attempts. [recon ~number ~d] and [direct ()] return the verified
+   result or [None] on any detected failure. After a failure Bob's 1-byte
+   retry request crosses the link; Alice goes on either way, on her own
+   timeout when it is lost. *)
+let drive ctx ~max_attempts ~initial_d ~recon ~direct =
+  (* One attempt of either rung; [next] continues the ladder after a
+     failure. *)
+  let step ~number ~d ~acc ~direct ~degraded ~fields event run ~next =
     begin_attempt ctx;
     Metrics.incr m_attempts;
-    if salvage then Metrics.incr m_salvage_attempts;
     Trace.emit ~layer:"resilient" ~fields:(("number", Trace.I number) :: fields) event;
     let ta = now ctx in
-    let v, d = run () in
-    let attempt ok = { number; d; direct; salvage; ok; elapsed_us = now ctx - ta } in
+    let v = run () in
+    let attempt ok = { number; d; direct; ok; elapsed_us = now ctx - ta } in
     match v with
     | Some v -> Ok (v, mk_report ctx ~attempts:(attempt true :: acc) ~degraded)
     | None ->
       Metrics.incr m_retries;
-      if not salvage then Comm.request_retry ctx.comm;
+      Comm.request_retry ctx.comm;
       backoff_between ctx ~number;
       next (attempt false :: acc)
   in
@@ -222,32 +216,21 @@ let drive ctx ~max_attempts ~rehash_attempts ~rehash ~initial_d ~recon ~direct =
     else if tries >= max_attempts then
       Error (`Transport_failure (mk_report ctx ~attempts:acc ~degraded:true))
     else
-      step ~number ~acc ~direct:true ~salvage:false ~degraded:true ~fields:[] "direct-attempt"
-        (fun () -> (direct (), 0))
+      step ~number ~d:0 ~acc ~direct:true ~degraded:true ~fields:[] "direct-attempt" direct
         ~next:(direct_loop (number + 1) (tries + 1))
-  in
-  let fall_back number acc =
-    Metrics.incr m_direct_fallbacks;
-    Trace.emit ~layer:"resilient" "direct-fallback";
-    direct_loop number 0 acc
-  in
-  let rec rehash_loop number d0 tries acc =
-    if run_deadline_exceeded ctx then
-      Error (`Deadline_exceeded (mk_report ctx ~attempts:acc ~degraded:false))
-    else if tries >= rehash_attempts then fall_back number acc
-    else
-      step ~number ~acc ~direct:false ~salvage:true ~degraded:false ~fields:[] "rehash-attempt"
-        (fun () -> rehash ~number ~d:d0)
-        ~next:(rehash_loop (number + 1) d0 (tries + 1))
   in
   let rec attempt number d acc =
     if run_deadline_exceeded ctx then
       Error (`Deadline_exceeded (mk_report ctx ~attempts:acc ~degraded:false))
-    else if number >= max_attempts then rehash_loop number d 0 acc
+    else if number >= max_attempts then begin
+      Metrics.incr m_direct_fallbacks;
+      Trace.emit ~layer:"resilient" "direct-fallback";
+      direct_loop number 0 acc
+    end
     else
-      step ~number ~acc ~direct:false ~salvage:false ~degraded:false
-        ~fields:[ ("d", Trace.I d) ] "recon-attempt"
-        (fun () -> (recon ~number ~d, d))
+      step ~number ~d ~acc ~direct:false ~degraded:false ~fields:[ ("d", Trace.I d) ]
+        "recon-attempt"
+        (fun () -> recon ~number ~d)
         ~next:(attempt (number + 1) (2 * d))
   in
   attempt 0 (max 1 initial_d) []
@@ -269,54 +252,29 @@ let parse_direct_set ~seed delivered =
     | _ -> None)
 
 let reconcile_set ~link ~seed ?(strategy = Doubling) ?(initial_d = 4) ?(max_attempts = 5)
-    ?(rehash_attempts = 2) ?(stash_capacity = 256) ?(k = 4) ?attempt_deadline_us
-    ?run_deadline_us ?backoff_us ~alice ~bob () =
+    ?(k = 4) ?attempt_deadline_us ?run_deadline_us ?backoff_us ~alice ~bob () =
   let ctx = mk_ctx ~link ~seed ?attempt_deadline_us ?run_deadline_us ?backoff_us () in
   let direct_payload =
     lazy (Bytes.cat (Iset.canonical_bytes alice) (int62_bytes (Set_recon.set_hash ~seed alice)))
   in
-  (* Cross-attempt salvage state, created when the ladder reaches the
-     rehash rung: the bound starts from the last size the doubling rung
-     actually tried, then shrinks with salvaged progress. *)
-  let sv = ref None in
-  let salvage_state ~d =
-    match !sv with
-    | Some s -> s
-    | None ->
-      let s = Set_recon.salvage_init ~stash_capacity ~d:(max initial_d (d / 2)) ~bob () in
-      sv := Some s;
-      s
-  in
-  drive ctx ~max_attempts ~rehash_attempts ~initial_d
+  drive ctx ~max_attempts ~initial_d
     ~recon:(fun ~number ~d ->
-      match strategy with
-      | Doubling -> (
-        match
-          Set_recon.run_known_d ~comm:ctx.comm
-            ~seed:(Hashing.attempt_seed ~seed ~attempt:number) ~d ~k ~alice ~bob
-        with
-        | Ok o -> Some o.Set_recon.recovered
-        | Error `Decode_failure -> None)
-      | Rateless -> (
-        (* One rateless run is itself an open-ended escalation — the
-           stream keeps flowing until the peel verifies — so a failed run
-           means the transport is badly broken, and the ladder's salted
-           retry (fresh attempt seed, fresh stream) plus the lower rungs
-           take over. [d] doubles per drive attempt like every other rung;
-           here it scales the initial window instead of a table size. *)
-        match
-          Rateless_recon.run ~comm:ctx.comm
-            ~seed:(Hashing.attempt_seed ~seed ~attempt:number)
-            ~initial_window:(max 32 (2 * d)) ~alice ~bob ()
-        with
-        | Ok o -> Some o.Set_recon.recovered
-        | Error `Decode_failure -> None))
-    ~rehash:(fun ~number ~d ->
-      let s = salvage_state ~d in
-      let d_used = Set_recon.salvage_remaining s in
-      match Set_recon.run_salvage_attempt ~comm:ctx.comm ~seed ~attempt:number ~k ~sv:s ~alice with
-      | Ok o -> (Some o.Set_recon.recovered, d_used)
-      | Error `Progress -> (None, d_used))
+      let seed = Hashing.attempt_seed ~seed ~attempt:number in
+      let result =
+        match strategy with
+        | Doubling -> Set_recon.run_known_d ~comm:ctx.comm ~seed ~d ~k ~alice ~bob
+        | Rateless ->
+          (* One rateless run is itself an open-ended escalation — the
+             stream keeps flowing until the peel verifies — so a failed run
+             means the transport is badly broken, and the ladder's next
+             attempt (fresh attempt seed, fresh stream) or direct transfer
+             takes over. [d] doubles per attempt as under [Doubling]; here
+             it scales the initial window instead of a table size. *)
+          Rateless_recon.run ~comm:ctx.comm ~seed ~initial_window:(max 32 (2 * d)) ~alice ~bob ()
+      in
+      match result with
+      | Ok o -> Some o.Set_recon.recovered
+      | Error `Decode_failure -> None)
     ~direct:(fun () ->
       match Comm.xfer ctx.comm Comm.A_to_b ~label:"direct-transfer" (Lazy.force direct_payload) with
       | Error `Lost -> None
@@ -371,34 +329,25 @@ let parse_direct_sos ~seed delivered =
     go 0 []
 
 let reconcile_sos ~link ~kind ~seed ~u ~h ?(initial_d = 4) ?(max_attempts = 5)
-    ?(rehash_attempts = 2) ?attempt_deadline_us ?run_deadline_us ?backoff_us ~alice ~bob () =
+    ?attempt_deadline_us ?run_deadline_us ?backoff_us ~alice ~bob () =
   let ctx = mk_ctx ~link ~seed ?attempt_deadline_us ?run_deadline_us ?backoff_us () in
   let direct_payload = lazy (sos_direct_payload ~seed alice) in
-  (* The child-encoding salt is pinned to the base seed, so every rung of
-     the ladder whose bound gives the same child geometry (and the rehash
-     rung, which re-runs at the last tried bound) re-derives identical
+  (* The child-encoding salt is pinned to the base seed, so every attempt
+     whose bound gives the same child geometry re-derives identical
      child-encoding configs; only the outer tables get fresh per-attempt
-     salts. One memo for this request lets later rungs reuse the encodings
-     of earlier ones, and it is dropped when the request returns. *)
+     salts. One memo for this request lets later attempts reuse the
+     encodings of earlier ones, and it is dropped when the request
+     returns. *)
   let memo = Enc_cache.create () in
-  let run_attempt ~number ~d =
-    match
-      Protocol.run_known ~memo kind ~comm:ctx.comm
-        ~seed:(Hashing.attempt_seed ~seed ~attempt:number) ~enc_seed:(Some seed) ~d ~u ~h ~alice
-        ~bob
-    with
-    | Ok (o : Protocol.outcome) -> Some o.Protocol.recovered
-    | Error `Decode_failure -> None
-  in
-  drive ctx ~max_attempts ~rehash_attempts ~initial_d ~recon:run_attempt
-    (* The nested protocols carry no cross-attempt salvage state; their
-       rehash rung re-runs at the last tried bound under fresh per-attempt
-       salts — escalating the schedule, not the size. *)
-    ~rehash:(fun ~number ~d ->
-      let d_used = max 1 (d / 2) in
-      let r = run_attempt ~number ~d:d_used in
-      if Option.is_none r then Comm.request_salvage ctx.comm ~bound:d_used;
-      (r, d_used))
+  drive ctx ~max_attempts ~initial_d
+    ~recon:(fun ~number ~d ->
+      match
+        Protocol.run_known ~memo kind ~comm:ctx.comm
+          ~seed:(Hashing.attempt_seed ~seed ~attempt:number) ~enc_seed:(Some seed) ~d ~u ~h
+          ~alice ~bob
+      with
+      | Ok (o : Protocol.outcome) -> Some o.Protocol.recovered
+      | Error `Decode_failure -> None)
     ~direct:(fun () ->
       match Comm.xfer ctx.comm Comm.A_to_b ~label:"direct-transfer" (Lazy.force direct_payload) with
       | Error `Lost -> None

@@ -11,23 +11,19 @@
       protocol sees them, and each protocol's whole-set hash rejects any
       result assembled from damage the CRC missed;
     - {b bounded retry} — a failed attempt triggers a retry with a doubled
-      IBLT difference bound and a fresh derived seed; on a network link the
-      driver also backs off between attempts (capped doubling with
-      deterministic jitter), letting in-flight stragglers drain. Bob's
-      retry request (1 byte; 4 bytes with his residual bound on the
-      salvage rung) crosses the link like any message, paying its frame
-      and a one-way trip, and may be lost: Alice then retries on her own
-      timeout, so a lost request never ends the run;
-    - {b salted-rehash salvage} — when the retry budget is exhausted the
-      driver climbs to the middle rung of the escalation ladder: bounded
-      salted attempts that re-derive the hash schedule per attempt
-      ({!Ssr_util.Hashing.attempt_seed}) and, for plain sets, keep every
-      partially decoded key and stash the stuck cores
-      ({!Ssr_sketch.Iblt_stash}), reshipping tables sized for the residual
-      difference only;
-    - {b graceful degradation} — when the rehash budget is also exhausted
-      the driver falls back to a direct full transfer of Alice's data,
-      itself hash-verified and retried within the same budget;
+      difference bound under a fresh per-attempt salt
+      ({!Ssr_util.Hashing.attempt_seed}), so no hash schedule — not even
+      one an adversary ground keys against — is tried twice (the fresh
+      hash functions and doubled bound of Cor 3.6 / 3.8, checked by the
+      whole-set hash of §2); on a network link the driver also backs off
+      between attempts (capped doubling with deterministic jitter),
+      letting in-flight stragglers drain. Bob's 1-byte retry request
+      crosses the link like any message, paying its frame and a one-way
+      trip, and may be lost: Alice then retries on her own timeout, so a
+      lost request never ends the run;
+    - {b graceful degradation} — when the retry budget is exhausted the
+      driver falls back to a direct full transfer of Alice's data, itself
+      hash-verified and retried within the same budget;
     - {b deadlines} — on a network link every attempt and the whole run can
       carry a virtual-time deadline; exceeding the run deadline yields the
       typed [`Deadline_exceeded] failure (with the full report), never a
@@ -55,13 +51,9 @@ val over_network : Arq.t -> link
     always framed (the ARQ header needs integrity protection). *)
 
 type attempt = {
-  number : int;  (** 0-based, across reconciliation, rehash and direct attempts. *)
+  number : int;  (** 0-based, across reconciliation and direct attempts. *)
   d : int;  (** Difference bound of a reconciliation attempt; 0 when [direct]. *)
   direct : bool;  (** A degraded full-transfer attempt rather than reconciliation. *)
-  salvage : bool;
-      (** A salted-rehash salvage attempt (the ladder's middle rung); [d] is
-          then the residual bound the attempt sized its table for, which
-          shrinks with progress instead of doubling. *)
   ok : bool;
   elapsed_us : int;  (** Virtual time this attempt took (0 on a channel link). *)
 }
@@ -108,14 +100,13 @@ type error = [ `Transport_failure of report | `Deadline_exceeded of report ]
     peel-progress ACKs ({!Ssr_setrecon.Rateless_recon}): no size to guess,
     and lost windows cost only their bytes because every fresh cell is
     useful — the graceful-degradation choice for unknown [d] on lossy
-    links. Either way the salted-rehash and direct-transfer rungs below
-    are unchanged. *)
+    links. Either way each attempt runs under a fresh attempt salt, and
+    the direct-transfer rung below is unchanged. *)
 type strategy = Doubling | Rateless
 
 val reconcile_set :
   link:link -> seed:int64 -> ?strategy:strategy -> ?initial_d:int -> ?max_attempts:int ->
-  ?rehash_attempts:int -> ?stash_capacity:int -> ?k:int ->
-  ?attempt_deadline_us:int -> ?run_deadline_us:int -> ?backoff_us:int ->
+  ?k:int -> ?attempt_deadline_us:int -> ?run_deadline_us:int -> ?backoff_us:int ->
   alice:Ssr_util.Iset.t -> bob:Ssr_util.Iset.t -> unit ->
   (Ssr_util.Iset.t * report, error) result
 (** Plain set reconciliation (Bob learns Alice's set) over the link.
@@ -123,28 +114,24 @@ val reconcile_set :
     (default 4) doubles on every retry (under [Rateless] it scales the
     initial window instead of a table size); [max_attempts]
     (default 5) bounds reconciliation attempts and direct-transfer attempts
-    separately, and [rehash_attempts] (default 2) the salted-rehash salvage
-    attempts between them, whose stash holds up to [stash_capacity]
-    (default 256) residual cells. [attempt_deadline_us] caps each attempt's
+    separately. [attempt_deadline_us] caps each attempt's
     virtual time, [run_deadline_us] the whole run (both ignored on a
     channel link); [backoff_us] (default 50ms virtual) is the base
     inter-attempt backoff. *)
 
 val reconcile_sos :
   link:link -> kind:Ssr_core.Protocol.kind -> seed:int64 -> u:int -> h:int ->
-  ?initial_d:int -> ?max_attempts:int -> ?rehash_attempts:int ->
+  ?initial_d:int -> ?max_attempts:int ->
   ?attempt_deadline_us:int -> ?run_deadline_us:int -> ?backoff_us:int ->
   alice:Ssr_core.Parent.t -> bob:Ssr_core.Parent.t -> unit ->
   (Ssr_core.Parent.t * report, error) result
 (** Set-of-sets reconciliation under any of the four protocols, same
     recovery discipline. [u] and [h] size the direct encodings where the
-    protocol needs them; [initial_d] defaults to 4. The rehash rung
-    ([rehash_attempts], default 2) re-runs the protocol at the last tried
-    bound under fresh per-attempt salts — the nested sketches re-derive
-    every hash schedule from [(seed, attempt)]. The child-encoding salt
-    stays pinned to [seed], and every attempt of the call shares one
-    {!Ssr_core.Enc_cache} memo, made for the call and dropped when it
-    returns. *)
+    protocol needs them; [initial_d] defaults to 4. Each attempt's nested
+    sketches re-derive every hash schedule from [(seed, attempt)]. The
+    child-encoding salt stays pinned to [seed], and every attempt of the
+    call shares one {!Ssr_core.Enc_cache} memo, made for the call and
+    dropped when it returns. *)
 
 (** Wire parsers of the direct-transfer payloads, exposed so the
     untrusted-size regression tests can feed them hostile byte strings

@@ -166,8 +166,8 @@ let truncate_bits x ~bits =
   if bits < 1 || bits > 62 then invalid_arg "Hashing.truncate_bits";
   x land ((1 lsl bits) - 1)
 
-(* The salted-rehash tag space. The constant matches the derivation the
-   resilient driver has always used for its per-attempt reconciliation
+(* The per-attempt salt's tag space. The constant matches the derivation
+   the resilient driver has always used for its per-attempt reconciliation
    seeds, so routing those call sites through here changed no transcript. *)
 let attempt_tag = 0x5EED
 

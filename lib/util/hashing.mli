@@ -89,9 +89,10 @@ val truncate_bits : int -> bits:int -> int
     [\[1, 62\]]. *)
 
 val attempt_seed : seed:int64 -> attempt:int -> int64
-(** Deterministic per-attempt salt for rehash escalation: both parties
+(** Deterministic per-attempt salt for a retry ladder: both parties
     re-derive the whole hash schedule of retry [attempt] from the public
     seed alone, so a peeling failure on one schedule is retried under an
-    independent-looking one with no extra coordination. [attempt] numbers
+    independent-looking one with no extra coordination (the fresh hash
+    functions of the paper's Cor 3.6 / 3.8 doubling). [attempt] numbers
     are protocol-wide (attempt 0 is the first transmission) and must be
     non-negative; distinct attempts give independent-looking seeds. *)

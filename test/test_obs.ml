@@ -447,17 +447,6 @@ let test_protocol_message_fuzz () =
                (fun ~attempt ~d ->
                  Set_recon.run_known_d ~comm ~seed:(Prng.derive ~seed ~tag:attempt) ~d ~k:4 ~alice
                    ~bob:far)) );
-      ( "salvage retry", "salvage-retry", `Harmless,
-        fun comm ->
-          let sv = Set_recon.salvage_init ~d:1 ~bob:far () in
-          let rec go attempt =
-            if attempt = 8 then Failed
-            else
-              match Set_recon.run_salvage_attempt ~comm ~seed ~attempt ~k:4 ~sv ~alice with
-              | Ok o -> set_verdict (Ok o)
-              | Error `Progress -> go (attempt + 1)
-          in
-          go 0 );
     ]
 
 (* Multiround's round 2 carries Bob's hash table TB; Alice decodes her own
@@ -544,6 +533,61 @@ let test_multiset_pair_keys_opt_fuzz () =
   for _ = 1 to 100 do
     ignore (Multiset.of_pair_keys_opt [ random_bytes rng 16; random_bytes rng 16 ])
   done
+
+(* The rateless peel's bound. Key 123456789's member cells in [0, 64)
+   under seed 0x5EED are 0, 2, 3, 4, 13, 18, 31, 38, 42 and 44; a window
+   holding the key in cell 0 alone makes a decoder with an empty pool peel
+   it there with one sign, then out of its other member cells with the
+   other, and so on without end. The peels stop at one per absorbed
+   cell. *)
+let rl_seed = 0x5EEDL
+let rl_key = 123456789
+
+let crafted_window ~lo ~hi cells =
+  let cb = Rateless.cell_bytes ~key_len:8 () in
+  let cells = Bytes.copy cells in
+  Seq.iter
+    (fun i -> if i > 0 && i >= lo && i < hi then Bytes.fill cells ((i - lo) * cb) cb '\000')
+    (Seq.take_while (fun i -> i < hi) (Rateless.walk_int ~seed:rl_seed rl_key));
+  cells
+
+let test_rateless_crafted_window_terminates () =
+  Alcotest.(check (list int)) "member cells below 64" [ 0; 2; 3; 4; 13; 18; 31; 38; 42; 44 ]
+    (List.of_seq (Seq.take_while (fun i -> i < 64) (Rateless.walk_int ~seed:rl_seed rl_key)));
+  let src = Rateless.source_of_ints ~seed:rl_seed [| rl_key |] in
+  let window = crafted_window ~lo:0 ~hi:64 (Rateless.cells src ~lo:0 ~hi:64) in
+  let dec = Rateless.decoder_of_ints ~seed:rl_seed [||] in
+  Alcotest.(check int) "absorbed" 64 (Rateless.absorb dec ~lo:0 window);
+  Alcotest.(check bool) "peels bounded by the absorbed cells" true (Rateless.peeled dec <= 64);
+  Alcotest.(check bool) "no decode candidate" true (Rateless.decoded dec = None)
+
+(* The same window through the protocol: a transport that rewrites the
+   first "rateless-cells" window so, and the stream must end in a typed
+   failure, not a loop. *)
+let test_rateless_crafted_stream_fails () =
+  let comm = Comm.create () in
+  let cell_bytes = Rateless.cell_bytes ~key_len:8 () in
+  let first = ref true in
+  Comm.set_transport comm
+    {
+      Comm.transmit =
+        (fun _ ~label b ->
+          if !first && label = "rateless-cells" then begin
+            first := false;
+            match Rateless_recon.window_of_bytes_opt ~cell_bytes b with
+            | Some (lo, alice_hash, cells) ->
+              let hi = lo + (Bytes.length cells / cell_bytes) in
+              Some
+                (Rateless_recon.encode_window ~cell_bytes ~lo ~alice_hash
+                   ~cells:(crafted_window ~lo ~hi cells))
+            | None -> Alcotest.fail "Alice's window did not parse"
+          end
+          else Some b);
+      overhead_bits = 0;
+    };
+  match Rateless_recon.run ~comm ~seed:rl_seed ~alice:(Iset.of_list [ rl_key ]) ~bob:Iset.empty () with
+  | Ok _ -> Alcotest.fail "a stream whose first window was crafted decoded"
+  | Error `Decode_failure -> ()
 
 (* Bob checks the whole-set hash the windows deliver, not Alice's: a
    transport that flips one bit of that field in every window must end
@@ -919,6 +963,10 @@ let () =
             test_direct_payload_parsers_fuzz;
           Alcotest.test_case "rateless wire fuzz" `Quick test_rateless_wire_fuzz;
           Alcotest.test_case "rateless delivered hash" `Quick test_rateless_delivered_hash;
+          Alcotest.test_case "rateless crafted window terminates" `Quick
+            test_rateless_crafted_window_terminates;
+          Alcotest.test_case "rateless crafted stream fails" `Quick
+            test_rateless_crafted_stream_fails;
           Alcotest.test_case "server wire fuzz" `Quick test_server_wire_fuzz;
         ] );
       ( "domain-safety",

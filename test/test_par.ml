@@ -241,6 +241,116 @@ let test_golden_retry_transcript_digest () =
   Alcotest.(check string) "set, initial_d 1, seed 0x11a" "b608d62cfbadb8a794a6eb41d39105e3"
     (Digest.to_hex (Digest.string (flatten_transcript network)))
 
+(* Golden transcripts of the ladder under faults: the same six stacks,
+   each with a budget of two reconciliation attempts before direct
+   transfer, over a seeded network that drops, corrupts and reorders
+   copies and cuts both directions from 10 ms to 2.2 s of virtual time, so
+   a message sent early in the window times out and fails its attempt.
+   The set stacks start from d = 2 and the nested ones from d = 4, so
+   some attempts also fail for size. A row digests the delivery
+   transcript, the outcome, every attempt's (number, d, direct, ok) and
+   the fault log: it moves with any change to the ladder's order,
+   budgets, salts, backoffs or retry requests. *)
+module Channel = Ssr_transport.Channel
+
+let faulty_network ~nseed =
+  let clock = Clock.create () in
+  let network =
+    Network.create ~clock
+      (Network.config_with ~drop:0.1 ~corrupt:0.1 ~latency_us:2_000 ~jitter_us:1_000 ~reorder:0.1
+         ~partitions:[ { Network.from_us = 10_000; until_us = 2_200_000; blocks = `Both } ]
+         ~seed:nseed ())
+  in
+  (network, Resilient.over_network (Arq.create ~clock ~network ~seed:nseed ()))
+
+let fault_string (e : Channel.event) =
+  Printf.sprintf "%d %s %s %s" e.Channel.index
+    (match e.Channel.direction with Comm.A_to_b -> "a->b" | Comm.B_to_a -> "b->a")
+    e.Channel.label
+    (match e.Channel.fault with
+    | Channel.Dropped -> "drop"
+    | Channel.Corrupted { copy; bit } -> Printf.sprintf "corrupt %d %d" copy bit
+    | Channel.Truncated { copy; kept } -> Printf.sprintf "truncate %d %d" copy kept
+    | Channel.Duplicated { copies } -> Printf.sprintf "dup %d" copies)
+
+let faulty_digest ~nseed stack =
+  let network, link = faulty_network ~nseed in
+  let verdict correct = function
+    | Ok (got, rep) -> ((if correct got then "ok\n" else "WRONG\n"), rep)
+    | Error (`Transport_failure rep) -> ("transport-failure\n", rep)
+    | Error (`Deadline_exceeded rep) -> ("deadline\n", rep)
+  in
+  let outcome, (rep : Resilient.report) =
+    match stack with
+    | `Set strategy ->
+      let rng = Prng.create ~seed:(Prng.derive ~seed:nseed ~tag:0x5E) in
+      let alice = Iset.random_subset rng ~universe:(1 lsl 30) ~size:400 in
+      let bob = Iset.union alice (Iset.random_subset rng ~universe:(1 lsl 31) ~size:8) in
+      verdict (Iset.equal alice)
+        (Resilient.reconcile_set ~link ~seed:nseed ~strategy ~initial_d:2 ~max_attempts:2 ~alice
+           ~bob ())
+    | `Sos kind ->
+      let rng = Prng.create ~seed:(Prng.derive ~seed:nseed ~tag:0x50) in
+      let u = 1 lsl 12 in
+      let bob = Parent.random rng ~universe:u ~children:8 ~child_size:12 in
+      let alice, _ = Parent.perturb rng ~universe:u ~edits:4 bob in
+      verdict (Parent.equal alice)
+        (Resilient.reconcile_sos ~link ~kind ~seed:nseed ~u ~h:16 ~initial_d:4 ~max_attempts:2
+           ~alice ~bob ())
+  in
+  Alcotest.(check string) (Printf.sprintf "%s seed=0x%Lx outcome" (stack_name stack) nseed)
+    "ok\n" outcome;
+  let b = Buffer.create 4096 in
+  Buffer.add_string b outcome;
+  List.iter
+    (fun (a : Resilient.attempt) ->
+      Printf.bprintf b "attempt %d %d %b %b\n" a.Resilient.number a.Resilient.d a.Resilient.direct
+        a.Resilient.ok)
+    rep.Resilient.attempts;
+  List.iter (fun e -> Printf.bprintf b "fault %s\n" (fault_string e)) rep.Resilient.faults;
+  Buffer.add_string b (flatten_transcript network);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Seed-major, stacks in [transcript_stacks] order. The two rows whose
+   ladder falls back to direct transfer (0x11a set, 0x33c iblt-of-iblts)
+   are the rows a change to what follows the first rung moves. *)
+let golden_faulty_digests =
+  [
+    ("0x11a", "set", "39588ba1223f974307dc65d6de291eeb");
+    ("0x11a", "set-rateless", "66cc9af0370d8007a54292443677ad65");
+    ("0x11a", "naive", "70e45300f056420103cc321a8861e420");
+    ("0x11a", "iblt-of-iblts", "10209948753639ef51364dac98d7283d");
+    ("0x11a", "cascade", "b9fbc18e41f51dd41f08c399bbff8526");
+    ("0x11a", "multiround", "e67cdecaefbdaef8716db2f58993f54f");
+    ("0x22b", "set", "f2e0af27d3dce8828a67e233d61b58ec");
+    ("0x22b", "set-rateless", "edb284650b028bfa61e7c409208d36fb");
+    ("0x22b", "naive", "40d04d635e9d57694b52067f88b6d297");
+    ("0x22b", "iblt-of-iblts", "9a7434e5a1851a626dd8224ff13a8186");
+    ("0x22b", "cascade", "86237967d17bd3ed9a8dd64b8ca3411e");
+    ("0x22b", "multiround", "ec22b8891f39e7b478928928af8680a7");
+    ("0x33c", "set", "55e11e4b7a71d4c58266c850740df18e");
+    ("0x33c", "set-rateless", "f8710733c9b14d8b731e75dde06033d5");
+    ("0x33c", "naive", "bdff3da924783f137872b1d000029f30");
+    ("0x33c", "iblt-of-iblts", "bd1524dfd32cdc2c26b8e0b480073259");
+    ("0x33c", "cascade", "4b2cac7328e4d716f211bc08a61a70fc");
+    ("0x33c", "multiround", "6b36ace48c76c2b2db3d4c5c7a8c2b9d")
+  ]
+
+let test_golden_faulty_transcript_digests () =
+  let got =
+    List.concat_map
+      (fun nseed ->
+        List.map
+          (fun stack ->
+            ( Printf.sprintf "0x%Lx" nseed,
+              stack_name stack,
+              with_domains 1 (fun () -> faulty_digest ~nseed stack) ))
+          transcript_stacks)
+      transcript_seeds
+  in
+  Alcotest.(check (list (triple string string string)))
+    "faulty transcript digests" golden_faulty_digests got
+
 (* Golden transcripts of the plain stacks, run over a bare [Comm]: a
    recording transport with 0 overhead bits sees every message, and the
    digest covers its direction, label, bits and payload bytes. The
@@ -304,18 +414,6 @@ let comm_stacks =
         match Set_recon.run_unknown_d ~comm ~seed:nseed ~k:4 ~headroom:2 ~alice ~bob () with
         | Ok o -> set_ok o alice
         | Error `Decode_failure -> false );
-    ( "set-salvage",
-      fun nseed comm ->
-        let alice, bob = sets ~nseed ~tag:0x53 ~diff:12 in
-        let sv = Set_recon.salvage_init ~d:2 ~bob () in
-        let rec go attempt =
-          attempt < 8
-          &&
-          match Set_recon.run_salvage_attempt ~comm ~seed:nseed ~attempt ~k:4 ~sv ~alice with
-          | Ok o -> set_ok o alice && attempt > 0
-          | Error `Progress -> go (attempt + 1)
-        in
-        go 0 );
     ( "two-way",
       fun nseed comm ->
         let alice, bob = sets ~nseed ~tag:0x54 ~diff:8 in
@@ -381,7 +479,6 @@ let golden_comm_digests =
   [
     ("0x11a", "set-known", "bcf4f776bf0dc9a96ddd907c81ee9c93");
     ("0x11a", "set-unknown", "31f65086e201655f5ced28a89a2ec613");
-    ("0x11a", "set-salvage", "e8a2ad5dceb4ef3e43fe897a8671b6ce");
     ("0x11a", "two-way", "bce6f0c633b227e6724496a8ed581ba1");
     ("0x11a", "multi-party", "1122d1c0d7b08c8321c20ad988049a9c");
     ("0x11a", "multiset", "6e41becfbdc05b759d59bc4bf67023ad");
@@ -391,7 +488,6 @@ let golden_comm_digests =
     ("0x11a", "sos3", "2737de8c7e01555d9c3c67a5e745cc85");
     ("0x22b", "set-known", "8da7163c94e6cde684a51a0b712ee31b");
     ("0x22b", "set-unknown", "281ceb73dc02fbeced4c5c81ac94fb8b");
-    ("0x22b", "set-salvage", "6e0719ddad168e6536f430ea306a4d6a");
     ("0x22b", "two-way", "9e50989562ffc986bcd1adf964c4f407");
     ("0x22b", "multi-party", "d742c6483de8977118ac9a558bb6afee");
     ("0x22b", "multiset", "cd55144004ad3e13678ae8801d01e1d8");
@@ -401,7 +497,6 @@ let golden_comm_digests =
     ("0x22b", "sos3", "2c2d3215f6318e0abafcde9a7da46591");
     ("0x33c", "set-known", "299329a97a230c111e01d3f0ac8c4310");
     ("0x33c", "set-unknown", "1542a20109decb3fc7efab1d1b1fa354");
-    ("0x33c", "set-salvage", "9e3a57750f9655722cbf086cc141a39b");
     ("0x33c", "two-way", "f9a30a6f9ded65523fa270416ee786cf");
     ("0x33c", "multi-party", "75739e865468a570635ee40f42c583be");
     ("0x33c", "multiset", "56e5e5a865341e3ef957d8dcc6b28570");
@@ -514,37 +609,13 @@ let test_golden_core_comm_transcript_digests () =
   Alcotest.(check (list (triple string string string)))
     "core comm transcript digests" golden_core_comm_digests got
 
-(* The salvage ladder's stash on workloads where two stashed residuals
-   peel the same stuck key in one pass (0x11a, diff 24, initial d 2 is
-   one): each must cancel the key once, not hand a phantom of it back and
-   forth until memory runs out. Every attempt must return, and every
-   ladder must end with Alice's set. *)
-let test_salvage_stash_terminates () =
-  List.iter
-    (fun (nseed, diff, d) ->
-      let alice, bob = sets ~nseed ~tag:0x53 ~diff in
-      let sv = Set_recon.salvage_init ~d ~bob () in
-      let comm = Comm.create () in
-      let rec go attempt =
-        attempt < 64
-        &&
-        match Set_recon.run_salvage_attempt ~comm ~seed:nseed ~attempt ~k:4 ~sv ~alice with
-        | Ok o -> Iset.equal o.Set_recon.recovered alice
-        | Error `Progress -> go (attempt + 1)
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "seed=0x%Lx diff=%d d=%d reaches Alice's set" nseed diff d)
-        true (go 0))
-    (List.concat_map
-       (fun nseed ->
-         List.concat_map (fun diff -> List.map (fun d -> (nseed, diff, d)) [ 1; 2; 4 ]) [ 12; 24; 36; 48 ])
-       transcript_seeds)
-
-(* A per-request encoding memo must be byte-transparent: three rungs of
-   one nested stack sharing a memo, as Resilient runs them (the bound
-   doubles, then the rehash rung repeats it; the encoding salt is pinned),
-   put the same bytes on the wire, bit for bit, as the same rungs without
-   one — at any pool size. The reference runs serial without a memo. *)
+(* A per-request encoding memo must be byte-transparent: three attempts
+   of one nested stack sharing a memo, as Resilient runs them (the bound
+   doubles per attempt, each attempt under its own salt; the encoding salt
+   is pinned, so the parties and the attempts share child encodings
+   wherever their encoder configuration agrees), put the same bytes on the
+   wire, bit for bit, as the same attempts without one — at any pool size.
+   The reference runs serial without a memo. *)
 module Enc_cache = Ssr_core.Enc_cache
 
 let transcript_of_rungs ~nseed ~memo kind =
@@ -564,7 +635,7 @@ let transcript_of_rungs ~nseed ~memo kind =
         (Protocol.run_known ?memo kind ~comm
            ~seed:(Ssr_util.Hashing.attempt_seed ~seed:nseed ~attempt)
            ~enc_seed:(Some nseed) ~d ~u ~h:16 ~alice ~bob))
-    [ 8; 16; 16 ];
+    [ 8; 16; 32 ];
   flatten_transcript network
 
 let test_memo_transcripts_byte_identical () =
@@ -587,11 +658,11 @@ let test_memo_transcripts_byte_identical () =
     [ 0x9A1L; 0x9B2L; 0x9C3L ];
   Alcotest.(check bool) "the memo was hit" true ((Enc_cache.stats ()).Enc_cache.hits > hits0)
 
-(* The salted-rehash rung must be exactly as deterministic as the rest of
-   the ladder: an adversarial family ground against the attempt-0 schedule
-   forces the set stack through stalled partial decodes, stash traffic and
-   salted retries (max_attempts:1 skips the doubling rung entirely), and
-   the wire transcript must still be byte-identical at 1 and 4 domains. *)
+(* The ladder's retries under fresh salts must be exactly as deterministic
+   as the rest of it: an adversarial family ground against the attempt-0
+   schedule stalls the set stack's first attempt, a later attempt under a
+   fresh salt and a doubled bound recovers it without direct transfer, and
+   the wire transcript must be byte-identical at 1 and 4 domains. *)
 let transcript_of_adversarial_set ~nseed =
   let module Iblt = Ssr_sketch.Iblt in
   let module Hashing = Ssr_util.Hashing in
@@ -609,25 +680,21 @@ let transcript_of_adversarial_set ~nseed =
     }
   in
   let alice, bob = Ssr_apps.Adversarial.workload ~prm ~bob_size:120 ~count:d () in
-  (match
-     Resilient.reconcile_set ~link ~seed:nseed ~initial_d:d ~max_attempts:1 ~rehash_attempts:3
-       ~alice ~bob ()
-   with
+  (match Resilient.reconcile_set ~link ~seed:nseed ~initial_d:d ~alice ~bob () with
   | Ok (got, rep) ->
     Alcotest.(check bool) "adversarial set reconciled" true (Iset.equal got alice);
-    Alcotest.(check bool) "salvage rung exercised" true
-      (List.exists (fun (a : Resilient.attempt) -> a.Resilient.salvage && a.Resilient.ok)
-         rep.Resilient.attempts)
+    Alcotest.(check bool) "not degraded" false rep.Resilient.degraded;
+    Alcotest.(check bool) "attempt 0 stalled" false (List.hd rep.Resilient.attempts).Resilient.ok
   | Error _ -> Alcotest.fail "adversarial set reconciliation failed");
   flatten_transcript network
 
-let test_adversarial_salted_rehash_deterministic () =
+let test_adversarial_fresh_salt_deterministic () =
   List.iter
     (fun nseed ->
       let serial = with_domains 1 (fun () -> transcript_of_adversarial_set ~nseed) in
       let parallel = with_domains 4 (fun () -> transcript_of_adversarial_set ~nseed) in
       Alcotest.(check bool)
-        (Printf.sprintf "salted-rehash transcript seed=0x%Lx (%d bytes)" nseed
+        (Printf.sprintf "fresh-salt ladder transcript seed=0x%Lx (%d bytes)" nseed
            (String.length serial))
         true (String.equal serial parallel))
     [ 0x44DL; 0x55EL ]
@@ -675,18 +742,18 @@ let () =
             test_parallel_matches_serial_transcripts;
           Alcotest.test_case "golden transcript digests (3 seeds x 6 stacks)" `Quick
             test_golden_transcript_digests;
-          Alcotest.test_case "golden comm transcript digests (3 seeds x 10 stacks)" `Quick
+          Alcotest.test_case "golden comm transcript digests (3 seeds x 9 stacks)" `Quick
             test_golden_comm_transcript_digests;
           Alcotest.test_case "golden core comm transcript digests (3 seeds x 6 stacks)" `Quick
             test_golden_core_comm_transcript_digests;
-          Alcotest.test_case "salvage stash terminates (36 ladders)" `Quick
-            test_salvage_stash_terminates;
           Alcotest.test_case "golden retry transcript digest" `Quick
             test_golden_retry_transcript_digest;
+          Alcotest.test_case "golden faulty transcript digests (3 seeds x 6 stacks)" `Quick
+            test_golden_faulty_transcript_digests;
           Alcotest.test_case "memo = no memo transcripts" `Quick
             test_memo_transcripts_byte_identical;
-          Alcotest.test_case "salted rehash deterministic (2 seeds)" `Quick
-            test_adversarial_salted_rehash_deterministic;
+          Alcotest.test_case "fresh salts deterministic (2 seeds)" `Quick
+            test_adversarial_fresh_salt_deterministic;
           Alcotest.test_case "rateless cells parallel = serial (3 pool sizes)" `Quick
             test_rateless_cells_parallel_identical;
         ] );

@@ -532,139 +532,10 @@ let test_differential_int_fast_path () =
         (Bytes.equal (Iblt.body_bytes fast) (Iblt.body_bytes simple)))
     [ 8; 12 ]
 
-(* ---------- partial decode, residuals, stash ---------- *)
-
 let int_key x =
   let b = Bytes.make 8 '\000' in
   Buf.set_int_le b 0 x;
   b
-
-let sorted_ints_of_keys keys =
-  List.sort compare (List.filter_map (fun b -> Buf.get_int_le_opt b 0) keys)
-
-(* decode_partial must agree with decode exactly: [`Decoded] iff [Ok], with
-   the same key sets, across random signed workloads at several loads. *)
-let test_decode_partial_agrees_with_decode () =
-  let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0x9A97) in
-  let decoded = ref 0 and salvaged = ref 0 in
-  for trial = 0 to 59 do
-    let cells = 16 + (4 * (trial mod 8)) in
-    let n = 1 + Prng.int_below rng (2 * cells) in
-    let t = Iblt.create (params ~cells ()) in
-    for _ = 1 to n do
-      let x = Prng.int_below rng (1 lsl 40) in
-      if Prng.bool rng then Iblt.insert_int t x else Iblt.delete_int t x
-    done;
-    match (Iblt.decode t, Iblt.decode_partial t) with
-    | Ok d, `Decoded p ->
-      incr decoded;
-      Alcotest.(check (list int)) "positives" (sorted_ints_of_keys d.Iblt.positives)
-        (sorted_ints_of_keys p.Iblt.positives);
-      Alcotest.(check (list int)) "negatives" (sorted_ints_of_keys d.Iblt.negatives)
-        (sorted_ints_of_keys p.Iblt.negatives)
-    | Error `Peel_stuck, `Salvaged (_, r) ->
-      incr salvaged;
-      Alcotest.(check bool) "stuck core is live" true (Iblt.residual_cells r > 0)
-    | Ok _, `Salvaged _ -> Alcotest.fail "decode succeeded but decode_partial salvaged"
-    | Error `Peel_stuck, `Decoded _ -> Alcotest.fail "decode stuck but decode_partial decoded"
-  done;
-  (* The load sweep must actually exercise both outcomes. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "both paths hit (%d decoded, %d salvaged)" !decoded !salvaged)
-    true
-    (!decoded > 0 && !salvaged > 0)
-
-(* Salvaged prefix + residual composes to the full difference: deleting the
-   missing keys out of the re-expanded residual leaves an empty table. *)
-let test_salvage_composes_to_full_difference () =
-  let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0xC0DE) in
-  let stuck = ref 0 in
-  for _ = 1 to 40 do
-    let t = Iblt.create (params ~cells:24 ()) in
-    let inserted = ref [] and deleted = ref [] in
-    for _ = 1 to 30 do
-      let x = Prng.int_below rng (1 lsl 40) in
-      if List.mem x !inserted || List.mem x !deleted then ()
-      else if Prng.bool rng then begin
-        Iblt.insert_int t x;
-        inserted := x :: !inserted
-      end
-      else begin
-        Iblt.delete_int t x;
-        deleted := x :: !deleted
-      end
-    done;
-    match Iblt.decode_partial t with
-    | `Decoded _ -> ()
-    | `Salvaged (prefix, r) ->
-      incr stuck;
-      let got_pos = sorted_ints_of_keys prefix.Iblt.positives in
-      let got_neg = sorted_ints_of_keys prefix.Iblt.negatives in
-      let rest = Iblt.residual_to_table r in
-      List.iter (fun x -> if not (List.mem x got_pos) then Iblt.delete_int rest x) !inserted;
-      List.iter (fun x -> if not (List.mem x got_neg) then Iblt.insert_int rest x) !deleted;
-      Alcotest.(check bool) "prefix + residual = whole difference" true (Iblt.is_empty rest)
-  done;
-  Alcotest.(check bool) (Printf.sprintf "stalls exercised (%d)" !stuck) true (!stuck > 0)
-
-(* The stash fixpoint: canceling externally recovered keys out of a stashed
-   residual re-peels it and returns exactly the remaining keys. *)
-let test_stash_absorb_cancels_and_cascades () =
-  let prm = params ~cells:12 () in
-  let t = Iblt.create prm in
-  let keys = List.init 18 (fun i -> ((i + 1) * 6101) land ((1 lsl 40) - 1)) in
-  List.iter (Iblt.insert_int t) keys;
-  match Iblt.decode_partial t with
-  | `Decoded _ -> Alcotest.fail "expected a stall at 18 keys in 12 cells"
-  | `Salvaged (prefix, r) -> (
-    let stash = Ssr_sketch.Iblt_stash.create () in
-    match Ssr_sketch.Iblt_stash.offload stash r with
-    | None -> Alcotest.fail "offload refused a live residual"
-    | Some _ ->
-      let recovered = sorted_ints_of_keys prefix.Iblt.positives in
-      let missing = List.filter (fun x -> not (List.mem x recovered)) keys in
-      (* Reveal all but two of the missing keys; the stash must peel out
-         exactly the last two. *)
-      let reveal = List.filteri (fun i _ -> i >= 2) missing in
-      let expect = List.sort compare (List.filteri (fun i _ -> i < 2) missing) in
-      let pos, neg =
-        Ssr_sketch.Iblt_stash.absorb stash ~positives:(List.map int_key reveal) ~negatives:[] ()
-      in
-      Alcotest.(check (list int)) "cascaded recoveries" expect (sorted_ints_of_keys pos);
-      Alcotest.(check (list int)) "no negatives" [] (sorted_ints_of_keys neg);
-      Alcotest.(check int) "entry retired" 0 (Ssr_sketch.Iblt_stash.entry_count stash))
-
-(* End to end: a family ground against the attempt-0 schedule stalls the
-   plain one-shot protocol, and the salted-rehash salvage escalation
-   recovers the exact difference. *)
-let test_adversarial_family_rescued_by_salvage () =
-  let module Adversarial = Ssr_apps.Adversarial in
-  let module Set_recon = Ssr_setrecon.Set_recon in
-  let module Hashing = Ssr_util.Hashing in
-  let d = 16 in
-  let tseed = 0xAD5EEDL in
-  let prm : Iblt.params =
-    {
-      cells = Iblt.recommended_cells ~k:4 ~diff_bound:d;
-      k = 4;
-      key_len = 8;
-      seed = Hashing.attempt_seed ~seed:tseed ~attempt:0;
-    }
-  in
-  let alice, bob = Adversarial.workload ~prm ~bob_size:100 ~count:d () in
-  (match
-     Set_recon.reconcile_known_d ~seed:(Hashing.attempt_seed ~seed:tseed ~attempt:0) ~d ~alice
-       ~bob ()
-   with
-  | Ok _ -> Alcotest.fail "adversarial family failed to stall the plain protocol"
-  | Error (`Decode_failure _) -> ());
-  match Set_recon.reconcile_salvage ~seed:tseed ~initial_d:d ~alice ~bob () with
-  | Error (`Decode_failure _) -> Alcotest.fail "salvage escalation failed"
-  | Ok o ->
-    Alcotest.(check bool) "exact recovery" true (Ssr_util.Iset.equal o.Set_recon.recovered alice);
-    Alcotest.(check bool) "difference oriented" true
-      (Ssr_util.Iset.equal o.Set_recon.alice_minus_bob (Ssr_util.Iset.diff alice bob))
-
 
 (* ---------- packed-cell layout: golden wire bytes, widths, paths ---------- *)
 
@@ -1315,6 +1186,31 @@ let test_rateless_duplicate_windows_harmless () =
        false
      with Invalid_argument _ -> true)
 
+(* A family ground against the rateless schedule: every key's walk is
+   cell 0 and nothing else below w, by [walk_int] and by a source's own
+   [member]; the cells [0, w) of its difference peel nothing, and the
+   stream past w still decodes it. *)
+let test_rateless_ground_family_stalls () =
+  let keys, w = Ssr_apps.Adversarial.rateless_colliding_ints ~seed:rl_seed ~count:8 () in
+  Alcotest.(check bool) (Printf.sprintf "w = %d reaches past cell 1" w) true (w > 1);
+  let src = Rateless.source_of_ints ~seed:rl_seed (Array.of_list keys) in
+  List.iteri
+    (fun e x ->
+      Alcotest.(check (list int)) "walk below w" [ 0 ]
+        (List.of_seq (Seq.take_while (fun i -> i < w) (Rateless.walk_int ~seed:rl_seed x)));
+      for i = 0 to w - 1 do
+        Alcotest.(check bool) "member agrees" (i = 0) (Rateless.member src ~key_index:e i)
+      done)
+    keys;
+  let dec = Rateless.decoder_of_ints ~seed:rl_seed [||] in
+  ignore (Rateless.absorb dec ~lo:0 (Rateless.cells src ~lo:0 ~hi:w));
+  Alcotest.(check int) "nothing peels below w" 0 (Rateless.peeled dec);
+  ignore (Rateless.absorb dec ~lo:w (Rateless.cells src ~lo:w ~hi:(64 * w)));
+  match Rateless.decoded_ints dec with
+  | Some (pos, []) ->
+    Alcotest.(check (list int)) "decodes past w" (List.sort compare keys) (List.sort compare pos)
+  | _ -> Alcotest.fail "the stream past w did not decode the family"
+
 let qcheck_tests = List.map QCheck_alcotest.to_alcotest [ prop_subtract_decode ]
 
 
@@ -1381,16 +1277,6 @@ let () =
           Alcotest.test_case "constant factor" `Slow test_strata_constant_factor;
           Alcotest.test_case "l0 smaller than strata" `Quick test_l0_smaller_than_strata;
         ] );
-      ( "salvage",
-        [
-          Alcotest.test_case "decode_partial agrees with decode" `Quick
-            test_decode_partial_agrees_with_decode;
-          Alcotest.test_case "prefix + residual = difference" `Quick
-            test_salvage_composes_to_full_difference;
-          Alcotest.test_case "stash absorb cascades" `Quick test_stash_absorb_cancels_and_cascades;
-          Alcotest.test_case "adversarial family rescued" `Quick
-            test_adversarial_family_rescued_by_salvage;
-        ] );
       ( "rateless",
         [
           Alcotest.test_case "slicing stable" `Quick test_rateless_slicing_stable;
@@ -1401,6 +1287,8 @@ let () =
           Alcotest.test_case "tolerates window loss" `Quick test_rateless_tolerates_loss;
           Alcotest.test_case "duplicate windows harmless" `Quick
             test_rateless_duplicate_windows_harmless;
+          Alcotest.test_case "ground family stalls below w" `Quick
+            test_rateless_ground_family_stalls;
         ] );
       ("properties", qcheck_tests);
     ]

@@ -418,12 +418,10 @@ let test_resilient_retries_then_succeeds () =
   | Ok (recovered, rep) ->
     Alcotest.(check bool) "recovered" true (Iset.equal recovered alice);
     Alcotest.(check bool) "took retries" true (List.length rep.Resilient.attempts > 1);
-    (* Bounds double monotonically across reconciliation attempts (salvage
-       attempts shrink theirs with progress, so they are excluded). *)
+    (* Bounds double monotonically across reconciliation attempts. *)
     let ds =
       List.filter_map
-        (fun (a : Resilient.attempt) ->
-          if a.Resilient.direct || a.Resilient.salvage then None else Some a.Resilient.d)
+        (fun (a : Resilient.attempt) -> if a.Resilient.direct then None else Some a.Resilient.d)
         rep.Resilient.attempts
     in
     Alcotest.(check (list int)) "exponential doubling" (List.sort compare ds) ds
@@ -460,11 +458,47 @@ let test_resilient_total_loss_is_typed () =
   | Error (`Transport_failure rep) ->
     Alcotest.(check bool) "degraded on the way down" true rep.Resilient.degraded;
     (* The whole ladder is climbed and recorded: 3 reconciliation attempts,
-       2 salted-rehash salvage attempts (the default budget), 3 direct. *)
-    Alcotest.(check bool) "attempts recorded" true (List.length rep.Resilient.attempts = 8);
-    Alcotest.(check int) "salvage rung climbed" 2
-      (List.length (List.filter (fun (a : Resilient.attempt) -> a.Resilient.salvage) rep.Resilient.attempts));
+       then 3 direct, nothing between the two rungs. *)
+    Alcotest.(check (list bool)) "both rungs climbed, in order"
+      [ false; false; false; true; true; true ]
+      (List.map (fun (a : Resilient.attempt) -> a.Resilient.direct) rep.Resilient.attempts);
     Alcotest.(check bool) "faults recorded" true (List.length rep.Resilient.faults > 0)
+
+(* A family ground against the attempt-0 schedule stalls the plain
+   one-shot protocol, and the ladder's first rung recovers it on attempt
+   1: a fresh salt and a doubled bound, no direct transfer. *)
+let test_resilient_adversarial_rescued () =
+  let module Iblt = Ssr_sketch.Iblt in
+  let module Hashing = Ssr_util.Hashing in
+  let d = 16 in
+  let tseed = 0xAD5EEDL in
+  let prm : Iblt.params =
+    {
+      cells = Iblt.recommended_cells ~k:4 ~diff_bound:d;
+      k = 4;
+      key_len = 8;
+      seed = Hashing.attempt_seed ~seed:tseed ~attempt:0;
+    }
+  in
+  let alice, bob = Ssr_apps.Adversarial.workload ~prm ~bob_size:100 ~count:d () in
+  (match
+     Set_recon.reconcile_known_d ~seed:(Hashing.attempt_seed ~seed:tseed ~attempt:0) ~d ~alice
+       ~bob ()
+   with
+  | Ok _ -> Alcotest.fail "adversarial family failed to stall the plain protocol"
+  | Error (`Decode_failure _) -> ());
+  let ch = Channel.create Channel.perfect in
+  match
+    Resilient.reconcile_set ~link:(Resilient.over_channel ch) ~seed:tseed ~initial_d:d ~alice ~bob
+      ()
+  with
+  | Error (`Transport_failure _ | `Deadline_exceeded _) -> Alcotest.fail "the ladder failed"
+  | Ok (recovered, rep) ->
+    Alcotest.(check bool) "exact recovery" true (Iset.equal recovered alice);
+    Alcotest.(check bool) "not degraded" false rep.Resilient.degraded;
+    Alcotest.(check (list (pair int bool))) "attempt 0 fails, attempt 1 recovers at 2d"
+      [ (d, false); (2 * d, true) ]
+      (List.map (fun (a : Resilient.attempt) -> (a.Resilient.d, a.Resilient.ok)) rep.Resilient.attempts)
 
 let test_resilient_sos_sweep () =
   (* All four protocols, a few seeds, moderate fault rates, framed and raw:
@@ -1154,6 +1188,8 @@ let () =
           Alcotest.test_case "retries with doubling" `Quick test_resilient_retries_then_succeeds;
           Alcotest.test_case "degrades to direct" `Quick test_resilient_degrades_to_direct;
           Alcotest.test_case "total loss is typed" `Quick test_resilient_total_loss_is_typed;
+          Alcotest.test_case "adversarial family rescued" `Quick
+            test_resilient_adversarial_rescued;
           Alcotest.test_case "sos sweep" `Slow test_resilient_sos_sweep;
           Alcotest.test_case "replay by seed" `Quick test_resilient_replay_by_seed;
           Alcotest.test_case "memo scoped to one request" `Quick test_resilient_memo_scoped;
