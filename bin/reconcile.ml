@@ -547,6 +547,15 @@ let parse_partition s =
 
 let us_of_ms ms = int_of_float (ms *. 1000.)
 
+(* The shortest [%g] form (at least 6 digits) of [f] that parses back to
+   [f] exactly, so a printed flag value replays the same run. *)
+let exact_float f =
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p f in
+    if p >= 17 || float_of_string s = f then s else go (p + 1)
+  in
+  go 6
+
 (* A fault probability: a float in [0, 1]. A value outside, NaN included,
    is a usage error naming its flag, not an exception from the transport
    layer's own check. *)
@@ -570,20 +579,33 @@ let run_faulty seed fault_seed drop corrupt truncate duplicate max_attempts rate
   let reorder_rate = Option.value reorder ~default:0. in
   let part_spec = Option.map (fun (a, b, d) -> (us_of_ms a, us_of_ms b, d)) partition in
   let run_deadline_us = Option.map us_of_ms deadline_ms in
-  (* Replayable configuration in pasteable --flag=value form: every network
-     shape flag prints back exactly as it must be passed to reproduce. *)
+  (* Replayable configuration in pasteable --flag=value form: every flag
+     that shapes a run prints back exactly as it must be passed to
+     reproduce it. *)
   let replay_suffix =
-    Printf.sprintf " --max-attempts=%d%s%s" max_attempts
-      (if rateless then " --rateless" else "")
-      (if not networked then ""
-       else
-         Printf.sprintf " --latency=%g:%g --reorder=%g%s%s" lat_ms jit_ms reorder_rate
-           (match partition with
-           | Some (a, b, d) ->
-             Printf.sprintf " --partition=%g:%g:%s" a b
-               (match d with `A_to_b -> "ab" | `B_to_a -> "ba" | `Both -> "both")
-           | None -> "")
-           (match deadline_ms with Some d -> Printf.sprintf " --deadline-ms=%g" d | None -> ""))
+    String.concat ""
+      [
+        (match target with
+        | `Set -> " --target=set"
+        | `Sos -> " --target=sos --protocol=" ^ Protocol.name kind);
+        Printf.sprintf " --drop-rate=%s --corrupt-rate=%s --truncate-rate=%s --duplicate-rate=%s"
+          (exact_float drop) (exact_float corrupt) (exact_float truncate) (exact_float duplicate);
+        Printf.sprintf " --max-attempts=%d" max_attempts;
+        (if rateless then " --rateless" else "");
+        (if unframed then " --unframed" else "");
+        (if not networked then ""
+         else
+           Printf.sprintf " --latency=%s:%s --reorder=%s%s%s" (exact_float lat_ms)
+             (exact_float jit_ms) (exact_float reorder_rate)
+             (match partition with
+             | Some (a, b, d) ->
+               Printf.sprintf " --partition=%s:%s:%s" (exact_float a) (exact_float b)
+                 (match d with `A_to_b -> "ab" | `B_to_a -> "ba" | `Both -> "both")
+             | None -> "")
+             (match deadline_ms with
+             | Some d -> " --deadline-ms=" ^ exact_float d
+             | None -> ""));
+      ]
   in
   let ok = ref 0 and degraded = ref 0 and tfail = ref 0 and timedout = ref 0 and silent = ref 0 in
   let faults = ref 0 and retransmits = ref 0 and wire = ref 0 in

@@ -64,7 +64,6 @@ type ctx = {
   t0 : int;  (** Virtual start time (0 on a plain channel link). *)
   run_deadline : int option;  (** Absolute virtual time. *)
   attempt_deadline_us : int option;  (** Budget per attempt. *)
-  backoff_us : int;  (** Base inter-attempt backoff; doubles, capped at 8x. *)
   base_faults : int;  (** Fault-log length at start, for delta reporting. *)
   base_arq : Arq.stats option;
   base_channel_bytes : int;
@@ -82,7 +81,7 @@ let attach comm link =
       if framed then Channel.transport channel else Channel.raw_transport channel
     | Simulated arq -> Arq.transport arq)
 
-let mk_ctx ~link ~seed ?attempt_deadline_us ?run_deadline_us ?(backoff_us = 50_000) () =
+let mk_ctx ~link ~seed ?attempt_deadline_us ?run_deadline_us () =
   let comm = Comm.create () in
   attach comm link;
   let t0 = match link with Simulated arq -> Clock.now_us (Arq.clock arq) | _ -> 0 in
@@ -102,7 +101,6 @@ let mk_ctx ~link ~seed ?attempt_deadline_us ?run_deadline_us ?(backoff_us = 50_0
     comm; link; seed; t0;
     run_deadline = Option.map (fun d -> t0 + d) run_deadline_us;
     attempt_deadline_us;
-    backoff_us;
     base_faults; base_arq; base_channel_bytes = base_cb;
     base_partition_drops = base_pd; base_reordered = base_ro;
     backoff_total = 0;
@@ -126,21 +124,30 @@ let begin_attempt ctx =
     Arq.set_hard_deadline arq
       (match candidates with [] -> None | l -> Some (List.fold_left min max_int l))
 
-(* Capped-doubling backoff with deterministic jitter between failed
-   attempts: virtual time passes (in-flight stragglers keep moving), so a
-   retry does not immediately re-enter the tail of the fault burst that
-   killed the previous attempt. *)
-let backoff_between ctx ~number =
+(* Transmits that have hit a deadline so far: the ARQ gave up on a message
+   (a drop or damage it could not repair in time, a partition, an attempt
+   or run deadline). A channel link has no ARQ and never backs off. *)
+let timeouts ctx =
+  match ctx.link with Faulty_channel _ -> 0 | Simulated arq -> (Arq.stats arq).Arq.timeouts
+
+(* Base of the inter-attempt backoff: 50 ms of virtual time. *)
+let backoff_base_us = 50_000
+
+(* Capped-doubling backoff with deterministic jitter, taken only when the
+   failed attempt or Bob's retry request after it lost a message ([timeouts]
+   moved since [timeouts_before]): virtual time passes (in-flight stragglers
+   keep moving), so the next attempt does not re-enter the tail of the
+   fault burst that killed this one. A clean decode failure means the table
+   was too small, not that the link is bad, so the next attempt starts at
+   once, as the paper's retry does (Cor 3.6 / 3.8). *)
+let backoff_between ctx ~number ~timeouts_before =
   match ctx.link with
-  | Faulty_channel _ -> ()
-  | Simulated arq ->
-    let base = min (ctx.backoff_us * (1 lsl min number 3)) (8 * ctx.backoff_us) in
+  | Simulated arq when timeouts ctx > timeouts_before ->
+    let base = backoff_base_us * (1 lsl min number 3) in
     let jitter =
-      if ctx.backoff_us = 0 then 0
-      else
-        Prng.int_below
-          (Prng.create ~seed:(Prng.derive ~seed:ctx.seed ~tag:(0xB0FF + number)))
-          ((ctx.backoff_us / 2) + 1)
+      Prng.int_below
+        (Prng.create ~seed:(Prng.derive ~seed:ctx.seed ~tag:(0xB0FF + number)))
+        ((backoff_base_us / 2) + 1)
     in
     let dur = base + jitter in
     (* Never sleep past the whole-run deadline. *)
@@ -153,6 +160,7 @@ let backoff_between ctx ~number =
       ctx.backoff_total <- ctx.backoff_total + dur;
       Clock.advance (Arq.clock arq) ~by_us:dur
     end
+  | Simulated _ | Faulty_channel _ -> ()
 
 let drop_prefix n l = List.filteri (fun i _ -> i >= n) l
 
@@ -188,26 +196,28 @@ let mk_report ctx ~attempts ~degraded =
    bounded reconciliation attempts, each under a fresh attempt salt with a
    doubling difference bound, then bounded verified direct transfers; on a
    network link both rungs respect the virtual-time deadlines and back off
-   between attempts. [recon ~number ~d] and [direct ()] return the verified
-   result or [None] on any detected failure. After a failure Bob's 1-byte
-   retry request crosses the link; Alice goes on either way, on her own
-   timeout when it is lost. *)
+   after an attempt that lost a message. [recon ~number ~d] and
+   [direct ()] return the verified result or [None] on any detected
+   failure. After a failure Bob's 1-byte retry request crosses the link;
+   Alice goes on either way, on her own timeout when it is lost. *)
 let drive ctx ~max_attempts ~initial_d ~recon ~direct =
   (* One attempt of either rung; [next] continues the ladder after a
-     failure. *)
+     failure. The attempt's time is booked when its run returns, before the
+     retry request and any backoff. *)
   let step ~number ~d ~acc ~direct ~degraded ~fields event run ~next =
     begin_attempt ctx;
     Metrics.incr m_attempts;
     Trace.emit ~layer:"resilient" ~fields:(("number", Trace.I number) :: fields) event;
-    let ta = now ctx in
+    let ta = now ctx and timeouts_before = timeouts ctx in
     let v = run () in
-    let attempt ok = { number; d; direct; ok; elapsed_us = now ctx - ta } in
+    let elapsed_us = now ctx - ta in
+    let attempt ok = { number; d; direct; ok; elapsed_us } in
     match v with
     | Some v -> Ok (v, mk_report ctx ~attempts:(attempt true :: acc) ~degraded)
     | None ->
       Metrics.incr m_retries;
       Comm.request_retry ctx.comm;
-      backoff_between ctx ~number;
+      backoff_between ctx ~number ~timeouts_before;
       next (attempt false :: acc)
   in
   let rec direct_loop number tries acc =
@@ -252,8 +262,8 @@ let parse_direct_set ~seed delivered =
     | _ -> None)
 
 let reconcile_set ~link ~seed ?(strategy = Doubling) ?(initial_d = 4) ?(max_attempts = 5)
-    ?(k = 4) ?attempt_deadline_us ?run_deadline_us ?backoff_us ~alice ~bob () =
-  let ctx = mk_ctx ~link ~seed ?attempt_deadline_us ?run_deadline_us ?backoff_us () in
+    ?attempt_deadline_us ?run_deadline_us ~alice ~bob () =
+  let ctx = mk_ctx ~link ~seed ?attempt_deadline_us ?run_deadline_us () in
   let direct_payload =
     lazy (Bytes.cat (Iset.canonical_bytes alice) (int62_bytes (Set_recon.set_hash ~seed alice)))
   in
@@ -262,7 +272,7 @@ let reconcile_set ~link ~seed ?(strategy = Doubling) ?(initial_d = 4) ?(max_atte
       let seed = Hashing.attempt_seed ~seed ~attempt:number in
       let result =
         match strategy with
-        | Doubling -> Set_recon.run_known_d ~comm:ctx.comm ~seed ~d ~k ~alice ~bob
+        | Doubling -> Set_recon.run_known_d ~comm:ctx.comm ~seed ~d ~k:4 ~alice ~bob
         | Rateless ->
           (* One rateless run is itself an open-ended escalation — the
              stream keeps flowing until the peel verifies — so a failed run
@@ -329,8 +339,8 @@ let parse_direct_sos ~seed delivered =
     go 0 []
 
 let reconcile_sos ~link ~kind ~seed ~u ~h ?(initial_d = 4) ?(max_attempts = 5)
-    ?attempt_deadline_us ?run_deadline_us ?backoff_us ~alice ~bob () =
-  let ctx = mk_ctx ~link ~seed ?attempt_deadline_us ?run_deadline_us ?backoff_us () in
+    ?attempt_deadline_us ?run_deadline_us ~alice ~bob () =
+  let ctx = mk_ctx ~link ~seed ?attempt_deadline_us ?run_deadline_us () in
   let direct_payload = lazy (sos_direct_payload ~seed alice) in
   (* The child-encoding salt is pinned to the base seed, so every attempt
      whose bound gives the same child geometry re-derives identical

@@ -15,12 +15,15 @@
       ({!Ssr_util.Hashing.attempt_seed}), so no hash schedule — not even
       one an adversary ground keys against — is tried twice (the fresh
       hash functions and doubled bound of Cor 3.6 / 3.8, checked by the
-      whole-set hash of §2); on a network link the driver also backs off
-      between attempts (capped doubling with deterministic jitter),
-      letting in-flight stragglers drain. Bob's 1-byte retry request
-      crosses the link like any message, paying its frame and a one-way
-      trip, and may be lost: Alice then retries on her own timeout, so a
-      lost request never ends the run;
+      whole-set hash of §2). A clean decode failure is retried at once,
+      as soon as Bob's 1-byte retry request has crossed: the table was too
+      small, the link is fine. Only when the failed attempt or its retry
+      request lost a message (an ARQ transmit hit its deadline) does the
+      driver back off before the next attempt (capped doubling with
+      deterministic jitter), letting in-flight stragglers drain. The retry
+      request crosses the link like any message, paying its frame and a
+      one-way trip, and may be lost: Alice then retries on her own timeout,
+      so a lost request never ends the run;
     - {b graceful degradation} — when the retry budget is exhausted the
       driver falls back to a direct full transfer of Alice's data, itself
       hash-verified and retried within the same budget;
@@ -55,20 +58,25 @@ type attempt = {
   d : int;  (** Difference bound of a reconciliation attempt; 0 when [direct]. *)
   direct : bool;  (** A degraded full-transfer attempt rather than reconciliation. *)
   ok : bool;
-  elapsed_us : int;  (** Virtual time this attempt took (0 on a channel link). *)
+  elapsed_us : int;
+      (** Virtual time this attempt's run took, booked when it returns: Bob's
+          retry request and any backoff after a failure are not part of it
+          (0 on a channel link). *)
 }
 
 (** Virtual-time accounting of a network-link run ([None] on a channel
     link). All counters are deltas over this run, so an [Arq.t] may be
     reused across runs. *)
 type timing = {
-  elapsed_us : int;  (** Whole-run virtual time, backoffs included. *)
+  elapsed_us : int;  (** Whole-run virtual time, retry requests and backoffs included. *)
   retransmissions : int;
   arq_timeouts : int;  (** Transmits that hit a per-message or imposed deadline. *)
   duplicates_suppressed : int;
   partition_drops : int;  (** Copies a partition window swallowed: partition exposure. *)
   reordered : int;
-  backoff_us : int;  (** Virtual time spent backing off between attempts. *)
+  backoff_us : int;
+      (** Virtual time spent backing off between attempts; 0 unless an
+          attempt or its retry request lost a message. *)
   wire_bytes : int;  (** Bytes on the wire including retransmissions and ACKs. *)
 }
 
@@ -106,23 +114,24 @@ type strategy = Doubling | Rateless
 
 val reconcile_set :
   link:link -> seed:int64 -> ?strategy:strategy -> ?initial_d:int -> ?max_attempts:int ->
-  ?k:int -> ?attempt_deadline_us:int -> ?run_deadline_us:int -> ?backoff_us:int ->
+  ?attempt_deadline_us:int -> ?run_deadline_us:int ->
   alice:Ssr_util.Iset.t -> bob:Ssr_util.Iset.t -> unit ->
   (Ssr_util.Iset.t * report, error) result
 (** Plain set reconciliation (Bob learns Alice's set) over the link.
-    [strategy] (default [Doubling]) selects the first rung. [initial_d]
-    (default 4) doubles on every retry (under [Rateless] it scales the
-    initial window instead of a table size); [max_attempts]
-    (default 5) bounds reconciliation attempts and direct-transfer attempts
-    separately. [attempt_deadline_us] caps each attempt's
-    virtual time, [run_deadline_us] the whole run (both ignored on a
-    channel link); [backoff_us] (default 50ms virtual) is the base
-    inter-attempt backoff. *)
+    [strategy] (default [Doubling]) selects the first rung; its IBLTs use
+    4 hash functions. [initial_d] (default 4) doubles on every retry (under
+    [Rateless] it scales the initial window instead of a table size);
+    [max_attempts] (default 5) bounds reconciliation attempts and
+    direct-transfer attempts separately. [attempt_deadline_us] caps each
+    attempt's virtual time, [run_deadline_us] the whole run (both ignored
+    on a channel link). The backoff after a lost message starts at 50 ms
+    of virtual time, doubles per attempt up to 400 ms and adds up to 25 ms
+    of seeded jitter. *)
 
 val reconcile_sos :
   link:link -> kind:Ssr_core.Protocol.kind -> seed:int64 -> u:int -> h:int ->
   ?initial_d:int -> ?max_attempts:int ->
-  ?attempt_deadline_us:int -> ?run_deadline_us:int -> ?backoff_us:int ->
+  ?attempt_deadline_us:int -> ?run_deadline_us:int ->
   alice:Ssr_core.Parent.t -> bob:Ssr_core.Parent.t -> unit ->
   (Ssr_core.Parent.t * report, error) result
 (** Set-of-sets reconciliation under any of the four protocols, same

@@ -965,6 +965,81 @@ let test_resilient_network_deadline_exceeded () =
         (t.Resilient.elapsed_us <= 1_000_000 + 200_000)
     | None -> Alcotest.fail "network link must report timing")
 
+(* A ladder that fails its first attempt for size: 400 random keys for
+   Bob, 8 more for Alice, started at d = 1, over a network seeded 0x11a
+   with ARQ retransmission jitter seeded 7. Returns the attempts and the
+   run's timing. *)
+let ladder_from_d1 network_config =
+  let nseed = 0x11AL in
+  let clock = Clock.create () in
+  let network = Network.create ~clock (network_config nseed) in
+  let link = Resilient.over_network (Arq.create ~clock ~network ~seed:7L ()) in
+  let rng = Prng.create ~seed:(Prng.derive ~seed:nseed ~tag:0x5E) in
+  let bob = Iset.random_subset rng ~universe:(1 lsl 30) ~size:400 in
+  let alice = Iset.union bob (Iset.random_subset rng ~universe:(1 lsl 31) ~size:8) in
+  match Resilient.reconcile_set ~link ~seed:nseed ~initial_d:1 ~alice ~bob () with
+  | Error _ -> Alcotest.fail "the ladder must reconcile"
+  | Ok (got, rep) -> (
+    Alcotest.(check bool) "set reconciled" true (Iset.equal got alice);
+    match rep.Resilient.timing with
+    | None -> Alcotest.fail "network link must report timing"
+    | Some t -> (rep.Resilient.attempts, t))
+
+let check_attempts msg want attempts =
+  Alcotest.(check (list (triple int int bool)))
+    msg want
+    (List.map
+       (fun (a : Resilient.attempt) -> (a.Resilient.number, a.Resilient.d, a.Resilient.ok))
+       attempts)
+
+(* A 0-4.2 s partition window cutting [blocks], over 2 +- 0.5 ms latency. *)
+let partitioned blocks seed =
+  Network.config_with ~latency_us:2_000 ~jitter_us:500
+    ~partitions:[ { Network.from_us = 0; until_us = 4_200_000; blocks } ]
+    ~seed ()
+
+let test_resilient_clean_failure_retries_at_once () =
+  (* On a clean zero-latency link the first attempt fails only because its
+     table was too small. The next attempt starts as soon as the retry
+     request has crossed: no backoff, and no virtual time at all. *)
+  let attempts, t = ladder_from_d1 (fun seed -> Network.config_with ~seed ()) in
+  check_attempts "retried once, then reconciled" [ (0, 1, false); (1, 2, true) ] attempts;
+  Alcotest.(check int) "no backoff" 0 t.Resilient.backoff_us;
+  Alcotest.(check int) "no virtual time" 0 t.Resilient.elapsed_us
+
+let test_resilient_lost_message_backs_off () =
+  (* A partition loses a message of the first attempt or of its retry
+     request, so the ladder backs off before the next attempt: B->A cut
+     (attempt 0 fails for size, and its retry request times out), both
+     directions cut and A->B cut (attempt 0's table times out). Each row
+     pins the attempts, the run's virtual time and its backoff. *)
+  List.iter
+    (fun (name, blocks, want_attempts, want_elapsed, want_backoff) ->
+      let attempts, t = ladder_from_d1 (partitioned blocks) in
+      check_attempts (name ^ ": attempts") want_attempts attempts;
+      Alcotest.(check int) (name ^ ": virtual time") want_elapsed t.Resilient.elapsed_us;
+      Alcotest.(check int) (name ^ ": backoff") want_backoff t.Resilient.backoff_us)
+    [
+      ("b->a cut", `B_to_a, [ (0, 1, false); (1, 2, true) ], 2_061_517, 56_957);
+      ("both cut", `Both, [ (0, 1, false); (1, 2, true) ], 4_392_621, 56_957);
+      ("a->b cut", `A_to_b, [ (0, 1, false); (1, 2, false); (2, 4, true) ], 4_392_998, 164_225);
+    ]
+
+let test_resilient_attempt_time_booked_at_return () =
+  (* With B->A cut, attempt 0's table crosses in one trip and fails for
+     size; Bob's retry request then waits out its 2 s deadline and the
+     ladder backs off. Neither wait is the attempt's own time. *)
+  match ladder_from_d1 (partitioned `B_to_a) with
+  | ({ Resilient.elapsed_us = first; _ } :: _ as attempts), t ->
+    Alcotest.(check bool) "attempt 0 took one trip" true (first < 10_000);
+    let booked =
+      List.fold_left (fun acc (a : Resilient.attempt) -> acc + a.Resilient.elapsed_us) 0 attempts
+    in
+    Alcotest.(check int) "the run is its attempts, the retry request's deadline and the backoff"
+      t.Resilient.elapsed_us
+      (booked + Arq.default_config.Arq.msg_deadline_us + t.Resilient.backoff_us)
+  | [], _ -> Alcotest.fail "the ladder ran no attempt"
+
 let test_resilient_network_replay () =
   (* Whole-stack replay: same seeds, same report — attempts, timing and the
      network's delivery schedule all reproduce. *)
@@ -1223,6 +1298,12 @@ let () =
           Alcotest.test_case "all stacks over faults" `Slow test_resilient_network_all_stacks;
           Alcotest.test_case "deadline exceeded is typed" `Quick
             test_resilient_network_deadline_exceeded;
+          Alcotest.test_case "clean decode failure retries at once" `Quick
+            test_resilient_clean_failure_retries_at_once;
+          Alcotest.test_case "lost message still backs off" `Quick
+            test_resilient_lost_message_backs_off;
+          Alcotest.test_case "attempt time booked when its run returns" `Quick
+            test_resilient_attempt_time_booked_at_return;
           Alcotest.test_case "whole-stack replay" `Quick test_resilient_network_replay;
         ] );
       ( "rateless",
