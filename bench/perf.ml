@@ -306,6 +306,53 @@ let sketch_suite ~smoke ~trials =
         [ ("cells", I prm.cells); ("k", I 4); ("key_len", I key_len);
           ("nonzero_words", I nonzero); ("mw_per_op", F mw) ]));
 
+  (* The rateless codec at lossy_unknown_d's set shape: 2·10⁴ keys a side
+     differing in d, streamed as the protocol's doubling ramp of windows
+     (32, 64, ... cells) up to the one after which Bob decodes. One op is a
+     fresh source generating the ramp (sender) or a fresh decoder
+     absorbing it (receiver); the walk steps of one op are exact. *)
+  (let module Rateless = Ssr_sketch.Rateless in
+   let module Metrics = Ssr_obs.Metrics in
+   let n = 20_000 in
+   List.iter
+     (fun d ->
+       let size = n + d - (d / 2) in
+       let keys = Iset.to_array (Iset.random_subset rng ~universe:(1 lsl 40) ~size) in
+       let bob = Array.sub keys 0 n and alice = Array.sub keys (d / 2) n in
+       let windows =
+         let src = Rateless.source_of_ints ~seed alice in
+         let dec = Rateless.decoder_of_ints ~seed bob in
+         let rec ramp lo w =
+           ignore (Rateless.absorb dec ~lo (Rateless.cells src ~lo ~hi:(lo + w)));
+           let decoded = Rateless.decoded_ints dec <> None in
+           (lo, lo + w) :: (if decoded then [] else ramp (lo + w) (min 8192 (2 * w)))
+         in
+         ramp 0 32
+       in
+       let send () =
+         let src = Rateless.source_of_ints ~seed alice in
+         List.map (fun (lo, hi) -> (lo, Rateless.cells src ~lo ~hi)) windows
+       in
+       let stream = send () in
+       let receive () =
+         let dec = Rateless.decoder_of_ints ~seed bob in
+         List.iter (fun (lo, cells) -> ignore (Rateless.absorb dec ~lo cells)) stream
+       in
+       let row name op =
+         let before = Metrics.snapshot () in
+         op ();
+         let steps = Metrics.counter_value (Metrics.diff ~before ~after:(Metrics.snapshot ())) in
+         let ns = measure ~trials op in
+         push
+           (latency_fields name ~ns
+              [ ("n", I n); ("d", I d); ("cells", I (List.fold_left (fun _ (_, hi) -> hi) 0 windows));
+                ("walk_steps", I (steps "rateless.walk_steps"));
+                ("key_walk_steps", I (steps "rateless.key_walk_steps")) ])
+       in
+       row "rateless_cells" (fun () -> ignore (send ()));
+       row "rateless_absorb" receive)
+     [ 16; 256; 2048 ]);
+
   (* Frame CRC over one iblt-of-iblts payload at bulk_nested's shape
      (268 cells x 2,819 bytes): every message pays it at both ends. *)
   (let len = 268 * 2819 in

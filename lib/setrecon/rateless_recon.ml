@@ -16,8 +16,10 @@ type error = [ `Decode_failure of Comm.stats ]
 
 let window_header_bytes = 4 + 4 + 8
 
-let encode_window ~cell_bytes ~lo ~alice_hash ~cells =
-  if cell_bytes <= 0 || Bytes.length cells mod cell_bytes <> 0 then
+let cell_bytes = Rateless.cell_bytes
+
+let encode_window ~lo ~alice_hash ~cells =
+  if Bytes.length cells mod cell_bytes <> 0 then
     invalid_arg "Rateless_recon.encode_window: misaligned cells";
   let b = Bytes.create (window_header_bytes + Bytes.length cells) in
   Bytes.set_int32_le b 0 (Int32.of_int lo);
@@ -26,18 +28,14 @@ let encode_window ~cell_bytes ~lo ~alice_hash ~cells =
   Bytes.blit cells 0 b window_header_bytes (Bytes.length cells);
   b
 
-let window_of_bytes_opt ~cell_bytes bytes =
+let window_of_bytes_opt bytes =
   let r = Codec.reader bytes in
   match (Codec.u32 r, Codec.u32 r, Codec.int62 r) with
   | Some lo, Some count, Some alice_hash ->
     (* Validate the claimed count against the exact remaining length
        before any allocation: a hostile 0xFFFFFFFF never reaches
        Bytes.create. *)
-    if
-      cell_bytes > 0
-      && Codec.remaining r = count * cell_bytes
-      && lo + count <= Rateless.max_index
-    then
+    if Codec.remaining r = count * cell_bytes && lo + count <= Rateless.max_index then
       match Codec.take r (count * cell_bytes) with
       | Some cells when Codec.at_end r -> Some (lo, alice_hash, cells)
       | _ -> None
@@ -66,11 +64,9 @@ let ack_of_bytes_opt bytes =
    cumulative progress; losing one costs nothing but the byte count, and a
    lost done-ACK is repaired by the re-ACK of the next cycle. *)
 
-let run ~comm ~seed ?(check_bits = 32) ?(initial_window = 32) ?(max_cells = 1 lsl 16)
-    ~alice ~bob () =
-  let src = Rateless.source_of_ints ~check_bits ~seed (Iset.to_array alice) in
-  let dec = Rateless.decoder_of_ints ~check_bits ~seed (Iset.to_array bob) in
-  let cell_bytes = Rateless.source_cell_bytes src in
+let run ~comm ~seed ?(initial_window = 32) ?(max_cells = 1 lsl 16) ~alice ~bob () =
+  let src = Rateless.source_of_ints ~seed (Iset.to_array alice) in
+  let dec = Rateless.decoder_of_ints ~seed (Iset.to_array bob) in
   let alice_hash = Set_recon.set_hash ~seed alice in
   (* The whole-set hash Bob was last delivered in a window. *)
   let delivered_hash = ref None in
@@ -97,7 +93,7 @@ let run ~comm ~seed ?(check_bits = 32) ?(initial_window = 32) ?(max_cells = 1 ls
       Metrics.incr m_cycles;
       let hi = min max_cells (lo + w) in
       let window =
-        encode_window ~cell_bytes ~lo ~alice_hash ~cells:(Rateless.cells src ~lo ~hi)
+        encode_window ~lo ~alice_hash ~cells:(Rateless.cells src ~lo ~hi)
       in
       Metrics.add m_cells_sent (hi - lo);
       (* Bob's view of the window: everything rides Comm.xfer, so the
@@ -105,7 +101,7 @@ let run ~comm ~seed ?(check_bits = 32) ?(initial_window = 32) ?(max_cells = 1 ls
       (match Comm.xfer comm Comm.A_to_b ~label:"rateless-cells" window with
       | Error `Lost -> Metrics.incr m_lost_windows
       | Ok delivered -> (
-        match window_of_bytes_opt ~cell_bytes delivered with
+        match window_of_bytes_opt delivered with
         | None -> Metrics.incr m_lost_windows
         | Some (lo', hash, cells) ->
           delivered_hash := Some hash;
@@ -138,5 +134,5 @@ let run ~comm ~seed ?(check_bits = 32) ?(initial_window = 32) ?(max_cells = 1 ls
   in
   cycle 0 (max 1 initial_window)
 
-let reconcile ~seed ?check_bits ?initial_window ?max_cells ~alice ~bob () =
-  Comm.run (fun comm -> run ~comm ~seed ?check_bits ?initial_window ?max_cells ~alice ~bob ())
+let reconcile ~seed ?initial_window ?max_cells ~alice ~bob () =
+  Comm.run (fun comm -> run ~comm ~seed ?initial_window ?max_cells ~alice ~bob ())

@@ -14,6 +14,10 @@
     One cycle is [window A->B, ack B->A] (two {!Comm} rounds). The window
     size doubles each cycle, so reaching difference [d] takes
     [O(log d)] cycles against doubling's ladder of full-sketch attempts.
+    Both parties keep their walk cursors across cycles, so a stream of [N]
+    cells costs each side one walk of its [n] elements, and Bob one of
+    each peeled key: O((n + d) log N) steps in all, not that much a
+    cycle. Keys are the sets' integers; cells are 16 bytes.
     Completion requires both a clean peel and a whole-set hash match (the
     hash rides in every window header), so a false decode candidate — or a
     peeled phantom key — is never silently accepted; the stream simply
@@ -23,27 +27,26 @@
     Wire formats (little-endian, parsed totally — hostile bytes yield
     [None], never an exception, and claimed counts are validated against
     the actual byte length before any allocation):
-    - window: [u32 lo | u32 count | int62 alice_hash | count * cell_bytes]
+    - window: [u32 lo | u32 count | int62 alice_hash | count cells], each
+      {!Ssr_sketch.Rateless.cell_bytes} = 16 bytes
     - ack: [u8 done (0|1) | u32 have] — exactly 5 bytes; [have] is the
       receiver's {!Ssr_sketch.Rateless.next_index}. *)
 
 type error = [ `Decode_failure of Comm.stats ]
 
 val reconcile :
-  seed:int64 -> ?check_bits:int -> ?initial_window:int -> ?max_cells:int ->
+  seed:int64 -> ?initial_window:int -> ?max_cells:int ->
   alice:Ssr_util.Iset.t -> bob:Ssr_util.Iset.t -> unit ->
   (Set_recon.outcome, error) result
 (** One-way rateless reconciliation: Bob ends up with Alice's set.
-    [check_bits] (default 32) is the per-cell checksum width — narrower
-    than the IBLT default because the whole-set hash arbitrates
-    completion. [initial_window] (default 32) cells in the first window,
+    [initial_window] (default 32) cells in the first window,
     doubling per cycle; [max_cells] (default 65536) bounds the stream
     (exceeding it is a [`Decode_failure], as is an unserviceable
     transport). *)
 
 val run :
-  comm:Comm.t -> seed:int64 -> ?check_bits:int -> ?initial_window:int ->
-  ?max_cells:int -> alice:Ssr_util.Iset.t -> bob:Ssr_util.Iset.t -> unit ->
+  comm:Comm.t -> seed:int64 -> ?initial_window:int -> ?max_cells:int ->
+  alice:Ssr_util.Iset.t -> bob:Ssr_util.Iset.t -> unit ->
   (Set_recon.outcome, [ `Decode_failure ]) result
 (** {!reconcile} threaded through a caller-supplied recorder, for drivers
     that embed the stream in a longer transcript (the {!Comm} transport
@@ -54,14 +57,13 @@ val run :
     Exposed for the hostile-byte totality suite; protocol users never need
     them. *)
 
-val encode_window :
-  cell_bytes:int -> lo:int -> alice_hash:int -> cells:Bytes.t -> Bytes.t
+val encode_window : lo:int -> alice_hash:int -> cells:Bytes.t -> Bytes.t
 (** [cells] is a packed window as produced by {!Ssr_sketch.Rateless.cells};
-    its length must be a multiple of [cell_bytes] (the count field is
+    its length must be a multiple of the cell width (the count field is
     derived from it; [Invalid_argument] otherwise). [alice_hash] must be a
     non-negative 62-bit value. *)
 
-val window_of_bytes_opt : cell_bytes:int -> Bytes.t -> (int * int * Bytes.t) option
+val window_of_bytes_opt : Bytes.t -> (int * int * Bytes.t) option
 (** [(lo, alice_hash, cells)] — total: [None] on truncation, trailing
     bytes, a count that disagrees with the actual byte length, or a window
     extending past {!Ssr_sketch.Rateless.max_index}. *)

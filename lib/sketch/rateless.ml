@@ -7,8 +7,7 @@ let m_cells_useful = Metrics.counter "rateless.cells_useful"
 let m_peeled = Metrics.counter "rateless.peeled"
 let m_bad_int_keys = Metrics.counter "rateless.bad_int_keys"
 let m_walk_steps = Metrics.counter "rateless.walk_steps"
-
-type params = { key_len : int; seed : int64 }
+let m_key_walk_steps = Metrics.counter "rateless.key_walk_steps"
 
 let hash_tag = 0x7A7E
 
@@ -16,14 +15,9 @@ let hash_tag = 0x7A7E
    evaluation of the inverse CDF is exact where it has to be. *)
 let max_index = 1 lsl 26
 
-let check_bytes_of_bits = function
-  | 8 -> 1
-  | 16 -> 2
-  | 32 -> 4
-  | 62 -> 8
-  | _ -> invalid_arg "Rateless: check_bits must be 8, 16, 32 or 62"
-
-let cell_bytes ?(check_bits = 32) ~key_len () = 4 + key_len + check_bytes_of_bits check_bits
+(* count i32 LE | key 8 bytes LE | checksum u32 LE *)
+let cell_bytes = 16
+let check_mask = 0xFFFF_FFFF
 
 (* ---- The index schedule. ----
 
@@ -36,31 +30,35 @@ let cell_bytes ?(check_bits = 32) ~key_len () = 4 + key_len + check_bytes_of_bit
    next member is the smallest j with (j+1)(j+2) >= (m+1)(m+2) * 2^32 / r
    for a uniform 32-bit draw r. Expected members up to index N is ~2 ln N,
    so a walk up to cell N takes ~1 + 2 ln N steps instead of N membership
-   tests. A source keeps each element's walk where the last window left
-   it (see [gen_into]), so a stream of forward windows costs
-   O(pool * log stream) in total, not that much per window. *)
+   tests. Every walk keeps a cursor where its last window left it (see
+   [write]), so a stream of forward windows costs O(pool * log stream) in
+   total, not that much per window. *)
 
 let stream_inc = 0x2B7E151628AED2A5
 
-(* One skip, in two parts so that a walk allocates nothing: [advance]
-   moves an element's stream state on by one draw, and [next_member m s]
-   is the member index after [m] (-1 before the first; the walk then
-   always lands on 0 first) for the freshly advanced state [s], or
-   [max_index] meaning "past any usable cell". The float math is exact:
-   every integer that reaches a float here is below 2^53, and the one
-   rounded quantity [t] is the same on both sides of the wire because both
-   derive it from the same draw. *)
+(* One step moves an element's stream state on by one draw; [skip m r] is
+   the member index after [m] (-1 before the first; the walk then always
+   lands on 0 first) for the draw [r] in [1, 2^32], or [max_index] meaning
+   "past any usable cell". *)
 let advance s = Prng.mix_int (s + stream_inc)
+let[@inline] draw s = ((s lsr 15) land 0xFFFF_FFFF) + 1
 
 let max_t = float_of_int (max_index * (max_index + 1))
 
-let next_member m s =
-  let r = ((s lsr 15) land 0xFFFF_FFFF) + 1 in
-  let t = float_of_int ((m + 1) * (m + 2)) *. 4294967296.0 /. float_of_int r in
+(* t = (m+1)(m+2) 2^32 / r: every integer here is below 2^53, so the one
+   rounded quantity is a correctly rounded quotient, the same on both
+   sides of the wire. *)
+let[@inline] ratio m r = float_of_int ((m + 1) * (m + 2)) *. 4294967296.0 /. float_of_int r
+
+(* The reference: the least j > m with (j+1)(j+2) >= t. That j is
+   ceil(sqrt(t + 1/4) - 3/2), which [sqrt t - 1/2] truncates to all but
+   always; the two loops make it exact from any start. *)
+let skip_float m r =
+  let t = ratio m r in
   if t <= 1.0 then m + 1
   else if t > max_t then max_index
   else begin
-    let j = ref (int_of_float (Float.sqrt t) - 1) in
+    let j = ref (int_of_float (Float.sqrt t -. 0.5)) in
     if !j > max_index - 1 then j := max_index - 1;
     if !j < m + 1 then j := m + 1;
     while float_of_int ((!j + 1) * (!j + 2)) < t do
@@ -72,140 +70,166 @@ let next_member m s =
     !j
   end
 
-(* ---- Shared packed-cell plumbing (layout identical to Iblt's store:
-   count i32 LE | key XOR | checksum XOR LE). Cold-safe accessors: a
-   window touches each cell once per member element, O(log) per element,
-   so the walk itself, not the cell access, is the cost to keep down. *)
+(* The dense prefix, exactly. For m < [table_members], the next member is
+   at most k (m < k <= [table_cells]) exactly when r >= T(m, k), the least
+   such draw: t falls as r grows (a correctly rounded quotient is monotone
+   in its divisor), so T(m, k) is ceil((m+1)(m+2) 2^32 / ((k+1)(k+2))),
+   checked one draw either side against [ratio]. Row m + 1 holds T(m, .)
+   as host-order u32s, with 0 past [table_cells] so a scan always stops
+   there; [guide] holds, per row and per top byte of r - 1, the member at
+   that bucket's largest draw, where a scan may start. About 25 KB, built
+   in about 0.1 ms. *)
+let table_members = 32
+let table_cells = 126
+let row_width = table_cells + 2
 
-type source = {
-  prm : params;
-  check_bits : int;
-  check_bytes : int;
-  check_mask : int;
-  cell_bytes : int;
-  n : int;
-  keys : Bytes.t;  (* n * key_len slab *)
-  stream0 : int array;  (* per-element stream seed (lane 2) *)
-  csum : int array;  (* per-element checksum, masked *)
-  (* The walk cursors: per element, its first member index at or past
-     [frontier] and the stream state that drew it ((-1, stream0) before
-     the first draw). *)
-  cur_m : int array;
-  cur_s : int array;
-  mutable frontier : int;  (* [hi] of the last window generated *)
+let[@inline] threshold thr row k =
+  Int32.to_int (Buf.unsafe_get_int32_ne thr (((row * row_width) + k) * 4)) land check_mask
+
+let thresholds, guide =
+  let thr = Bytes.make ((table_members + 1) * row_width * 4) '\000' in
+  let guide = Bytes.create ((table_members + 1) * 256) in
+  for m = -1 to table_members - 1 do
+    let row = m + 1 in
+    for k = m + 1 to table_cells do
+      let p = (k + 1) * (k + 2) in
+      let t = ref (((((m + 1) * (m + 2)) lsl 32) + p - 1) / p) in
+      while !t > 1 && ratio m (!t - 1) <= float_of_int p do
+        decr t
+      done;
+      while !t > 0 && ratio m !t > float_of_int p do
+        incr t
+      done;
+      Bytes.set_int32_ne thr (((row * row_width) + k) * 4) (Int32.of_int !t)
+    done;
+    let k = ref (m + 1) in
+    for b = 255 downto 0 do
+      while !k <= table_cells && (b + 1) lsl 24 < threshold thr row !k do
+        incr k
+      done;
+      Bytes.set_uint8 guide ((row lsl 8) + b) !k
+    done
+  done;
+  (thr, guide)
+
+let skip m r =
+  if m < table_members then begin
+    let row = m + 1 in
+    let j = ref (Char.code (Bytes.unsafe_get guide ((row lsl 8) lor ((r - 1) lsr 24)))) in
+    while r < threshold thresholds row !j do
+      incr j
+    done;
+    if !j <= table_cells then !j else skip_float m r
+  end
+  else skip_float m r
+
+(* ---- The one cell writer. ----
+
+   A set of walking keys: a party's pool, or one sign of the receiver's
+   peeled keys. Per key its 8-byte little-endian encoding (host-order
+   words XOR as the wire bytes do), its checksum, and its cursor: the
+   first member index at or past the end of the last range written and
+   the stream state that drew it ((-1, stream start) before the first
+   draw). *)
+
+type walks = {
+  mutable n : int;
+  mutable keys : Bytes.t;
+  mutable csum : int array;
+  mutable cur_m : int array;
+  mutable cur_s : int array;
 }
 
-let source_params src = src.prm
-let source_check_bits src = src.check_bits
-let source_cell_bytes src = src.cell_bytes
+let walks n =
+  { n; keys = Bytes.create (8 * n); csum = Array.make n 0; cur_m = Array.make n (-1);
+    cur_s = Array.make n 0 }
 
-let get_count b off = Int32.to_int (Bytes.get_int32_le b off)
-let set_count b off v = Bytes.set_int32_le b off (Int32.of_int v)
+external swap32 : int32 -> int32 = "%bswap_int32"
 
-let get_check b off = function
-  | 1 -> Bytes.get_uint8 b off
-  | 2 -> Bytes.get_uint16_le b off
-  | 4 -> Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
-  | _ -> Int64.to_int (Bytes.get_int64_le b off) land ((1 lsl 62) - 1)
+let[@inline] get32_le b off =
+  if Sys.big_endian then swap32 (Buf.unsafe_get_int32_ne b off) else Buf.unsafe_get_int32_ne b off
 
-let xor_check b off cs = function
-  | 1 -> Bytes.set_uint8 b off (Bytes.get_uint8 b off lxor cs)
-  | 2 -> Bytes.set_uint16_le b off (Bytes.get_uint16_le b off lxor cs)
-  | 4 -> Bytes.set_int32_le b off (Int32.logxor (Bytes.get_int32_le b off) (Int32.of_int cs))
-  | _ -> Bytes.set_int64_le b off (Int64.logxor (Bytes.get_int64_le b off) (Int64.of_int cs))
+let[@inline] set32_le b off v =
+  if Sys.big_endian then Buf.unsafe_set_int32_ne b off (swap32 v)
+  else Buf.unsafe_set_int32_ne b off v
 
-let mk_source ?(check_bits = 32) prm ~n ~fill =
-  if prm.key_len < 1 then invalid_arg "Rateless: key_len must be >= 1";
-  let check_bytes = check_bytes_of_bits check_bits in
-  let src =
-    {
-      prm;
-      check_bits;
-      check_bytes;
-      check_mask = (1 lsl check_bits) - 1;
-      cell_bytes = 4 + prm.key_len + check_bytes;
-      n;
-      keys = Bytes.create (n * prm.key_len);
-      stream0 = Array.make n 0;
-      csum = Array.make n 0;
-      cur_m = Array.make n (-1);
-      cur_s = Array.make n 0;
-      frontier = 0;
-    }
-  in
-  let fn = Hashing.make ~seed:prm.seed ~tag:hash_tag in
-  let lanes = [| 0; 0 |] in
-  for e = 0 to n - 1 do
-    fill fn e src lanes;
-    src.stream0.(e) <- lanes.(1);
-    src.cur_s.(e) <- lanes.(1);
-    src.csum.(e) <- Hashing.mix_pair lanes.(0) lanes.(1) land src.check_mask
-  done;
-  src
+(* Three word updates: [sign] onto the count, the key and its checksum
+   XORed in. *)
+let[@inline] update buf o sign key cs =
+  set32_le buf o (Int32.add (get32_le buf o) sign);
+  Buf.unsafe_set_int64_ne buf (o + 4) (Int64.logxor (Buf.unsafe_get_int64_ne buf (o + 4)) key);
+  set32_le buf (o + 12) (Int32.logxor (get32_le buf (o + 12)) cs)
 
-let source ?check_bits prm keys =
-  mk_source ?check_bits prm ~n:(Array.length keys) ~fill:(fun fn e src lanes ->
-      let key = keys.(e) in
-      if Bytes.length key <> prm.key_len then
-        invalid_arg "Rateless.source: key of the wrong width";
-      Bytes.blit key 0 src.keys (e * prm.key_len) prm.key_len;
-      Hashing.hash_bytes_into fn key lanes)
+let[@inline] is_zero buf o =
+  Buf.unsafe_get_int64_ne buf o = 0L && Buf.unsafe_get_int64_ne buf (o + 8) = 0L
 
-let source_of_ints ?check_bits ~seed ints =
-  let prm = { key_len = 8; seed } in
-  mk_source ?check_bits prm ~n:(Array.length ints) ~fill:(fun fn e src lanes ->
-      let v = ints.(e) in
-      if v < 0 then invalid_arg "Rateless.source_of_ints: negative key";
-      Buf.set_int_le src.keys (e * 8) v;
-      Hashing.hash_int_bytes_into fn v ~len:8 lanes)
-
-(* XOR every element of the pool into [buf], which represents cells
-   [lo, hi), with [lo] at or past the frontier: each element's walk picks
-   up at its cursor and leaves it at the first member at or past [hi]. *)
-let gen_into src ~lo ~hi buf =
-  let cb = src.cell_bytes and kl = src.prm.key_len in
+(* Write every key of [w], with [sign], into the cells [lo, hi) held from
+   byte [off] of [buf]: each walk resumes at its cursor, skips members
+   below [lo] and stops at its first member at or past [hi]. Returns the
+   steps walked. *)
+let write w ~sign ~lo ~hi buf off =
+  if off < 0 || hi < lo || off + ((hi - lo) * cell_bytes) > Bytes.length buf then
+    invalid_arg "Rateless.write: range outside the buffer";
+  let sign = Int32.of_int sign in
   let steps = ref 0 in
-  for e = 0 to src.n - 1 do
-    let cs = src.csum.(e) in
-    let m = ref src.cur_m.(e) and s = ref src.cur_s.(e) in
+  for e = 0 to w.n - 1 do
+    let key = Buf.unsafe_get_int64_ne w.keys (e * 8) and cs = Int32.of_int w.csum.(e) in
+    let m = ref w.cur_m.(e) and s = ref w.cur_s.(e) in
     while !m < hi do
-      if !m >= lo then begin
-        let off = (!m - lo) * cb in
-        set_count buf off (get_count buf off + 1);
-        Buf.xor_region_into ~dst:buf ~dst_pos:(off + 4) src.keys ~src_pos:(e * kl) ~len:kl;
-        xor_check buf (off + 4 + kl) cs src.check_bytes
-      end;
+      if !m >= lo then update buf (off + ((!m - lo) * cell_bytes)) sign key cs;
       s := advance !s;
-      m := next_member !m !s;
+      m := skip !m (draw !s);
       incr steps
     done;
-    src.cur_m.(e) <- !m;
-    src.cur_s.(e) <- !s
+    w.cur_m.(e) <- !m;
+    w.cur_s.(e) <- !s
   done;
-  Metrics.add m_walk_steps !steps
+  !steps
+
+(* ---- Sender side. ---- *)
+
+type source = { w : walks; stream0 : int array; mutable frontier : int }
+
+let source_of_ints ~seed ints =
+  let n = Array.length ints in
+  let fn = Hashing.make ~seed ~tag:hash_tag in
+  let lanes = [| 0; 0 |] in
+  let w = walks n in
+  Array.iteri
+    (fun e v ->
+      if v < 0 then invalid_arg "Rateless.source_of_ints: negative key";
+      Buf.set_int_le w.keys (e * 8) v;
+      Hashing.hash_int_bytes_into fn v ~len:8 lanes;
+      w.cur_s.(e) <- lanes.(1);
+      w.csum.(e) <- Hashing.mix_pair lanes.(0) lanes.(1) land check_mask)
+    ints;
+  { w; stream0 = Array.copy w.cur_s; frontier = 0 }
+
+(* Write the pool into cells [lo, hi) of [buf] from byte [off]. A range
+   starting below the frontier rewinds every walk to its start. *)
+let gen src ~sign ~lo ~hi buf off =
+  if hi > lo && src.w.n > 0 then begin
+    if lo < src.frontier then begin
+      Array.fill src.w.cur_m 0 src.w.n (-1);
+      Array.blit src.stream0 0 src.w.cur_s 0 src.w.n
+    end;
+    Metrics.add m_walk_steps (write src.w ~sign ~lo ~hi buf off);
+    src.frontier <- hi
+  end
 
 let cells src ~lo ~hi =
   if lo < 0 || hi < lo || hi > max_index then invalid_arg "Rateless.cells: bad range";
-  let buf = Bytes.make ((hi - lo) * src.cell_bytes) '\000' in
-  if hi > lo && src.n > 0 then begin
-    (* A window starting below the frontier rewinds every walk to its
-       start. *)
-    if lo < src.frontier then begin
-      Array.fill src.cur_m 0 src.n (-1);
-      Array.blit src.stream0 0 src.cur_s 0 src.n
-    end;
-    gen_into src ~lo ~hi buf;
-    src.frontier <- hi
-  end;
+  let buf = Bytes.make ((hi - lo) * cell_bytes) '\000' in
+  gen src ~sign:1 ~lo ~hi buf 0;
   buf
 
 let member src ~key_index i =
-  if key_index < 0 || key_index >= src.n then invalid_arg "Rateless.member: bad element";
+  if key_index < 0 || key_index >= src.w.n then invalid_arg "Rateless.member: bad element";
   if i < 0 || i >= max_index then invalid_arg "Rateless.member: bad index";
   let m = ref (-1) and s = ref src.stream0.(key_index) in
   while !m < i do
     s := advance !s;
-    m := next_member !m !s
+    m := skip !m (draw !s)
   done;
   !m = i
 
@@ -218,127 +242,115 @@ let walk_int ~seed =
     Seq.unfold
       (fun (m, s) ->
         let s = advance s in
-        let m = next_member m s in
+        let m = skip m (draw s) in
         if m >= max_index then None else Some (m, (m, s)))
       (-1, lanes.(1))
 
 (* ---- Receiver. ----
 
-   The decoder owns a growable packed store of the cells absorbed so far
-   (each tagged with its stream index — gaps from lost windows are fine)
-   plus the peeled prefix. Absorbing a window folds the local pool in
-   (the same generator, subtracted), cancels every already-peeled key out
-   of the new cells — late cells still carry contributions of keys peeled
-   long ago — and resumes peeling. A stalled peel keeps its stuck cells
-   live in the store, and every fresh cell is another chance to unstick
-   it. *)
+   The store holds the absorbed cells in stream order, one run of slots
+   per gap-free stretch of indices (a gap-free stream is one run). A
+   stalled peel keeps its stuck cells live in the store, and every fresh
+   cell is another chance to unstick it. *)
 
 type decoder = {
-  src : source;  (* the local pool, foldable into any window *)
+  pool : source;
   fn : Hashing.fn;
-  mutable store : Bytes.t;  (* nslots packed cells *)
-  mutable idxs : int array;  (* stream index per slot, strictly increasing *)
+  pos : walks;  (* peeled remote-only keys, in peel order *)
+  neg : walks;  (* peeled local-only keys *)
+  mutable store : Bytes.t;
   mutable nslots : int;
+  mutable run_lo : int array;  (* first stream index of each run *)
+  mutable run_slot : int array;  (* its first slot *)
+  mutable nruns : int;
   mutable nonzero : int;  (* slots not identically zero *)
-  mutable pos : Bytes.t list;  (* peeled remote-only keys, reverse order *)
-  mutable neg : Bytes.t list;  (* peeled local-only keys *)
-  mutable npeeled : int;
-  lanes : int array;
   mutable queue : int list;  (* candidate slots awaiting a purity check *)
+  key : Bytes.t;  (* the key being peeled *)
+  lanes : int array;
 }
 
-let decoder ?check_bits prm keys =
-  let src = source ?check_bits prm keys in
+let decoder_of_ints ~seed ints =
   {
-    src;
-    fn = Hashing.make ~seed:prm.seed ~tag:hash_tag;
-    store = Bytes.create 0;
-    idxs = [||];
-    nslots = 0;
-    nonzero = 0;
-    pos = [];
-    neg = [];
-    npeeled = 0;
-    lanes = [| 0; 0 |];
-    queue = [];
-  }
-
-let decoder_of_ints ?check_bits ~seed ints =
-  let src = source_of_ints ?check_bits ~seed ints in
-  {
-    src;
+    pool = source_of_ints ~seed ints;
     fn = Hashing.make ~seed ~tag:hash_tag;
-    store = Bytes.create 0;
-    idxs = [||];
+    pos = walks 0;
+    neg = walks 0;
+    store = Bytes.empty;
     nslots = 0;
+    run_lo = [||];
+    run_slot = [||];
+    nruns = 0;
     nonzero = 0;
-    pos = [];
-    neg = [];
-    npeeled = 0;
-    lanes = [| 0; 0 |];
     queue = [];
+    key = Bytes.create 8;
+    lanes = [| 0; 0 |];
   }
 
 let absorbed dec = dec.nslots
-let peeled dec = dec.npeeled
-let next_index dec = if dec.nslots = 0 then 0 else dec.idxs.(dec.nslots - 1) + 1
+let peeled dec = dec.pos.n + dec.neg.n
 
-let ensure dec extra =
-  let cb = dec.src.cell_bytes in
-  let need = (dec.nslots + extra) * cb in
-  if Bytes.length dec.store < need then begin
-    let cap = max need (2 * Bytes.length dec.store) in
-    let store = Bytes.make cap '\000' in
-    Bytes.blit dec.store 0 store 0 (dec.nslots * cb);
-    dec.store <- store;
-    let idxs = Array.make (cap / cb) 0 in
-    Array.blit dec.idxs 0 idxs 0 dec.nslots;
-    dec.idxs <- idxs
-  end
+let run_end dec r =
+  let next_slot = if r + 1 < dec.nruns then dec.run_slot.(r + 1) else dec.nslots in
+  dec.run_lo.(r) + next_slot - dec.run_slot.(r)
 
-let slot_is_zero dec slot =
-  let cb = dec.src.cell_bytes in
-  let off = slot * cb in
-  let rec go i = i = cb || (Bytes.get dec.store (off + i) = '\000' && go (i + 1)) in
-  go 0
+let next_index dec = if dec.nruns = 0 then 0 else run_end dec (dec.nruns - 1)
 
-(* Binary search for the slot holding stream index [i], if absorbed. *)
-let find_slot dec i =
-  let rec go lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) / 2 in
-      let v = dec.idxs.(mid) in
-      if v = i then mid else if v < i then go (mid + 1) hi else go lo mid
-  in
-  go 0 dec.nslots
+let widen a cap = Array.append a (Array.make (cap - Array.length a) 0)
 
-(* XOR key [e] (with stream state [s0], checksum [cs], peel sign [sign])
-   out of every absorbed cell in stream range [start, stop). *)
-let cancel_key dec ~start ~stop ~sign key ~s0 ~cs =
-  let cb = dec.src.cell_bytes and kl = dec.src.prm.key_len in
-  let m = ref (-1) and s = ref s0 in
+(* The slot of absorbed index [i], or -1. A walk asks in increasing order
+   and keeps in [r] the last run it was in: a member past that run's end
+   finds its run by binary search over the later ones. *)
+let slot_of dec r i =
+  if i >= run_end dec !r then begin
+    let lo = ref (!r + 1) and hi = ref dec.nruns in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if dec.run_lo.(mid) <= i then lo := mid + 1 else hi := mid
+    done;
+    r := !lo - 1
+  end;
+  if i >= dec.run_lo.(!r) && i < run_end dec !r then dec.run_slot.(!r) + i - dec.run_lo.(!r) else -1
+
+(* Add a peeled key to [w] and cancel it, with [sign], out of every
+   absorbed cell, tracking each touched cell's zero state and purity. *)
+let cancel dec w ~sign ~s0 ~cs =
+  let e = w.n in
+  if e = Array.length w.csum then begin
+    let cap = max 8 (2 * e) in
+    w.keys <- Bytes.extend w.keys 0 (8 * (cap - e));
+    w.csum <- widen w.csum cap;
+    w.cur_m <- widen w.cur_m cap;
+    w.cur_s <- widen w.cur_s cap
+  end;
+  Bytes.blit dec.key 0 w.keys (e * 8) 8;
+  w.csum.(e) <- cs;
+  w.n <- e + 1;
+  let stop = next_index dec and key = Buf.unsafe_get_int64_ne dec.key 0 in
+  let sign32 = Int32.of_int sign and cs32 = Int32.of_int cs in
+  let m = ref (-1) and s = ref s0 and r = ref 0 and steps = ref 0 in
   while !m < stop do
-    (if !m >= start then
-       let slot = find_slot dec !m in
+    (if !m >= 0 then
+       let slot = slot_of dec r !m in
        if slot >= 0 then begin
-         let z0 = slot_is_zero dec slot in
-         let off = slot * cb in
-         set_count dec.store off (get_count dec.store off - sign);
-         Buf.xor_key_into ~dst:dec.store ~pos:(off + 4) key;
-         xor_check dec.store (off + 4 + kl) cs dec.src.check_bytes;
-         if slot_is_zero dec slot then begin
+         let o = slot * cell_bytes in
+         let z0 = is_zero dec.store o in
+         update dec.store o sign32 key cs32;
+         if is_zero dec.store o then begin
            if not z0 then dec.nonzero <- dec.nonzero - 1
          end
          else begin
            if z0 then dec.nonzero <- dec.nonzero + 1;
-           let cnt = get_count dec.store off in
-           if cnt = 1 || cnt = -1 then dec.queue <- slot :: dec.queue
+           let cnt = get32_le dec.store o in
+           if cnt = 1l || cnt = -1l then dec.queue <- slot :: dec.queue
          end
        end);
     s := advance !s;
-    m := next_member !m !s
-  done
+    m := skip !m (draw !s);
+    incr steps
+  done;
+  w.cur_m.(e) <- !m;
+  w.cur_s.(e) <- !s;
+  Metrics.add m_key_walk_steps !steps
 
 (* A genuine peel zeroes a distinct absorbed slot per key, so the peels
    never outnumber the absorbed slots. Crafted cells can hand one key back
@@ -348,92 +360,79 @@ let cancel_key dec ~start ~stop ~sign key ~s0 ~cs =
 let rec peel dec =
   match dec.queue with
   | [] -> ()
-  | _ when dec.npeeled >= dec.nslots -> dec.queue <- []
+  | _ when peeled dec >= dec.nslots -> dec.queue <- []
   | slot :: rest ->
     dec.queue <- rest;
-    let cb = dec.src.cell_bytes and kl = dec.src.prm.key_len in
-    let off = slot * cb in
-    let cnt = get_count dec.store off in
+    let o = slot * cell_bytes in
+    let cnt = Int32.to_int (get32_le dec.store o) in
     if cnt = 1 || cnt = -1 then begin
-      let key = Bytes.sub dec.store (off + 4) kl in
-      Hashing.hash_bytes_into dec.fn key dec.lanes;
-      let cs = Hashing.mix_pair dec.lanes.(0) dec.lanes.(1) land dec.src.check_mask in
-      if get_check dec.store (off + 4 + kl) dec.src.check_bytes = cs then begin
-        if cnt > 0 then dec.pos <- key :: dec.pos else dec.neg <- key :: dec.neg;
-        dec.npeeled <- dec.npeeled + 1;
+      Bytes.blit dec.store (o + 4) dec.key 0 8;
+      Hashing.hash_bytes_into dec.fn dec.key dec.lanes;
+      let cs = Hashing.mix_pair dec.lanes.(0) dec.lanes.(1) land check_mask in
+      if Int32.to_int (get32_le dec.store (o + 12)) land check_mask = cs then begin
         Metrics.incr m_peeled;
         (* Removing the key from every member cell zeroes this slot too —
            its index is on the key's walk (false-pure keys excepted, which
            leave residue the caller's whole-set hash will refuse). *)
-        cancel_key dec ~start:0 ~stop:(next_index dec) ~sign:cnt key ~s0:dec.lanes.(1) ~cs
+        cancel dec (if cnt > 0 then dec.pos else dec.neg) ~sign:(-cnt) ~s0:dec.lanes.(1) ~cs
       end
     end;
     peel dec
 
 let absorb dec ~lo bytes =
-  let cb = dec.src.cell_bytes in
   if lo < 0 then invalid_arg "Rateless.absorb: negative index";
-  if Bytes.length bytes mod cb <> 0 then invalid_arg "Rateless.absorb: misaligned window";
-  let m = Bytes.length bytes / cb in
-  let start = max lo (next_index dec) in
-  let stop = min (lo + m) max_index in
+  if Bytes.length bytes mod cell_bytes <> 0 then invalid_arg "Rateless.absorb: misaligned window";
+  let next = next_index dec in
+  let start = max lo next and stop = min (lo + (Bytes.length bytes / cell_bytes)) max_index in
   if start >= stop then 0
   else begin
-    let fresh = stop - start in
-    if dec.nonzero > 0 || dec.nslots = 0 then Metrics.add m_cells_useful fresh;
-    ensure dec fresh;
-    let base = dec.nslots in
-    let localw = cells dec.src ~lo:start ~hi:stop in
-    for i = start to stop - 1 do
-      let slot = base + (i - start) in
-      let doff = slot * cb and loff = (i - start) * cb in
-      Bytes.blit bytes ((i - lo) * cb) dec.store doff cb;
-      set_count dec.store doff (get_count dec.store doff - get_count localw loff);
-      Buf.xor_region_into ~dst:dec.store ~dst_pos:(doff + 4) localw ~src_pos:(loff + 4)
-        ~len:(cb - 4);
-      dec.idxs.(slot) <- i
-    done;
+    let fresh = stop - start and base = dec.nslots in
+    if dec.nonzero > 0 || base = 0 then Metrics.add m_cells_useful fresh;
+    let have = Bytes.length dec.store in
+    if have < (base + fresh) * cell_bytes then
+      dec.store <- Bytes.extend dec.store 0 (max (((base + fresh) * cell_bytes) - have) have);
+    Bytes.blit bytes ((start - lo) * cell_bytes) dec.store (base * cell_bytes) (fresh * cell_bytes);
+    if start > next || dec.nruns = 0 then begin
+      if dec.nruns = Array.length dec.run_lo then begin
+        dec.run_lo <- widen dec.run_lo (max 4 (2 * dec.nruns));
+        dec.run_slot <- widen dec.run_slot (max 4 (2 * dec.nruns))
+      end;
+      dec.run_lo.(dec.nruns) <- start;
+      dec.run_slot.(dec.nruns) <- base;
+      dec.nruns <- dec.nruns + 1
+    end;
     dec.nslots <- base + fresh;
-    (* Count the fresh slots into [nonzero] before any cancellation, so the
-       transition bookkeeping in [cancel_key] stays balanced. *)
-    for slot = base to dec.nslots - 1 do
-      if not (slot_is_zero dec slot) then dec.nonzero <- dec.nonzero + 1
-    done;
     (* Late cells still contain every key peeled before they arrived. *)
-    let strip sign key =
-      Hashing.hash_bytes_into dec.fn key dec.lanes;
-      let cs = Hashing.mix_pair dec.lanes.(0) dec.lanes.(1) land dec.src.check_mask in
-      cancel_key dec ~start ~stop ~sign key ~s0:dec.lanes.(1) ~cs
-    in
-    List.iter (strip 1) dec.pos;
-    List.iter (strip (-1)) dec.neg;
+    let off = base * cell_bytes in
+    gen dec.pool ~sign:(-1) ~lo:start ~hi:stop dec.store off;
+    Metrics.add m_key_walk_steps
+      (write dec.pos ~sign:(-1) ~lo:start ~hi:stop dec.store off
+      + write dec.neg ~sign:1 ~lo:start ~hi:stop dec.store off);
     for slot = base to dec.nslots - 1 do
-      if not (slot_is_zero dec slot) then dec.queue <- slot :: dec.queue
+      if not (is_zero dec.store (slot * cell_bytes)) then begin
+        dec.nonzero <- dec.nonzero + 1;
+        dec.queue <- slot :: dec.queue
+      end
     done;
     peel dec;
     fresh
   end
 
-let decoded dec =
-  if dec.nslots > 0 && dec.nonzero = 0 then Some (List.rev dec.pos, List.rev dec.neg)
-  else None
-
-let conv_ints keys =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | key :: rest -> (
-      match Buf.get_int_le_opt key 0 with
-      | Some v when v >= 0 -> go (v :: acc) rest
+let ints_of w =
+  let rec go acc e =
+    if e < 0 then Some acc
+    else
+      match Buf.get_int_le_opt w.keys (e * 8) with
+      | Some v when v >= 0 -> go (v :: acc) (e - 1)
       | _ ->
         Metrics.incr m_bad_int_keys;
-        None)
+        None
   in
-  go [] keys
+  go [] (w.n - 1)
 
 let decoded_ints dec =
-  match decoded dec with
-  | None -> None
-  | Some (pos, neg) -> (
-    match (conv_ints pos, conv_ints neg) with
+  if dec.nslots = 0 || dec.nonzero > 0 then None
+  else
+    match (ints_of dec.pos, ints_of dec.neg) with
     | Some pos, Some neg -> Some (pos, neg)
-    | _ -> None)
+    | _ -> None

@@ -18,15 +18,27 @@
     stream generator, opposite sign), leaving exactly the symmetric
     difference encoded, and peels continuously as cells arrive, keeping all
     partial progress: a stalled peel is not a failure, just "need more
-    cells". Decoding completes after
-    about [1.35 d + O(log d)] cells for a difference of size [d] —
-    communication converges to the difference size with no size
-    negotiation, no doubling retries and no wasted sketches.
+    cells". Decoding completes after about [1.35 d + O(log d)] cells for a
+    difference of size [d] — communication converges to the difference
+    size with no size negotiation, no doubling retries and no wasted
+    sketches.
 
-    Cells use the packed layout of the {!Iblt} cell store — a signed count
-    (i32 LE), the key XOR and a checksum XOR of configurable width,
-    contiguous per cell, memory layout = wire layout — so a window of cells
-    is serialized by straight copy.
+    One shape serves every caller: keys are non-negative integers, each
+    the 8-byte little-endian word it is hashed and XORed as, and a cell is
+    {!cell_bytes} = 16 bytes — a signed count (i32 LE), the key XOR and a
+    32-bit checksum XOR (LE), the packed layout of the {!Iblt} cell store,
+    so a window is serialized by straight copy. The checksum is narrower
+    than the IBLT's 62 bits because protocol layers verify a whole-set
+    hash before accepting a decode.
+
+    Cost: every walk — a pool element's, or a peeled key's — keeps a
+    cursor where the last window left it, so a forward stream walks each
+    once from cell 0 to its end, ~[1 + 2 ln N] steps to cell [N]. The
+    sender's and the receiver's pools count their steps under
+    [rateless.walk_steps], the receiver's peeled keys under
+    [rateless.key_walk_steps]; each member a walk meets costs three word
+    updates. Below a small member index the skip to the next member reads
+    an exact threshold table instead of dividing ({!skip}).
 
     Everything is deterministic: the stream is byte-identical for a fixed
     seed at any {!Ssr_util.Par} pool size, and decode progress is a pure
@@ -34,53 +46,31 @@
     the absorbed set — once decodable, any superset decodes to the same
     difference). *)
 
-type params = {
-  key_len : int;  (** Key width in bytes. *)
-  seed : int64;  (** Public-coin seed; both parties must use the same. *)
-}
-
 val max_index : int
 (** Exclusive upper bound on usable cell indices (far beyond any practical
     stream length; keeps the skip arithmetic exact). *)
 
-val cell_bytes : ?check_bits:int -> key_len:int -> unit -> int
-(** Packed bytes per coded cell: [4 + key_len + check_bits/8 (rounded up)].
-    [check_bits] (default [32]) is one of [8], [16], [32] or [62], as in
-    {!Iblt.create}; rateless decoding leans on the caller's whole-set hash
-    for end verification, so the narrower default trades per-cell
-    false-pure probability (~[2^-check_bits], detected by that hash) for
-    20% fewer wire bytes than the 62-bit IBLT default. *)
+val cell_bytes : int
+(** Packed bytes per coded cell: 16. *)
 
 (** {2 Sender side} *)
 
 type source
 (** An element pool with precomputed per-element digests, ready to generate
     any window of the coded-cell stream. The pool is fixed at creation, but
-    a source carries state: each element's walk of its member indices
-    stops where the last window ended (a cursor of 16 bytes per element),
-    and the next window picks it up there, so a sender streaming windows
-    forward walks each element once over the whole stream. Generating a
-    window updates the cursors, so a source must not be shared by
-    concurrent callers. *)
+    a source carries state: each element's walk cursor (16 bytes), which
+    the next window resumes. Generating a window updates the cursors, so a
+    source must not be shared by concurrent callers. *)
 
-val source : ?check_bits:int -> params -> Bytes.t array -> source
-(** Digest a pool of [key_len]-byte keys. Raises [Invalid_argument] on a
-    key of the wrong width or an unsupported [check_bits]. *)
-
-val source_of_ints : ?check_bits:int -> seed:int64 -> int array -> source
-(** {!source} over little-endian 8-byte encodings of non-negative
-    integers ([key_len = 8]). *)
-
-val source_params : source -> params
-val source_check_bits : source -> int
-
-val source_cell_bytes : source -> int
-(** [cell_bytes] under this source's widths. *)
+val source_of_ints : seed:int64 -> int array -> source
+(** Digest a pool of non-negative integers under the public-coin [seed]
+    (both parties must use the same). Raises [Invalid_argument] on a
+    negative key. *)
 
 val cells : source -> lo:int -> hi:int -> Bytes.t
 (** The packed coded cells of indices [\[lo, hi)]:
-    [(hi - lo) * source_cell_bytes] bytes, a pure function of the seed, the
-    range and the pool — windows are stable under re-slicing
+    [(hi - lo) * cell_bytes] bytes, a pure function of the seed, the range
+    and the pool — windows are stable under re-slicing
     ([cells ~lo ~hi] = [cells ~lo ~mid ^ cells ~mid ~hi]). Generation is
     one serial pass over the elements into one buffer, so the bytes cannot
     depend on the {!Ssr_util.Par} pool size. Requires
@@ -89,8 +79,7 @@ val cells : source -> lo:int -> hi:int -> Bytes.t
     A window with [lo] at or past the previous window's [hi] resumes every
     walk where that window stopped, skipping any gap; one that starts
     below it walks again from cell 0. Only the cost differs: the bytes are
-    the same either way. Each call adds the walk's steps to the
-    [rateless.walk_steps] counter. *)
+    the same either way. *)
 
 val member : source -> key_index:int -> int -> bool
 (** Whether pool element [key_index] belongs to the given cell index.
@@ -98,23 +87,34 @@ val member : source -> key_index:int -> int -> bool
 
 val walk_int : seed:int64 -> int -> int Seq.t
 (** [walk_int ~seed v] is the increasing sequence of cell indices below
-    {!max_index} that the 8-byte little-endian key [v] belongs to under
-    [seed]'s schedule (it starts with cell 0), drawn lazily one skip per
-    element. A pure function of [(seed, v)], whatever the pool: exposed
-    for white-box tests and the adversarial workload generator, not used
-    on any hot path. Apply [~seed] once to share the hash setup across
-    keys. Raises [Invalid_argument] on a negative key. *)
+    {!max_index} that key [v] belongs to under [seed]'s schedule (it
+    starts with cell 0), drawn lazily one skip per element. A pure
+    function of [(seed, v)], whatever the pool: exposed for white-box
+    tests and the adversarial workload generator, not used on any hot
+    path. Apply [~seed] once to share the hash setup across keys. Raises
+    [Invalid_argument] on a negative key. *)
+
+val skip : int -> int -> int
+(** [skip m r]: the member index after [m] ([-1] before the first) for
+    a 32-bit draw [r] in [\[1, 2^32\]], or {!max_index} past the last
+    usable cell — the least [j > m] with
+    [(j+1)(j+2) >= (m+1)(m+2) 2^32 / r], the quotient rounded once to a
+    float. Below a small [m] it scans a table of the least draw giving
+    each [j], exact because a correctly rounded quotient is monotone in
+    its divisor; elsewhere it is {!skip_float}. *)
+
+val skip_float : int -> int -> int
+(** The float evaluation of {!skip}'s formula (division, square root and
+    an exact correction): the reference the table is tested against. *)
 
 (** {2 Receiver side} *)
 
 type decoder
 (** Incremental peeling state over the cells absorbed so far. *)
 
-val decoder : ?check_bits:int -> params -> Bytes.t array -> decoder
+val decoder_of_ints : seed:int64 -> int array -> decoder
 (** A decoder that folds this local pool into every absorbed cell, leaving
     the symmetric difference of the two pools encoded. *)
-
-val decoder_of_ints : ?check_bits:int -> seed:int64 -> int array -> decoder
 
 val absorb : decoder -> lo:int -> Bytes.t -> int
 (** Absorb a window of packed cells whose first cell has index [lo]: fold
@@ -125,12 +125,17 @@ val absorb : decoder -> lo:int -> Bytes.t -> int
     absorbed — cells at or below the highest index already absorbed are
     skipped, so duplicate or overlapping windows are harmless, and gaps
     from lost windows are fine: the stream only moves forward, lost cells
-    are never backfilled, and peeling works on any index subset. Because
-    the absorbed range only moves forward, the local pool folds in through
-    its source's resumed walks. The byte length must be a multiple of the
-    cell width ([Invalid_argument] otherwise — wire parsers validate
-    before calling); cells that would land at or beyond {!max_index} are
-    ignored. *)
+    are never backfilled, and peeling works on any index subset. The byte
+    length must be a multiple of {!cell_bytes} ([Invalid_argument]
+    otherwise — wire parsers validate before calling); cells that would
+    land at or beyond {!max_index} are ignored.
+
+    The pool and every peeled key resume their walks over the fresh cells
+    only. A key peeled here walks once from cell 0 to {!next_index},
+    finding each member's cell among the absorbed windows' gap-free runs
+    (in place on a gap-free stream, by binary search over the runs after
+    a gap). Memory grows with the cells, runs and keys absorbed, never
+    with a delivered index. *)
 
 val absorbed : decoder -> int
 (** Fresh cells absorbed so far. *)
@@ -143,16 +148,13 @@ val next_index : decoder -> int
 val peeled : decoder -> int
 (** Keys extracted so far (both signs). *)
 
-val decoded : decoder -> (Bytes.t list * Bytes.t list) option
-(** [Some (remote_only, local_only)] when every absorbed cell has peeled
-    to zero — the current decode candidate; [None] while cells remain
-    stuck (absorb more). A candidate from a gappy prefix can in principle
-    be incomplete (all absorbed cells happen to miss a difference
-    element), which is why protocol layers verify a whole-set hash before
-    acknowledging completion; further absorbs then resume peeling. *)
-
 val decoded_ints : decoder -> (int list * int list) option
-(** {!decoded} with every key decoded as a little-endian non-negative
-    integer. Total on hostile streams: a peeled key outside the valid
-    range makes the candidate invalid ([None], counted under the
+(** [Some (remote_only, local_only)], each in peel order, when every
+    absorbed cell has peeled to zero — the current decode candidate;
+    [None] while cells remain stuck (absorb more). A candidate from a
+    gappy prefix can in principle be incomplete (all absorbed cells happen
+    to miss a difference element), which is why protocol layers verify a
+    whole-set hash before acknowledging completion; further absorbs then
+    resume peeling. Total on hostile streams: a peeled key outside the
+    valid range makes the candidate invalid ([None], counted under the
     [rateless.bad_int_keys] metric) rather than raising. *)

@@ -544,7 +544,7 @@ let rl_seed = 0x5EEDL
 let rl_key = 123456789
 
 let crafted_window ~lo ~hi cells =
-  let cb = Rateless.cell_bytes ~key_len:8 () in
+  let cb = Rateless.cell_bytes in
   let cells = Bytes.copy cells in
   Seq.iter
     (fun i -> if i > 0 && i >= lo && i < hi then Bytes.fill cells ((i - lo) * cb) cb '\000')
@@ -559,14 +559,14 @@ let test_rateless_crafted_window_terminates () =
   let dec = Rateless.decoder_of_ints ~seed:rl_seed [||] in
   Alcotest.(check int) "absorbed" 64 (Rateless.absorb dec ~lo:0 window);
   Alcotest.(check bool) "peels bounded by the absorbed cells" true (Rateless.peeled dec <= 64);
-  Alcotest.(check bool) "no decode candidate" true (Rateless.decoded dec = None)
+  Alcotest.(check bool) "no decode candidate" true (Rateless.decoded_ints dec = None)
 
 (* The same window through the protocol: a transport that rewrites the
    first "rateless-cells" window so, and the stream must end in a typed
    failure, not a loop. *)
 let test_rateless_crafted_stream_fails () =
   let comm = Comm.create () in
-  let cell_bytes = Rateless.cell_bytes ~key_len:8 () in
+  let cell_bytes = Rateless.cell_bytes in
   let first = ref true in
   Comm.set_transport comm
     {
@@ -574,11 +574,11 @@ let test_rateless_crafted_stream_fails () =
         (fun _ ~label b ->
           if !first && label = "rateless-cells" then begin
             first := false;
-            match Rateless_recon.window_of_bytes_opt ~cell_bytes b with
+            match Rateless_recon.window_of_bytes_opt b with
             | Some (lo, alice_hash, cells) ->
               let hi = lo + (Bytes.length cells / cell_bytes) in
               Some
-                (Rateless_recon.encode_window ~cell_bytes ~lo ~alice_hash
+                (Rateless_recon.encode_window ~lo ~alice_hash
                    ~cells:(crafted_window ~lo ~hi cells))
             | None -> Alcotest.fail "Alice's window did not parse"
           end
@@ -588,6 +588,101 @@ let test_rateless_crafted_stream_fails () =
   match Rateless_recon.run ~comm ~seed:rl_seed ~alice:(Iset.of_list [ rl_key ]) ~bob:Iset.empty () with
   | Ok _ -> Alcotest.fail "a stream whose first window was crafted decoded"
   | Error `Decode_failure -> ()
+
+(* Structure-aware mutations of a d = 64 stream's genuine "rateless-cells"
+   windows, which keep every cell's checksum valid and so reach the peeler
+   where random bytes do not: the second window's [lo] shifted, an earlier
+   window delivered again or late in place of a later one, and single
+   cells of the second window zeroed, swapped or copied. Each run must end
+   in [Ok] with Alice's set or in a typed [Error], with no more peels than
+   absorbed cells (counted by the decoder's rule over the windows that
+   parse). A window moved to the top of the index space must not make Bob
+   allocate by that index. *)
+let test_rateless_structural_mutations () =
+  let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0xE8) in
+  let keys = Iset.to_array (Iset.random_subset rng ~universe:(1 lsl 30) ~size:432) in
+  let bob = Iset.of_list (Array.to_list (Array.sub keys 0 400)) in
+  let alice = Iset.of_list (Array.to_list (Array.sub keys 32 400)) in
+  let cb = Rateless.cell_bytes in
+  let parse w =
+    match Rateless_recon.window_of_bytes_opt w with
+    | Some window -> window
+    | None -> Alcotest.fail "Alice's window did not parse"
+  in
+  let move_lo f w =
+    let lo, alice_hash, cells = parse w in
+    Some (Rateless_recon.encode_window ~lo:(f lo (Bytes.length cells / cb)) ~alice_hash ~cells)
+  in
+  let edit_cells f w =
+    let lo, alice_hash, cells = parse w in
+    f cells;
+    Some (Rateless_recon.encode_window ~lo ~alice_hash ~cells)
+  in
+  let cell c i = Bytes.sub c (i * cb) cb and put c i v = Bytes.blit v 0 c (i * cb) cb in
+  (* [rewrite sent k]: what Bob gets in cycle [k], given every window Alice
+     has sent so far, newest first. *)
+  let second f sent k = if k = 1 then f (List.hd sent) else Some (List.hd sent) in
+  let cases =
+    [
+      ("lo - 1", second (move_lo (fun lo _ -> lo - 1)));
+      ("lo + 1", second (move_lo (fun lo _ -> lo + 1)));
+      ("lo + count", second (move_lo (fun lo count -> lo + count)));
+      ("lo = max_index - count", second (move_lo (fun _ count -> Rateless.max_index - count)));
+      ("window delivered twice", fun sent k -> Some (List.nth sent (if k = 1 then 1 else 0)));
+      ( "window delivered late",
+        fun sent k -> if k = 1 then None else Some (List.nth sent (if k = 2 then 1 else 0)) );
+      ("cell zeroed", second (edit_cells (fun c -> Bytes.fill c 0 cb '\000')));
+      ( "cells swapped",
+        second
+          (edit_cells (fun c ->
+               let c0 = cell c 0 in
+               put c 0 (cell c 1);
+               put c 1 c0)) );
+      ("cell duplicated", second (edit_cells (fun c -> put c 1 (cell c 0))));
+    ]
+  in
+  List.iter
+    (fun (name, rewrite) ->
+      let comm = Comm.create () in
+      let sent = ref [] and absorbed = ref 0 and next = ref 0 in
+      Comm.set_transport comm
+        {
+          Comm.transmit =
+            (fun _ ~label b ->
+              if label <> "rateless-cells" then Some b
+              else begin
+                sent := b :: !sent;
+                let delivered = rewrite !sent (List.length !sent - 1) in
+                (match Option.bind delivered Rateless_recon.window_of_bytes_opt with
+                | Some (lo, _, cells) ->
+                  let stop = min (lo + (Bytes.length cells / cb)) Rateless.max_index in
+                  if max lo !next < stop then begin
+                    absorbed := !absorbed + stop - max lo !next;
+                    next := stop
+                  end
+                | None -> ());
+                delivered
+              end);
+          overhead_bits = 0;
+        };
+      let bytes0 = Gc.allocated_bytes () in
+      let result, peels =
+        counter_delta "rateless.peeled" (fun () ->
+            Rateless_recon.run ~comm ~seed ~max_cells:4096 ~alice ~bob ())
+      in
+      let bytes = Gc.allocated_bytes () -. bytes0 in
+      (match result with
+      | Ok o ->
+        Alcotest.(check bool)
+          (name ^ ": Ok is Alice's set")
+          true
+          (Iset.equal o.Ssr_setrecon.Set_recon.recovered alice)
+      | Error `Decode_failure -> ());
+      if peels > !absorbed then
+        Alcotest.failf "%s: %d peels from %d absorbed cells" name peels !absorbed;
+      (* One byte per index up to 2^26 would be 64 MB. *)
+      if bytes > 8e6 then Alcotest.failf "%s: allocated %.0f bytes" name bytes)
+    cases
 
 (* Bob checks the whole-set hash the windows deliver, not Alice's: a
    transport that flips one bit of that field in every window must end
@@ -634,36 +729,36 @@ let test_direct_payload_parsers_fuzz () =
 let test_rateless_wire_fuzz () =
   let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0xE6) in
   let src = Rateless.source_of_ints ~seed (Array.init 64 (fun i -> i * 3)) in
-  let cell_bytes = Rateless.source_cell_bytes src in
+  let cell_bytes = Rateless.cell_bytes in
   let good =
-    Rateless_recon.encode_window ~cell_bytes ~lo:7 ~alice_hash:0x1234
+    Rateless_recon.encode_window ~lo:7 ~alice_hash:0x1234
       ~cells:(Rateless.cells src ~lo:7 ~hi:19)
   in
-  (match Rateless_recon.window_of_bytes_opt ~cell_bytes good with
+  (match Rateless_recon.window_of_bytes_opt good with
   | Some (7, 0x1234, cells) ->
     Alcotest.(check int) "cells round-trip" (12 * cell_bytes) (Bytes.length cells)
   | _ -> Alcotest.fail "canonical window must parse");
   (* Truncations and a trailing byte. *)
   for n = 0 to Bytes.length good - 1 do
-    if Rateless_recon.window_of_bytes_opt ~cell_bytes (Bytes.sub good 0 n) <> None then
+    if Rateless_recon.window_of_bytes_opt (Bytes.sub good 0 n) <> None then
       Alcotest.failf "window truncation to %d bytes accepted" n
   done;
   Alcotest.(check bool) "window trailing byte rejected" true
-    (Rateless_recon.window_of_bytes_opt ~cell_bytes (Bytes.cat good (Bytes.make 1 'x')) = None);
+    (Rateless_recon.window_of_bytes_opt (Bytes.cat good (Bytes.make 1 'x')) = None);
   (* A huge claimed count must be rejected before any allocation. *)
   let huge = Bytes.copy good in
   Bytes.set_int32_le huge 4 0xFFFF_FFFFl;
   Alcotest.(check bool) "huge claimed count rejected" true
-    (Rateless_recon.window_of_bytes_opt ~cell_bytes huge = None);
+    (Rateless_recon.window_of_bytes_opt huge = None);
   (* A window claiming to extend past the stream bound is rejected. *)
   let far = Bytes.copy good in
   Bytes.set_int32_le far 0 (Int32.of_int (Rateless.max_index - 1));
   Alcotest.(check bool) "window past max_index rejected" true
-    (Rateless_recon.window_of_bytes_opt ~cell_bytes far = None);
+    (Rateless_recon.window_of_bytes_opt far = None);
   (* Single-byte corruptions of a genuine window, then pure noise: Some or
      None, never raise; an accepted parse's cells stay length-consistent. *)
   let check_total b =
-    match Rateless_recon.window_of_bytes_opt ~cell_bytes b with
+    match Rateless_recon.window_of_bytes_opt b with
     | None -> ()
     | Some (lo, _hash, cells) ->
       if lo < 0 || Bytes.length cells mod cell_bytes <> 0 then
@@ -967,6 +1062,8 @@ let () =
             test_rateless_crafted_window_terminates;
           Alcotest.test_case "rateless crafted stream fails" `Quick
             test_rateless_crafted_stream_fails;
+          Alcotest.test_case "rateless structural mutations" `Quick
+            test_rateless_structural_mutations;
           Alcotest.test_case "server wire fuzz" `Quick test_server_wire_fuzz;
         ] );
       ( "domain-safety",

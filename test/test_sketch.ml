@@ -1012,7 +1012,7 @@ let rl_seed = 0x7A7E5EEDL
 
 let test_rateless_slicing_stable () =
   let src = Rateless.source_of_ints ~seed:rl_seed (Array.init 500 (fun i -> (i * 7) + 1)) in
-  let cb = Rateless.source_cell_bytes src in
+  let cb = Rateless.cell_bytes in
   let whole = Rateless.cells src ~lo:0 ~hi:96 in
   Alcotest.(check int) "window width" (96 * cb) (Bytes.length whole);
   let buf = Buffer.create (96 * cb) in
@@ -1067,6 +1067,78 @@ let test_rateless_walk_resumes () =
     later resumed;
   Alcotest.(check string) "schedule digest" "7ff7fc25028cc1532c693973bc0bf915"
     (Digest.to_hex (Digest.bytes (Bytes.concat Bytes.empty (ramp @ resumed))))
+
+(* The skip table against the float formula. For every member m up to
+   63 (the table's rows and past them) and every k < 300 (its cells and
+   past them), the least draw at which the next member is <= k is the
+   integer quotient ceil((m+1)(m+2) 2^32 / ((k+1)(k+2))): the float formula
+   must say so one draw either side, and [skip] must agree with it there
+   and one draw past; then at both ends of every top-byte bucket of the
+   draw, and at 10^6 random (m, draw) pairs. *)
+let test_rateless_skip_table_exact () =
+  let draws = 1 lsl 32 in
+  let agree m r =
+    if r >= 1 && r <= draws && Rateless.skip m r <> Rateless.skip_float m r then
+      Alcotest.failf "skip %d %d = %d, float formula %d" m r (Rateless.skip m r)
+        (Rateless.skip_float m r)
+  in
+  for m = -1 to 63 do
+    for k = m + 1 to 299 do
+      let p = (k + 1) * (k + 2) in
+      let t = ((((m + 1) * (m + 2)) lsl 32) + p - 1) / p in
+      if t >= 1 && Rateless.skip_float m t > k then Alcotest.failf "T(%d, %d) = %d too low" m k t;
+      if t >= 2 && Rateless.skip_float m (t - 1) <= k then
+        Alcotest.failf "T(%d, %d) = %d too high" m k t;
+      List.iter (agree m) [ t - 1; t; t + 1 ]
+    done;
+    for b = 0 to 255 do
+      agree m ((b lsl 24) + 1);
+      agree m ((b + 1) lsl 24)
+    done
+  done;
+  let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:0x5C1B) in
+  for _ = 1 to 1_000_000 do
+    agree (Prng.int_below rng 97 - 1) (1 + Prng.int_below rng draws)
+  done
+
+(* A decoder resumes each peeled key's walk as its source resumes the
+   pool's: absorbing a 2e4-key, d = 2048 stream as the doubling ramp
+   [0,32) ... [2016,4064) walks the pool and the peeled keys exactly as
+   many steps as absorbing [0,4064) at once, and decodes the same
+   difference. A key re-walked from cell 0 on each absorb takes more. *)
+let test_rateless_decoder_walks_resume () =
+  let module Metrics = Ssr_obs.Metrics in
+  let bob = Array.init 20_000 (fun i -> (i * 13) + 5) in
+  let alice = Array.init 20_000 (fun i -> if i < 1024 then (i * 13) + 7 else bob.(i)) in
+  let stream = Rateless.cells (Rateless.source_of_ints ~seed:rl_seed alice) ~lo:0 ~hi:4064 in
+  let cb = Rateless.cell_bytes in
+  let absorb windows =
+    let dec = Rateless.decoder_of_ints ~seed:rl_seed bob in
+    let before = Metrics.snapshot () in
+    List.iter
+      (fun (lo, hi) ->
+        ignore (Rateless.absorb dec ~lo (Bytes.sub stream (lo * cb) ((hi - lo) * cb))))
+      windows;
+    let d = Metrics.diff ~before ~after:(Metrics.snapshot ()) in
+    ( Metrics.counter_value d "rateless.walk_steps",
+      Metrics.counter_value d "rateless.key_walk_steps",
+      Option.map
+        (fun (pos, neg) -> (List.sort compare pos, List.sort compare neg))
+        (Rateless.decoded_ints dec) )
+  in
+  let pool, keys, decoded = absorb [ (0, 4064) ] in
+  let pool', keys', decoded' =
+    absorb [ (0, 32); (32, 96); (96, 224); (224, 480); (480, 992); (992, 2016); (2016, 4064) ]
+  in
+  (match decoded with
+  | Some (pos, neg) ->
+    Alcotest.(check (list int)) "alice-only" (Array.to_list (Array.sub alice 0 1024)) pos;
+    Alcotest.(check (list int)) "bob-only" (Array.to_list (Array.sub bob 0 1024)) neg
+  | None -> Alcotest.fail "one window did not decode");
+  Alcotest.(check bool) "the ramp decodes the same" true (decoded = decoded');
+  Alcotest.(check bool) "peeled keys walk" true (keys > 2048);
+  Alcotest.(check int) "pool steps" pool pool';
+  Alcotest.(check int) "key-walk steps" keys keys'
 
 (* Drive a decode: Alice = [0, n), Bob = [d, n + d), windows of [w] cells,
    [drop] selects lost windows by window number. Returns the sorted decoded
@@ -1281,6 +1353,9 @@ let () =
         [
           Alcotest.test_case "slicing stable" `Quick test_rateless_slicing_stable;
           Alcotest.test_case "walks resume across windows" `Quick test_rateless_walk_resumes;
+          Alcotest.test_case "skip table is exact" `Quick test_rateless_skip_table_exact;
+          Alcotest.test_case "decoder walks resume across windows" `Quick
+            test_rateless_decoder_walks_resume;
           Alcotest.test_case "decodes the difference" `Quick test_rateless_decodes_difference;
           Alcotest.test_case "equal pools decode empty" `Quick test_rateless_equal_pools;
           Alcotest.test_case "monotone in prefix" `Quick test_rateless_monotone_in_prefix;
