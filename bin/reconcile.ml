@@ -863,7 +863,7 @@ let run_server seed clients shards shard_size delta batches drop smoke =
   let r = Load_gen.run cfg in
   let ok = r.Load_gen.failed = 0 in
   Printf.printf
-    "server: %s  %d/%d sessions ok, %d rejected tries, %d escalations, %d mutations\n"
+    "server: %s  %d/%d sessions ok, %d rejected tries, %d More windows, %d mutations\n"
     (if ok then "RECOVERED" else "FAILED")
     r.Load_gen.completed r.Load_gen.clients r.Load_gen.rejected_tries r.Load_gen.escalations
     r.Load_gen.mutations_applied;
@@ -872,6 +872,8 @@ let run_server seed clients shards shard_size delta batches drop smoke =
      wall=%.2f ms\n"
     r.Load_gen.sessions_per_sec r.Load_gen.p50_us r.Load_gen.p99_us
     (r.Load_gen.elapsed_us / 1000) (wall_ms ());
+  Printf.printf "server: %d wire bytes (%d per session)\n" r.Load_gen.wire_bytes
+    (r.Load_gen.wire_bytes / max 1 r.Load_gen.clients);
   Printf.printf "server: transcript digest %s\n" r.Load_gen.transcript_digest;
   if ok then 0 else 1
 

@@ -1,4 +1,4 @@
-module Iblt = Ssr_sketch.Iblt
+module Rateless = Ssr_sketch.Rateless
 module L0 = Ssr_sketch.L0_estimator
 module Hashing = Ssr_util.Hashing
 module Clock = Ssr_transport.Clock
@@ -7,9 +7,9 @@ module Base = struct
   type t = {
     server_seed : int64;
     shard : int;
-    rung_caps : int array;
-    check_bits : int;
-    rungs : Iblt.t array;
+    seed : int64;  (* the prefix's stream seed *)
+    cells : int;  (* N *)
+    prefix : Bytes.t;  (* cells [0, N) of the members' stream *)
     l0 : L0.t;
     fn : Hashing.fn;
     xor : int;
@@ -17,20 +17,14 @@ module Base = struct
   }
 
   let create ~server_seed ~shard ~rung_caps ~check_bits ~members =
-    let rungs =
-      Array.init (Array.length rung_caps) (fun r ->
-          let t =
-            Iblt.create ~check_bits
-              (Shard.rung_params ~server_seed ~shard ~rung:r ~cap:rung_caps.(r))
-          in
-          Iblt.add_all_ints t members;
-          t)
-    in
+    let cells = Shard.prefix_cells ~rung_caps ~check_bits in
+    let seed = Shard.prefix_seed ~server_seed ~shard in
+    let prefix = Rateless.cells (Rateless.source_of_ints ~seed members) ~lo:0 ~hi:cells in
     let l0 = L0.create ~seed:(Shard.l0_seed ~server_seed ~shard) () in
     L0.update_all l0 L0.S2 members;
     let fn = Shard.hash_fn ~server_seed ~shard in
     let xor = Array.fold_left (fun acc x -> acc lxor Hashing.hash_int fn x) 0 members in
-    { server_seed; shard; rung_caps; check_bits; rungs; l0; fn; xor; n = Array.length members }
+    { server_seed; shard; seed; cells; prefix; l0; fn; xor; n = Array.length members }
 
   let cardinality t = t.n
 end
@@ -54,8 +48,11 @@ type t = {
   my_n : int;
   req_timeout_us : int;
   max_retries : int;
+  writer : Rateless.writer;
+  (* The difference absorbed so far; its [next_index] is where the next
+     window must start. *)
+  dec : Rateless.decoder;
   mutable state : state;
-  mutable rung : int;  (* last rung received; -1 before the first Sketch *)
   mutable outstanding : Bytes.t option;
   mutable timer_gen : int;
   mutable first_send_us : int;
@@ -67,7 +64,7 @@ type t = {
   mutable outcome : outcome;
   mutable diff : (int list * int list) option;
   mutable mut_ack : int option;
-  (* The epoch the server pinned for this session, from the first Sketch. *)
+  (* The epoch the server pinned for this session, from the first window. *)
   mutable epoch_version : int;
   mutable epoch_xor : int;
   mutable epoch_n : int;
@@ -96,8 +93,9 @@ let create ~clock ~send ~base ~session ~added ~removed ?(req_timeout_us = 500_00
     my_n = base.Base.n + Array.length added - Array.length removed;
     req_timeout_us;
     max_retries;
+    writer = Rateless.writer ~seed:base.Base.seed;
+    dec = Rateless.decoder_of_ints ~seed:base.Base.seed [||];
     state = Idle;
-    rung = -1;
     outstanding = None;
     timer_gen = 0;
     first_send_us = -1;
@@ -163,71 +161,52 @@ let start t = if t.state = Idle && t.outcome = Pending then send_req t
 
 let mutate t ~add ~key = t.send (packet t (Wire.Mutate { add; key }))
 
-let num_rungs t = Array.length t.base.Base.rung_caps
-
 let send_done t ok =
   t.done_ok <- ok;
-  if not ok then t.fail_reason <- "ladder exhausted";
+  if not ok then t.fail_reason <- "stream exhausted";
   t.state <- Awaiting_fin;
   send_proto t (packet t (Wire.Done { ok }))
 
-let escalate t =
-  let next = t.rung + 1 in
-  if next >= num_rungs t then send_done t false
-  else begin
-    t.escalations <- t.escalations + 1;
-    t.state <- Awaiting_sketch;
-    send_proto t (packet t (Wire.Escalate { rung = next }))
-  end
+let verified t ~client_only ~server_only =
+  let fn = t.base.Base.fn in
+  xor_fold fn (xor_fold fn t.my_xor client_only) server_only = t.epoch_xor
+  && t.my_n - List.length client_only + List.length server_only = t.epoch_n
 
-(* Build this client's copy of rung [r]: base table + delta, O(cells +
-   |delta| * k) — never a rebuild from the member set. *)
-let my_rung t r =
-  let table = Iblt.copy t.base.Base.rungs.(r) in
-  Iblt.add_all_ints table t.added;
-  Iblt.delete_all_ints table t.removed;
-  table
-
-let handle_sketch t ~rung ~version ~n ~xor_hash ~cells ~k ~check_bits ~body =
-  if rung <= t.rung || rung >= num_rungs t then () (* duplicate or nonsense: drop *)
-  else if t.rung >= 0 && (version <> t.epoch_version || xor_hash <> t.epoch_xor || n <> t.epoch_n)
+(* One window of the pinned prefix: subtract this client's own cells
+   (its base window, then its added and removed keys), absorb what is
+   left, and accept only a decode that reproduces the snapshot's XOR hash
+   and cardinality. *)
+let handle_window t ~version ~n ~xor_hash ~lo ~cells =
+  let base = t.base in
+  let have = Rateless.next_index t.dec in
+  let hi = lo + (Bytes.length cells / Rateless.cell_bytes) in
+  if lo <> have || hi <= lo || hi > base.Base.cells then () (* duplicate or nonsense: drop *)
+  else if have > 0 && (version <> t.epoch_version || xor_hash <> t.epoch_xor || n <> t.epoch_n)
   then fail t "epoch changed mid-session"
   else begin
-    if t.rung < 0 then begin
+    if have = 0 then begin
       t.epoch_version <- version;
       t.epoch_xor <- xor_hash;
       t.epoch_n <- n
     end;
-    let prm =
-      Shard.rung_params ~server_seed:t.base.Base.server_seed ~shard:t.base.Base.shard ~rung
-        ~cap:t.base.Base.rung_caps.(rung)
-    in
-    if cells <> prm.cells || k <> prm.k || check_bits <> t.base.Base.check_bits then
-      fail t "sketch params mismatch"
-    else
-      match Iblt.of_body_bytes_opt ~check_bits prm body with
-      | None -> fail t "undecodable sketch body"
-      | Some server_table ->
-        t.rung <- rung;
-        invalidate_timer t;
-        t.outstanding <- None;
-        let delta = Iblt.subtract (my_rung t rung) server_table in
-        (match Iblt.decode_ints delta with
-        | Error `Peel_stuck -> escalate t
-        | Ok (client_only, server_only) ->
-          let fn = t.base.Base.fn in
-          let xor_ok =
-            xor_fold fn (xor_fold fn t.my_xor client_only) server_only = t.epoch_xor
-          in
-          let n_ok = t.my_n - List.length client_only + List.length server_only = t.epoch_n in
-          if xor_ok && n_ok then begin
-            t.diff <- Some (List.sort compare client_only, List.sort compare server_only);
-            send_done t true
-          end
-          else
-            (* The peel produced a consistent-looking but wrong answer
-               (checksum-width collision): a larger rung decides. *)
-            escalate t)
+    invalidate_timer t;
+    t.outstanding <- None;
+    Rateless.subtract cells base.Base.prefix ~off:(lo * Rateless.cell_bytes);
+    Array.iter (fun x -> Rateless.write_int t.writer ~sign:(-1) x ~lo ~hi cells) t.added;
+    Array.iter (fun x -> Rateless.write_int t.writer ~sign:1 x ~lo ~hi cells) t.removed;
+    ignore (Rateless.absorb t.dec ~lo cells);
+    match Rateless.decoded_ints t.dec with
+    | Some (server_only, client_only) when verified t ~client_only ~server_only ->
+      t.diff <- Some (List.sort compare client_only, List.sort compare server_only);
+      send_done t true
+    | Some _ | None ->
+      (* Stuck, or a candidate the hashes refuse (a false-pure peel): more
+         cells decide, up to the end of the prefix. *)
+      if hi >= base.Base.cells then send_done t false
+      else begin
+        t.escalations <- t.escalations + 1;
+        send_proto t (packet t (Wire.More { have = hi }))
+      end
   end
 
 let on_receive t bytes =
@@ -247,9 +226,8 @@ let on_receive t bytes =
           (Clock.schedule t.clock
              ~at_us:(Clock.now_us t.clock + retry_after_us)
              (fun () -> if t.state = Idle && t.outcome = Pending then send_req t))
-      | Wire.Sketch { rung; version; n; xor_hash; cells; k; check_bits; body }, Awaiting_sketch
-        ->
-        handle_sketch t ~rung ~version ~n ~xor_hash ~cells ~k ~check_bits ~body
+      | Wire.Sketch { version; n; xor_hash; lo; body }, Awaiting_sketch ->
+        handle_window t ~version ~n ~xor_hash ~lo ~cells:body
       | Wire.Fin _, Awaiting_fin ->
         (* Correctness was decided locally (XOR + cardinality check);
            Fin only closes the session. A Fin{ok=false} for a
@@ -272,7 +250,7 @@ let on_receive t bytes =
               }
         else t.outcome <- Failed (if t.fail_reason = "" then "gave up" else t.fail_reason)
       | Wire.Fin { ok = false }, Awaiting_sketch -> fail t "server closed session"
-      | (Wire.Req _ | Wire.Escalate _ | Wire.Done _ | Wire.Mutate _), _
+      | (Wire.Req _ | Wire.More _ | Wire.Done _ | Wire.Mutate _), _
       | Wire.Reject _, _
       | Wire.Sketch _, _
       | Wire.Fin _, _ ->

@@ -1,22 +1,26 @@
 (** Simulated reconciliation client for the server protocol.
 
     Thousands of clients must be cheap to set up, so per-shard work is
-    shared: a {!Base.t} holds the client-side rung ladder, L0 estimator
+    shared: a {!Base.t} holds the client-side cell prefix, L0 estimator
     and XOR hash of a reference member set, built once per shard. Each
     client is the base plus a small delta ([added] keys disjoint from
-    the base, [removed] keys drawn from it): its rung tables are an
-    [Iblt.copy] of the base rung plus O(|delta| * k) updates, its L0 a
-    merge-copy with the delta applied (removals cancel the base's [S2]
-    count with an [S1] update), its hash two XOR folds.
+    the base, [removed] keys drawn from it): its cells for a window are
+    the base's plus one signed walk per delta key, its L0 a merge-copy
+    with the delta applied (removals cancel the base's [S2] count with an
+    [S1] update), its hash two XOR folds.
 
     The session state machine is driven entirely by virtual-clock events
     and {!on_receive}: send [Req] (with retransmission timers for lossy
     links), honour [Reject] by retrying after the server's
-    [retry_after_us], decode each [Sketch] against the pinned epoch the
-    server advertises, escalate up the ladder on a failed peel, verify
-    the decoded difference against the XOR hashes, and close with
-    [Done]/[Fin]. All messages are idempotent on both sides, so
-    duplicated or retransmitted packets are harmless. *)
+    [retry_after_us], and take each [Sketch] window of the pinned prefix
+    in turn. A window must start where the last one ended; the client
+    subtracts its own cells, absorbs the difference into a rateless
+    decoder with an empty pool, and accepts a decode only if it
+    reproduces the snapshot's XOR hash and cardinality. Otherwise it asks
+    for [More] (the server doubles the delivered prefix), and once the
+    prefix's N cells are in without a verified decode it gives up. The
+    session closes with [Done]/[Fin]. All messages are idempotent on both
+    sides, so duplicated or retransmitted packets are harmless. *)
 
 module Base : sig
   type t
@@ -29,7 +33,10 @@ module Base : sig
     members:int array ->
     t
   (** Build the shared client-side structures for a shard whose
-      reference set is [members] (distinct, non-negative). *)
+      reference set is [members] (distinct, non-negative): the prefix of
+      {!Shard.prefix_cells}[ ~rung_caps ~check_bits] cells in one pass
+      over [members]. Raises [Invalid_argument] where
+      {!Shard.prefix_cells} does. *)
 
   val cardinality : t -> int
 end
@@ -37,6 +44,7 @@ end
 type outcome =
   | Pending
   | Succeeded of { latency_us : int; diff : int; rejects : int; escalations : int }
+      (** [escalations]: [More] requests sent. *)
   | Failed of string
 
 type t

@@ -56,6 +56,7 @@ type report = {
   sessions_per_sec : float;
   p50_us : int;
   p99_us : int;
+  wire_bytes : int;
   transcript_digest : string;
 }
 
@@ -190,7 +191,7 @@ let run cfg =
   let lats = Array.of_list !latencies in
   Array.sort compare lats;
   let elapsed_us = Clock.now_us clock in
-  let buf = Buffer.create 65536 in
+  let buf = Buffer.create 65536 and wire_bytes = ref 0 in
   Array.iteri
     (fun i net ->
       match net with
@@ -199,6 +200,7 @@ let run cfg =
         Buffer.add_string buf (Printf.sprintf "client %d\n" i);
         List.iter
           (fun (d : Network.delivery) ->
+            wire_bytes := !wire_bytes + Bytes.length d.Network.bytes;
             Buffer.add_string buf
               (Printf.sprintf "%d/%d %c %d->%d %s\n" d.Network.index d.Network.copy
                  (match d.Network.direction with Comm.A_to_b -> '>' | Comm.B_to_a -> '<')
@@ -218,5 +220,6 @@ let run cfg =
       (if elapsed_us = 0 then 0. else float_of_int !completed *. 1e6 /. float_of_int elapsed_us);
     p50_us = percentile lats 50;
     p99_us = percentile lats 99;
+    wire_bytes = !wire_bytes;
     transcript_digest = Digest.to_hex (Digest.string (Buffer.contents buf));
   }

@@ -11,7 +11,8 @@
     Mutations toggle membership inside a bounded per-shard hot pool
     (disjoint from the base sets and the client deltas by key-range
     construction), so server/client drift stays under
-    [hot_pool + client_delta] and every session fits the ladder. The
+    [hot_pool + client_delta] and every session decodes well inside the
+    prefix. The
     generator tracks ground-truth counts (effective mutations, completed
     sessions) that CI compares against the atomic metrics registry: a
     mismatch under [--domains N] means lost updates. *)
@@ -52,6 +53,7 @@ type report = {
   sessions_per_sec : float;  (** Completed sessions per virtual second. *)
   p50_us : int;
   p99_us : int;
+  wire_bytes : int;  (** Bytes of every packet copy in every client's transcript, both ways. *)
   transcript_digest : string;  (** MD5 over every client's wire transcript. *)
 }
 

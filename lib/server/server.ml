@@ -1,4 +1,3 @@
-module Iblt = Ssr_sketch.Iblt
 module Clock = Ssr_transport.Clock
 module Par = Ssr_util.Par
 module Metrics = Ssr_obs.Metrics
@@ -39,6 +38,7 @@ let m_rejected = Metrics.counter "server.sessions.rejected"
 let m_expired = Metrics.counter "server.sessions.expired"
 let m_failed = Metrics.counter "server.sessions.failed"
 let m_escalations = Metrics.counter "server.sessions.escalations"
+let m_cells_sent = Metrics.counter "rateless.cells_sent"
 let m_mutations = Metrics.counter "server.mutations.applied"
 let g_active = Metrics.gauge "server.sessions.active"
 
@@ -47,7 +47,7 @@ type conn = { cid : int; reply : Bytes.t -> unit }
 type session = {
   conn : conn;
   snap : Shard.snapshot;
-  mutable rung : int;
+  mutable sent : int;  (* end of the last window served *)
   mutable last_reply : Bytes.t;
   mutable last_active_us : int;
 }
@@ -68,6 +68,7 @@ type shard_state = {
 
 type t = {
   cfg : config;
+  cells : int;  (* N, the cells of every shard's prefix *)
   clock : Clock.t;
   state : shard_state array;
   inbox : (conn * Bytes.t) Queue.t;
@@ -118,6 +119,7 @@ let create ~clock cfg =
   let t =
     {
       cfg;
+      cells = Shard.prefix_cells ~rung_caps:cfg.rung_caps ~check_bits:cfg.check_bits;
       clock;
       state =
         Array.init cfg.shards (fun id ->
@@ -172,34 +174,29 @@ let stats t =
     { opened = 0; completed = 0; rejected = 0; expired = 0; failed = 0; escalations = 0 }
     t.state
 
-(* Smallest rung whose capacity covers the estimate with a 2x safety
-   factor (estimator noise plus mutations landing before escalation);
-   the top rung catches everything else. *)
-let choose_rung caps est =
-  let n = Array.length caps in
-  let rec go i = if i >= n - 1 then n - 1 else if caps.(i) >= 2 * est then i else go (i + 1) in
-  go 0
-
-let sketch_reply ~shard_id ~session s =
-  let table = Shard.snap_rung s.snap s.rung in
-  let prm = Iblt.params table in
-  Wire.encode
-    {
-      shard = shard_id;
-      session;
-      msg =
-        Wire.Sketch
-          {
-            rung = s.rung;
-            version = Shard.snap_version s.snap;
-            n = Shard.snap_cardinality s.snap;
-            xor_hash = Shard.snap_xor_hash s.snap;
-            cells = prm.cells;
-            k = prm.k;
-            check_bits = Iblt.check_bits table;
-            body = Iblt.body_bytes table;
-          };
-    }
+(* Serve the pinned cells [s.sent, hi) and cache the reply for replays. *)
+let serve_window ~shard_id ~session s ~hi =
+  let lo = s.sent in
+  Metrics.add m_cells_sent (hi - lo);
+  let reply =
+    Wire.encode
+      {
+        shard = shard_id;
+        session;
+        msg =
+          Wire.Sketch
+            {
+              version = Shard.snap_version s.snap;
+              n = Shard.snap_cardinality s.snap;
+              xor_hash = Shard.snap_xor_hash s.snap;
+              lo;
+              body = Shard.snap_window s.snap ~lo ~hi;
+            };
+      }
+  in
+  s.sent <- hi;
+  s.last_reply <- reply;
+  reply
 
 (* One shard's packets for this round, in arrival order. Runs on a pump
    worker; touches only [ss] and returns the replies to emit. *)
@@ -246,38 +243,37 @@ let process_shard t ~now ss msgs =
                 {
                   conn = c;
                   snap = Shard.snapshot ss.sh;
-                  rung = choose_rung t.cfg.rung_caps est;
+                  sent = 0;
                   last_reply = Bytes.empty;
                   last_active_us = now;
                 }
               in
-              let reply = sketch_reply ~shard_id ~session:p.session s in
-              s.last_reply <- reply;
+              (* Twice the estimate, as Resilient's rateless rung opens. *)
+              let reply =
+                serve_window ~shard_id ~session:p.session s ~hi:(min t.cells (max 32 (2 * est)))
+              in
               Hashtbl.replace ss.sessions key s;
               ss.st_opened <- ss.st_opened + 1;
               Metrics.incr m_opened;
               push c reply
           end)
-      | Wire.Escalate { rung } -> (
+      | Wire.More { have } -> (
         let key = session_key c p.session in
         match Hashtbl.find_opt ss.sessions key with
         | None -> reply_fin c ~session:p.session false
         | Some s ->
           s.last_active_us <- now;
-          if rung <= s.rung then
-            (* Retransmitted escalation (or a stale one): replay. *)
+          if have < s.sent then
+            (* Retransmitted request (or a stale one): replay. *)
             push c s.last_reply
-          else if rung = s.rung + 1 && rung < Shard.snap_num_rungs s.snap then begin
-            s.rung <- rung;
+          else if have = s.sent && have < t.cells then begin
             ss.st_escalations <- ss.st_escalations + 1;
             Metrics.incr m_escalations;
-            let reply = sketch_reply ~shard_id ~session:p.session s in
-            s.last_reply <- reply;
-            push c reply
+            push c (serve_window ~shard_id ~session:p.session s ~hi:(min t.cells (2 * have)))
           end
           else begin
-            (* Ladder exhausted or a rung skip: the session cannot make
-               progress against this snapshot. *)
+            (* Past the prefix, or past what was served: the session
+               cannot make progress against this snapshot. *)
             Hashtbl.remove ss.sessions key;
             ss.st_failed <- ss.st_failed + 1;
             Metrics.incr m_failed;

@@ -15,18 +15,23 @@
 
     Sessions are pinned to an epoch {!Shard.snapshot} taken when their
     [Req] is admitted: later mutations never change what a running
-    session is told. Admission is bounded per shard (session-table size
-    and per-round admissions); an over-limit [Req] is answered with a
-    deterministic [Reject] carrying [retry_after_us]. Every reply is
-    cached per session, so a retransmitted request is answered
-    idempotently. Idle sessions are swept by a periodic virtual-time
-    event. *)
+    session is told. Admission answers with the window [\[0, w)] of the
+    pinned prefix, [w = min N (max 32 (2 est))] for the L0 estimate
+    [est] of the difference; each [More { have }] with [have] the end of
+    the last window served is answered with [\[have, min N (2 have))],
+    from the same snapshot. A [More] at or past N, or past what was
+    served, closes the session with [Fin { ok = false }]. Admission is
+    bounded per shard (session-table size and per-round admissions); an
+    over-limit [Req] is answered with a deterministic [Reject] carrying
+    [retry_after_us]. Every reply is cached per session, so a
+    retransmitted request is answered idempotently. Idle sessions are
+    swept by a periodic virtual-time event. *)
 
 type config = {
   seed : int64;
   shards : int;
-  rung_caps : int array;
-  check_bits : int;
+  rung_caps : int array;  (** The prefix holds twice the largest entry, in cells. *)
+  check_bits : int;  (** Must be 32, the rateless cell's checksum width. *)
   max_sessions_per_shard : int;  (** Session-table bound per shard. *)
   admissions_per_round : int;  (** New sessions admitted per shard per pump round. *)
   retry_after_us : int;  (** Returned in [Reject]. *)
@@ -41,6 +46,9 @@ type t
 type conn
 
 val create : clock:Ssr_transport.Clock.t -> config -> t
+(** Raises [Invalid_argument] on a bad shard count, session bound,
+    [rung_caps] or [check_bits] ({!Shard.prefix_cells}). *)
+
 val config : t -> config
 
 val connect : t -> reply:(Bytes.t -> unit) -> conn
@@ -74,7 +82,7 @@ type stats = {
   rejected : int;
   expired : int;
   failed : int;
-  escalations : int;
+  escalations : int;  (** [More] windows served. *)
 }
 
 val stats : t -> stats

@@ -1,4 +1,4 @@
-module Iblt = Ssr_sketch.Iblt
+module Rateless = Ssr_sketch.Rateless
 module L0 = Ssr_sketch.L0_estimator
 module Hashing = Ssr_util.Hashing
 module Prng = Ssr_util.Prng
@@ -6,28 +6,28 @@ module Metrics = Ssr_obs.Metrics
 
 type mutation = Add of int | Remove of int
 
-let default_rung_caps = [| 16; 64; 256; 1024 |]
+let default_rung_caps = [| 1024 |]
 
 let m_applied = Metrics.counter "server.shard.applied"
 let m_noop = Metrics.counter "server.shard.noop"
 let m_refreshes = Metrics.counter "server.shard.refreshes"
 let m_snapshots = Metrics.counter "server.shard.snapshots"
 
+let prefix_cells ~rung_caps ~check_bits =
+  if check_bits <> 32 then
+    invalid_arg "Shard: check_bits must be 32, the rateless cell's checksum width";
+  let top = Array.fold_left max 0 rung_caps in
+  if Array.exists (fun c -> c < 1) rung_caps || top < 1 || 2 * top > Rateless.max_index then
+    invalid_arg "Shard: rung_caps must be non-empty, positive and within the stream";
+  2 * top
+
 (* Seed derivation: every sketch seed is a pure function of the server
-   seed and the (shard, rung) coordinates, so a client rebuilds
-   byte-compatible sketches from configuration alone. *)
+   seed and the shard, so a client rebuilds byte-compatible sketches from
+   configuration alone. *)
 let shard_seed ~server_seed ~shard ~tag =
   Prng.derive ~seed:(Prng.derive ~seed:server_seed ~tag:(0x5D00 + shard)) ~tag
 
-let rung_seed ~server_seed ~shard ~rung = shard_seed ~server_seed ~shard ~tag:(0x0100 + rung)
-
-let rung_params ~server_seed ~shard ~rung ~cap : Iblt.params =
-  {
-    cells = Iblt.recommended_cells ~k:4 ~diff_bound:cap;
-    k = 4;
-    key_len = 8;
-    seed = rung_seed ~server_seed ~shard ~rung;
-  }
+let prefix_seed ~server_seed ~shard = shard_seed ~server_seed ~shard ~tag:0x0200
 
 let hash_fn ~server_seed ~shard =
   Hashing.make ~seed:(shard_seed ~server_seed ~shard ~tag:0x0A5A) ~tag:0x5E44
@@ -37,10 +37,10 @@ let l0_seed ~server_seed ~shard = shard_seed ~server_seed ~shard ~tag:0x0B1B
 type t = {
   id : int;
   server_seed : int64;
-  check_bits : int;
-  caps : int array;
   members : (int, unit) Hashtbl.t;
-  ladder : Iblt.t array;
+  cells : int;
+  prefix : Bytes.t;  (* cells [0, cells) of the members' stream *)
+  writer : Rateless.writer;
   fn : Hashing.fn;
   mutable l0 : L0.t;
   (* Keys removed since the last estimator refresh: still counted in the
@@ -57,17 +57,15 @@ type t = {
 
 let create ~server_seed ~id ?(rung_caps = default_rung_caps) ?(check_bits = 32)
     ?(refresh_every = 4096) ?(tainted_max = 64) () =
-  if Array.length rung_caps = 0 then invalid_arg "Shard.create: empty rung ladder";
+  let cells = prefix_cells ~rung_caps ~check_bits in
   if refresh_every < 1 || tainted_max < 0 then invalid_arg "Shard.create: bad refresh bounds";
   {
     id;
     server_seed;
-    check_bits;
-    caps = Array.copy rung_caps;
     members = Hashtbl.create 1024;
-    ladder =
-      Array.init (Array.length rung_caps) (fun r ->
-          Iblt.create ~check_bits (rung_params ~server_seed ~shard:id ~rung:r ~cap:rung_caps.(r)));
+    cells;
+    prefix = Bytes.make (cells * Rateless.cell_bytes) '\000';
+    writer = Rateless.writer ~seed:(prefix_seed ~server_seed ~shard:id);
     fn = hash_fn ~server_seed ~shard:id;
     l0 = L0.create ~seed:(l0_seed ~server_seed ~shard:id) ();
     tainted = Hashtbl.create 64;
@@ -95,8 +93,6 @@ let members t =
     t.members;
   out
 
-let num_rungs t = Array.length t.ladder
-let rung_caps t = Array.copy t.caps
 let refreshes t = t.refreshes
 let tainted_count t = Hashtbl.length t.tainted
 
@@ -123,7 +119,7 @@ let apply t m =
       if Hashtbl.mem t.members x then false
       else begin
         Hashtbl.replace t.members x ();
-        Array.iter (fun rung -> Iblt.insert_int rung x) t.ladder;
+        Rateless.write_int t.writer ~sign:1 x ~lo:0 ~hi:t.cells t.prefix;
         t.xor_hash <- t.xor_hash lxor Hashing.hash_int t.fn x;
         if Hashtbl.mem t.tainted x then Hashtbl.remove t.tainted x
         else L0.update t.l0 L0.S1 x;
@@ -132,7 +128,7 @@ let apply t m =
     | Remove x ->
       if Hashtbl.mem t.members x then begin
         Hashtbl.remove t.members x;
-        Array.iter (fun rung -> Iblt.delete_int rung x) t.ladder;
+        Rateless.write_int t.writer ~sign:(-1) x ~lo:0 ~hi:t.cells t.prefix;
         t.xor_hash <- t.xor_hash lxor Hashing.hash_int t.fn x;
         Hashtbl.replace t.tainted x ();
         true
@@ -155,12 +151,7 @@ let estimate_diff t ~client_l0 =
   let merged = L0.merge t.l0 client_l0 in
   L0.query merged + Hashtbl.length t.tainted
 
-type snapshot = {
-  s_version : int;
-  s_n : int;
-  s_xor_hash : int;
-  s_ladder : Iblt.t array;
-}
+type snapshot = { s_version : int; s_n : int; s_xor_hash : int; s_prefix : Bytes.t }
 
 let snapshot t =
   Metrics.incr m_snapshots;
@@ -168,15 +159,15 @@ let snapshot t =
     s_version = t.version;
     s_n = Hashtbl.length t.members;
     s_xor_hash = t.xor_hash;
-    s_ladder = Array.map Iblt.copy t.ladder;
+    s_prefix = Bytes.copy t.prefix;
   }
 
 let snap_version s = s.s_version
 let snap_cardinality s = s.s_n
 let snap_xor_hash s = s.s_xor_hash
 
-let snap_rung s i =
-  if i < 0 || i >= Array.length s.s_ladder then invalid_arg "Shard.snap_rung: rung out of range";
-  s.s_ladder.(i)
-
-let snap_num_rungs s = Array.length s.s_ladder
+let snap_window s ~lo ~hi =
+  let cb = Rateless.cell_bytes in
+  if lo < 0 || hi < lo || hi * cb > Bytes.length s.s_prefix then
+    invalid_arg "Shard.snap_window: outside the prefix";
+  Bytes.sub s.s_prefix (lo * cb) ((hi - lo) * cb)

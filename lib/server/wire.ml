@@ -1,19 +1,11 @@
 module Buf = Ssr_util.Buf
+module Rateless = Ssr_sketch.Rateless
 
 type msg =
   | Req of { l0 : Bytes.t }
   | Reject of { retry_after_us : int }
-  | Sketch of {
-      rung : int;
-      version : int;
-      n : int;
-      xor_hash : int;
-      cells : int;
-      k : int;
-      check_bits : int;
-      body : Bytes.t;
-    }
-  | Escalate of { rung : int }
+  | Sketch of { version : int; n : int; xor_hash : int; lo : int; body : Bytes.t }
+  | More of { have : int }
   | Done of { ok : bool }
   | Fin of { ok : bool }
   | Mutate of { add : bool; key : int }
@@ -28,11 +20,15 @@ let max_l0_bytes = 8192
 
 let header_len = 7
 
+(* Sketch: header | version 8 | n u32 | xor_hash 8 | lo u32 | count u32 |
+   body (count cells), which starts at this offset. *)
+let body_off = header_len + 28
+
 let tag_of_msg = function
   | Req _ -> 1
   | Reject _ -> 2
   | Sketch _ -> 3
-  | Escalate _ -> 4
+  | More _ -> 4
   | Done _ -> 5
   | Fin _ -> 6
   | Mutate _ -> 7
@@ -53,8 +49,9 @@ let encode { shard; session; msg } =
       if Bytes.length l0 > max_l0_bytes then invalid_arg "Wire.encode: oversized l0";
       2 + Bytes.length l0
     | Reject _ -> 4
-    | Sketch { body; _ } -> 1 + 8 + 4 + 8 + 4 + 1 + 1 + 4 + Bytes.length body
-    | Escalate _ | Done _ | Fin _ -> 1
+    | Sketch { body; _ } -> body_off - header_len + Bytes.length body
+    | More _ -> 4
+    | Done _ | Fin _ -> 1
     | Mutate _ -> 9
     | Mut_ack _ -> 8
   in
@@ -69,27 +66,23 @@ let encode { shard; session; msg } =
   | Reject { retry_after_us } ->
     check_u ~what:"retry_after_us" retry_after_us 32;
     set_u32 b 7 retry_after_us
-  | Sketch { rung; version; n; xor_hash; cells; k; check_bits; body } ->
-    check_u ~what:"rung" rung 8;
+  | Sketch { version; n; xor_hash; lo; body } ->
     check_u ~what:"version" version 62;
     check_u ~what:"n" n 32;
     check_u ~what:"xor_hash" xor_hash 62;
-    check_u ~what:"cells" cells 32;
-    check_u ~what:"k" k 8;
-    if not (List.mem check_bits [ 8; 16; 32; 62 ]) then
-      invalid_arg "Wire.encode: bad check_bits";
-    Bytes.set_uint8 b 7 rung;
-    Buf.set_int_le b 8 version;
-    set_u32 b 16 n;
-    Buf.set_int_le b 20 xor_hash;
-    set_u32 b 28 cells;
-    Bytes.set_uint8 b 32 k;
-    Bytes.set_uint8 b 33 check_bits;
-    set_u32 b 34 (Bytes.length body);
-    Bytes.blit body 0 b 38 (Bytes.length body)
-  | Escalate { rung } ->
-    check_u ~what:"rung" rung 8;
-    Bytes.set_uint8 b 7 rung
+    check_u ~what:"lo" lo 32;
+    let count = Bytes.length body / Rateless.cell_bytes in
+    if Bytes.length body mod Rateless.cell_bytes <> 0 || lo + count > Rateless.max_index then
+      invalid_arg "Wire.encode: window not whole cells inside the stream";
+    Buf.set_int_le b 7 version;
+    set_u32 b 15 n;
+    Buf.set_int_le b 19 xor_hash;
+    set_u32 b 27 lo;
+    set_u32 b 31 count;
+    Bytes.blit body 0 b body_off (Bytes.length body)
+  | More { have } ->
+    check_u ~what:"have" have 32;
+    set_u32 b 7 have
   | Done { ok } -> Bytes.set_uint8 b 7 (if ok then 1 else 0)
   | Fin { ok } -> Bytes.set_uint8 b 7 (if ok then 1 else 0)
   | Mutate { add; key } ->
@@ -129,30 +122,23 @@ let decode_opt b =
         end
       | 2 -> if len <> 11 then None else Some (Reject { retry_after_us = get_u32 b 7 })
       | 3 ->
-        if len < 38 then None
+        if len < body_off then None
         else begin
-          let rung = Bytes.get_uint8 b 7 in
-          let* version = Buf.get_int_le_opt b 8 in
+          let* version = Buf.get_int_le_opt b 7 in
           let* version = nonneg version in
-          let n = get_u32 b 16 in
-          let* xor_hash = Buf.get_int_le_opt b 20 in
+          let n = get_u32 b 15 in
+          let* xor_hash = Buf.get_int_le_opt b 19 in
           let* xor_hash = nonneg xor_hash in
-          let cells = get_u32 b 28 in
-          let k = Bytes.get_uint8 b 32 in
-          let check_bits = Bytes.get_uint8 b 33 in
-          let body_len = get_u32 b 34 in
-          if
-            len <> 38 + body_len
-            || k < 1
-            || cells < k
-            || not (List.mem check_bits [ 8; 16; 32; 62 ])
+          let lo = get_u32 b 27 in
+          let count = get_u32 b 31 in
+          if len <> body_off + (count * Rateless.cell_bytes) || lo + count > Rateless.max_index
           then None
           else
             Some
               (Sketch
-                 { rung; version; n; xor_hash; cells; k; check_bits; body = Bytes.sub b 38 body_len })
+                 { version; n; xor_hash; lo; body = Bytes.sub b body_off (len - body_off) })
         end
-      | 4 -> if len <> 8 then None else Some (Escalate { rung = Bytes.get_uint8 b 7 })
+      | 4 -> if len <> 11 then None else Some (More { have = get_u32 b 7 })
       | 5 ->
         if len <> 8 then None
         else

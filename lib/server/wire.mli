@@ -8,10 +8,10 @@
     travel as 8-byte fields holding non-negative 62/63-bit values.
 
     {!decode_opt} is total on arbitrary bytes: every length is validated
-    against the exact packet size before any field is read, claimed body
-    lengths must match the bytes actually present, and enumerated fields
-    (message tag, checksum width, flags) must hold known values — no
-    exception escapes, hostile input yields [None]. *)
+    against the exact packet size before any field is read, claimed cell
+    counts must match the bytes actually present, and enumerated fields
+    (message tag, flags) must hold known values — no exception escapes,
+    hostile input yields [None]. *)
 
 type msg =
   | Req of { l0 : Bytes.t }
@@ -20,20 +20,16 @@ type msg =
   | Reject of { retry_after_us : int }
       (** Backpressure: the shard is at capacity; retry the [Req] after
           this much virtual time. *)
-  | Sketch of {
-      rung : int;
-      version : int;
-      n : int;
-      xor_hash : int;
-      cells : int;
-      k : int;
-      check_bits : int;
-      body : Bytes.t;
-    }
-      (** One ladder rung from the session's pinned epoch snapshot,
-          with the snapshot's coordinates for verification. *)
-  | Escalate of { rung : int }
-      (** Client could not decode the previous rung: send this one. *)
+  | Sketch of { version : int; n : int; xor_hash : int; lo : int; body : Bytes.t }
+      (** A window of the session's pinned prefix: [body] holds the
+          packed rateless cells [\[lo, lo + count)], 16 bytes each, and
+          the snapshot's version, cardinality and XOR hash come with it
+          for verification. On the wire the count precedes the body and
+          must match its length; [lo + count] must not pass
+          {!Ssr_sketch.Rateless.max_index}. *)
+  | More of { have : int }
+      (** The client absorbed the prefix [\[0, have)] without a verified
+          decode: send the next window, from [have]. *)
   | Done of { ok : bool }  (** Client finished (or gave up); close the session. *)
   | Fin of { ok : bool }  (** Server confirms the session is closed. *)
   | Mutate of { add : bool; key : int }  (** Write-path ingest of one mutation. *)

@@ -190,6 +190,14 @@ let write w ~sign ~lo ~hi buf off =
 
 type source = { w : walks; stream0 : int array; mutable frontier : int }
 
+(* Key [v] into entry [e] of [w]: its encoding, checksum and the stream
+   state its walk starts from. *)
+let set_key fn lanes w e v =
+  Buf.set_int_le w.keys (e * 8) v;
+  Hashing.hash_int_bytes_into fn v ~len:8 lanes;
+  w.cur_s.(e) <- lanes.(1);
+  w.csum.(e) <- Hashing.mix_pair lanes.(0) lanes.(1) land check_mask
+
 let source_of_ints ~seed ints =
   let n = Array.length ints in
   let fn = Hashing.make ~seed ~tag:hash_tag in
@@ -198,10 +206,7 @@ let source_of_ints ~seed ints =
   Array.iteri
     (fun e v ->
       if v < 0 then invalid_arg "Rateless.source_of_ints: negative key";
-      Buf.set_int_le w.keys (e * 8) v;
-      Hashing.hash_int_bytes_into fn v ~len:8 lanes;
-      w.cur_s.(e) <- lanes.(1);
-      w.csum.(e) <- Hashing.mix_pair lanes.(0) lanes.(1) land check_mask)
+      set_key fn lanes w e v)
     ints;
   { w; stream0 = Array.copy w.cur_s; frontier = 0 }
 
@@ -245,6 +250,38 @@ let walk_int ~seed =
         let m = skip m (draw s) in
         if m >= max_index then None else Some (m, (m, s)))
       (-1, lanes.(1))
+
+(* ---- Cells held by the caller. ----
+
+   Counts add and the other words XOR, so a prefix of the stream follows
+   its pool key by key: one signed walk per added or removed key, through
+   the same writer. *)
+
+type writer = { wfn : Hashing.fn; one : walks; wlanes : int array }
+
+let writer ~seed = { wfn = Hashing.make ~seed ~tag:hash_tag; one = walks 1; wlanes = [| 0; 0 |] }
+
+let write_int wr ~sign v ~lo ~hi buf =
+  if v < 0 then invalid_arg "Rateless.write_int: negative key";
+  if (sign <> 1 && sign <> -1) || lo < 0 || hi > max_index then
+    invalid_arg "Rateless.write_int: bad sign or range";
+  set_key wr.wfn wr.wlanes wr.one 0 v;
+  wr.one.cur_m.(0) <- -1;
+  Metrics.add m_walk_steps (write wr.one ~sign ~lo ~hi buf 0)
+
+let subtract dst src ~off =
+  let len = Bytes.length dst in
+  if len mod cell_bytes <> 0 || off < 0 || off + len > Bytes.length src then
+    invalid_arg "Rateless.subtract: range outside the buffers";
+  let d = ref 0 in
+  while !d < len do
+    let o = !d and s = off + !d in
+    set32_le dst o (Int32.sub (get32_le dst o) (get32_le src s));
+    Buf.unsafe_set_int64_ne dst (o + 4)
+      (Int64.logxor (Buf.unsafe_get_int64_ne dst (o + 4)) (Buf.unsafe_get_int64_ne src (s + 4)));
+    set32_le dst (o + 12) (Int32.logxor (get32_le dst (o + 12)) (get32_le src (s + 12)));
+    d := o + cell_bytes
+  done
 
 (* ---- Receiver. ----
 

@@ -107,6 +107,38 @@ val skip_float : int -> int -> int
 (** The float evaluation of {!skip}'s formula (division, square root and
     an exact correction): the reference the table is tested against. *)
 
+(** {2 Cells held by the caller}
+
+    Counts add and keys and checksums XOR, so a stream prefix
+    [\[0, N)] can follow a changing set: adding or removing a key is one
+    signed walk of that key over the prefix, about [1 + 2 ln N] steps and
+    as many cells. A server shard keeps its prefix so; its client
+    subtracts its own cells from a served window with {!subtract} and
+    {!write_int}, leaving the difference for a decoder with an empty
+    pool. *)
+
+type writer
+(** The seed's key hashing and a one-key walk. It carries the walk's
+    state, so a writer must not be shared by concurrent callers. *)
+
+val writer : seed:int64 -> writer
+
+val write_int : writer -> sign:int -> int -> lo:int -> hi:int -> Bytes.t -> unit
+(** [write_int w ~sign v ~lo ~hi buf] adds key [v] with [sign] ([1] or
+    [-1]) into the packed cells [\[lo, hi)] held from byte 0 of [buf], in
+    place, through the writer {!cells} uses: its walk starts at cell 0
+    and stops at its first member at or past [hi]. Steps count under
+    [rateless.walk_steps]. Raises [Invalid_argument] on a negative key, a
+    sign other than [±1], a range outside [\[0, max_index\]] or a buffer
+    shorter than the range. *)
+
+val subtract : Bytes.t -> Bytes.t -> off:int -> unit
+(** [subtract dst src ~off] subtracts, cell by cell and in place, the
+    packed cells of [src] from byte [off] from those of [dst]: counts
+    subtract, keys and checksums XOR. Two pools' windows over one index
+    range leave the cells of their difference. Raises [Invalid_argument]
+    unless [dst] holds whole cells and [src] holds as many from [off]. *)
+
 (** {2 Receiver side} *)
 
 type decoder

@@ -811,17 +811,14 @@ let test_server_wire_fuzz () =
           msg =
             Wire.Sketch
               {
-                rung = 1;
                 version = 4242;
                 n = 17;
                 xor_hash = 0xBEEF;
-                cells = 64;
-                k = 4;
-                check_bits = 32;
-                body = random_bytes rng 48;
+                lo = 64;
+                body = random_bytes rng (3 * Rateless.cell_bytes);
               };
         };
-        { Wire.shard = 2; session = 5; msg = Wire.Escalate { rung = 2 } };
+        { Wire.shard = 2; session = 5; msg = Wire.More { have = 128 } };
         { Wire.shard = 2; session = 5; msg = Wire.Done { ok = true } };
         { Wire.shard = 2; session = 5; msg = Wire.Fin { ok = false } };
         { Wire.shard = 7; session = 8; msg = Wire.Mutate { add = false; key = 123_456 } };
@@ -837,15 +834,18 @@ let test_server_wire_fuzz () =
       (match msg with
       | Wire.Req { l0 } ->
         if Bytes.length l0 > 8192 then Alcotest.fail "oversized l0 accepted"
-      | Wire.Sketch { cells; k; check_bits; version; n; xor_hash; _ } ->
+      | Wire.Sketch { version; n; xor_hash; lo; body = cells } ->
+        let cb = Rateless.cell_bytes in
         if
-          k < 1 || cells < k || version < 0 || n < 0 || xor_hash < 0
-          || not (List.mem check_bits [ 8; 16; 32; 62 ])
+          version < 0 || n < 0 || xor_hash < 0 || lo < 0
+          || Bytes.length cells mod cb <> 0
+          || lo + (Bytes.length cells / cb) > Rateless.max_index
         then Alcotest.fail "accepted sketch out of range"
+      | Wire.More { have } -> if have < 0 then Alcotest.fail "negative have accepted"
       | Wire.Mutate { key; _ } -> if key < 0 then Alcotest.fail "negative key accepted"
       | Wire.Mut_ack { version } ->
         if version < 0 then Alcotest.fail "negative version accepted"
-      | Wire.Reject _ | Wire.Escalate _ | Wire.Done _ | Wire.Fin _ -> ())
+      | Wire.Reject _ | Wire.Done _ | Wire.Fin _ -> ())
   in
   List.iter
     (fun good ->
@@ -877,6 +877,133 @@ let test_server_wire_fuzz () =
   for n = 0 to 40 do
     check_total (Bytes.make n '\xFF')
   done
+
+(* Structure-aware mutations of the server's windows, fed to a live
+   client. A d = 64 session (32 keys added, 32 removed, on a 512-member
+   shard) whose Req claims no difference opens on a 32-cell window, so the
+   client asks for More; one genuine Sketch window, the first or the
+   second, is rewritten in place: [lo] shifted by one, a cell zeroed,
+   swapped or copied, a count that disagrees with the body, [lo + count]
+   past the prefix's N cells or past [Rateless.max_index]. The client must
+   end Succeeded with the true difference or Failed, never raise or hang,
+   and the server serves at most N distinct cells. A window the client
+   drops (a parse failure or a [lo] it does not expect) must not cost the
+   session: the retransmitted request gets the genuine window back. *)
+let test_server_window_mutations () =
+  let module Wire = Ssr_server.Wire in
+  let module Server = Ssr_server.Server in
+  let module Shard = Ssr_server.Shard in
+  let module Client = Ssr_server.Client in
+  let server_seed = 0x5E55_1011L in
+  let members = Array.init 512 (fun i -> 10_000 + i) in
+  let added = Array.init 32 (fun j -> 1_000_000 + j) in
+  let removed = Array.sub members 0 32 in
+  let n_cells = Shard.prefix_cells ~rung_caps:Shard.default_rung_caps ~check_bits:32 in
+  let cb = Rateless.cell_bytes in
+  let l0 = L0.create ~seed:(Shard.l0_seed ~server_seed ~shard:0) () in
+  L0.update_all l0 L0.S2 members;
+  let underclaim =
+    Wire.encode { Wire.shard = 0; session = 1; msg = Wire.Req { l0 = L0.to_bytes l0 } }
+  in
+  (* In an encoded Sketch the cells close the packet, after [lo] and the
+     count (u32 each). *)
+  let cells_at b cells = Bytes.length b - Bytes.length cells in
+  let with_lo f b cells =
+    let b = Bytes.copy b in
+    Bytes.set_int32_le b (cells_at b cells - 8) (Int32.of_int (f (Bytes.length cells / cb)));
+    b
+  in
+  let edit_cells f b cells =
+    let b = Bytes.copy b in
+    f b (cells_at b cells);
+    b
+  in
+  let cell b at i = Bytes.sub b (at + (i * cb)) cb in
+  let put b at i v = Bytes.blit v 0 b (at + (i * cb)) cb in
+  (* (name, the session recovers, rewrite lo packet cells) *)
+  let cases =
+    [
+      ("lo - 1", true, fun lo -> with_lo (fun _ -> (lo - 1) land 0xFFFF_FFFF));
+      ("lo + 1", true, fun lo -> with_lo (fun _ -> lo + 1));
+      ("lo + count past N", true, fun _ -> with_lo (fun count -> n_cells - count + 1));
+      ( "lo + count past max_index",
+        true,
+        fun _ -> with_lo (fun count -> Rateless.max_index - count + 1) );
+      ("count above the body", true, fun _ b _ -> Bytes.sub b 0 (Bytes.length b - cb));
+      ("count below the body", true, fun _ b _ -> Bytes.cat b (Bytes.make cb '\001'));
+      ("cell zeroed", false, fun _ -> edit_cells (fun b at -> Bytes.fill b at cb '\000'));
+      ( "cells swapped",
+        false,
+        fun _ ->
+          edit_cells (fun b at ->
+              let c0 = cell b at 0 in
+              put b at 0 (cell b at 1);
+              put b at 1 c0) );
+      ("cell duplicated", false, fun _ -> edit_cells (fun b at -> put b at 1 (cell b at 0)));
+    ]
+  in
+  List.iter
+    (fun (name, recovers, rewrite) ->
+      List.iter
+        (fun target ->
+          let name = Printf.sprintf "%s (window %d)" name target in
+          let clock = Clock.create () in
+          let server =
+            Server.create ~clock (Server.default_config ~seed:server_seed ~shards:1 ())
+          in
+          ignore (Server.apply_batch server (Array.map (fun x -> (0, Shard.Add x)) members));
+          let base =
+            Client.Base.create ~server_seed ~shard:0 ~rung_caps:Shard.default_rung_caps
+              ~check_bits:32 ~members
+          in
+          let net =
+            Network.create ~clock
+              (Network.config_with ~latency_us:1_000 ~seed:(Prng.derive ~seed ~tag:0xE9) ())
+          in
+          let conn =
+            Server.connect server ~reply:(fun b -> Network.send net Comm.B_to_a ~label:"srv" b)
+          in
+          let cl =
+            Client.create ~clock
+              ~send:(fun b -> Network.send net Comm.A_to_b ~label:"cli" b)
+              ~base ~session:1 ~added ~removed ()
+          in
+          let windows = ref 0 and served = Hashtbl.create 8 in
+          Network.on_deliver net (fun dir b ->
+              match dir with
+              | Comm.A_to_b ->
+                let b =
+                  match Wire.decode_opt b with
+                  | Some { Wire.msg = Wire.Req _; _ } -> underclaim
+                  | _ -> b
+                in
+                Server.receive server conn b
+              | Comm.B_to_a -> (
+                match Wire.decode_opt b with
+                | Some { Wire.msg = Wire.Sketch { lo; body = cells; _ }; _ } ->
+                  let fresh = not (Hashtbl.mem served lo) in
+                  Hashtbl.replace served lo (Bytes.length cells / cb);
+                  let b = if fresh && !windows = target then rewrite lo b cells else b in
+                  if fresh then incr windows;
+                  Client.on_receive cl b
+                | _ -> Client.on_receive cl b));
+          Client.start cl;
+          Clock.run_until clock ~deadline_us:60_000_000 ~stop:(fun () ->
+              Client.outcome cl <> Client.Pending);
+          if !windows < 2 then Alcotest.failf "%s: the session took %d windows" name !windows;
+          let cells_served = Hashtbl.fold (fun _ c acc -> acc + c) served 0 in
+          if cells_served > n_cells then
+            Alcotest.failf "%s: %d cells served past the %d-cell prefix" name cells_served n_cells;
+          match Client.outcome cl with
+          | Client.Succeeded _ ->
+            Alcotest.(check (option (pair (list int) (list int))))
+              (name ^ ": true difference")
+              (Some (Array.to_list added, Array.to_list removed))
+              (Client.recovered_diff cl)
+          | Client.Failed _ -> if recovers then Alcotest.failf "%s: session failed" name
+          | Client.Pending -> Alcotest.failf "%s: session still pending" name)
+        [ 0; 1 ])
+    cases
 
 (* ---------- Domain-safety of the metrics registry and trace ring ---------- *)
 
@@ -1065,6 +1192,7 @@ let () =
           Alcotest.test_case "rateless structural mutations" `Quick
             test_rateless_structural_mutations;
           Alcotest.test_case "server wire fuzz" `Quick test_server_wire_fuzz;
+          Alcotest.test_case "server window mutations" `Quick test_server_window_mutations;
         ] );
       ( "domain-safety",
         [ Alcotest.test_case "metrics + trace under 4 domains" `Quick test_metrics_domain_safety ] );

@@ -6,7 +6,7 @@ module Prng = Ssr_util.Prng
 module Clock = Ssr_transport.Clock
 module Network = Ssr_transport.Network
 module Comm = Ssr_setrecon.Comm
-module Iblt = Ssr_sketch.Iblt
+module Rateless = Ssr_sketch.Rateless
 module L0 = Ssr_sketch.L0_estimator
 module Metrics = Ssr_obs.Metrics
 module Par = Ssr_util.Par
@@ -36,17 +36,14 @@ let test_wire_roundtrip () =
         msg =
           Wire.Sketch
             {
-              rung = 2;
               version = 123_456;
               n = 42;
               xor_hash = 0x1234_5678_9ABC;
-              cells = 44;
-              k = 4;
-              check_bits = 32;
-              body = Bytes.make 17 'x';
+              lo = 96;
+              body = Bytes.make (3 * Rateless.cell_bytes) 'x';
             };
       };
-      { Wire.shard = 1; session = 2; msg = Wire.Escalate { rung = 3 } };
+      { Wire.shard = 1; session = 2; msg = Wire.More { have = 0xFFFFFFFF } };
       { Wire.shard = 1; session = 2; msg = Wire.Done { ok = true } };
       { Wire.shard = 1; session = 2; msg = Wire.Fin { ok = false } };
       { Wire.shard = 9; session = 9; msg = Wire.Mutate { add = true; key = max_int / 4 } };
@@ -60,37 +57,50 @@ let test_wire_roundtrip () =
       | None -> Alcotest.fail "roundtrip decode failed")
     packets
 
-(* ---------- shard incremental maintenance ---------- *)
+(* ---------- shard prefix maintenance ---------- *)
 
-let test_shard_incremental_matches_rebuild () =
+let n_cells = Shard.prefix_cells ~rung_caps:Shard.default_rung_caps ~check_bits:32
+
+let rebuilt_prefix members =
+  Rateless.cells
+    (Rateless.source_of_ints ~seed:(Shard.prefix_seed ~server_seed:seed ~shard:0) members)
+    ~lo:0 ~hi:n_cells
+
+let test_shard_prefix_matches_rebuild () =
   let sh = Shard.create ~server_seed:seed ~id:0 () in
   let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:1) in
   (* Interleaved adds and removes, duplicates included. *)
-  for _ = 1 to 2000 do
-    let x = Prng.int_below rng 512 in
-    ignore (Shard.apply sh (if Prng.bool rng then Shard.Add x else Shard.Remove x))
-  done;
+  let churn () =
+    for _ = 1 to 2000 do
+      let x = Prng.int_below rng 512 in
+      ignore (Shard.apply sh (if Prng.bool rng then Shard.Add x else Shard.Remove x))
+    done
+  in
+  churn ();
   let members = Shard.members sh in
-  (* The ladder must be byte-identical to a fresh build from the final set. *)
+  (* The prefix must be byte-identical to a fresh build from the final set. *)
   let snap = Shard.snapshot sh in
-  for r = 0 to Shard.num_rungs sh - 1 do
-    let prm =
-      Shard.rung_params ~server_seed:seed ~shard:0 ~rung:r ~cap:(Shard.rung_caps sh).(r)
-    in
-    let fresh = Iblt.create ~check_bits:32 prm in
-    Iblt.add_all_ints fresh members;
-    Alcotest.(check bool)
-      (Printf.sprintf "rung %d incremental = rebuild" r)
-      true
-      (Bytes.equal (Iblt.body_bytes (Shard.snap_rung snap r)) (Iblt.body_bytes fresh))
-  done;
+  let pinned = Shard.snap_window snap ~lo:0 ~hi:n_cells in
+  Alcotest.(check bool) "prefix incremental = rebuild" true
+    (Bytes.equal pinned (rebuilt_prefix members));
   (* The xor hash composes incrementally too. *)
   let fn = Shard.hash_fn ~server_seed:seed ~shard:0 in
   let expect =
     Array.fold_left (fun acc x -> acc lxor Ssr_util.Hashing.hash_int fn x) 0 members
   in
   Alcotest.(check int) "xor hash" expect (Shard.xor_hash sh);
-  Alcotest.(check bool) "estimators refreshed at least once" true (Shard.refreshes sh >= 1)
+  Alcotest.(check bool) "estimators refreshed at least once" true (Shard.refreshes sh >= 1);
+  (* A snapshot keeps its bytes while the shard moves on. *)
+  churn ();
+  Alcotest.(check bool) "snapshot unchanged by later mutations" true
+    (Bytes.equal pinned (Shard.snap_window snap ~lo:0 ~hi:n_cells));
+  Alcotest.(check bool) "prefix follows the later mutations" true
+    (Bytes.equal
+       (Shard.snap_window (Shard.snapshot sh) ~lo:0 ~hi:n_cells)
+       (rebuilt_prefix (Shard.members sh)));
+  Alcotest.check_raises "check_bits other than 32"
+    (Invalid_argument "Shard: check_bits must be 32, the rateless cell's checksum width")
+    (fun () -> ignore (Shard.create ~server_seed:seed ~id:0 ~check_bits:16 ()))
 
 (* ---------- end-to-end single session over an ideal link ---------- *)
 
@@ -168,13 +178,13 @@ let test_lossy_session () =
   | Client.Failed r -> Alcotest.fail ("lossy session failed: " ^ r)
   | Client.Pending -> Alcotest.fail "lossy session still pending"
 
-(* ---------- epoch pinning: mutations never leak into a session ---------- *)
+(* ---------- epoch pinning: windows come from the admitted snapshot ---------- *)
 
 (* Drive the wire by hand: a client that underclaims its difference (its
-   L0 says "no diff") gets the smallest rung, escalates, and the rung it
-   is then served must come from the same pinned snapshot even though
-   the shard mutated in between. *)
-let test_epoch_consistency () =
+   L0 says "no diff") gets a 32-cell window at 0, asks for [More], and the
+   window it is then served must come from the same pinned snapshot even
+   though the shard mutated in between. *)
+let test_windows_from_pinned_epoch () =
   let clock = Clock.create () in
   let cfg = Server.default_config ~seed ~shards:1 () in
   let server = Server.create ~clock cfg in
@@ -182,62 +192,67 @@ let test_epoch_consistency () =
   ignore (Server.apply_batch server (Array.map (fun x -> (0, Shard.Add x)) members));
   let replies = ref [] in
   let conn = Server.connect server ~reply:(fun b -> replies := b :: !replies) in
-  let pump () = Clock.advance clock ~by_us:1 in
-  let take_reply () =
+  let send msg =
+    Server.receive server conn (Wire.encode { Wire.shard = 0; session = 1; msg });
+    Clock.advance clock ~by_us:1;
     match !replies with
     | [ b ] ->
       replies := [];
-      Wire.decode_opt b
-    | _ -> None
+      b
+    | _ -> Alcotest.fail "expected exactly one reply"
+  in
+  let window b =
+    match Wire.decode_opt b with
+    | Some { Wire.msg = Wire.Sketch { version; n; xor_hash; lo; body = cells }; _ } ->
+      (version, n, xor_hash, lo, cells)
+    | _ -> Alcotest.fail "expected a Sketch window"
   in
   (* Honest-looking L0 claiming zero difference. *)
   let l0 = L0.create ~seed:(Shard.l0_seed ~server_seed:seed ~shard:0) () in
   L0.update_all l0 L0.S2 members;
-  Server.receive server conn
-    (Wire.encode { Wire.shard = 0; session = 1; msg = Wire.Req { l0 = L0.to_bytes l0 } });
-  pump ();
-  let v0, x0, n0 =
-    match take_reply () with
-    | Some { Wire.msg = Wire.Sketch { rung; version; n; xor_hash; _ }; _ } ->
-      Alcotest.(check int) "smallest rung first" 0 rung;
-      (version, xor_hash, n)
-    | _ -> Alcotest.fail "expected first Sketch"
-  in
+  let v0, n0, x0, lo0, cells0 = window (send (Wire.Req { l0 = L0.to_bytes l0 })) in
+  Alcotest.(check int) "first window at 0" 0 lo0;
+  Alcotest.(check int) "32 cells" (32 * Rateless.cell_bytes) (Bytes.length cells0);
   (* Mutate the shard under the running session. *)
   let muts = Array.init 50 (fun i -> (0, Shard.Add (90_000 + i))) in
   Alcotest.(check int) "mutations effective" 50 (Server.apply_batch server muts);
   Alcotest.(check bool) "shard version moved" true (Shard.version (Server.shard server 0) > v0);
   Alcotest.(check bool) "shard hash moved" true (Shard.xor_hash (Server.shard server 0) <> x0);
-  (* Escalate: the bigger rung must still describe the pinned epoch. *)
-  Server.receive server conn
-    (Wire.encode { Wire.shard = 0; session = 1; msg = Wire.Escalate { rung = 1 } });
-  pump ();
-  (match take_reply () with
-  | Some { Wire.msg = Wire.Sketch { rung; version; n; xor_hash; cells; k; check_bits; body }; _ }
-    ->
-    Alcotest.(check int) "rung escalated" 1 rung;
-    Alcotest.(check int) "version pinned" v0 version;
-    Alcotest.(check int) "xor pinned" x0 xor_hash;
-    Alcotest.(check int) "n pinned" n0 n;
-    (* Decoding against the pre-mutation set yields an empty diff: the
-       snapshot saw none of the 50 adds. *)
-    let prm =
-      Shard.rung_params ~server_seed:seed ~shard:0 ~rung:1
-        ~cap:cfg.Server.rung_caps.(1)
-    in
-    Alcotest.(check int) "cells match" prm.Iblt.cells cells;
-    Alcotest.(check int) "k matches" prm.Iblt.k k;
-    (match Iblt.of_body_bytes_opt ~check_bits prm body with
-    | None -> Alcotest.fail "sketch body unparseable"
-    | Some server_table ->
-      let mine = Iblt.create ~check_bits prm in
-      Iblt.add_all_ints mine members;
-      (match Iblt.decode_ints (Iblt.subtract mine server_table) with
-      | Ok (pos, neg) ->
-        Alcotest.(check (list int)) "no client-only" [] pos;
-        Alcotest.(check (list int)) "no server-only (epoch pinned)" [] neg
-      | Error `Peel_stuck -> Alcotest.fail "pinned rung failed to peel"))
-  | _ -> Alcotest.fail "expected escalated Sketch")
+  let more = send (Wire.More { have = 32 }) in
+  let v1, n1, x1, lo1, cells1 = window more in
+  Alcotest.(check int) "second window at 32" 32 lo1;
+  Alcotest.(check int) "32 more cells" (32 * Rateless.cell_bytes) (Bytes.length cells1);
+  Alcotest.(check int) "version pinned" v0 v1;
+  Alcotest.(check int) "n pinned" n0 n1;
+  Alcotest.(check int) "xor pinned" x0 x1;
+  (* Decoding both windows against the pre-mutation set yields an empty
+     difference: the snapshot saw none of the 50 adds. *)
+  let dec =
+    Rateless.decoder_of_ints ~seed:(Shard.prefix_seed ~server_seed:seed ~shard:0) members
+  in
+  ignore (Rateless.absorb dec ~lo:0 cells0);
+  ignore (Rateless.absorb dec ~lo:32 cells1);
+  Alcotest.(check bool) "empty difference (epoch pinned)" true
+    (Rateless.decoded_ints dec = Some ([], []));
+  Alcotest.(check bool) "duplicate More replays the cached reply" true
+    (Bytes.equal more (send (Wire.More { have = 32 })));
+  (* Each More doubles the delivered prefix up to N; one past it ends the
+     session. *)
+  let rec drain have =
+    if have < n_cells then begin
+      let _, _, _, lo, cells = window (send (Wire.More { have })) in
+      Alcotest.(check int) "window starts at have" have lo;
+      drain (lo + (Bytes.length cells / Rateless.cell_bytes))
+    end
+  in
+  drain 64;
+  (match Wire.decode_opt (send (Wire.More { have = n_cells })) with
+  | Some { Wire.msg = Wire.Fin { ok = false }; _ } -> ()
+  | _ -> Alcotest.fail "expected Fin{ok=false} past the prefix");
+  let st = Server.stats server in
+  Alcotest.(check int) "More windows served" 6 st.Server.escalations;
+  Alcotest.(check int) "session failed" 1 st.Server.failed;
+  Alcotest.(check int) "session dropped" 0 (Server.active_sessions server)
 
 (* ---------- backpressure: deterministic rejection ---------- *)
 
@@ -379,14 +394,14 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_wire_roundtrip ] );
       ( "shard",
         [
-          Alcotest.test_case "incremental = rebuild" `Quick
-            test_shard_incremental_matches_rebuild;
+          Alcotest.test_case "prefix = rebuild" `Quick test_shard_prefix_matches_rebuild;
         ] );
       ( "sessions",
         [
           Alcotest.test_case "single session" `Quick test_single_session;
           Alcotest.test_case "lossy link" `Quick test_lossy_session;
-          Alcotest.test_case "epoch pinned under mutation" `Quick test_epoch_consistency;
+          Alcotest.test_case "windows from the pinned epoch" `Quick
+            test_windows_from_pinned_epoch;
           Alcotest.test_case "backpressure deterministic" `Quick test_backpressure_determinism;
           Alcotest.test_case "mutate over wire" `Quick test_mutate_over_wire;
         ] );
