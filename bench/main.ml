@@ -11,10 +11,8 @@
    Run everything:        dune exec bench/main.exe
    Run chosen sections:   dune exec bench/main.exe -- table1 estimators
    List sections:         dune exec bench/main.exe -- --list
-   Parallel pool:         dune exec bench/main.exe -- table1 --domains 4
-   ([--domains N] sizes the deterministic domain pool used by the
-   protocol hot paths and the sweep outer loops; results are identical
-   at any pool size, only wall time changes.)
+   An argument that is neither a section name, [--smoke] nor [--list]
+   prints the section names to stderr and exits 2 before any section runs.
 
    The machine-readable perf harness (bench/perf.ml) is its own section:
      dune exec bench/main.exe -- perf [--smoke]
@@ -45,7 +43,6 @@ module Poly_protocol = Ssr_graphrecon.Poly_protocol
 module Forest_recon = Ssr_graphrecon.Forest_recon
 module Channel = Ssr_transport.Channel
 module Resilient = Ssr_transport.Resilient
-module Par = Ssr_util.Par
 
 let seed = 0xBE4CC4FEL
 
@@ -107,51 +104,36 @@ let table1 () =
   print_endline "naive >= iblt-of-iblts >= cascade >= multiround once h log u >> d log u,";
   print_endline "and naive's cost scales with the child width while the others' scale with d.";
   let trials = 3 in
-  (* The communication sweeps are deterministic per tag (every seed derives
-     from it), so the outer loops run under the shared parallel pool
-     ([--domains N]) and the rows print serially afterwards in sweep order.
-     The wall-time sweep (T1c) stays serial: concurrent runs would time each
-     other's interference. *)
+  (* One row of a communication sweep: mean bits per protocol, marked "!"
+     when a trial failed. *)
+  let sweep_row tbl key run =
+    Printf.printf "%8d |" key;
+    List.iter
+      (fun kind ->
+        let bits, _, ok, tr = run kind in
+        Hashtbl.replace tbl (key, kind) bits;
+        Printf.printf " %11.0f%s" bits (if ok = tr then " " else "!"))
+      Protocol.all;
+    print_newline ()
+  in
   (* T1a: sweep the child width (u, dense children) at fixed small d. *)
   Printf.printf "\n-- T1a: communication vs child width (s=48 children, d=6 edits) --\n";
   Printf.printf "%8s | %12s %12s %12s %12s\n" "u" "naive" "iblt-of-iblt" "cascade" "multiround";
   let t1a = Hashtbl.create 16 in
-  Par.map_list
+  List.iter
     (fun u ->
-      let child_size = u / 2 in
-      ( u,
-        List.map
-          (fun kind -> (kind, averaged kind ~trials ~tag:(u * 17) ~u ~s:48 ~child_size ~edits:6))
-          Protocol.all ))
-    [ 64; 256; 1024; 4096; 16384 ]
-  |> List.iter (fun (u, row) ->
-         Printf.printf "%8d |" u;
-         List.iter
-           (fun (kind, (bits, _, ok, tr)) ->
-             Hashtbl.replace t1a (u, kind) bits;
-             Printf.printf " %11.0f%s" bits (if ok = tr then " " else "!"))
-           row;
-         print_newline ());
+      sweep_row t1a u (fun kind ->
+          averaged kind ~trials ~tag:(u * 17) ~u ~s:48 ~child_size:(u / 2) ~edits:6))
+    [ 64; 256; 1024; 4096; 16384 ];
   (* T1b: sweep d at fixed wide children. *)
   Printf.printf "\n-- T1b: communication vs d (u=4096, s=48, children of 256) --\n";
   Printf.printf "%8s | %12s %12s %12s %12s\n" "d" "naive" "iblt-of-iblt" "cascade" "multiround";
   let t1b = Hashtbl.create 16 in
-  Par.map_list
+  List.iter
     (fun edits ->
-      ( edits,
-        List.map
-          (fun kind ->
-            (kind, averaged kind ~trials ~tag:(edits * 31) ~u:4096 ~s:48 ~child_size:256 ~edits))
-          Protocol.all ))
-    [ 2; 4; 8; 16; 32 ]
-  |> List.iter (fun (edits, row) ->
-         Printf.printf "%8d |" edits;
-         List.iter
-           (fun (kind, (bits, _, ok, tr)) ->
-             Hashtbl.replace t1b (edits, kind) bits;
-             Printf.printf " %11.0f%s" bits (if ok = tr then " " else "!"))
-           row;
-         print_newline ());
+      sweep_row t1b edits (fun kind ->
+          averaged kind ~trials ~tag:(edits * 31) ~u:4096 ~s:48 ~child_size:256 ~edits))
+    [ 2; 4; 8; 16; 32 ];
   (* T1c: computation time at one representative point. *)
   Printf.printf "\n-- T1c: wall time (u=1024, s=48, dense children, d=8) --\n";
   List.iter
@@ -293,11 +275,9 @@ let estimators () =
   let worst_l0 = ref 0.0 in
   List.iter
     (fun d ->
-      (* Each trial's workload and sketches derive from (d, t) alone, so the
-         trials fan out over the parallel pool; Par.init keeps them in trial
-         order, which the medians below do not even need. *)
+      (* Each trial's workload and sketches derive from (d, t) alone. *)
       let samples =
-        Par.init trials (fun ti ->
+        Array.init trials (fun ti ->
             let t = ti + 1 in
             let rng = Prng.create ~seed:(Prng.derive ~seed ~tag:(d + (t * 131))) in
             let alice = Iset.random_subset rng ~universe:(1 lsl 40) ~size:20_000 in
@@ -1202,24 +1182,20 @@ let sections =
   ]
 
 let () =
-  (* [--domains N] sizes the shared parallel pool (lib/util/par.ml) before
-     any section runs; it is consumed here so neither the flag nor its
-     argument is mistaken for a section name. Default: 1 (serial). *)
-  let rec strip_domains = function
-    | "--domains" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some d ->
-        Par.set_domains d;
-        strip_domains rest
-      | None -> failwith "bench: --domains expects an integer")
-    | [ "--domains" ] -> failwith "bench: --domains expects an integer"
-    | a :: rest -> a :: strip_domains rest
-    | [] -> []
-  in
-  let args = strip_domains (List.tl (Array.to_list Sys.argv)) in
+  let args = List.tl (Array.to_list Sys.argv) in
+  (* A name that is not a section would otherwise be skipped without a
+     word, dropping its verdicts from a run that still exits 0. *)
+  let known a = a = "--smoke" || a = "--list" || List.mem_assoc a sections in
+  (match List.filter (fun a -> not (known a)) args with
+   | [] -> ()
+   | unknown ->
+     Printf.eprintf "bench: unknown argument(s): %s\nvalid: --smoke, --list and these sections:\n"
+       (String.concat " " unknown);
+     List.iter (fun (name, _) -> prerr_endline ("  " ^ name)) sections;
+     exit 2);
   if List.mem "--list" args then List.iter (fun (name, _) -> print_endline name) sections
   else begin
-    let chosen = List.filter (fun a -> a <> "--list" && a <> "--smoke") args in
+    let chosen = List.filter (fun a -> a <> "--smoke") args in
     let to_run =
       (* The default run regenerates the paper's artifacts; the perf harness
          is opt-in ([-- perf]) because it exists to emit BENCH_*.json, not to

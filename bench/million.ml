@@ -14,22 +14,18 @@
    integer sets, not parent sets — a few MB at this scale.)
 
    Regression gate: every field of BENCH_million.json is an exact
-   deterministic function of the seeds (protocol transcripts are
-   byte-identical at any --domains pool size, and channel faults replay
-   from their seed), so the committed smoke file is its own exact
-   baseline: CI regenerates it, serial and at --domains 4, and fails on
-   [git diff --exit-code -- BENCH_million.json]. The 4-domain run thereby
-   re-checks pool-size transparency.
+   deterministic function of the seeds (protocol transcripts depend only
+   on them, and channel faults replay from their seed), so the committed
+   smoke file is its own exact baseline: CI regenerates it and fails on
+   [git diff --exit-code -- BENCH_million.json].
 
    Run:   dune exec bench/main.exe -- million           (full, minutes)
-          dune exec bench/main.exe -- million --smoke   (CI, seconds)
-          dune exec bench/main.exe -- million --smoke --domains 4 *)
+          dune exec bench/main.exe -- million --smoke   (CI, seconds) *)
 
 module Prng = Ssr_util.Prng
 module Iset = Ssr_util.Iset
 module Hashing = Ssr_util.Hashing
 module Bits = Ssr_util.Bits
-module Par = Ssr_util.Par
 module Comm = Ssr_setrecon.Comm
 module Parent = Ssr_core.Parent
 module Protocol = Ssr_core.Protocol
@@ -306,9 +302,9 @@ let cache_speedup push =
 (* ------------------------------------------------------------------ *)
 
 let run ~smoke =
-  Printf.printf "million: %s mode, %d-attempt faulty-channel retry, domains=%d\n%!"
+  Printf.printf "million: %s mode, %d-attempt faulty-channel retry\n%!"
     (if smoke then "smoke" else "full")
-    max_attempts (Par.available ());
+    max_attempts;
   let t0 = now_ns () in
   let results = ref [] in
   let push r = results := r :: !results in

@@ -17,14 +17,12 @@
 
    Run:   dune exec bench/main.exe -- perf           (full, ~1 min)
           dune exec bench/main.exe -- perf --smoke   (CI, a few seconds)
-          dune exec bench/main.exe -- perf --domains 4   (adds parallel rows)
 
    JSON schema: see EXPERIMENTS.md ("Perf harness"). *)
 
 module Prng = Ssr_util.Prng
 module Iset = Ssr_util.Iset
 module Hashing = Ssr_util.Hashing
-module Par = Ssr_util.Par
 module Iblt = Ssr_sketch.Iblt
 module Gf61 = Ssr_field.Gf61
 module Poly = Ssr_field.Poly
@@ -246,7 +244,7 @@ let sketch_suite ~smoke ~trials =
       push
         (latency_fields "sos_protocol" ~ns
            [ ("protocol", S (Protocol.name kind)); ("children", I s); ("child_size", I child_size);
-             ("edits", I edits); ("domains", I (Par.available ())); ("mw_per_op", F mw) ]))
+             ("edits", I edits); ("mw_per_op", F mw) ]))
     Protocol.all;
 
   (* The per-child fold the nested-protocol passes bottom out in (once per
@@ -386,15 +384,7 @@ let field_suite ~smoke ~trials =
 
   (* Distinct roots for a degree-D polynomial that splits completely: the
      paper's characteristic-polynomial decode (Thm 2.3), whose cost is
-     dominated by powmod with exponent ~2^61 inside linear_part.
-
-     distinct_roots is measured serially ("domains": 1) and, when the
-     bench was launched with [--domains N > 1], once more under the pool:
-     the split tree forks its two branches, so the parallel row isolates
-     the domain-parallelism win at identical results (roots are intrinsic
-     to the polynomial). powmod is a single dependent chain and does not
-     parallelize. *)
-  let pool = Par.available () in
+     dominated by powmod with exponent ~2^61 inside linear_part. *)
   List.iter
     (fun deg ->
       let roots =
@@ -406,19 +396,9 @@ let field_suite ~smoke ~trials =
         measure ~trials ~batch_ns:5e7 (fun () -> Poly.powmod x Gf61.p ~modulus:f)
       in
       push (latency_fields "powmod" ~ns:pm_ns [ ("degree", I deg); ("exponent_bits", I 61) ]);
-      let distinct_roots_row domains =
-        Par.set_domains domains;
-        let root_rng = Prng.create ~seed:(Prng.derive ~seed ~tag:(0x1007 + deg)) in
-        let dr_ns =
-          measure ~trials ~batch_ns:5e7 (fun () -> Roots.distinct_roots root_rng f)
-        in
-        push
-          (latency_fields "distinct_roots" ~ns:dr_ns
-             [ ("degree", I deg); ("domains", I domains) ])
-      in
-      distinct_roots_row 1;
-      if pool > 1 then distinct_roots_row pool;
-      Par.set_domains pool)
+      let root_rng = Prng.create ~seed:(Prng.derive ~seed ~tag:(0x1007 + deg)) in
+      let dr_ns = measure ~trials ~batch_ns:5e7 (fun () -> Roots.distinct_roots root_rng f) in
+      push (latency_fields "distinct_roots" ~ns:dr_ns [ ("degree", I deg) ]))
     degrees;
   List.rev !results
 

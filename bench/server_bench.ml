@@ -20,16 +20,14 @@
      whole of BENCH_server.json; its wall time goes to stdout only.
 
    Gates (exit 2): apply plus snapshot not >= 10x cheaper than building
-   the prefix; any session
-   failing inside the generator's deadline; metrics registry
-   disagreeing with the generator's ground-truth counts (under
-   [--domains N] this is the lost-update check). Every field of the load
-   row is a function of the seed in virtual time, so the committed
-   BENCH_server.json (the smoke run) is its own exact baseline: CI
-   regenerates it, serial and at [--domains 4], and fails on
+   the prefix; any session failing inside the generator's deadline;
+   metrics registry disagreeing with the generator's ground-truth counts.
+   Every field of the load row is a function of the seed in virtual time,
+   so the committed BENCH_server.json (the smoke run) is its own exact
+   baseline: CI regenerates it and fails on
    [git diff --exit-code -- BENCH_server.json].
 
-   Run:   dune exec bench/main.exe -- server [--smoke] [--domains 4]   *)
+   Run:   dune exec bench/main.exe -- server [--smoke]   *)
 
 module Metrics = Ssr_obs.Metrics
 module Shard = Ssr_server.Shard

@@ -13,7 +13,6 @@
 
 module Prng = Ssr_util.Prng
 module Iset = Ssr_util.Iset
-module Par = Ssr_util.Par
 module Comm = Ssr_setrecon.Comm
 module Set_recon = Ssr_setrecon.Set_recon
 module Cpi = Ssr_setrecon.Cpi_recon
@@ -54,13 +53,8 @@ let wall_t0 = ref 0L
 
 let metrics_t0 = ref ([] : Metrics.snapshot)
 
-let g_run_domains = Metrics.gauge "proto.run.domains"
-
 let start_wall () =
   metrics_t0 := Metrics.snapshot ();
-  (* Inside the run window, after the baseline snapshot, so the metrics
-     diff reports the pool size the protocol actually ran with. *)
-  Metrics.set g_run_domains (Par.available ());
   wall_t0 := Monotonic_clock.now ()
 
 let wall_ms () = Int64.to_float (Int64.sub (Monotonic_clock.now ()) !wall_t0) /. 1e6
@@ -199,20 +193,11 @@ let obs_term =
              ~doc:"Write the structured event trace (virtual-time-stamped when running over the \
                    simulated network) to this file as JSON.")
   in
-  let domains =
-    Arg.(value & opt (some int) None
-         & info [ "domains" ]
-             ~doc:"Size of the fork-join domain pool: $(b,1) serial (default), $(b,N) that many \
-                   OCaml domains, $(b,0) auto-size from the machine. Protocol transcripts are \
-                   byte-identical at any size; only wall time changes. Overrides the \
-                   $(b,SSR_DOMAINS) environment variable.")
-  in
   Term.(
-    const (fun m t d ->
+    const (fun m t ->
         obs_metrics := m;
-        obs_trace_out := t;
-        Option.iter Par.set_domains d)
-    $ metrics $ trace_out $ domains)
+        obs_trace_out := t)
+    $ metrics $ trace_out)
 
 let with_obs run_term = Term.(const finish $ obs_term $ run_term)
 

@@ -2,7 +2,6 @@ module Iset = Ssr_util.Iset
 module Prng = Ssr_util.Prng
 module Hashing = Ssr_util.Hashing
 module Buf = Ssr_util.Buf
-module Par = Ssr_util.Par
 
 type t = Iset.t array
 (* Invariant: strictly increasing under Iset.compare (so children are
@@ -170,17 +169,17 @@ let child_digest ~seed = Iset.digest (Hashing.make ~seed ~tag:stream_hash_tag)
    derives from them) at a time. *)
 let chunk = 4096
 
-(* Children [base, base+chunk) are fetched under the parallel pool
-   (order-preserving), folded into the digest, and handed to [visit] as one
-   batch. Visitors land them in XOR-linear sketches, so the chunking is
-   bit-identical to a one-shot whole-parent batch. *)
+(* Children [base, base+chunk) are fetched, folded into the digest, and
+   handed to [visit] as one batch. Visitors land them in XOR-linear
+   sketches, so the chunking is bit-identical to a one-shot whole-parent
+   batch. *)
 let stream_pass ~seed st visit =
   let digest = child_digest ~seed in
   let acc = ref 0 in
   let base = ref 0 in
   while !base < st.length do
     let b = !base in
-    let kids = Par.init (min chunk (st.length - b)) (fun j -> st.child (b + j)) in
+    let kids = Array.init (min chunk (st.length - b)) (fun j -> st.child (b + j)) in
     for j = 0 to Array.length kids - 1 do
       acc := !acc lxor digest kids.(j)
     done;

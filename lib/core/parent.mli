@@ -68,11 +68,10 @@ val random :
 
     Million-element workloads cannot afford to materialize a whole parent:
     a {!stream} presents the children as a pure random-access function of
-    position (resumable from any index, deterministic at any domain-pool
-    size). Every nested protocol has exactly one build path
-    ([Protocol.run_known_stream]), which builds its sketches from streams
-    in bounded memory; materialized parents enter it through
-    {!stream_of_t}. *)
+    position (resumable from any index, deterministic). Every nested
+    protocol has exactly one build path ([Protocol.run_known_stream]),
+    which builds its sketches from streams in bounded memory;
+    materialized parents enter it through {!stream_of_t}. *)
 
 type stream = {
   length : int;  (** Number of children (s). *)
@@ -102,10 +101,10 @@ val stream_max_child_size : stream -> int
 
 val stream_pass : seed:int64 -> stream -> (int -> Ssr_util.Iset.t array -> unit) -> int
 (** [stream_pass ~seed st visit] is the one walk of [st] that a party
-    makes per attempt. It fetches the children in chunks of 4096 under the
-    parallel pool, calls [visit base kids] on each chunk in order ([kids.(j)]
-    is child [base + j]), and returns [stream_hash ~seed st], computed in
-    the same walk. At most one chunk of children is live at a time, plus
+    makes per attempt. It fetches the children in chunks of 4096, calls
+    [visit base kids] on each chunk in order ([kids.(j)] is child
+    [base + j]), and returns [stream_hash ~seed st], computed in the same
+    walk. At most one chunk of children is live at a time, plus
     whatever [visit] keeps. A visitor that lands the children in
     XOR-linear sketches (IBLTs) builds exactly what one whole-parent batch
     would, whatever the chunking. *)

@@ -3,7 +3,6 @@ module Bits = Ssr_util.Bits
 module Prng = Ssr_util.Prng
 module Buf = Ssr_util.Buf
 module Hashing = Ssr_util.Hashing
-module Par = Ssr_util.Par
 module Iblt = Ssr_sketch.Iblt
 module Comm = Ssr_setrecon.Comm
 module Metrics = Ssr_obs.Metrics
@@ -119,8 +118,8 @@ let level2_config ~seed ~d ~d2 ~s_bound =
   { cfg1; parent_prm; seed }
 
 (* Each child's encoding is folded into the parent's table through reused
-   key buffers. The fold is made per call, because parents are encoded
-   concurrently under the parallel pool. *)
+   key buffers. The fold is made per call, so no two callers share its
+   buffers. *)
 let parent_table cfg parent =
   let table = Iblt.create cfg.parent_prm in
   Encoding.fold cfg.cfg1 table (Array.of_list (Parent.children parent));
@@ -163,9 +162,7 @@ let try_recover_parent cfg ~alice_key ~bob_parent =
   | Ok { positives; negatives } -> (
     (* negatives are encodings of Bob's children inside this parent. *)
     let bob_children = Parent.children bob_parent in
-    let bob_encodings =
-      Par.map_list (fun c -> (Encoding.encode cfg.cfg1 c, c)) bob_children
-    in
+    let bob_encodings = List.map (fun c -> (Encoding.encode cfg.cfg1 c, c)) bob_children in
     let by_key = Hashtbl.create (2 * List.length bob_encodings) in
     List.iter
       (fun (key, c) -> if not (Hashtbl.mem by_key key) then Hashtbl.add by_key key c)
@@ -199,13 +196,13 @@ let config ~seed ~d ~d2 ~d3 ~s =
 let alice ~seed ~d ~d2 ~d3 ~s parents =
   let cfg, prm = config ~seed ~d ~d2 ~d3 ~s in
   let outer = Iblt.create prm in
-  Iblt.add_all outer (Par.map_array (encode_parent cfg) parents);
+  Iblt.add_all outer (Array.map (encode_parent cfg) parents);
   Comm.Send ("sos3-iblt+hash", Comm.guarded [| outer |] ~guard:(hash ~seed parents), Comm.Done ())
 
 (* Bob's side, from the delivered bytes. His differing parents are found
    by their encodings through one table, not a scan per negative. *)
 let finish cfg ~prm ~seed parents (received, alice_hash) =
-  let encodings = Par.map_array (encode_parent cfg) parents in
+  let encodings = Array.map (encode_parent cfg) parents in
   let bob_outer = Iblt.create prm in
   Iblt.add_all bob_outer encodings;
   match Iblt.decode (Iblt.subtract received.(0) bob_outer) with

@@ -176,7 +176,7 @@ let ws_bound n = (8 * n) + 64
    product, and OCaml allocates arrays longer than 256 words directly on
    the major heap — a fresh scratch per call would buy a proportional
    slice of major-GC work each time and dominate the kernel (measured
-   ~3x). Domain-local so parallel root-finding branches get distinct
+   ~3x). Domain-local so callers on different domains get distinct
    buffers; the kernels never nest across an allocation point, so one
    grow-only buffer per domain suffices. Contents are NOT zeroed between
    uses — every kernel fills the regions it reads. *)
@@ -516,7 +516,7 @@ let reduce_in_place buf len m dm lead_inv =
    The reducer owns all scratch (the kernels' workspace plus the four
    reduction temporaries), so a reduction allocates nothing. That also
    means a reducer must not be shared across domains; each powmod call
-   builds its own, so parallel root-finding branches never share one. *)
+   builds its own, so concurrent callers never share one. *)
 
 type reducer = {
   red_m : int array; (* monic modulus, length red_dm + 1, top coeff 1 *)

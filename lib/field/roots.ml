@@ -1,6 +1,3 @@
-module Prng = Ssr_util.Prng
-module Par = Ssr_util.Par
-
 let x_poly = Poly.of_coeffs [| 0; 1 |]
 
 (* Product of the distinct linear factors of [f]: gcd(f, x^p - x). *)
@@ -8,21 +5,12 @@ let linear_part f =
   let xp = Poly.powmod x_poly Gf61.p ~modulus:f in
   Poly.gcd f (Poly.sub xp x_poly)
 
-(* Below this degree a fork costs more than the subtree: the two powmod
-   ladders it would overlap are microseconds. *)
-let par_min_degree = 32
-
 (* Split a product of distinct linear factors into its roots.
    (x + a)^((p-1)/2) mod g is ±1 at each root shifted by a; gcd with
-   (that - 1) separates the quadratic residues from the rest.
-
-   With a parallel pool the two subtrees run on independent generators
-   derived from the current node ([Prng.split] does not advance the
-   parent), so no mutable state crosses domains. The recovered roots are
-   intrinsic to [g] — only the Las Vegas running time depends on the
-   draws — and [distinct_roots] sorts, so serial and parallel runs return
-   identical values. The serial path threads one generator exactly as it
-   always has, keeping fixed-seed replay byte-for-byte. *)
+   (that - 1) separates the quadratic residues from the rest. One
+   generator is threaded through both subtrees. The recovered roots are
+   intrinsic to [g]; only the Las Vegas running time depends on the
+   draws. *)
 let rec split_roots rng g acc =
   match Poly.degree g with
   | 0 -> acc
@@ -39,15 +27,7 @@ let rec split_roots rng g acc =
     else
       let other, rem = Poly.divmod g w in
       assert (Poly.is_zero rem);
-      if dg >= par_min_degree && Par.available () > 1 then
-        let rng_w = Prng.split rng ~tag:1 and rng_o = Prng.split rng ~tag:2 in
-        let ws, os =
-          Par.both
-            (fun () -> split_roots rng_w w [])
-            (fun () -> split_roots rng_o other [])
-        in
-        List.append ws (List.append os acc)
-      else split_roots rng w (split_roots rng other acc)
+      split_roots rng w (split_roots rng other acc)
 
 let distinct_roots rng f =
   if Poly.is_zero f then invalid_arg "Roots.distinct_roots: zero polynomial";

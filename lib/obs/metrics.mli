@@ -11,9 +11,10 @@
     cells (a lost-update-free [fetch_and_add] per {!incr}), distribution
     samples take a per-cell mutex so the (count, sum, min, max) tuple stays
     internally consistent, and first-touch registration plus
-    {!snapshot}/{!reset} iteration hold a registry mutex — so workers in an
-    [Ssr_util.Par] pool may register and update cells freely. Updates to
-    already-registered cells never touch the registry lock.
+    {!snapshot}/{!reset} iteration hold a registry mutex — so a caller
+    running the library on several domains may register and update cells
+    freely. Updates to already-registered cells never touch the registry
+    lock.
 
     Cells are global state, deliberately: protocols thread a [Comm.t]
     recorder for their own transcript accounting, but cross-cutting

@@ -8,8 +8,8 @@
     source is used. The buffer is a fixed-capacity ring — emitting is O(1)
     and old events are overwritten, never grown, so tracing can stay on in
     long runs without unbounded memory. A single mutex guards the ring, so
-    domains in an [Ssr_util.Par] pool may emit concurrently without losing
-    or tearing events. *)
+    a caller's domains may emit concurrently without losing or tearing
+    events. *)
 
 type field = I of int | S of string | F of float
 

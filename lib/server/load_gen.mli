@@ -5,8 +5,7 @@
     Everything — shard contents, client deltas, arrival times, network
     behaviour, mutation toggles — is a pure function of [cfg.seed], so a
     run is replayable and its per-client wire transcripts (digested into
-    {!report.transcript_digest}) are byte-identical at any domain pool
-    size.
+    {!report.transcript_digest}) are byte-identical from run to run.
 
     Mutations toggle membership inside a bounded per-shard hot pool
     (disjoint from the base sets and the client deltas by key-range
@@ -14,8 +13,9 @@
     [hot_pool + client_delta] and every session decodes well inside the
     prefix. The
     generator tracks ground-truth counts (effective mutations, completed
-    sessions) that CI compares against the atomic metrics registry: a
-    mismatch under [--domains N] means lost updates. *)
+    sessions) that the server bench compares against the metrics
+    registry: a mismatch means an update the metrics lost or counted
+    twice. *)
 
 type cfg = {
   seed : int64;

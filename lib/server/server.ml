@@ -1,5 +1,4 @@
 module Clock = Ssr_transport.Clock
-module Par = Ssr_util.Par
 module Metrics = Ssr_obs.Metrics
 module Trace = Ssr_obs.Trace
 
@@ -52,9 +51,8 @@ type session = {
   mutable last_active_us : int;
 }
 
-(* Everything below is owned by exactly one pump worker at a time: the
-   pump groups packets by shard before fanning out, so a [shard_state]
-   is never touched from two domains in the same round. *)
+(* One shard's state: the pump hands it only that shard's packets, in
+   arrival order, once per round. *)
 type shard_state = {
   sh : Shard.t;
   sessions : (int, session) Hashtbl.t;
@@ -329,7 +327,7 @@ let pump t () =
   done;
   let touched = Array.of_list !touched in
   let replies =
-    Par.map_array (fun sid -> process_shard t ~now t.state.(sid) (List.rev groups.(sid))) touched
+    Array.map (fun sid -> process_shard t ~now t.state.(sid) (List.rev groups.(sid))) touched
   in
   Array.iter (fun rs -> List.iter (fun ((c : conn), b) -> c.reply b) rs) replies;
   Metrics.set g_active (active_sessions t);
@@ -360,7 +358,7 @@ let apply_batch t muts =
     if groups.(sid) <> [] then touched := sid :: !touched
   done;
   let counts =
-    Par.map_array
+    Array.map
       (fun sid ->
         List.fold_left
           (fun acc m ->

@@ -6,12 +6,11 @@
     {!Ssr_transport.Network}'s deliver handler) are enqueued, and a pump
     event scheduled at the same virtual instant drains the queue, groups
     the packets by shard — the shard id is in every packet header, so
-    grouping is a pure function of the bytes — and hands each shard's
-    packets to an [Ssr_util.Par] worker. A worker touches only its own
-    shard and that shard's sessions, replies are collected into
-    per-shard slots and sent after the join in (shard, arrival) order,
-    so every session observes a byte-identical transcript at any domain
-    pool size.
+    grouping is a pure function of the bytes — and processes the
+    touched shards in shard order, each one's packets in arrival order.
+    The round's replies are sent after the last shard, in (shard,
+    arrival) order, so a session's transcript depends only on the bytes
+    delivered and the virtual time.
 
     Sessions are pinned to an epoch {!Shard.snapshot} taken when their
     [Req] is admitted: later mutations never change what a running
@@ -68,8 +67,8 @@ val apply : t -> shard:int -> Shard.mutation -> bool
     id. *)
 
 val apply_batch : t -> (int * Shard.mutation) array -> int
-(** Apply a batch, grouped by shard and fanned out across the domain
-    pool; per-shard application order preserves batch order. Returns the
+(** Apply a batch, grouped by shard and applied in shard order;
+    per-shard application order preserves batch order. Returns the
     number of effective (non-no-op) mutations. *)
 
 val shard : t -> int -> Shard.t

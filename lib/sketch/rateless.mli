@@ -41,10 +41,9 @@
     an exact threshold table instead of dividing ({!skip}).
 
     Everything is deterministic: the stream is byte-identical for a fixed
-    seed at any {!Ssr_util.Par} pool size, and decode progress is a pure
-    function of the multiset of absorbed cells (peel success is monotone in
-    the absorbed set — once decodable, any superset decodes to the same
-    difference). *)
+    seed and pool, and decode progress is a pure function of the multiset
+    of absorbed cells (peel success is monotone in the absorbed set — once
+    decodable, any superset decodes to the same difference). *)
 
 val max_index : int
 (** Exclusive upper bound on usable cell indices (far beyond any practical
@@ -72,8 +71,7 @@ val cells : source -> lo:int -> hi:int -> Bytes.t
     [(hi - lo) * cell_bytes] bytes, a pure function of the seed, the range
     and the pool — windows are stable under re-slicing
     ([cells ~lo ~hi] = [cells ~lo ~mid ^ cells ~mid ~hi]). Generation is
-    one serial pass over the elements into one buffer, so the bytes cannot
-    depend on the {!Ssr_util.Par} pool size. Requires
+    one pass over the elements into one buffer. Requires
     [0 <= lo <= hi <= max_index].
 
     A window with [lo] at or past the previous window's [hi] resumes every

@@ -84,8 +84,3 @@ let geometric_skip t p =
     int_of_float (Float.floor (log1p (-.u) /. log1p (-.p)))
 
 let derive ~seed ~tag = mix64 (Int64.add (mix64 seed) (Int64.of_int (tag * 2 + 1)))
-
-let split t ~tag =
-  (* Derive from the current state without disturbing the stream. *)
-  let fingerprint = Int64.logxor (Int64.logxor t.s0 (rotl t.s1 13)) (rotl t.s2 29) in
-  create ~seed:(derive ~seed:fingerprint ~tag)

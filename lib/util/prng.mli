@@ -55,12 +55,7 @@ val geometric_skip : t -> float -> int
     success of a Bernoulli([p]) sequence, i.e. Geometric(p) on {0,1,2,...}.
     Used for O(pn^2)-time G(n,p) sampling. Requires [0 < p <= 1]. *)
 
-val split : t -> tag:int -> t
-(** [split t ~tag] derives an independent generator from [t]'s seed and
-    [tag] without advancing [t]. Distinct tags give independent streams;
-    this is how per-level, per-role hash functions are derived from the
-    public-coin seed. *)
-
 val derive : seed:int64 -> tag:int -> int64
 (** [derive ~seed ~tag] deterministically derives a fresh 64-bit seed.
-    [split] is [create ~seed:(derive ...)]. *)
+    Distinct tags give independent seeds; this is how per-level, per-role
+    hash functions are derived from the public-coin seed. *)

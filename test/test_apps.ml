@@ -191,7 +191,6 @@ let test_bindb_duplicate_rows_collapse () =
 
 module Datasets = Ssr_apps.Datasets
 module Parent = Ssr_core.Parent
-module Par = Ssr_util.Par
 
 let dataset_families tag =
   let dseed = Prng.derive ~seed ~tag in
@@ -245,23 +244,6 @@ let test_dataset_resumable () =
             expect resumed)
         [ 0; 1; 7; st.Parent.length / 2; st.Parent.length - 1; st.Parent.length ])
     (dataset_families 0xD6)
-
-let test_dataset_pool_independent () =
-  (* The generators are pure functions of (seed, index); the pooled
-     whole-stream digest must not depend on the domain count. *)
-  List.iter
-    (fun (name, inst) ->
-      let st = inst.Datasets.stream in
-      let digest_at n =
-        Par.set_domains n;
-        Fun.protect ~finally:(fun () -> Par.set_domains 1) (fun () -> Parent.stream_hash ~seed st)
-      in
-      let d1 = digest_at 1 in
-      List.iter
-        (fun n ->
-          Alcotest.(check bool) (Printf.sprintf "%s digest pool=%d" name n) true (digest_at n = d1))
-        [ 2; 4 ])
-    (dataset_families 0xD7)
 
 let test_dataset_children_distinct_and_bounded () =
   List.iter
@@ -398,7 +380,6 @@ let () =
         [
           Alcotest.test_case "deterministic across rebuilds" `Quick test_dataset_determinism;
           Alcotest.test_case "resumable from any position" `Quick test_dataset_resumable;
-          Alcotest.test_case "pool-size independent" `Quick test_dataset_pool_independent;
           Alcotest.test_case "children distinct and bounded" `Quick
             test_dataset_children_distinct_and_bounded;
           Alcotest.test_case "pair edit cost exact" `Quick test_dataset_pair_edit_cost;

@@ -7,11 +7,10 @@
    than as bytes (a module-level ref, a table, a cache filled by Alice)
    shows here as a different transcript or result.
 
-   OCaml 5 refuses [Unix.fork] once other domains have run, so the pool
-   stays serial in this suite. *)
+   OCaml 5 refuses [Unix.fork] once other domains have run, so a stack
+   that left a domain running would fail every later fork here. *)
 
 module Prng = Ssr_util.Prng
-module Par = Ssr_util.Par
 module Metrics = Ssr_obs.Metrics
 module Comm = Ssr_setrecon.Comm
 module Parent = Ssr_core.Parent
@@ -274,7 +273,6 @@ let test_stack (name, doubles, case) () =
   Alcotest.(check bool) (name ^ ": retried on some seed") doubles (!retries > 0)
 
 let () =
-  Par.set_domains 1;
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (* Two parties that both wait would block on their pipes for ever; the
      alarm ends such a run as a failure instead (the suite takes well

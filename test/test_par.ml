@@ -1,13 +1,15 @@
-(* Tests for the deterministic domain pool (lib/util/par.ml).
+(* The golden corpus: committed digests of wire transcripts that a change
+   claiming to move no wire byte must leave alone.
 
-   Two layers: unit tests of the fork-join combinators at several pool
-   sizes (including nesting and exception propagation), and the
-   determinism battery the pool's contract promises — every protocol
-   stack run over the simulated network produces a byte-identical wire
-   transcript with the pool at 1 and at 4 domains, across seeds — and the
-   serial transcripts equal a committed table of golden digests. *)
+   Every protocol stack runs on small seeded workloads, over the simulated
+   network (a [Resilient] link of [Network] + [Arq], clean or faulty) or
+   over a bare [Comm] with a recording transport, and each run's whole
+   transcript is digested and compared with a table below. A table
+   changes only in a change whose stated purpose is a wire change, which
+   lists each moved row. Beside the tables: the per-request encoding memo
+   puts the same bytes on the wire as no memo, and the ladder's
+   fresh-salt retries repeat byte for byte. *)
 
-module Par = Ssr_util.Par
 module Prng = Ssr_util.Prng
 module Iset = Ssr_util.Iset
 module Parent = Ssr_core.Parent
@@ -18,93 +20,7 @@ module Arq = Ssr_transport.Arq
 module Resilient = Ssr_transport.Resilient
 module Comm = Ssr_setrecon.Comm
 
-(* Every test restores the default serial pool on the way out so the rest
-   of the suite (and alcotest's own ordering) never runs parallel by
-   accident. *)
-let with_domains n f =
-  Par.set_domains n;
-  Fun.protect ~finally:(fun () -> Par.set_domains 1) f
-
-let pool_sizes = [ 1; 2; 4 ]
-
-(* ---------- combinators ---------- *)
-
-let test_available () =
-  with_domains 1 (fun () ->
-      Alcotest.(check int) "serial default" 1 (Par.available ());
-      Par.set_domains 4;
-      Alcotest.(check int) "explicit size" 4 (Par.available ());
-      Par.set_domains 0;
-      Alcotest.(check bool) "auto >= 1" true (Par.available () >= 1));
-  Alcotest.(check int) "restored" 1 (Par.available ());
-  Alcotest.check_raises "negative" (Invalid_argument "Par.set_domains: negative") (fun () ->
-      Par.set_domains (-1))
-
-let test_both () =
-  List.iter
-    (fun n ->
-      with_domains n (fun () ->
-          let a, b = Par.both (fun () -> 6 * 7) (fun () -> "ok") in
-          Alcotest.(check int) "left" 42 a;
-          Alcotest.(check string) "right" "ok" b))
-    pool_sizes
-
-let test_init_matches_serial () =
-  let f i = (i * i) + (i lsr 1) in
-  List.iter
-    (fun n ->
-      with_domains n (fun () ->
-          List.iter
-            (fun len ->
-              Alcotest.(check (array int))
-                (Printf.sprintf "init len=%d pool=%d" len n)
-                (Array.init len f) (Par.init len f))
-            [ 0; 1; 2; 7; 100; 1000 ]))
-    pool_sizes;
-  Alcotest.check_raises "negative length" (Invalid_argument "Par.init: negative length")
-    (fun () -> ignore (Par.init (-1) (fun i -> i)))
-
-let test_map_matches_serial () =
-  let f x = (2 * x) + 1 in
-  let arr = Array.init 257 (fun i -> (i * 37) land 1023 ) in
-  let l = Array.to_list arr in
-  List.iter
-    (fun n ->
-      with_domains n (fun () ->
-          Alcotest.(check (array int)) "map_array" (Array.map f arr) (Par.map_array f arr);
-          Alcotest.(check (list int)) "map_list" (List.map f l) (Par.map_list f l)))
-    pool_sizes
-
-let test_nesting () =
-  (* A recursive fork tree three levels deep: joiners must help, not
-     deadlock, even when the tree is wider than the pool. *)
-  let rec tree depth base =
-    if depth = 0 then [ base ]
-    else
-      let l, r = Par.both (fun () -> tree (depth - 1) (2 * base)) (fun () -> tree (depth - 1) ((2 * base) + 1)) in
-      l @ r
-  in
-  List.iter
-    (fun n ->
-      with_domains n (fun () ->
-          Alcotest.(check (list int))
-            (Printf.sprintf "fork tree pool=%d" n)
-            [ 8; 9; 10; 11; 12; 13; 14; 15 ] (tree 3 1)))
-    pool_sizes
-
-exception Boom of int
-
-let test_exceptions () =
-  List.iter
-    (fun n ->
-      with_domains n (fun () ->
-          Alcotest.check_raises "both re-raises leftmost" (Boom 1) (fun () ->
-              ignore (Par.both (fun () -> raise (Boom 1)) (fun () -> raise (Boom 2))));
-          Alcotest.check_raises "map propagates" (Boom 7) (fun () ->
-              ignore (Par.map_list (fun x -> if x = 7 then raise (Boom x) else x) [ 1; 7; 9 ]))))
-    pool_sizes
-
-(* ---------- parallel == serial transcripts ---------- *)
+(* ---------- network transcripts ---------- *)
 
 (* A network's whole wire transcript (delivery time + payload bytes of
    every event, in order) as one string. *)
@@ -137,9 +53,7 @@ let resilient_set ~nseed ~link ?initial_d strategy =
 
 (* One protocol stack over the clean simulated network; returns the full
    wire transcript (delivery time + payload bytes of every event, in
-   order) as one string. Any scheduling leak in the parallel hot paths
-   (root splitting, concurrent child-IBLT builds) would change the bytes
-   some message carries, and this flattening would catch it. *)
+   order) as one string. *)
 let transcript_of_stack ~nseed stack =
   let network, link = clean_network ~nseed in
   (match stack with
@@ -164,29 +78,7 @@ let transcript_seeds = [ 0x11AL; 0x22BL; 0x33CL ]
 let transcript_stacks =
   `Set Resilient.Doubling :: `Set Resilient.Rateless :: List.map (fun k -> `Sos k) Protocol.all
 
-(* The serial transcripts, run once and shared by the pool battery and the
-   golden digests below: (seed, stack, transcript) in seed-major order. *)
-let serial_transcripts =
-  lazy
-    (List.concat_map
-       (fun nseed ->
-         List.map
-           (fun stack ->
-             (nseed, stack, with_domains 1 (fun () -> transcript_of_stack ~nseed stack)))
-           transcript_stacks)
-       transcript_seeds)
-
-let test_parallel_matches_serial_transcripts () =
-  List.iter
-    (fun (nseed, stack, serial) ->
-      let parallel = with_domains 4 (fun () -> transcript_of_stack ~nseed stack) in
-      Alcotest.(check bool)
-        (Printf.sprintf "transcript %s seed=0x%Lx (%d bytes)" (stack_name stack) nseed
-           (String.length serial))
-        true (String.equal serial parallel))
-    (Lazy.force serial_transcripts)
-
-(* Golden wire transcripts: the MD5 of every serial transcript above. A
+(* Golden wire transcripts: the MD5 of every transcript above. A
    refactor or kernel change that claims to move no wire byte must leave
    this table alone; it changes only in a change whose stated purpose is a
    wire change, which lists each moved row. Rows are seed-major, stacks in
@@ -215,10 +107,15 @@ let golden_digests =
 
 let test_golden_transcript_digests () =
   let got =
-    List.map
-      (fun (nseed, stack, t) ->
-        (Printf.sprintf "0x%Lx" nseed, stack_name stack, Digest.to_hex (Digest.string t)))
-      (Lazy.force serial_transcripts)
+    List.concat_map
+      (fun nseed ->
+        List.map
+          (fun stack ->
+            ( Printf.sprintf "0x%Lx" nseed,
+              stack_name stack,
+              Digest.to_hex (Digest.string (transcript_of_stack ~nseed stack)) ))
+          transcript_stacks)
+      transcript_seeds
   in
   Alcotest.(check (list (triple string string string))) "transcript digests" golden_digests got
 
@@ -230,9 +127,7 @@ let test_golden_transcript_digests () =
 let test_golden_retry_transcript_digest () =
   let nseed = 0x11AL in
   let network, link = clean_network ~nseed in
-  let report =
-    with_domains 1 (fun () -> resilient_set ~nseed ~link ~initial_d:1 Resilient.Doubling)
-  in
+  let report = resilient_set ~nseed ~link ~initial_d:1 Resilient.Doubling in
   let retries =
     List.filter
       (fun (m : Comm.message) -> m.Comm.label = "retry")
@@ -345,7 +240,7 @@ let test_golden_faulty_transcript_digests () =
           (fun stack ->
             ( Printf.sprintf "0x%Lx" nseed,
               stack_name stack,
-              with_domains 1 (fun () -> faulty_digest ~nseed stack) ))
+              faulty_digest ~nseed stack ))
           transcript_stacks)
       transcript_seeds
   in
@@ -514,8 +409,7 @@ let comm_digests stacks =
         (fun (name, run) ->
           ( Printf.sprintf "0x%Lx" nseed,
             name,
-            Digest.to_hex
-              (Digest.string (with_domains 1 (fun () -> recorded_transcript ~name (run nseed)))) ))
+            Digest.to_hex (Digest.string (recorded_transcript ~name (run nseed))) ))
         stacks)
     transcript_seeds
 
@@ -615,8 +509,7 @@ let test_golden_core_comm_transcript_digests () =
    doubles per attempt, each attempt under its own salt; the encoding salt
    is pinned, so the parties and the attempts share child encodings
    wherever their encoder configuration agrees), put the same bytes on the
-   wire, bit for bit, as the same attempts without one — at any pool size.
-   The reference runs serial without a memo. *)
+   wire, bit for bit, as the same attempts without one. *)
 module Enc_cache = Ssr_core.Enc_cache
 
 let transcript_of_rungs ~nseed ~memo kind =
@@ -645,16 +538,12 @@ let test_memo_transcripts_byte_identical () =
     (fun nseed ->
       List.iter
         (fun kind ->
-          let plain = with_domains 1 (fun () -> transcript_of_rungs ~nseed ~memo:false kind) in
-          List.iter
-            (fun (pool, memo) ->
-              let got = with_domains pool (fun () -> transcript_of_rungs ~nseed ~memo kind) in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s = serial without memo, %s seed=0x%Lx pool=%d (%d bytes)"
-                   (if memo then "memo" else "no memo")
-                   (Protocol.name kind) nseed pool (String.length plain))
-                true (String.equal plain got))
-            [ (1, true); (4, true); (4, false) ])
+          let plain = transcript_of_rungs ~nseed ~memo:false kind in
+          let got = transcript_of_rungs ~nseed ~memo:true kind in
+          Alcotest.(check bool)
+            (Printf.sprintf "memo = no memo, %s seed=0x%Lx (%d bytes)" (Protocol.name kind) nseed
+               (String.length plain))
+            true (String.equal plain got))
         Protocol.all)
     [ 0x9A1L; 0x9B2L; 0x9C3L ];
   Alcotest.(check bool) "the memo was hit" true ((Enc_cache.stats ()).Enc_cache.hits > hits0)
@@ -663,7 +552,7 @@ let test_memo_transcripts_byte_identical () =
    as the rest of it: an adversarial family ground against the attempt-0
    schedule stalls the set stack's first attempt, a later attempt under a
    fresh salt and a doubled bound recovers it without direct transfer, and
-   the wire transcript must be byte-identical at 1 and 4 domains. *)
+   a second run must put the same bytes on the wire. *)
 let transcript_of_adversarial_set ~nseed =
   let module Iblt = Ssr_sketch.Iblt in
   let module Hashing = Ssr_util.Hashing in
@@ -692,55 +581,19 @@ let transcript_of_adversarial_set ~nseed =
 let test_adversarial_fresh_salt_deterministic () =
   List.iter
     (fun nseed ->
-      let serial = with_domains 1 (fun () -> transcript_of_adversarial_set ~nseed) in
-      let parallel = with_domains 4 (fun () -> transcript_of_adversarial_set ~nseed) in
+      let first = transcript_of_adversarial_set ~nseed in
+      let second = transcript_of_adversarial_set ~nseed in
       Alcotest.(check bool)
         (Printf.sprintf "fresh-salt ladder transcript seed=0x%Lx (%d bytes)" nseed
-           (String.length serial))
-        true (String.equal serial parallel))
+           (String.length first))
+        true (String.equal first second))
     [ 0x44DL; 0x55EL ]
-
-(* The rateless cell stream is a pure function of (seed, cell_index): the
-   bytes of any window must not depend on the pool size, at pool sizes
-   from below to well above 2048 elements. *)
-let test_rateless_cells_parallel_identical () =
-  let module Rateless = Ssr_sketch.Rateless in
-  List.iter
-    (fun n ->
-      let rng = Prng.create ~seed:(Prng.derive ~seed:0x7A7EL ~tag:n) in
-      let keys = Array.init n (fun _ -> Prng.int_below rng (1 lsl 40)) in
-      let src = Rateless.source_of_ints ~seed:0x7A7E5EEDL keys in
-      let windows = [ (0, 1); (0, 33); (33, 100); (1000, 1064) ] in
-      let serial =
-        with_domains 1 (fun () -> List.map (fun (lo, hi) -> Rateless.cells src ~lo ~hi) windows)
-      in
-      let parallel =
-        with_domains 4 (fun () -> List.map (fun (lo, hi) -> Rateless.cells src ~lo ~hi) windows)
-      in
-      List.iter2
-        (fun s p ->
-          Alcotest.(check bool)
-            (Printf.sprintf "cells identical n=%d (%d bytes)" n (Bytes.length s))
-            true (Bytes.equal s p))
-        serial parallel)
-    [ 100; 2048; 5000 ]
 
 let () =
   Alcotest.run "ssr_par"
     [
-      ( "combinators",
-        [
-          Alcotest.test_case "available/set_domains" `Quick test_available;
-          Alcotest.test_case "both" `Quick test_both;
-          Alcotest.test_case "init" `Quick test_init_matches_serial;
-          Alcotest.test_case "map_array/map_list" `Quick test_map_matches_serial;
-          Alcotest.test_case "nested fork-join" `Quick test_nesting;
-          Alcotest.test_case "exceptions" `Quick test_exceptions;
-        ] );
       ( "determinism",
         [
-          Alcotest.test_case "parallel = serial transcripts (3 seeds x 6 stacks)" `Quick
-            test_parallel_matches_serial_transcripts;
           Alcotest.test_case "golden transcript digests (3 seeds x 6 stacks)" `Quick
             test_golden_transcript_digests;
           Alcotest.test_case "golden comm transcript digests (3 seeds x 9 stacks)" `Quick
@@ -755,7 +608,5 @@ let () =
             test_memo_transcripts_byte_identical;
           Alcotest.test_case "fresh salts deterministic (2 seeds)" `Quick
             test_adversarial_fresh_salt_deterministic;
-          Alcotest.test_case "rateless cells parallel = serial (3 pool sizes)" `Quick
-            test_rateless_cells_parallel_identical;
         ] );
     ]

@@ -1,6 +1,6 @@
 (* Tests for the long-lived reconciliation server: end-to-end sessions,
    epoch pinning under concurrent mutation, deterministic backpressure,
-   and serial-vs-parallel transcript identity. *)
+   and load-generator runs that repeat byte for byte with exact metrics. *)
 
 module Prng = Ssr_util.Prng
 module Clock = Ssr_transport.Clock
@@ -9,7 +9,6 @@ module Comm = Ssr_setrecon.Comm
 module Rateless = Ssr_sketch.Rateless
 module L0 = Ssr_sketch.L0_estimator
 module Metrics = Ssr_obs.Metrics
-module Par = Ssr_util.Par
 module Shard = Ssr_server.Shard
 module Wire = Ssr_server.Wire
 module Server = Ssr_server.Server
@@ -17,11 +16,6 @@ module Client = Ssr_server.Client
 module Load_gen = Ssr_server.Load_gen
 
 let seed = 0x5E1ECE11L
-
-let with_domains n f =
-  Fun.protect ~finally:(fun () -> Par.set_domains 1) (fun () ->
-      Par.set_domains n;
-      f ())
 
 (* ---------- wire roundtrips ---------- *)
 
@@ -256,49 +250,46 @@ let test_windows_from_pinned_epoch () =
 
 (* ---------- backpressure: deterministic rejection ---------- *)
 
-let backpressure_replies ~domains () =
-  with_domains domains (fun () ->
-      let clock = Clock.create () in
-      let cfg =
-        {
-          (Server.default_config ~seed ~shards:1 ()) with
-          Server.max_sessions_per_shard = 2;
-          admissions_per_round = 1;
-          retry_after_us = 10_000;
-        }
-      in
-      let server = Server.create ~clock cfg in
-      ignore
-        (Server.apply_batch server (Array.init 128 (fun i -> (0, Shard.Add (3_000 + i)))));
-      let l0 = L0.create ~seed:(Shard.l0_seed ~server_seed:seed ~shard:0) () in
-      let l0b = L0.to_bytes l0 in
-      let inboxes = Array.make 4 [] in
-      let conns =
-        Array.init 4 (fun i ->
-            Server.connect server ~reply:(fun b -> inboxes.(i) <- b :: inboxes.(i)))
-      in
-      (* Four simultaneous Reqs in one pump round. *)
-      Array.iteri
-        (fun i c ->
-          Server.receive server c
-            (Wire.encode { Wire.shard = 0; session = i + 1; msg = Wire.Req { l0 = l0b } }))
-        conns;
-      Clock.advance clock ~by_us:1;
-      (* Second wave after the retry window: one more admission, then the
-         table (2 sessions) is full. *)
-      Clock.advance clock ~by_us:cfg.Server.retry_after_us;
-      Server.receive server conns.(1)
-        (Wire.encode { Wire.shard = 0; session = 2; msg = Wire.Req { l0 = l0b } });
-      Clock.advance clock ~by_us:1;
-      Clock.advance clock ~by_us:cfg.Server.retry_after_us;
-      Server.receive server conns.(2)
-        (Wire.encode { Wire.shard = 0; session = 3; msg = Wire.Req { l0 = l0b } });
-      Clock.advance clock ~by_us:1;
-      let st = Server.stats server in
-      (Array.map (fun inbox -> List.rev_map Bytes.to_string inbox) inboxes, st))
+let backpressure_replies () =
+  let clock = Clock.create () in
+  let cfg =
+    {
+      (Server.default_config ~seed ~shards:1 ()) with
+      Server.max_sessions_per_shard = 2;
+      admissions_per_round = 1;
+      retry_after_us = 10_000;
+    }
+  in
+  let server = Server.create ~clock cfg in
+  ignore (Server.apply_batch server (Array.init 128 (fun i -> (0, Shard.Add (3_000 + i)))));
+  let l0 = L0.create ~seed:(Shard.l0_seed ~server_seed:seed ~shard:0) () in
+  let l0b = L0.to_bytes l0 in
+  let inboxes = Array.make 4 [] in
+  let conns =
+    Array.init 4 (fun i -> Server.connect server ~reply:(fun b -> inboxes.(i) <- b :: inboxes.(i)))
+  in
+  (* Four simultaneous Reqs in one pump round. *)
+  Array.iteri
+    (fun i c ->
+      Server.receive server c
+        (Wire.encode { Wire.shard = 0; session = i + 1; msg = Wire.Req { l0 = l0b } }))
+    conns;
+  Clock.advance clock ~by_us:1;
+  (* Second wave after the retry window: one more admission, then the
+     table (2 sessions) is full. *)
+  Clock.advance clock ~by_us:cfg.Server.retry_after_us;
+  Server.receive server conns.(1)
+    (Wire.encode { Wire.shard = 0; session = 2; msg = Wire.Req { l0 = l0b } });
+  Clock.advance clock ~by_us:1;
+  Clock.advance clock ~by_us:cfg.Server.retry_after_us;
+  Server.receive server conns.(2)
+    (Wire.encode { Wire.shard = 0; session = 3; msg = Wire.Req { l0 = l0b } });
+  Clock.advance clock ~by_us:1;
+  let st = Server.stats server in
+  (Array.map (fun inbox -> List.rev_map Bytes.to_string inbox) inboxes, st)
 
 let test_backpressure_determinism () =
-  let replies1, st1 = backpressure_replies ~domains:1 () in
+  let replies1, st1 = backpressure_replies () in
   let kind b =
     match Wire.decode_opt (Bytes.of_string b) with
     | Some { Wire.msg = Wire.Sketch _; _ } -> "sketch"
@@ -318,12 +309,12 @@ let test_backpressure_determinism () =
   Alcotest.(check (list string)) "conn3 rejected" [ "reject:10000" ] (List.map kind replies1.(3));
   Alcotest.(check int) "rejected count" 4 st1.Server.rejected;
   Alcotest.(check int) "opened count" 2 st1.Server.opened;
-  (* Byte-identical under a 4-domain pool. *)
-  let replies4, st4 = backpressure_replies ~domains:4 () in
-  Alcotest.(check bool) "stats identical" true (st1 = st4);
+  (* A second run replies byte for byte the same. *)
+  let replies2, st2 = backpressure_replies () in
+  Alcotest.(check bool) "stats identical" true (st1 = st2);
   Array.iteri
     (fun i r1 ->
-      Alcotest.(check (list string)) (Printf.sprintf "conn%d bytes identical" i) r1 replies4.(i))
+      Alcotest.(check (list string)) (Printf.sprintf "conn%d bytes identical" i) r1 replies2.(i))
     replies1
 
 (* ---------- wire-path mutations ---------- *)
@@ -351,7 +342,7 @@ let test_mutate_over_wire () =
   | Some ([], [ 777_777 ]) -> ()
   | Some _ | None -> Alcotest.fail "expected exactly the wire-mutated key as server-only"
 
-(* ---------- load generator: serial = 4 domains, metrics exact ---------- *)
+(* ---------- load generator: runs repeat, metrics exact ---------- *)
 
 let lg_cfg =
   {
@@ -366,8 +357,8 @@ let lg_cfg =
     drop = 0.01;
   }
 
-let test_load_gen_serial_matches_parallel () =
-  let r1 = with_domains 1 (fun () -> Load_gen.run lg_cfg) in
+let test_load_gen_repeats_metrics_exact () =
+  let r1 = Load_gen.run lg_cfg in
   Alcotest.(check bool)
     ("most sessions complete: " ^ string_of_int r1.Load_gen.completed)
     true
@@ -375,17 +366,18 @@ let test_load_gen_serial_matches_parallel () =
   Alcotest.(check bool) "p99 >= p50 > 0" true
     (r1.Load_gen.p99_us >= r1.Load_gen.p50_us && r1.Load_gen.p50_us > 0);
   let before = Metrics.snapshot () in
-  let r4 = with_domains 4 (fun () -> Load_gen.run lg_cfg) in
+  let r2 = Load_gen.run lg_cfg in
   let d = Metrics.diff ~before ~after:(Metrics.snapshot ()) in
-  (* Zero lost updates: atomic counters agree with generator ground truth. *)
-  Alcotest.(check int) "metrics: mutations exact" r4.Load_gen.mutations_applied
+  (* No update lost or counted twice: the counters agree with the
+     generator's ground truth. *)
+  Alcotest.(check int) "metrics: mutations exact" r2.Load_gen.mutations_applied
     (Metrics.counter_value d "server.mutations.applied");
-  Alcotest.(check int) "metrics: completions exact" r4.Load_gen.completed
+  Alcotest.(check int) "metrics: completions exact" r2.Load_gen.completed
     (Metrics.counter_value d "server.sessions.completed");
-  (* Byte-identical behaviour at any pool size. *)
+  (* A second run of the same seed behaves byte for byte the same. *)
   Alcotest.(check string) "transcript digest" r1.Load_gen.transcript_digest
-    r4.Load_gen.transcript_digest;
-  Alcotest.(check bool) "reports identical" true (r1 = r4)
+    r2.Load_gen.transcript_digest;
+  Alcotest.(check bool) "reports identical" true (r1 = r2)
 
 let () =
   Alcotest.run "ssr_server"
@@ -407,7 +399,7 @@ let () =
         ] );
       ( "load-gen",
         [
-          Alcotest.test_case "serial = 4 domains, metrics exact" `Quick
-            test_load_gen_serial_matches_parallel;
+          Alcotest.test_case "runs repeat, metrics exact" `Quick
+            test_load_gen_repeats_metrics_exact;
         ] );
     ]

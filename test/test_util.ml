@@ -45,17 +45,6 @@ let test_prng_float_range () =
     Alcotest.(check bool) "in [0,1)" true (f >= 0.0 && f < 1.0)
   done
 
-let test_prng_split_independent () =
-  let base = Prng.create ~seed in
-  let a = Prng.split base ~tag:1 and b = Prng.split base ~tag:2 in
-  let xa = Prng.next_int64 a and xb = Prng.next_int64 b in
-  Alcotest.(check bool) "different streams" true (xa <> xb)
-
-let test_prng_split_reproducible () =
-  let a = Prng.split (Prng.create ~seed) ~tag:7 in
-  let b = Prng.split (Prng.create ~seed) ~tag:7 in
-  Alcotest.(check int64) "same derived stream" (Prng.next_int64 a) (Prng.next_int64 b)
-
 let test_prng_geometric_mean () =
   let rng = Prng.create ~seed in
   let p = 0.2 in
@@ -525,8 +514,6 @@ let () =
           Alcotest.test_case "int_below range" `Quick test_prng_int_below_range;
           Alcotest.test_case "int_below uniform-ish" `Quick test_prng_int_below_uniformish;
           Alcotest.test_case "float range" `Quick test_prng_float_range;
-          Alcotest.test_case "split independent" `Quick test_prng_split_independent;
-          Alcotest.test_case "split reproducible" `Quick test_prng_split_reproducible;
           Alcotest.test_case "geometric mean" `Quick test_prng_geometric_mean;
           Alcotest.test_case "mix64 injective sample" `Quick test_mix64_bijective_sample;
         ] );
