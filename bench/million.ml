@@ -90,7 +90,7 @@ let flat_elements (inst : Datasets.instance) =
           arr.(!idx) <- x;
           incr idx)
         c)
-    (Datasets.to_seq st);
+    (Parent.stream_to_seq st);
   Iset.of_seq (Array.to_seq (Array.sub arr 0 !idx))
 
 (* Paper bounds (bits, constants dropped): what each stack's communication

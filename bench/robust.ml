@@ -107,7 +107,7 @@ let workload ~tseed ~family ~d =
   in
   let plain_ok, plain_bits, plain_silent =
     match
-      Set_recon.reconcile_known_d ~seed:(Hashing.attempt_seed ~seed:tseed ~attempt:0) ~d:bound ~k
+      Set_recon.reconcile_known_d ~seed:(Hashing.attempt_seed ~seed:tseed ~attempt:0) ~d:bound
         ~alice ~bob ()
     with
     | Ok o -> (true, o.Set_recon.stats.Comm.bits_total, not (Iset.equal o.Set_recon.recovered alice))

@@ -28,11 +28,6 @@ val colliding_ints :
     Raises [Invalid_argument] if the grind budget is exhausted (only
     reachable with a confinement far below the default). *)
 
-val family :
-  prm:Ssr_sketch.Iblt.params -> ?confine:int -> ?salt:int -> count:int -> unit ->
-  Ssr_util.Iset.t
-(** {!colliding_ints} as a set. *)
-
 val workload :
   prm:Ssr_sketch.Iblt.params -> ?confine:int -> ?salt:int -> bob_size:int -> count:int ->
   unit -> Ssr_util.Iset.t * Ssr_util.Iset.t

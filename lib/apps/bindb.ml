@@ -11,11 +11,6 @@ let row_to_set row =
   Array.iteri (fun i b -> if b then ones := i :: !ones) row;
   Iset.of_list !ones
 
-let set_to_row ~columns set =
-  let row = Array.make columns false in
-  Iset.iter (fun i -> row.(i) <- true) set;
-  row
-
 let create ~columns ~rows =
   List.iter
     (fun row -> if Array.length row <> columns then invalid_arg "Bindb.create: row width mismatch")
@@ -27,8 +22,6 @@ let columns t = t.columns
 let num_rows t = Parent.cardinal t.parent
 
 let row_sets t = Parent.children t.parent
-
-let rows t = List.map (set_to_row ~columns:t.columns) (row_sets t)
 
 let equal a b = a.columns = b.columns && Parent.equal a.parent b.parent
 

@@ -20,8 +20,6 @@ val create : columns:int -> rows:bool array list -> t
 
 val columns : t -> int
 val num_rows : t -> int
-val rows : t -> bool array list
-(** Canonical order; fresh arrays. *)
 
 val row_sets : t -> Ssr_util.Iset.t list
 (** The rows as sets of 1-column indices. *)

@@ -17,8 +17,6 @@ type instance = {
   max_child_size : int;
 }
 
-let to_seq = Parent.stream_to_seq
-
 (* --- GraphChallenge-style edge-list graphs ------------------------------ *)
 
 let graph ~seed ~nodes ~avg_degree =

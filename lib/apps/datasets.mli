@@ -18,11 +18,6 @@ type instance = {
 }
 (** A generated workload plus the [u] and [h] the protocols need. *)
 
-val to_seq : ?from:int -> Ssr_core.Parent.stream -> Ssr_util.Iset.t Seq.t
-(** Resumable iteration from position [from] (default 0); restarting the
-    sequence re-invokes the pure generator. Alias of
-    {!Ssr_core.Parent.stream_to_seq}. *)
-
 val graph : seed:int64 -> nodes:int -> avg_degree:int -> instance
 (** Edge-list graph as a set of sets: child [i] is node [i]'s
     out-neighbourhood over [\[0, nodes)] plus the identity marker

@@ -24,8 +24,6 @@ type collection = Parent.t
 
 let collection ds = Parent.of_children (List.map shingle_set ds)
 
-let docs c = List.map (fun s -> { shingles = s }) (Parent.children c)
-
 let equal = Parent.equal
 
 type classification = { unchanged : int; near_duplicates : int; fresh : int }

@@ -27,7 +27,6 @@ val resemblance : doc -> doc -> float
 type collection
 
 val collection : doc list -> collection
-val docs : collection -> doc list
 val equal : collection -> collection -> bool
 
 type classification = {

@@ -65,7 +65,7 @@ let relaxed_matching_cost a b =
 
 type edit = { child_index : int; element : int; kind : [ `Add | `Del ] }
 
-let perturb rng ~universe ?max_child_size:cap ~edits t =
+let perturb rng ~universe ~edits t =
   if Array.length t = 0 then invalid_arg "Parent.perturb: empty parent";
   let kids = Array.copy t in
   (* Track touched (child, element) pairs so edits never cancel. *)
@@ -89,15 +89,12 @@ let perturb rng ~universe ?max_child_size:cap ~edits t =
       end
     end
     else begin
-      let room = match cap with None -> true | Some h -> Iset.cardinal child < h in
-      if room then begin
-        let x = Prng.int_below rng universe in
-        if (not (Iset.mem x child)) && not (Hashtbl.mem touched (i, x)) then begin
-          Hashtbl.add touched (i, x) ();
-          kids.(i) <- Iset.add x child;
-          log := { child_index = i; element = x; kind = `Add } :: !log;
-          incr applied
-        end
+      let x = Prng.int_below rng universe in
+      if (not (Iset.mem x child)) && not (Hashtbl.mem touched (i, x)) then begin
+        Hashtbl.add touched (i, x) ();
+        kids.(i) <- Iset.add x child;
+        log := { child_index = i; element = x; kind = `Add } :: !log;
+        incr applied
       end
     end
   done;

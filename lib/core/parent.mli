@@ -29,9 +29,6 @@ val compare : t -> t -> int
 (** Total order on canonical forms (used by the set-of-sets-of-sets
     extension to canonicalize collections of parents). *)
 
-val mem : Ssr_util.Iset.t -> t -> bool
-(** O(log s) comparisons: a binary search over the canonical order. *)
-
 val hash : seed:int64 -> t -> int
 (** 62-bit hash of the canonical form: the whole-object verification guard
     ("Alice can send Bob a hash of her whole set of sets", §3.2) of the
@@ -52,12 +49,12 @@ type edit = { child_index : int; element : int; kind : [ `Add | `Del ] }
 (** One element edit applied to a child (by canonical index). *)
 
 val perturb :
-  Ssr_util.Prng.t -> universe:int -> ?max_child_size:int -> edits:int -> t -> t * edit list
+  Ssr_util.Prng.t -> universe:int -> edits:int -> t -> t * edit list
 (** Apply [edits] random element additions/deletions across the children
-    (the paper's update model). Respects [universe] and, if given,
-    [max_child_size]; never creates an edit that cancels a previous one on
-    the same child, so the relaxed matching cost is at most (and typically
-    exactly) [edits]. Returns the perturbed parent and the edit log. *)
+    (the paper's update model). Respects [universe]; never creates an edit
+    that cancels a previous one on the same child, so the relaxed matching
+    cost is at most (and typically exactly) [edits]. Returns the perturbed
+    parent and the edit log. *)
 
 val random :
   Ssr_util.Prng.t -> universe:int -> children:int -> child_size:int -> t

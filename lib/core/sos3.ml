@@ -16,8 +16,6 @@ let of_parents ps = Array.of_list (List.sort_uniq Parent.compare ps)
 
 let parents = Array.to_list
 
-let cardinal = Array.length
-
 let equal (a : t) b = a = b
 
 let hash_tag = 0x5053

@@ -30,7 +30,6 @@ type t
 
 val of_parents : Parent.t list -> t
 val parents : t -> Parent.t list
-val cardinal : t -> int
 val equal : t -> t -> bool
 
 val hash : seed:int64 -> t -> int

@@ -29,11 +29,6 @@ val diff_bound : t -> t -> int
     {!Parent.relaxed_matching_cost}), measured in multiset element
     changes. *)
 
-val count_cap : t -> t -> int
-(** The smallest power-of-two multiplicity bound covering both sides (the
-    "n" in the u -> u*n universe blowup); both parties can exchange it in
-    O(log log n) bits, so the protocols treat it as public. *)
-
 val reconcile :
   Protocol.kind -> seed:int64 -> d:int -> u:int ->
   alice:t -> bob:t -> unit ->

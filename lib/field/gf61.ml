@@ -37,14 +37,6 @@ let[@inline] mul a b =
   let ll = reduce62 (a0 * b0) in
   reduce_once (reduce_once (hh + mid) + ll)
 
-(* Fused multiply-accumulate for polynomial inner loops: [acc] and the
-   product are both canonical (< p), so one conditional subtraction
-   re-canonicalizes the sum — cheaper than a separate add/sub call and
-   friendlier to the branch predictor than re-deriving limbs. *)
-let[@inline] mul_add acc a b = reduce_once (acc + mul a b)
-
-let[@inline] mul_sub acc a b = reduce_once (acc - mul a b + p)
-
 let pow x k =
   if k < 0 then invalid_arg "Gf61.pow: negative exponent";
   let rec go base k acc =
@@ -56,8 +48,6 @@ let pow x k =
   go x k one
 
 let inv x = if x = 0 then raise Division_by_zero else pow x (p - 2)
-
-let div a b = mul a (inv b)
 
 (* Montgomery's batch-inversion trick: one Fermat inversion (~90 multiplies)
    amortized over the whole array, three multiplies per element. The
@@ -102,5 +92,3 @@ let random_nonzero rng =
   draw ()
 
 let equal (a : int) b = a = b
-
-let pp = Format.pp_print_int

@@ -17,7 +17,6 @@ val p : int
 (** The modulus 2^61 - 1. *)
 
 val zero : t
-val one : t
 
 val of_int : int -> t
 (** Reduce an arbitrary non-negative int modulo [p]. Raises [Invalid_argument]
@@ -28,21 +27,11 @@ val sub : t -> t -> t
 val neg : t -> t
 val mul : t -> t -> t
 
-val mul_add : t -> t -> t -> t
-(** [mul_add acc a b = acc + a*b], fused for the polynomial kernels'
-    inner loops. *)
-
-val mul_sub : t -> t -> t -> t
-(** [mul_sub acc a b = acc - a*b], the reduction-step companion of
-    {!mul_add}. *)
-
 val pow : t -> int -> t
 (** [pow x k] for [k >= 0], by square-and-multiply. *)
 
 val inv : t -> t
 (** Multiplicative inverse via Fermat; raises [Division_by_zero] on 0. *)
-
-val div : t -> t -> t
 
 val batch_inv : t array -> t array
 (** Element-wise inverses computed with Montgomery's trick: one {!inv} plus
@@ -61,4 +50,3 @@ val random_nonzero : Ssr_util.Prng.t -> t
 (** Uniform element of [\[1, p)]. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

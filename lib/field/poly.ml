@@ -765,12 +765,3 @@ let powmod base k ~modulus =
 let derivative t =
   if Array.length t <= 1 then zero
   else normalize (Array.init (Array.length t - 1) (fun i -> Gf61.mul (Gf61.of_int (i + 1)) t.(i + 1)))
-
-let pp fmt t =
-  if is_zero t then Format.fprintf fmt "0"
-  else
-    Array.iteri
-      (fun i c ->
-        if c <> 0 then
-          if i = 0 then Format.fprintf fmt "%d" c else Format.fprintf fmt " + %d z^%d" c i)
-      t

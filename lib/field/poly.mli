@@ -90,5 +90,3 @@ val reduce : reducer -> t -> t
     against long division on arbitrary inputs. *)
 
 val derivative : t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -14,13 +14,7 @@ let lift n = function
     Ok { recovered = Graph.of_edge_ids ~n o.Set_recon.recovered; stats = o.Set_recon.stats }
   | Error (`Decode_failure stats) -> Error (`Decode_failure stats)
 
-let reconcile_known_d ~seed ~d ?k ~alice ~bob () =
+let reconcile_known_d ~seed ~d ~alice ~bob () =
   check alice bob;
   lift (Graph.n alice)
-    (Set_recon.reconcile_known_d ~seed ~d ?k ~alice:(Graph.edge_ids alice) ~bob:(Graph.edge_ids bob) ())
-
-let reconcile_robust ~seed ?k ?initial_d ?max_attempts ~alice ~bob () =
-  check alice bob;
-  lift (Graph.n alice)
-    (Set_recon.reconcile_robust ~seed ?k ?initial_d ?max_attempts ~alice:(Graph.edge_ids alice)
-       ~bob:(Graph.edge_ids bob) ())
+    (Set_recon.reconcile_known_d ~seed ~d ~alice:(Graph.edge_ids alice) ~bob:(Graph.edge_ids bob) ())

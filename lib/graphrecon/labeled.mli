@@ -10,12 +10,7 @@ type outcome = { recovered : Ssr_graphs.Graph.t; stats : Ssr_setrecon.Comm.stats
 type error = [ `Decode_failure of Ssr_setrecon.Comm.stats ]
 
 val reconcile_known_d :
-  seed:int64 -> d:int -> ?k:int ->
-  alice:Ssr_graphs.Graph.t -> bob:Ssr_graphs.Graph.t -> unit -> (outcome, error) result
+  seed:int64 -> d:int -> alice:Ssr_graphs.Graph.t -> bob:Ssr_graphs.Graph.t -> unit ->
+  (outcome, error) result
 (** One round, O(d log n) bits: an IBLT over edge ids. Requires the graphs
     to share a vertex count. *)
-
-val reconcile_robust :
-  seed:int64 -> ?k:int -> ?initial_d:int -> ?max_attempts:int ->
-  alice:Ssr_graphs.Graph.t -> bob:Ssr_graphs.Graph.t -> unit -> (outcome, error) result
-(** Repeated doubling when no bound is known. *)

@@ -94,7 +94,10 @@ let canonical_root_labels t =
 
 let isomorphic a b = canonical_root_labels a = canonical_root_labels b
 
-let random rng ~n ~max_depth ?(root_bias = 0.1) () =
+(* Probability that a vertex of {!random} starts a new tree. *)
+let root_bias = 0.1
+
+let random rng ~n ~max_depth () =
   if n < 0 then invalid_arg "Forest.random: negative n";
   let parent = Array.make n (-1) in
   let depth = Array.make n 0 in

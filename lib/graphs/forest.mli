@@ -43,10 +43,9 @@ val canonical_root_labels : t -> string list
 
 val isomorphic : t -> t -> bool
 
-val random : Ssr_util.Prng.t -> n:int -> max_depth:int -> ?root_bias:float -> unit -> t
-(** Random forest: each vertex becomes a root with probability [root_bias]
-    (default 0.1) or attaches to a uniformly chosen earlier vertex of depth
-    < [max_depth]. *)
+val random : Ssr_util.Prng.t -> n:int -> max_depth:int -> unit -> t
+(** Random forest: each vertex becomes a root with probability 0.1 or
+    attaches to a uniformly chosen earlier vertex of depth < [max_depth]. *)
 
 val random_updates : Ssr_util.Prng.t -> ?max_depth:int -> t -> int -> t
 (** Apply k structure-preserving edge updates (insertions of roots under

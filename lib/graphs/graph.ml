@@ -106,9 +106,3 @@ let flip_random_edges rng t k =
     end
   done;
   !g
-
-let pp fmt t =
-  Format.fprintf fmt "graph(n=%d,m=%d){%a}" t.n (num_edges t)
-    (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ",")
-       (fun f (a, b) -> Format.fprintf f "%d-%d" a b))
-    (edges t)

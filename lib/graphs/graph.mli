@@ -46,5 +46,3 @@ val edge_flip_distance : t -> t -> int
 
 val flip_random_edges : Ssr_util.Prng.t -> t -> int -> t
 (** Flip (toggle) [k] distinct vertex pairs chosen uniformly. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,7 +1,10 @@
 module Prng = Ssr_util.Prng
 module Iset = Ssr_util.Iset
 
-let build rng ~n ~h ~d ~internal_p =
+(* Edge probability of the sparse random graph among non-hubs. *)
+let internal_p = 0.02
+
+let build rng ~n ~h ~d =
   let m = n - h in
   let gap = d + 2 in
   let k_min = max (m / 6) ((2 * (d + 2)) + 8) in
@@ -17,18 +20,16 @@ let build rng ~n ~h ~d ~internal_p =
   done;
   (* Sparse internal edges among non-hubs: they perturb degrees slightly but
      never touch a signature (signatures only record hub adjacency). *)
-  if internal_p > 0.0 then begin
-    let internal = Gnp.sample rng ~n:m ~p:internal_p in
-    List.iter (fun (a, b) -> edges := (h + a, h + b) :: !edges) (Graph.edges internal)
-  end;
+  let internal = Gnp.sample rng ~n:m ~p:internal_p in
+  List.iter (fun (a, b) -> edges := (h + a, h + b) :: !edges) (Graph.edges internal);
   Graph.create ~n ~edges:!edges
 
-let separated_instance rng ~n ~h ~d ?(internal_p = 0.02) () =
+let separated_instance rng ~n ~h ~d () =
   if h < 1 || n <= h then invalid_arg "Planted.separated_instance: bad h";
   let rec attempt k =
     if k = 0 then failwith "Planted.separated_instance: could not certify separation"
     else begin
-      let g = build rng ~n ~h ~d ~internal_p in
+      let g = build rng ~n ~h ~d in
       if Degree_order_sig.is_separated g ~h ~a:(d + 1) ~b:((2 * d) + 1) then g else attempt (k - 1)
     end
   in

@@ -15,7 +15,7 @@
     instance. *)
 
 val separated_instance :
-  Ssr_util.Prng.t -> n:int -> h:int -> d:int -> ?internal_p:float -> unit -> Graph.t
+  Ssr_util.Prng.t -> n:int -> h:int -> d:int -> unit -> Graph.t
 (** Certified (h, d+1, 2d+1)-separated graph. Requires roughly
     [n >= 3 * h * (d + 2)] so the hub degrees fit; raises [Failure] if a
     valid instance cannot be built in a few attempts (parameters too

@@ -172,18 +172,3 @@ let pp fmt snap =
           Format.fprintf fmt "%-40s n=%d sum=%d min=%d max=%d mean=%.2f@." name count sum min max
             (float_of_int sum /. float_of_int count))
     snap
-
-let reset () =
-  with_registry (fun () ->
-      Hashtbl.iter
-        (fun _ cell ->
-          match cell with
-          | C r | G r -> Atomic.set r 0
-          | D d ->
-            Mutex.lock d.lock;
-            d.n <- 0;
-            d.sum <- 0;
-            d.min_v <- max_int;
-            d.max_v <- min_int;
-            Mutex.unlock d.lock)
-        registry)

@@ -91,7 +91,3 @@ val json_escape : string -> string
 (** Escape a string for embedding in a JSON string literal (shared with
     {!Trace} and the CLI report writers; the tree carries no JSON
     dependency). *)
-
-val reset : unit -> unit
-(** Zero every registered cell (registrations and handed-out cells stay
-    valid). Test isolation only; production readers should use {!diff}. *)

@@ -49,11 +49,6 @@ let events () =
 
 let dropped () = with_ring (fun () -> max 0 (!next - Array.length !ring))
 
-let clear () =
-  with_ring (fun () ->
-      Array.fill !ring 0 (Array.length !ring) None;
-      next := 0)
-
 let set_capacity n =
   if n < 1 then invalid_arg "Trace.set_capacity: capacity must be positive";
   with_ring (fun () ->

@@ -38,8 +38,6 @@ val dropped : unit -> int
 (** Events overwritten since the last {!clear} (so [dropped () +
     List.length (events ())] is the total emitted). *)
 
-val clear : unit -> unit
-
 val set_capacity : int -> unit
 (** Resize the ring (clearing it). Default capacity is 4096 events. *)
 

@@ -25,8 +25,6 @@ module Base = struct
     let fn = Shard.hash_fn ~server_seed ~shard in
     let xor = Array.fold_left (fun acc x -> acc lxor Hashing.hash_int fn x) 0 members in
     { server_seed; shard; seed; cells; prefix; l0; fn; xor; n = Array.length members }
-
-  let cardinality t = t.n
 end
 
 type outcome =
@@ -46,8 +44,6 @@ type t = {
   l0_bytes : Bytes.t;
   my_xor : int;
   my_n : int;
-  req_timeout_us : int;
-  max_retries : int;
   writer : Rateless.writer;
   (* The difference absorbed so far; its [next_index] is where the next
      window must start. *)
@@ -72,8 +68,11 @@ type t = {
 
 let xor_fold fn acc xs = List.fold_left (fun a x -> a lxor Hashing.hash_int fn x) acc xs
 
-let create ~clock ~send ~base ~session ~added ~removed ?(req_timeout_us = 500_000)
-    ?(max_retries = 10) () =
+(* A [Req] unanswered for 500 ms is sent again, at most 10 times. *)
+let req_timeout_us = 500_000
+let max_retries = 10
+
+let create ~clock ~send ~base ~session ~added ~removed () =
   let l0 = L0.merge base.Base.l0 (L0.create ~seed:(Shard.l0_seed ~server_seed:base.Base.server_seed ~shard:base.Base.shard) ()) in
   Array.iter (fun x -> L0.update l0 L0.S2 x) added;
   (* An [S1] tick is the mod-4 inverse of the base's [S2] tick, so a
@@ -91,8 +90,6 @@ let create ~clock ~send ~base ~session ~added ~removed ?(req_timeout_us = 500_00
     l0_bytes = L0.to_bytes l0;
     my_xor = delta_xor (delta_xor base.Base.xor added) removed;
     my_n = base.Base.n + Array.length added - Array.length removed;
-    req_timeout_us;
-    max_retries;
     writer = Rateless.writer ~seed:base.Base.seed;
     dec = Rateless.decoder_of_ints ~seed:base.Base.seed [||];
     state = Idle;
@@ -132,13 +129,13 @@ let rec arm_timer t =
   let gen = t.timer_gen in
   ignore
     (Clock.schedule t.clock
-       ~at_us:(Clock.now_us t.clock + t.req_timeout_us)
+       ~at_us:(Clock.now_us t.clock + req_timeout_us)
        (fun () ->
          if t.timer_gen = gen && t.state <> Terminal then
            match t.outstanding with
            | None -> ()
            | Some b ->
-             if t.retries >= t.max_retries then fail t "timeout"
+             if t.retries >= max_retries then fail t "timeout"
              else begin
                t.retries <- t.retries + 1;
                t.send b;

@@ -37,8 +37,6 @@ module Base : sig
       {!Shard.prefix_cells}[ ~rung_caps ~check_bits] cells in one pass
       over [members]. Raises [Invalid_argument] where
       {!Shard.prefix_cells} does. *)
-
-  val cardinality : t -> int
 end
 
 type outcome =
@@ -56,13 +54,12 @@ val create :
   session:int ->
   added:int array ->
   removed:int array ->
-  ?req_timeout_us:int ->
-  ?max_retries:int ->
   unit ->
   t
 (** A client whose set is [base + added - removed]. [send] puts bytes on
     the client->server wire. [added] must be disjoint from the base and
-    [removed] a subset of it. *)
+    [removed] a subset of it. An unanswered [Req] is retransmitted every
+    500 ms, and the session fails after 10 retransmissions. *)
 
 val start : t -> unit
 (** Send the opening [Req] at the current virtual time. *)

@@ -11,8 +11,6 @@ type config = {
   admissions_per_round : int;
   retry_after_us : int;
   session_idle_timeout_us : int;
-  refresh_every : int;
-  tainted_max : int;
 }
 
 let default_config ~seed ?(shards = 8) () =
@@ -25,8 +23,6 @@ let default_config ~seed ?(shards = 8) () =
     admissions_per_round = 64;
     retry_after_us = 50_000;
     session_idle_timeout_us = 10_000_000;
-    refresh_every = 4096;
-    tainted_max = 64;
   }
 
 let m_pump_rounds = Metrics.counter "server.pump.rounds"
@@ -124,8 +120,7 @@ let create ~clock cfg =
             {
               sh =
                 Shard.create ~server_seed:cfg.seed ~id ~rung_caps:cfg.rung_caps
-                  ~check_bits:cfg.check_bits ~refresh_every:cfg.refresh_every
-                  ~tainted_max:cfg.tainted_max ();
+                  ~check_bits:cfg.check_bits ();
               sessions = Hashtbl.create 64;
               st_opened = 0;
               st_completed = 0;
@@ -142,14 +137,10 @@ let create ~clock cfg =
   schedule_sweep t;
   t
 
-let config t = t.cfg
-
 let connect t ~reply =
   let cid = t.next_cid in
   t.next_cid <- cid + 1;
   { cid; reply }
-
-let conn_id c = c.cid
 
 let shard t i =
   if i < 0 || i >= t.cfg.shards then invalid_arg "Server.shard: out of range";
@@ -339,12 +330,6 @@ let receive t conn bytes =
     t.pump_scheduled <- true;
     ignore (Clock.schedule t.clock ~at_us:(Clock.now_us t.clock) (pump t))
   end
-
-let apply t ~shard m =
-  if shard < 0 || shard >= t.cfg.shards then invalid_arg "Server.apply: shard out of range";
-  let changed = Shard.apply t.state.(shard).sh m in
-  if changed then Metrics.incr m_mutations;
-  changed
 
 let apply_batch t muts =
   let groups = Array.make t.cfg.shards [] in

@@ -35,8 +35,6 @@ type config = {
   admissions_per_round : int;  (** New sessions admitted per shard per pump round. *)
   retry_after_us : int;  (** Returned in [Reject]. *)
   session_idle_timeout_us : int;  (** Idle sessions are dropped after this. *)
-  refresh_every : int;  (** Estimator epoch length, in mutations per shard. *)
-  tainted_max : int;  (** Absorbed removals forcing an early estimator refresh. *)
 }
 
 val default_config : seed:int64 -> ?shards:int -> unit -> config
@@ -48,23 +46,14 @@ val create : clock:Ssr_transport.Clock.t -> config -> t
 (** Raises [Invalid_argument] on a bad shard count, session bound,
     [rung_caps] or [check_bits] ({!Shard.prefix_cells}). *)
 
-val config : t -> config
-
 val connect : t -> reply:(Bytes.t -> unit) -> conn
 (** Register a client connection; [reply] carries server->client bytes
     (e.g. [Network.send net B_to_a]). *)
-
-val conn_id : conn -> int
 
 val receive : t -> conn -> Bytes.t -> unit
 (** Hand the server raw (untrusted) bytes from this connection. Parsing
     and processing happen in the next pump round at the current virtual
     time; malformed packets are counted and dropped. *)
-
-val apply : t -> shard:int -> Shard.mutation -> bool
-(** Direct ingest of one mutation (the write path the load generator
-    drives); O(k) sketch work. Raises [Invalid_argument] on a bad shard
-    id. *)
 
 val apply_batch : t -> (int * Shard.mutation) array -> int
 (** Apply a batch, grouped by shard and applied in shard order;

@@ -79,7 +79,6 @@ let create ~server_seed ~id ?(rung_caps = default_rung_caps) ?(check_bits = 32)
 
 let id t = t.id
 let version t = t.version
-let cardinality t = Hashtbl.length t.members
 let xor_hash t = t.xor_hash
 let mem t x = Hashtbl.mem t.members x
 
@@ -94,7 +93,6 @@ let members t =
   out
 
 let refreshes t = t.refreshes
-let tainted_count t = Hashtbl.length t.tainted
 
 (* Rebuild the saturating estimator from the member set and clear the
    taint. O(n), amortized over [refresh_every] mutations. *)

@@ -57,7 +57,6 @@ val id : t -> int
 val version : t -> int
 (** Total mutations applied (the epoch coordinate sessions pin). *)
 
-val cardinality : t -> int
 val xor_hash : t -> int
 (** XOR of the keyed 62-bit hashes of every member: updates in O(1) per
     mutation and composes over symmetric differences. *)
@@ -73,8 +72,6 @@ val apply : t -> mutation -> bool
 
 val refreshes : t -> int
 (** Epoch refreshes performed so far (test hook). *)
-
-val tainted_count : t -> int
 
 (** {1 Seed derivation shared with clients} *)
 

@@ -43,7 +43,3 @@ val encode : packet -> Bytes.t
 
 val decode_opt : Bytes.t -> packet option
 (** Total parse of untrusted bytes; [None] on any malformation. *)
-
-val max_l0_bytes : int
-(** Upper bound accepted for the [Req] L0 payload (matches the default
-    L0 shape with headroom). *)

@@ -121,16 +121,16 @@ let sized (prm : Iblt.params) got =
     Some { prm with cells }
   else None
 
-let estimator ?shape ~seed keys =
-  let est = L0.create ~seed ?shape () in
+let estimator ~seed keys =
+  let est = L0.create ~seed () in
   L0.update_all est L0.S1 keys;
   L0.to_bytes est
 
-let estimate ?shape ~seed keys = function
+let estimate ~seed keys = function
   | Error `Lost -> None
   | Ok delivered ->
-    Option.bind (L0.of_bytes_opt ~seed ?shape delivered) (fun theirs ->
-        let mine = L0.create ~seed ?shape () in
+    Option.bind (L0.of_bytes_opt ~seed delivered) (fun theirs ->
+        let mine = L0.create ~seed () in
         L0.update_all mine L0.S2 keys;
         L0.query_opt (L0.merge theirs mine))
 

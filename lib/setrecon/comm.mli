@@ -94,13 +94,11 @@ val sized :
     count is whole, a multiple of [k] and at least [2k] (a size
     {!Ssr_sketch.Iblt.recommended_cells} can produce). *)
 
-val estimator : ?shape:Ssr_sketch.L0_estimator.shape -> seed:int64 -> int array -> Bytes.t
+val estimator : seed:int64 -> int array -> Bytes.t
 (** Bob's half of the estimator round of the unknown-d variants (Theorem
-    3.1): an l0 estimator of his keys. *)
+    3.1): an l0 estimator of his keys, of the default shape. *)
 
-val estimate :
-  ?shape:Ssr_sketch.L0_estimator.shape -> seed:int64 -> int array ->
-  (Bytes.t, [ `Lost ]) result -> int option
+val estimate : seed:int64 -> int array -> (Bytes.t, [ `Lost ]) result -> int option
 (** Alice's half: merge her keys into the delivered estimator and query
     it. [None] when it was lost, has the wrong length or reads out of the
     shape's range ({!Ssr_sketch.L0_estimator.query_opt}), so damage cannot
@@ -141,8 +139,6 @@ val per_round_bits : stats -> (int * int * int) list
     gaps (a round all of whose messages went one way reports 0 for the other
     direction). This is the per-round payload accounting the observability
     reports and EXPERIMENTS.md's communication tables are built from. *)
-
-val pp_stats : Format.formatter -> stats -> unit
 
 val show_stats : stats -> string
 (** [pp_stats] rendered to a string (for [Printf] users). *)

@@ -15,7 +15,10 @@ let pairwise_bound parties =
   done;
   !best
 
-let run_broadcast ~comm ~seed ~d ~k:hashes ~parties =
+(* The constant number of IBLT hash functions (Corollary 2.2). *)
+let hashes = 4
+
+let run_broadcast ~comm ~seed ~d ~parties =
   let np = Array.length parties in
   if np < 2 then invalid_arg "Multi_party.reconcile_broadcast: need at least 2 parties";
   (* All k^2 pairwise decodes must succeed, so the per-sketch size carries a
@@ -78,8 +81,8 @@ let run_broadcast ~comm ~seed ~d ~k:hashes ~parties =
       Ok { union; per_party; stats = Comm.stats comm }
     else Error (`Decode_failure (-1))
 
-let reconcile_broadcast ~seed ~d ?(k = 4) ~parties () =
+let reconcile_broadcast ~seed ~d ~parties () =
   let comm = Comm.create () in
-  match run_broadcast ~comm ~seed ~d ~k ~parties with
+  match run_broadcast ~comm ~seed ~d ~parties with
   | Ok o -> Ok o
   | Error (`Decode_failure sender) -> Error (`Decode_failure (sender, Comm.stats comm))

@@ -23,13 +23,12 @@ type error = [ `Decode_failure of int * Comm.stats ]
 (** The index of a party whose sketch could not be reconciled by everyone. *)
 
 val reconcile_broadcast :
-  seed:int64 -> d:int -> ?k:int ->
-  parties:Ssr_util.Iset.t array -> unit -> (outcome, error) result
+  seed:int64 -> d:int -> parties:Ssr_util.Iset.t array -> unit -> (outcome, error) result
 (** [d] bounds every pairwise symmetric difference. Requires >= 2 parties.
     On success every entry of [per_party] equals [union]. *)
 
 val run_broadcast :
-  comm:Comm.t -> seed:int64 -> d:int -> k:int -> parties:Ssr_util.Iset.t array ->
+  comm:Comm.t -> seed:int64 -> d:int -> parties:Ssr_util.Iset.t array ->
   (outcome, [ `Decode_failure of int ]) result
 (** {!reconcile_broadcast} threaded through a caller-supplied recorder:
     one {!Comm.guarded} message per party, and every receiver reconciles

@@ -3,8 +3,6 @@ module Buf = Ssr_util.Buf
 type t = (int * int) array
 (* Invariant: strictly increasing first components, all counts positive. *)
 
-let empty = [||]
-
 let of_pairs pairs =
   List.iter (fun (_, k) -> if k <= 0 then invalid_arg "Multiset.of_pairs: non-positive count") pairs;
   let tbl = Hashtbl.create (List.length pairs) in
@@ -115,9 +113,3 @@ let canonical_bytes t =
       Buf.set_int_le out ((16 * i) + 8) k)
     t;
   out
-
-let pp fmt t =
-  Format.fprintf fmt "{%a}"
-    (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ",")
-       (fun f (x, k) -> if k = 1 then Format.fprintf f "%d" x else Format.fprintf f "%dx%d" x k))
-    (to_pairs t)

@@ -9,7 +9,6 @@
 type t
 (** Canonical: strictly increasing elements, positive multiplicities. *)
 
-val empty : t
 val of_list : int list -> t
 (** Count occurrences. *)
 
@@ -53,5 +52,3 @@ val of_pair_keys_opt : Bytes.t list -> t option
 
 val canonical_bytes : t -> Bytes.t
 (** Canonical serialization for hashing. *)
-
-val pp : Format.formatter -> t -> unit

@@ -12,7 +12,10 @@ let multiset_hash ~seed m =
 
 let key_len = 16
 
-let run_known_d ~comm ~seed ~d ~k ~alice ~bob =
+(* The constant number of IBLT hash functions (Corollary 2.2). *)
+let k = 4
+
+let run_known_d ~comm ~seed ~d ~alice ~bob =
   (* A multiset change alters at most two (element, count) pairs. *)
   let prm : Iblt.params =
     { cells = Iblt.recommended_cells ~k ~diff_bound:(2 * d); k; key_len; seed }
@@ -57,5 +60,5 @@ let run_known_d ~comm ~seed ~d ~k ~alice ~bob =
         else Error `Decode_failure
       end))
 
-let reconcile_known_d ~seed ~d ?(k = 4) ~alice ~bob () =
-  Comm.run (fun comm -> run_known_d ~comm ~seed ~d ~k ~alice ~bob)
+let reconcile_known_d ~seed ~d ~alice ~bob () =
+  Comm.run (fun comm -> run_known_d ~comm ~seed ~d ~alice ~bob)

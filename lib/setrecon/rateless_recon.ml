@@ -10,8 +10,6 @@ let m_cycles = Metrics.counter "proto.set.rateless.cycles"
 let m_lost_windows = Metrics.counter "proto.set.rateless.lost_windows"
 let m_failures = Metrics.counter "proto.set.rateless.failures"
 
-type error = [ `Decode_failure of Comm.stats ]
-
 (* ---- Wire codecs. ---- *)
 
 let window_header_bytes = 4 + 4 + 8
@@ -60,9 +58,12 @@ let ack_of_bytes_opt bytes =
    simulated transport between them is where loss and corruption happen.
    Alice's cursor only ever moves forward — a lost window leaves a gap in
    Bob's absorbed set (which the decoder peels around) and the next window
-   carries fresh parity instead of a retransmission. Bob's ACK reports
-   cumulative progress; losing one costs nothing but the byte count, and a
-   lost done-ACK is repaired by the re-ACK of the next cycle. *)
+   carries fresh parity instead of a retransmission. Bob's ACK carries his
+   done flag and [have], his next absorbed index, but Alice reads only the
+   flag: [have] is on the wire for a sender that streams only what the
+   receiver lacks (ROADMAP item 13). A lost ACK that was not done costs
+   its 5 bytes. A lost done-ACK costs one more doubled window, of up to
+   8 192 cells (128 KB), after which Bob's re-ACK ends the stream. *)
 
 let run ~comm ~seed ?(initial_window = 32) ?(max_cells = 1 lsl 16) ~alice ~bob () =
   let src = Rateless.source_of_ints ~seed (Iset.to_array alice) in
@@ -133,6 +134,3 @@ let run ~comm ~seed ?(initial_window = 32) ?(max_cells = 1 lsl 16) ~alice ~bob (
     end
   in
   cycle 0 (max 1 initial_window)
-
-let reconcile ~seed ?initial_window ?max_cells ~alice ~bob () =
-  Comm.run (fun comm -> run ~comm ~seed ?initial_window ?max_cells ~alice ~bob ())

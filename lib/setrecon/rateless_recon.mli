@@ -1,15 +1,14 @@
 (** Rateless set reconciliation over the coded-cell stream of
     {!Ssr_sketch.Rateless}.
 
-    The doubling drivers ({!Set_recon.reconcile_robust} and the doubling
-    first rung of [Ssr_transport.Resilient]) escalate by shipping whole
-    IBLTs: guess a size, transmit, fail, double, reship — one bad
-    estimate or one lossy window wastes an entire sketch. Here Alice
-    instead streams windows of coded cells (each a pure function of the
-    shared seed and its index) and Bob ACKs cumulative peel progress;
-    because every fresh cell carries new parity, a lost window is never
-    retransmitted — the stream just moves forward — and communication
-    converges to ~1.35x the true difference with no size negotiation.
+    The doubling first rung of [Ssr_transport.Resilient] escalates by
+    shipping whole IBLTs: guess a size, transmit, fail, double, reship —
+    one bad estimate or one lossy window wastes an entire sketch. Here
+    Alice instead streams windows of coded cells (each a pure function of
+    the shared seed and its index) and Bob ACKs each window; because every
+    fresh cell carries new parity, a lost window is never retransmitted —
+    the stream just moves forward — and communication converges to ~1.35x
+    the true difference with no size negotiation.
 
     One cycle is [window A->B, ack B->A] (two {!Comm} rounds). The window
     size doubles each cycle, so reaching difference [d] takes
@@ -30,27 +29,23 @@
     - window: [u32 lo | u32 count | int62 alice_hash | count cells], each
       {!Ssr_sketch.Rateless.cell_bytes} = 16 bytes
     - ack: [u8 done (0|1) | u32 have] — exactly 5 bytes; [have] is the
-      receiver's {!Ssr_sketch.Rateless.next_index}. *)
+      receiver's {!Ssr_sketch.Rateless.next_index}.
 
-type error = [ `Decode_failure of Comm.stats ]
-
-val reconcile :
-  seed:int64 -> ?initial_window:int -> ?max_cells:int ->
-  alice:Ssr_util.Iset.t -> bob:Ssr_util.Iset.t -> unit ->
-  (Set_recon.outcome, error) result
-(** One-way rateless reconciliation: Bob ends up with Alice's set.
-    [initial_window] (default 32) cells in the first window,
-    doubling per cycle; [max_cells] (default 65536) bounds the stream
-    (exceeding it is a [`Decode_failure], as is an unserviceable
-    transport). *)
+    Alice reads only the ACK's done flag; [have] rides along for a sender
+    that streams only what the receiver lacks (ROADMAP item 13). So a lost
+    ACK that was not done costs its 5 bytes, but a lost done-ACK costs one
+    more doubled window, of up to 8 192 cells (128 KB), before Bob's
+    re-ACK ends the stream. *)
 
 val run :
   comm:Comm.t -> seed:int64 -> ?initial_window:int -> ?max_cells:int ->
   alice:Ssr_util.Iset.t -> bob:Ssr_util.Iset.t -> unit ->
   (Set_recon.outcome, [ `Decode_failure ]) result
-(** {!reconcile} threaded through a caller-supplied recorder, for drivers
-    that embed the stream in a longer transcript (the {!Comm} transport
-    seam, retry ladders). The outcome's stats are cumulative for [comm]. *)
+(** One-way rateless reconciliation through [comm]: Bob ends up with
+    Alice's set. [initial_window] (default 32) cells in the first window,
+    doubling per cycle; [max_cells] (default 65536) bounds the stream
+    (exceeding it is a [`Decode_failure], as is an unserviceable
+    transport). The outcome's stats are cumulative for [comm]. *)
 
 (** {2 Wire codecs}
 

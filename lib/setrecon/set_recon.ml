@@ -3,8 +3,6 @@ module Hashing = Ssr_util.Hashing
 module Prng = Ssr_util.Prng
 module Iblt = Ssr_sketch.Iblt
 
-let retries = Ssr_obs.Metrics.counter "proto.set.retries"
-
 type outcome = {
   recovered : Iset.t;
   alice_minus_bob : Iset.t;
@@ -18,18 +16,25 @@ let set_hash_tag = 0x5E7A
 
 let set_hash ~seed s = Iset.digest (Hashing.make ~seed ~tag:set_hash_tag) s
 
-let iblt_params ~seed ~d ~k : Iblt.params =
+(* Corollary 2.2's constant number of IBLT hash functions. *)
+let k = 4
+
+(* The unknown-d route sizes the table for [headroom] times the estimate,
+   absorbing the estimator's constant factor. *)
+let headroom = 2
+
+let iblt_params ~seed ~d : Iblt.params =
   { cells = Iblt.recommended_cells ~k ~diff_bound:d; k; key_len = 8; seed }
 
 (* Core one-message exchange; [comm] lets callers embed this in a larger
-   transcript (the unknown-d and doubling wrappers below, two-way
+   transcript (the unknown-d wrapper below, two-way
    reconciliation's first leg, and [lib/transport]'s retry ladder).
    Alice's table and whole-set hash travel as one guarded message, and
    Bob's side is computed from the delivered bytes, so an attached
    transport carries — and can damage — exactly what a deployment would
    put on the wire. *)
-let run_known_d ~comm ~seed ~d ~k ~alice ~bob =
-  let prm = iblt_params ~seed ~d ~k in
+let run_known_d ~comm ~seed ~d ~alice ~bob =
+  let prm = iblt_params ~seed ~d in
   let table = Iblt.create prm in
   Iblt.add_all_ints table (Iset.to_array alice);
   let payload = Comm.guarded [| table |] ~guard:(set_hash ~seed alice) in
@@ -52,28 +57,17 @@ let run_known_d ~comm ~seed ~d ~k ~alice ~bob =
         Ok { recovered; alice_minus_bob; bob_minus_alice; stats = Comm.stats comm }
       else Error `Decode_failure)
 
-let reconcile_known_d ~seed ~d ?(k = 4) ~alice ~bob () =
-  Comm.run (fun comm -> run_known_d ~comm ~seed ~d ~k ~alice ~bob)
+let reconcile_known_d ~seed ~d ~alice ~bob () =
+  Comm.run (fun comm -> run_known_d ~comm ~seed ~d ~alice ~bob)
 
-let run_unknown_d ~comm ~seed ~k ?estimator_shape ~headroom ~alice ~bob () =
-  let payload = Comm.estimator ?shape:estimator_shape ~seed (Iset.to_array bob) in
+let run_unknown_d ~comm ~seed ~alice ~bob () =
+  let payload = Comm.estimator ~seed (Iset.to_array bob) in
   match
-    Comm.estimate ?shape:estimator_shape ~seed (Iset.to_array alice)
-      (Comm.xfer comm Comm.B_to_a ~label:"estimator" payload)
+    Comm.estimate ~seed (Iset.to_array alice) (Comm.xfer comm Comm.B_to_a ~label:"estimator" payload)
   with
   | None -> Error `Decode_failure
   | Some est ->
-    run_known_d ~comm ~seed:(Prng.derive ~seed ~tag:1) ~d:(max 4 (headroom * est)) ~k ~alice ~bob
+    run_known_d ~comm ~seed:(Prng.derive ~seed ~tag:1) ~d:(max 4 (headroom * est)) ~alice ~bob
 
-let reconcile_unknown_d ~seed ?(k = 4) ?estimator_shape ?(headroom = 2) ~alice ~bob () =
-  Comm.run (fun comm -> run_unknown_d ~comm ~seed ~k ?estimator_shape ~headroom ~alice ~bob ())
-
-let reconcile_robust ~seed ?(k = 4) ?(initial_d = 4) ?(max_attempts = 16) ~alice ~bob () =
-  Comm.run (fun comm ->
-      Comm.retry_doubling comm ~retries ~d:initial_d
-        ~stop:(fun ~attempt ~d:_ -> attempt >= max_attempts)
-        (fun ~attempt ~d ->
-          (* A fresh derived seed each attempt re-randomizes the hash
-             functions, so a peeling failure is not repeated
-             deterministically. *)
-          run_known_d ~comm ~seed:(Prng.derive ~seed ~tag:(100 + attempt)) ~d ~k ~alice ~bob))
+let reconcile_unknown_d ~seed ~alice ~bob () =
+  Comm.run (fun comm -> run_unknown_d ~comm ~seed ~alice ~bob ())

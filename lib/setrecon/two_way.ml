@@ -24,10 +24,10 @@ let parse_return ~seed ~alice delivered =
     | Some h when Codec.at_end r && Set_recon.set_hash ~seed union = h -> Some (union, b_minus_a)
     | _ -> None)
 
-let run_known_d ~comm ~seed ~d ~k ~alice ~bob =
+let run_known_d ~comm ~seed ~d ~alice ~bob =
   (* First leg: one-way reconciliation, after which Bob holds both
      difference sides. *)
-  match Set_recon.run_known_d ~comm ~seed ~d ~k ~alice ~bob with
+  match Set_recon.run_known_d ~comm ~seed ~d ~alice ~bob with
   | Error `Decode_failure -> Error `Decode_failure
   | Ok o -> (
     let bob_union = Iset.union bob o.Set_recon.alice_minus_bob in
@@ -49,17 +49,16 @@ let run_known_d ~comm ~seed ~d ~k ~alice ~bob =
             stats = Comm.stats comm;
           }))
 
-let run_unknown_d ~comm ~seed ~k ?estimator_shape ~alice ~bob () =
-  let payload = Comm.estimator ?shape:estimator_shape ~seed (Iset.to_array bob) in
+let run_unknown_d ~comm ~seed ~alice ~bob () =
+  let payload = Comm.estimator ~seed (Iset.to_array bob) in
   match
-    Comm.estimate ?shape:estimator_shape ~seed (Iset.to_array alice)
-      (Comm.xfer comm Comm.B_to_a ~label:"estimator" payload)
+    Comm.estimate ~seed (Iset.to_array alice) (Comm.xfer comm Comm.B_to_a ~label:"estimator" payload)
   with
   | None -> Error `Decode_failure
-  | Some est -> run_known_d ~comm ~seed:(Prng.derive ~seed ~tag:0x2A) ~d:(max 4 (2 * est)) ~k ~alice ~bob
+  | Some est -> run_known_d ~comm ~seed:(Prng.derive ~seed ~tag:0x2A) ~d:(max 4 (2 * est)) ~alice ~bob
 
-let reconcile_known_d ~seed ~d ?(k = 4) ~alice ~bob () =
-  Comm.run (fun comm -> run_known_d ~comm ~seed ~d ~k ~alice ~bob)
+let reconcile_known_d ~seed ~d ~alice ~bob () =
+  Comm.run (fun comm -> run_known_d ~comm ~seed ~d ~alice ~bob)
 
-let reconcile_unknown_d ~seed ?(k = 4) ?estimator_shape ~alice ~bob () =
-  Comm.run (fun comm -> run_unknown_d ~comm ~seed ~k ?estimator_shape ~alice ~bob ())
+let reconcile_unknown_d ~seed ~alice ~bob () =
+  Comm.run (fun comm -> run_unknown_d ~comm ~seed ~alice ~bob ())

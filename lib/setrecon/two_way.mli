@@ -23,16 +23,15 @@ type outcome = {
 type error = [ `Decode_failure of Comm.stats ]
 
 val reconcile_known_d :
-  seed:int64 -> d:int -> ?k:int ->
-  alice:Ssr_util.Iset.t -> bob:Ssr_util.Iset.t -> unit -> (outcome, error) result
+  seed:int64 -> d:int -> alice:Ssr_util.Iset.t -> bob:Ssr_util.Iset.t -> unit ->
+  (outcome, error) result
 (** 2 rounds, O(d log u) bits. [d] bounds |A ⊕ B|. *)
 
 val reconcile_unknown_d :
-  seed:int64 -> ?k:int -> ?estimator_shape:Ssr_sketch.L0_estimator.shape ->
-  alice:Ssr_util.Iset.t -> bob:Ssr_util.Iset.t -> unit -> (outcome, error) result
+  seed:int64 -> alice:Ssr_util.Iset.t -> bob:Ssr_util.Iset.t -> unit -> (outcome, error) result
 (** 3 rounds: Bob's estimator, Alice's IBLT, Bob's return diff. *)
 
 val run_unknown_d :
-  comm:Comm.t -> seed:int64 -> k:int -> ?estimator_shape:Ssr_sketch.L0_estimator.shape ->
-  alice:Ssr_util.Iset.t -> bob:Ssr_util.Iset.t -> unit -> (outcome, [ `Decode_failure ]) result
+  comm:Comm.t -> seed:int64 -> alice:Ssr_util.Iset.t -> bob:Ssr_util.Iset.t -> unit ->
+  (outcome, [ `Decode_failure ]) result
 (** {!reconcile_unknown_d} threaded through a caller-supplied recorder. *)

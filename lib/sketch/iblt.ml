@@ -47,7 +47,6 @@ type t = {
 }
 
 let params t = t.prm
-let check_bits t = t.check_bits
 
 let hash_tag = 0x1B17
 
@@ -549,11 +548,3 @@ let of_body_bytes ?check_bits prm body =
   | None -> invalid_arg "Iblt.of_body_bytes: length mismatch"
 
 let size_bits t = 8 * Bytes.length t.buf
-
-let pp fmt t =
-  let nonzero = ref 0 in
-  for c = 0 to t.prm.cells - 1 do
-    if get_count t c <> 0 then incr nonzero
-  done;
-  Format.fprintf fmt "iblt(cells=%d,k=%d,key_len=%d,nonzero=%d)" t.prm.cells t.prm.k t.prm.key_len
-    !nonzero

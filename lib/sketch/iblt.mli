@@ -56,9 +56,6 @@ val create : ?check_bits:int -> params -> t
     up)] bytes. The default width is the historical wire format; both
     parties must use the same width, like the parameters themselves. *)
 
-val check_bits : t -> int
-(** The checksum width this table was created with. *)
-
 val copy : t -> t
 (** Deep copy: shares no mutable state with the original. *)
 
@@ -161,5 +158,3 @@ val body_length : ?check_bits:int -> params -> int
 
 val size_bits : t -> int
 (** [8 * body_length ~check_bits:(check_bits t) (params t)]. *)
-
-val pp : Format.formatter -> t -> unit

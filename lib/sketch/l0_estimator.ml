@@ -175,8 +175,6 @@ module Median = struct
 
   let update t side x = Array.iter (fun e -> update e side x) t
 
-  let update_all t side xs = Array.iter (fun e -> update_all e side xs) t
-
   let merge a b =
     if Array.length a <> Array.length b then invalid_arg "L0_estimator.Median.merge: copy mismatch";
     Array.init (Array.length a) (fun i -> merge a.(i) b.(i))
@@ -185,8 +183,6 @@ module Median = struct
     let qs = Array.map query t in
     Array.sort compare qs;
     qs.(Array.length qs / 2)
-
-  let size_bits t = Array.fold_left (fun acc e -> acc + size_bits e) 0 t
 
   let copies t = t
 end

@@ -27,11 +27,6 @@ type shape = {
   threshold : int;  (** a level "reports" when > threshold buckets are nonzero *)
 }
 
-val default_shape : shape
-(** 24 levels x 3 reps x 80 buckets, threshold 8: a few hundred bytes,
-    accurate to well within the constant factor the theorem promises at the
-    scales exercised here. *)
-
 type side = S1 | S2
 (** Which implicit set an update targets (the paper's update(x, i)). *)
 
@@ -92,12 +87,10 @@ module Median : sig
       choose copies = Theta(log(1/delta)). *)
 
   val update : t -> side -> int -> unit
-  val update_all : t -> side -> int array -> unit
   val merge : t -> t -> t
   val query : t -> int
   (** Median of the copies' queries. *)
 
-  val size_bits : t -> int
   val copies : t -> estimator array
   (** Exposed for tests. *)
 end

@@ -13,8 +13,12 @@ type t = { strata : Iblt.t array; level_fn : Hashing.fn; seed : int64 }
 let level_tag = 0x57A7
 let table_tag = 0x57B0
 
-let create ~seed ?(strata = 32) ?(cells_per_stratum = 40) () =
-  if strata < 1 || strata > 60 then invalid_arg "Strata_estimator.create: strata out of range";
+(* 32 strata of 40-cell, 3-hash IBLTs: close to the reference
+   implementation's 80x32 but sized for the universes used here. *)
+let strata = 32
+let cells_per_stratum = 40
+
+let create ~seed () =
   let prm level : Iblt.params =
     { cells = cells_per_stratum; k = 3; key_len = 8; seed = Ssr_util.Prng.derive ~seed ~tag:(table_tag + level) }
   in
@@ -26,7 +30,7 @@ let create ~seed ?(strata = 32) ?(cells_per_stratum = 40) () =
 
 let level t x =
   let h = Hashing.hash_int t.level_fn x in
-  let max_level = Array.length t.strata - 1 in
+  let max_level = strata - 1 in
   if h = 0 then max_level else min (Bits.lsb_index h) max_level
 
 let add t x = Iblt.insert_int t.strata.(level t x) x
@@ -34,9 +38,7 @@ let add t x = Iblt.insert_int t.strata.(level t x) x
 let add_all t xs = Array.iter (add t) xs
 
 let estimate ~local ~remote =
-  if Array.length local.strata <> Array.length remote.strata then
-    invalid_arg "Strata_estimator.estimate: shape mismatch";
-  let top = Array.length local.strata - 1 in
+  let top = strata - 1 in
   let rec walk i acc =
     if i < 0 then acc (* every stratum decoded: the estimate is exact *)
     else

@@ -11,8 +11,8 @@
 
 type t
 
-val create : seed:int64 -> ?strata:int -> ?cells_per_stratum:int -> unit -> t
-(** Defaults: 32 strata of 40-cell, 3-hash IBLTs (close to the reference
+val create : seed:int64 -> unit -> t
+(** 32 strata of 40-cell, 3-hash IBLTs (close to the reference
     implementation's 80x32 but sized for the universes used here). *)
 
 val add : t -> int -> unit
@@ -23,7 +23,7 @@ val add_all : t -> int array -> unit
 
 val estimate : local:t -> remote:t -> int
 (** One party's estimate of the set difference given the other's sketch.
-    Both sketches must have been created with the same seed and shape. Each
+    Both sketches must have been created with the same seed. Each
     call ticks [estimator.strata.queries] and records the estimate in the
     [estimator.strata.estimate] distribution. *)
 

@@ -226,7 +226,6 @@ let create ?(config = default_config) ~clock ~network ~seed () =
 
 let clock t = t.clk
 let network t = t.net
-let config t = t.cfg
 
 let stats t =
   { data_sent = t.data_sent; retransmissions = t.retransmissions; acks_sent = t.acks_sent;

@@ -56,7 +56,6 @@ val create : ?config:config -> clock:Clock.t -> network:Network.t -> seed:int64 
 
 val clock : t -> Clock.t
 val network : t -> Network.t
-val config : t -> config
 val stats : t -> stats
 
 val set_hard_deadline : t -> int option -> unit

@@ -58,7 +58,6 @@ type t = {
 }
 
 let create cfg = { cfg; sent = 0; wire_bytes = 0; events = [] }
-let config t = t.cfg
 let messages_sent t = t.sent
 let bytes_sent t = t.wire_bytes
 let events t = List.rev t.events

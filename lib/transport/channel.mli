@@ -60,7 +60,6 @@ val check_rate : string -> string -> float -> unit
 type t
 
 val create : config -> t
-val config : t -> config
 
 val messages_sent : t -> int
 

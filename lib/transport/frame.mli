@@ -17,9 +17,6 @@
     multi-bit damage; the reconciliation layer's whole-set hash is the second
     line of defence behind it. *)
 
-val current_version : int
-(** The version byte written by {!encode} (currently 1). *)
-
 val overhead_bytes : int
 (** Framing bytes added per message: 1 (version) + 4 (length) + 4 (CRC). *)
 

@@ -32,11 +32,6 @@ type config = {
   partitions : partition list;
 }
 
-let ideal =
-  { seed = 0L; drop_rate = 0.; corrupt_rate = 0.; truncate_rate = 0.; duplicate_rate = 0.;
-    duplicate_copies = 2; latency_us = 0; jitter_us = 0; reorder_rate = 0.; reorder_extra_us = 0;
-    partitions = [] }
-
 let config_with ?(drop = 0.) ?(corrupt = 0.) ?(truncate = 0.) ?(duplicate = 0.)
     ?(duplicate_copies = 2) ?(latency_us = 0) ?(jitter_us = 0) ?(reorder = 0.) ?reorder_extra_us
     ?(partitions = []) ~seed () =
@@ -91,8 +86,6 @@ let create ~clock cfg =
   Trace.set_time_source (fun () -> Clock.now_us clock);
   { cfg; clock; channel; handler = (fun _ _ -> ()); transcript = []; partition_drops = 0;
     reorder_count = 0 }
-
-let config t = t.cfg
 
 let on_deliver t handler = t.handler <- handler
 
@@ -158,8 +151,6 @@ let send t direction ~label payload =
 let faults t = Channel.events t.channel
 
 let transcript t = List.rev t.transcript
-
-let packets_sent t = Channel.messages_sent t.channel
 
 let partition_drops t = t.partition_drops
 

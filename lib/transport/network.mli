@@ -38,9 +38,6 @@ type config = {
   partitions : partition list;
 }
 
-val ideal : config
-(** Zero latency, zero fault rates, no partitions. *)
-
 val config_with :
   ?drop:float -> ?corrupt:float -> ?truncate:float -> ?duplicate:float ->
   ?duplicate_copies:int -> ?latency_us:int -> ?jitter_us:int -> ?reorder:float ->
@@ -66,7 +63,6 @@ type delivery = {
 type t
 
 val create : clock:Clock.t -> config -> t
-val config : t -> config
 
 val on_deliver : t -> (direction -> Bytes.t -> unit) -> unit
 (** Install the receive handler (the ARQ layer); called from clock events. *)
@@ -81,8 +77,6 @@ val faults : t -> Channel.event list
 
 val transcript : t -> delivery list
 (** Every copy of every packet sent so far, in send order. *)
-
-val packets_sent : t -> int
 
 val partition_drops : t -> int
 (** Copies silently discarded by partition windows. *)

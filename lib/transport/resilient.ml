@@ -272,7 +272,7 @@ let reconcile_set ~link ~seed ?(strategy = Doubling) ?(initial_d = 4) ?(max_atte
       let seed = Hashing.attempt_seed ~seed ~attempt:number in
       let result =
         match strategy with
-        | Doubling -> Set_recon.run_known_d ~comm:ctx.comm ~seed ~d ~k:4 ~alice ~bob
+        | Doubling -> Set_recon.run_known_d ~comm:ctx.comm ~seed ~d ~alice ~bob
         | Rateless ->
           (* One rateless run is itself an open-ended escalation — the
              stream keeps flowing until the peel verifies — so a failed run

@@ -1,7 +1,3 @@
-let set_int64_le b off v = Bytes.set_int64_le b off v
-
-let get_int64_le b off = Bytes.get_int64_le b off
-
 let set_int_le b off v = Bytes.set_int64_le b off (Int64.of_int v)
 
 let get_int_le b off =
@@ -105,5 +101,3 @@ let of_int_list xs =
   let out = Bytes.create (8 * List.length xs) in
   List.iteri (fun i x -> set_int_le out (i * 8) x) xs;
   out
-
-let equal = Bytes.equal

@@ -4,12 +4,6 @@
     count communication honestly. This module provides the little-endian
     integer encodings and in-place XOR used for both. *)
 
-val set_int64_le : Bytes.t -> int -> int64 -> unit
-(** [set_int64_le b off v] writes [v] little-endian at offset [off]. *)
-
-val get_int64_le : Bytes.t -> int -> int64
-(** Read back what {!set_int64_le} wrote. *)
-
 val set_int_le : Bytes.t -> int -> int -> unit
 (** Write a native int (as a 64-bit little-endian word). *)
 
@@ -67,6 +61,3 @@ val append_all : Bytes.t list -> Bytes.t
 val of_int_list : int list -> Bytes.t
 (** Fixed-width (8 bytes each) encoding of a list of ints; used to hash
     canonical forms of sets. *)
-
-val equal : Bytes.t -> Bytes.t -> bool
-(** Content equality. *)

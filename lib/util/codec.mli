@@ -25,9 +25,6 @@ val u8 : reader -> int option
 val u32 : reader -> int option
 (** 4-byte little-endian unsigned. *)
 
-val i64 : reader -> int64 option
-(** 8-byte little-endian. *)
-
 val int62 : reader -> int option
 (** 8-byte little-endian that must be a non-negative 62-bit value (the range
     of this library's hashes and elements); [None] otherwise. *)

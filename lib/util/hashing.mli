@@ -16,16 +16,6 @@ val make : seed:int64 -> tag:int -> fn
 val hash_int : fn -> int -> int
 (** Hash to a non-negative 62-bit integer. *)
 
-val hash_int64 : fn -> int64 -> int64
-(** Full 64-bit variant. *)
-
-val reduce64 : int64 -> int -> int
-(** [reduce64 h m] maps a full 64-bit hash into [\[0, m)] by the Lemire
-    multiply-shift: the high word of the unsigned product [h * m]. Unlike
-    [mod m] it uses all 64 input bits, has no division, and its bias is
-    bounded by [m / 2^64] instead of [2^64 mod m / 2^64]. Requires
-    [m > 0]. *)
-
 val to_range : fn -> int -> int -> int
 (** [to_range f m x] hashes [x] into [\[0, m)]. Requires [m > 0]. *)
 

@@ -228,11 +228,11 @@ let test_dataset_resumable () =
   List.iter
     (fun (name, inst) ->
       let st = inst.Datasets.stream in
-      let full = List.of_seq (Datasets.to_seq st) in
+      let full = List.of_seq (Parent.stream_to_seq st) in
       Alcotest.(check int) (name ^ " full walk") st.Parent.length (List.length full);
       List.iter
         (fun from ->
-          let resumed = List.of_seq (Datasets.to_seq ~from st) in
+          let resumed = List.of_seq (Parent.stream_to_seq ~from st) in
           let expect = List.filteri (fun i _ -> i >= from) full in
           Alcotest.(check int)
             (Printf.sprintf "%s resume@%d length" name from)

@@ -29,14 +29,6 @@ let test_labeled_roundtrip () =
     | Error _ -> Alcotest.fail "labeled reconciliation failed"
   done
 
-let test_labeled_robust () =
-  let rng = Prng.create ~seed in
-  let bob = Gnp.sample rng ~n:80 ~p:0.15 in
-  let alice = Graph.flip_random_edges rng bob 25 in
-  match Labeled.reconcile_robust ~seed ~alice ~bob () with
-  | Ok o -> Alcotest.(check bool) "recovered" true (Graph.equal o.Labeled.recovered alice)
-  | Error _ -> Alcotest.fail "robust labeled reconciliation failed"
-
 (* ---------- Polynomial protocols (small n) ---------- *)
 
 let test_iso_check_accepts () =
@@ -311,7 +303,6 @@ let () =
       ( "labeled",
         [
           Alcotest.test_case "roundtrip" `Quick test_labeled_roundtrip;
-          Alcotest.test_case "robust" `Quick test_labeled_robust;
         ] );
       ( "poly-protocol",
         [

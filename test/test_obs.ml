@@ -384,7 +384,7 @@ let test_protocol_message_fuzz () =
   let m_alice = Multiset.of_pairs (List.init 20 (fun i -> (i, 1 + (i mod 3)))) in
   let m_bob = Multiset.add 3 (Multiset.add 25 m_alice) in
   let two_way comm =
-    match Two_way.run_unknown_d ~comm ~seed ~k:4 ~alice ~bob () with
+    match Two_way.run_unknown_d ~comm ~seed ~alice ~bob () with
     | Ok o -> verdict (Iset.equal (Iset.union alice bob)) (Some o.Two_way.union)
     | Error `Decode_failure -> Failed
   in
@@ -416,7 +416,7 @@ let test_protocol_message_fuzz () =
           | Error `Bound_too_small -> Failed );
       ( "multiset iblt", "multiset-iblt+hash", `Fails,
         fun comm ->
-          match Multiset_recon.run_known_d ~comm ~seed ~d:4 ~k:4 ~alice:m_alice ~bob:m_bob with
+          match Multiset_recon.run_known_d ~comm ~seed ~d:4 ~alice:m_alice ~bob:m_bob with
           | Ok o -> verdict (Multiset.equal m_alice) (Some o.Multiset_recon.recovered)
           | Error `Decode_failure -> Failed );
       ("naive unknown d", "naive-iblt+digest", `Fails, unknown Protocol.Naive);
@@ -427,7 +427,7 @@ let test_protocol_message_fuzz () =
       ( "broadcast", "broadcast-iblt+hash", `Fails,
         fun comm ->
           let parties = [| alice; bob; Iset.add 7 alice |] in
-          match Multi_party.run_broadcast ~comm ~seed ~d:4 ~k:4 ~parties with
+          match Multi_party.run_broadcast ~comm ~seed ~d:4 ~parties with
           | Ok o ->
             let union = Array.fold_left Iset.union Iset.empty parties in
             verdict (Iset.equal union) (Some o.Multi_party.union)
@@ -445,7 +445,7 @@ let test_protocol_message_fuzz () =
             (Comm.retry_doubling comm ~retries:(Metrics.counter "test.obs.fuzz.retries") ~d:1
                ~stop:(fun ~attempt ~d:_ -> attempt >= 8)
                (fun ~attempt ~d ->
-                 Set_recon.run_known_d ~comm ~seed:(Prng.derive ~seed ~tag:attempt) ~d ~k:4 ~alice
+                 Set_recon.run_known_d ~comm ~seed:(Prng.derive ~seed ~tag:attempt) ~d ~alice
                    ~bob:far)) );
     ]
 

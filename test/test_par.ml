@@ -301,19 +301,19 @@ let comm_stacks =
     ( "set-known",
       fun nseed comm ->
         let alice, bob = sets ~nseed ~tag:0x51 ~diff:8 in
-        match Set_recon.run_known_d ~comm ~seed:nseed ~d:16 ~k:4 ~alice ~bob with
+        match Set_recon.run_known_d ~comm ~seed:nseed ~d:16 ~alice ~bob with
         | Ok o -> set_ok o alice
         | Error `Decode_failure -> false );
     ( "set-unknown",
       fun nseed comm ->
         let alice, bob = sets ~nseed ~tag:0x52 ~diff:8 in
-        match Set_recon.run_unknown_d ~comm ~seed:nseed ~k:4 ~headroom:2 ~alice ~bob () with
+        match Set_recon.run_unknown_d ~comm ~seed:nseed ~alice ~bob () with
         | Ok o -> set_ok o alice
         | Error `Decode_failure -> false );
     ( "two-way",
       fun nseed comm ->
         let alice, bob = sets ~nseed ~tag:0x54 ~diff:8 in
-        match Two_way.run_unknown_d ~comm ~seed:nseed ~k:4 ~alice ~bob () with
+        match Two_way.run_unknown_d ~comm ~seed:nseed ~alice ~bob () with
         | Ok o -> Iset.equal o.Two_way.union (Iset.union alice bob)
         | Error `Decode_failure -> false );
     ( "multi-party",
@@ -322,13 +322,13 @@ let comm_stacks =
         let _, c = sets ~nseed ~tag:0x56 ~diff:4 in
         let parties = [| a; b; c |] in
         let d = Multi_party.pairwise_bound parties in
-        match Multi_party.run_broadcast ~comm ~seed:nseed ~d ~k:4 ~parties with
+        match Multi_party.run_broadcast ~comm ~seed:nseed ~d ~parties with
         | Ok o -> Iset.equal o.Multi_party.union (Iset.union a (Iset.union b c))
         | Error (`Decode_failure _) -> false );
     ( "multiset",
       fun nseed comm ->
         let alice, bob = multisets ~nseed in
-        match Multiset_recon.run_known_d ~comm ~seed:nseed ~d:8 ~k:4 ~alice ~bob with
+        match Multiset_recon.run_known_d ~comm ~seed:nseed ~d:8 ~alice ~bob with
         | Ok o -> Multiset.equal o.Multiset_recon.recovered alice
         | Error `Decode_failure -> false );
     ( "cpi-set",

@@ -124,16 +124,6 @@ let test_unknown_d_roundtrip () =
     | Error _ -> Alcotest.fail "decode failure"
   done
 
-let test_robust_always_succeeds () =
-  let rng = Prng.create ~seed in
-  for trial = 1 to 10 do
-    let d = 1 + (13 * trial mod 100) in
-    let alice, bob = perturbed rng ~universe:1_000_000 ~n:1000 ~d in
-    match Set_recon.reconcile_robust ~seed:(Prng.derive ~seed ~tag:(70 + trial)) ~alice ~bob () with
-    | Ok o -> check_outcome o ~alice ~bob
-    | Error _ -> Alcotest.fail "robust reconciliation failed"
-  done
-
 let test_communication_scales_with_d_not_n () =
   let rng = Prng.create ~seed in
   let alice_small, bob_small = perturbed rng ~universe:10_000_000 ~n:100 ~d:5 in
@@ -426,7 +416,6 @@ let () =
           Alcotest.test_case "empty sets" `Quick test_known_d_empty_sets;
           Alcotest.test_case "underestimate detected" `Quick test_known_d_underestimate_detected;
           Alcotest.test_case "unknown d roundtrip" `Quick test_unknown_d_roundtrip;
-          Alcotest.test_case "robust doubling" `Quick test_robust_always_succeeds;
           Alcotest.test_case "comm scales with d not n" `Quick test_communication_scales_with_d_not_n;
         ] );
       ( "cpi",

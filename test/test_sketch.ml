@@ -397,16 +397,6 @@ let test_l0_median_amplifies () =
     true
     (!median_ok >= !single_ok - 2 && !median_ok >= trials - 3)
 
-let test_strata_shape_mismatch () =
-  let a = Strata.create ~seed ~strata:16 () in
-  let b = Strata.create ~seed ~strata:32 () in
-  Alcotest.check_raises "shape mismatch" (Invalid_argument "Strata_estimator.estimate: shape mismatch")
-    (fun () -> ignore (Strata.estimate ~local:a ~remote:b))
-
-let test_strata_bad_params () =
-  Alcotest.check_raises "strata range" (Invalid_argument "Strata_estimator.create: strata out of range")
-    (fun () -> ignore (Strata.create ~seed ~strata:0 ()))
-
 (* ---------- Differential: optimized hot path vs simple reference ---------- *)
 
 (* Reference model of an IBLT's semantics: a signed multiset of keys kept
@@ -1326,8 +1316,6 @@ let () =
           Alcotest.test_case "l0 negative element" `Quick test_l0_negative_element_rejected;
           Alcotest.test_case "l0 merge mismatch" `Quick test_l0_merge_mismatch_rejected;
           Alcotest.test_case "l0 of_bytes length" `Quick test_l0_of_bytes_length_checked;
-          Alcotest.test_case "strata shape mismatch" `Quick test_strata_shape_mismatch;
-          Alcotest.test_case "strata bad params" `Quick test_strata_bad_params;
         ] );
       ( "median-estimator",
         [

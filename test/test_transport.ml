@@ -268,7 +268,7 @@ let test_set_recon_single_bit_never_silent () =
   let alice, bob = small_sets rng in
   let probe = Comm.create () in
   let msg_bits =
-    match Set_recon.run_known_d ~comm:probe ~seed ~d:8 ~k:4 ~alice ~bob with
+    match Set_recon.run_known_d ~comm:probe ~seed ~d:8 ~alice ~bob with
     | Ok _ -> (Comm.stats probe).Comm.bits_total
     | Error `Decode_failure -> Alcotest.fail "fault-free run must succeed"
   in
@@ -276,7 +276,7 @@ let test_set_recon_single_bit_never_silent () =
   for bit = 0 to msg_bits - 1 do
     let comm = Comm.create () in
     Comm.set_transport comm (surgical_transport ~message:0 ~bit);
-    match Set_recon.run_known_d ~comm ~seed ~d:8 ~k:4 ~alice ~bob with
+    match Set_recon.run_known_d ~comm ~seed ~d:8 ~alice ~bob with
     | Ok o ->
       if Iset.equal o.Set_recon.recovered alice then incr survived
       else begin
